@@ -1,14 +1,17 @@
 """Groebner engine: reduced bases, normal forms, elimination, intersections,
 kernels of ring maps, cofactor lifting, syzygies and affine Hilbert data.
 
-Plain Buchberger with the normal selection strategy; every basis is reduced
-(monic, auto-reduced, sorted by leading monomial), hence canonical for its
-order.  All entry points accept a step budget and raise
-:class:`BudgetExceeded` instead of silently truncating.
+Buchberger's algorithm with the Gebauer-Moller pair criteria ("On an
+installation of Buchberger's algorithm", J. Symb. Comp. 1988) and the normal
+selection strategy; every basis is reduced (monic, auto-reduced, sorted by
+leading monomial), hence canonical for its order.  All entry points accept a
+step budget, which counts the S-pairs reduced plus the reduction steps, and
+raise :class:`BudgetExceeded` instead of silently truncating.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .rings import Polynomial, PolyRing, RingHom, fresh_names
@@ -110,9 +113,11 @@ def _buchberger(gens, ring, budget, track=False):
     Returns (basis, rows) with basis[i] = sum_j rows[i][j] * gens[j] when
     track is set (rows is None otherwise); the basis is monic, auto-reduced
     and sorted ascending by leading monomial.
-    """
-    import heapq
 
+    Critical pairs are kept by the Gebauer-Moller update (``_update``) and
+    reduced in the normal strategy, smallest lcm first.  Every element
+    stays in the reducer list, so the cofactor rows index all of them.
+    """
     k = len(gens)
     one = ring.field.one
 
@@ -126,19 +131,17 @@ def _buchberger(gens, ring, budget, track=False):
             rows.append(tuple(row))
         G.append(g.monic())
 
-    key = ring.mono_key
-    heap = []
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            heapq.heappush(heap, (key(_mono_lcm(G[i].lm(), G[j].lm())), i, j))
+    lms = [g.lm() for g in G]
+    pairs, active, heap = {}, [], []
+    for n in range(len(G)):
+        _update(n, lms, active, pairs, heap, ring.mono_key)
     while heap:
         _, i, j = heapq.heappop(heap)  # normal strategy: smallest lcm first
-        lm_i, lm_j = G[i].lm(), G[j].lm()
-        lcm = _mono_lcm(lm_i, lm_j)
-        if lcm == tuple(a + b for a, b in zip(lm_i, lm_j)):
-            continue  # coprime leading terms: S-polynomial reduces to zero
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
+            continue  # dropped by a later update
         budget.spend()
-        a, b = _mono_sub(lcm, lm_i), _mono_sub(lcm, lm_j)
+        a, b = _mono_sub(lcm, lms[i]), _mono_sub(lcm, lms[j])
         s = _mono_mul_poly(ring, a, one, G[i]) - _mono_mul_poly(ring, b, one, G[j])
         quots, rem = _divide(s, G, budget, want_quotients=track)
         if rem.is_zero():
@@ -152,12 +155,39 @@ def _buchberger(gens, ring, budget, track=False):
                     srow = _vec_add(srow, _vec_scalar(-one, _vec_poly(q, rows[t])))
             rows.append(_vec_scalar(inv, srow))
         G.append(rem * inv)
-        n = len(G) - 1
-        lm_n = G[n].lm()
-        for t in range(n):
-            heapq.heappush(heap, (key(_mono_lcm(G[t].lm(), lm_n)), t, n))
+        lms.append(G[-1].lm())
+        _update(len(G) - 1, lms, active, pairs, heap, ring.mono_key)
 
     return _reduce_basis(G, rows, ring, budget)
+
+
+def _update(n, lms, active, pairs, heap, key):
+    """Gebauer-Moller update for the new element n.
+
+    The new pairs (t, n) for the active t keep only the minimal lcms, one
+    pair per lcm (the smallest t), and none whose lcm is also that of a
+    coprime pair.  A queued pair (i, j) is dropped when lm(n) divides its
+    lcm and that lcm differs from both lcm(i, n) and lcm(j, n).  Active
+    elements whose leading monomial lm(n) divides stop forming pairs."""
+    lm_n = lms[n]
+    for (i, j), lcm in list(pairs.items()):
+        if (mono_divides(lm_n, lcm) and _mono_lcm(lms[i], lm_n) != lcm
+                and _mono_lcm(lms[j], lm_n) != lcm):
+            del pairs[(i, j)]
+    first, coprime = {}, set()  # lcm -> smallest t; lcms of coprime pairs
+    for t in active:
+        lcm = _mono_lcm(lms[t], lm_n)
+        first.setdefault(lcm, t)
+        if lcm == tuple(a + b for a, b in zip(lms[t], lm_n)):
+            coprime.add(lcm)
+    for lcm, t in first.items():
+        if lcm in coprime or any(o != lcm and mono_divides(o, lcm)
+                                 for o in first):
+            continue
+        pairs[(t, n)] = lcm
+        heapq.heappush(heap, (key(lcm), t, n))
+    active[:] = [t for t in active if not mono_divides(lm_n, lms[t])]
+    active.append(n)
 
 
 def _reduce_basis(G, rows, ring, budget):

@@ -114,13 +114,6 @@ class FilteredBasis:
         return Polynomial(self.ring, terms)
 
 
-def span_dim(polys, fbasis):
-    ech = Echelon(len(fbasis), fbasis.ring.field)
-    for p in polys:
-        ech.add(fbasis.to_vec(p))
-    return ech.rank
-
-
 def truncated_ideal_span(gens, fbasis):
     """Echelon span of {monomial * g : wdeg <= D}; exact for ideals with
     weighted-homogeneous generators, a lower bound otherwise."""
@@ -138,23 +131,3 @@ def truncated_ideal_span(gens, fbasis):
             ech.add(fbasis.to_vec(shifted))
     return ech
 
-
-def kernel_basis(apply_map, domain_vecs, width_out, field):
-    """Basis of the kernel of a linear map given by apply_map on a list of
-    domain basis vectors (each an arbitrary object); returns lists of
-    coordinates over domain_vecs."""
-    n = len(domain_vecs)
-    images = [apply_map(v) for v in domain_vecs]
-    # rows: [image | identity tail] -> kernel vectors appear as rows with
-    # zero image block after elimination
-    rows = []
-    for i, img in enumerate(images):
-        tail = [field.zero] * n
-        tail[i] = field.one
-        rows.append(list(img) + tail)
-    _, red = rref(rows, field)
-    kern = []
-    for r in red:
-        if not any(r[:width_out]):
-            kern.append(r[width_out:])
-    return kern

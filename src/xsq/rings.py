@@ -173,11 +173,15 @@ def _tokenize(text):
     return out
 
 
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, ring):
         self.toks = tokens
         self.i = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -250,7 +254,12 @@ class _Parser:
                 raise ParseError("unknown variable %r" % val, pos)
             return self.ring.var(val)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d"
+                                 % MAX_NESTING, pos)
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             kind, val, pos = self.take()
             if not (kind == "op" and val == ")"):
                 raise ParseError("expected ')'", pos)

@@ -122,11 +122,45 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every n below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic primality test for 0 <= n < MAX_MODULUS."""
+    if n >= MAX_MODULUS:
+        raise ValueError("modulus %d is too large: primality is decided "
+                         "only below %d" % (n, MAX_MODULUS))
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The field F_p for a prime p."""
+    """The field F_p for a prime p below ``MAX_MODULUS``."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TypeError("modulus %r is not an integer" % (p,))
+        if not is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
         self.p = p
         self.char = p
@@ -175,5 +209,5 @@ def field_from_label(label):
     if label == "Q":
         return QQ
     if isinstance(label, dict) and set(label) == {"Fp"}:
-        return GF(int(label["Fp"]))
+        return GF(label["Fp"])
     raise ValueError("unknown field label %r" % (label,))

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .scalars import field_from_label
-from .rings import PolyRing, RingHom
+from .rings import PolyRing, Polynomial, RingHom
 from .groebner import Ideal, hom_kernel, ideal_intersect
 
 RESERVED_PREFIXES = ("s0_", "s1_", "s2_", "s1s0_", "s2s0_", "s2s1_")
@@ -51,7 +51,9 @@ class ConstructionData:
         self.s1_names = tuple(s1_names)
         problems = []
         for name in self.s1_names:
-            if name.startswith(RESERVED_PREFIXES):
+            if not isinstance(name, str):
+                problems.append("S1 name %r is not a string" % (name,))
+            elif name.startswith(RESERVED_PREFIXES):
                 problems.append("S1 name %r uses a reserved prefix" % name)
         seen = set(self.s1_names)
         if len(seen) != len(self.s1_names):
@@ -65,6 +67,9 @@ class ConstructionData:
 
         parsed2 = []
         for name, image in s2:
+            if not isinstance(name, str):
+                problems.append("S2 name %r is not a string" % (name,))
+                continue
             if name in seen or name.startswith(RESERVED_PREFIXES):
                 problems.append("S2 name %r duplicates another name or uses "
                                 "a reserved prefix" % name)
@@ -76,7 +81,7 @@ class ConstructionData:
                 except ValueError as e:
                     problems.append("S2 image for %r: %s" % (name, e))
                     continue
-            if image.ring != self.base_ring:
+            if not isinstance(image, Polynomial) or image.ring != self.base_ring:
                 problems.append("S2 image for %r is not in the base ring" % name)
                 continue
             parsed2.append((name, image))
@@ -87,6 +92,9 @@ class ConstructionData:
 
         parsed3 = []
         for name, image in s3:
+            if not isinstance(name, str):
+                problems.append("S3 name %r is not a string" % (name,))
+                continue
             if name in seen or name.startswith(RESERVED_PREFIXES):
                 problems.append("S3 name %r duplicates another name or uses "
                                 "a reserved prefix" % name)
@@ -98,7 +106,7 @@ class ConstructionData:
                 except ValueError as e:
                     problems.append("S3 image for %r: %s" % (name, e))
                     continue
-            if image.ring != self.ring1:
+            if not isinstance(image, Polynomial) or image.ring != self.ring1:
                 problems.append("S3 image for %r is not in R[S2]" % name)
                 continue
             if not self._in_augmentation(image):

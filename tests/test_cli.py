@@ -125,3 +125,56 @@ def test_lex_order_flag_changes_reported_basis():
     assert out.returncode == 0
     obj = json.loads(out.stdout)
     assert obj["peiffer_level1"]["reduced"]
+
+
+def _run_on(tmp_path, obj, *args):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return run_cli(*args, str(path))
+
+
+def test_non_string_image_exits_2(tmp_path):
+    out = _run_on(tmp_path, {"field": "Q", "S1": ["x"],
+                             "S2": [{"name": "S", "image": 3}], "S3": []},
+                  "build")
+    assert out.returncode == 2
+    assert "S2 image for 'S'" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("where", ["S1", "S2", "S3"])
+def test_non_string_name_exits_2(tmp_path, where):
+    obj = {"field": "Q", "S1": ["x"], "S2": [{"name": "S", "image": "x^2"}],
+           "S3": []}
+    if where == "S1":
+        obj["S1"] = [3]
+    else:
+        obj[where].append({"name": 4, "image": "x" if where == "S2" else "S"})
+    out = _run_on(tmp_path, obj, "build")
+    assert out.returncode == 2
+    assert where in out.stderr and "Traceback" not in out.stderr
+
+
+def test_deep_parentheses_exit_2(tmp_path):
+    image = "(" * 3000 + "x^2" + ")" * 3000
+    out = _run_on(tmp_path, {"field": "Q", "S1": ["x"],
+                             "S2": [{"name": "S", "image": image}],
+                             "S3": []}, "build")
+    assert out.returncode == 2
+    assert "nested deeper" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("modulus", [2**61 + 1, 7.5, 2**89 - 1])
+def test_bad_modulus_exits_2(tmp_path, modulus):
+    out = _run_on(tmp_path, {"field": {"Fp": modulus}, "S1": ["x"],
+                             "S2": [{"name": "S", "image": "x^2"}],
+                             "S3": []}, "build")
+    assert out.returncode == 2
+    assert "modulus" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_large_prime_modulus_builds(tmp_path):
+    out = _run_on(tmp_path, {"field": {"Fp": 2**61 - 1}, "S1": ["x"],
+                             "S2": [{"name": "S", "image": "x^2"}],
+                             "S3": []}, "build", "--format", "json")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["input"]["field"] == {"Fp": 2**61 - 1}

@@ -1,0 +1,145 @@
+"""Differential tests of the Groebner engine against the linear-algebra
+oracle, on small weight-homogeneous ideals over Q and GF(32003)."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from xsq import (GF, QQ, BudgetExceeded, Ideal, PolyRing, monomials_leq,
+                 peiffer_P2, syzygies)
+from xsq.groebner import mono_divides
+
+from .oracle import MacaulayNF
+
+FIELDS = (QQ, GF(32003))
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """(ring, generators, multipliers): 2-3 variables of weight 1-2, one to
+    three weight-homogeneous generators of degree 1-4, and for each
+    generator a monomial multiplier of degree at most 2."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    ring = PolyRing(("x", "y", "z")[:n], field, weights)
+    gens, mults = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 4))
+        monos = [m for m in monomials_leq(ring, d) if ring.wdeg(m) == d]
+        if not monos:
+            continue
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1,
+                               max_size=3, unique=True))
+        g = ring.zero
+        for m in chosen:
+            g = g + ring.monomial(m, draw(st.integers(-5, 5).filter(bool)))
+        gens.append(g)
+        mults.append(ring.monomial(draw(st.sampled_from(
+            monomials_leq(ring, 2)))))
+    return ring, gens, mults
+
+
+@st.composite
+def small_ideals(draw):
+    """(ring, generators): 2-3 variables, degrevlex or lex, two to four
+    generators of up to three terms each, not homogeneous in general."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 3))
+    order = draw(st.sampled_from(("wdegrevlex", "lex")))
+    ring = PolyRing(("x", "y", "z")[:n], field, order=order)
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    gens = []
+    for terms in draw(st.lists(st.dictionaries(
+            monos, st.integers(-3, 3).filter(bool), min_size=1, max_size=3),
+            min_size=2, max_size=4)):
+        g = ring.zero
+        for m, c in sorted(terms.items()):
+            g = g + ring.monomial(m, c)
+        gens.append(g)
+    return ring, gens
+
+
+def _is_reduced(basis):
+    lms = [b.lm() for b in basis]
+    for i, b in enumerate(basis):
+        if b.lc() != b.ring.field.one:
+            return False
+        for t in b.terms:
+            if any(j != i and mono_divides(lm, t) for j, lm in enumerate(lms)):
+                return False
+    keys = [basis[0].ring.mono_key(m) for m in lms]
+    return keys == sorted(keys)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(homogeneous_ideals())
+def test_basis_is_monic_and_reduced(case):
+    ring, gens, _ = case
+    assert _is_reduced(Ideal(ring, gens).groebner())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(homogeneous_ideals())
+def test_normal_forms_match_macaulay_oracle(case):
+    ring, gens, _ = case
+    I = Ideal(ring, gens)
+    D = min(6, max((g.wdeg() for g in gens), default=0) + 2)
+    oracle = MacaulayNF(I.gens, ring, D)
+    for m in monomials_leq(ring, D):
+        p = ring.monomial(m)
+        assert I.normal_form(p) == oracle.nf(p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(homogeneous_ideals())
+def test_lift_reproduces_its_input(case):
+    ring, gens, mults = case
+    I = Ideal(ring, gens)
+    combo = ring.zero
+    for c, g in zip(mults, gens):
+        combo = combo + c * g
+    for p in (combo,) + I.groebner():
+        cof = I.lift(p)
+        total = ring.zero
+        for c, g in zip(cof, I.gens):
+            total = total + c * g
+        assert total == p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(homogeneous_ideals())
+def test_syzygies_annihilate_the_generators(case):
+    ring, gens, _ = case
+    for v in syzygies(gens, ring=ring):
+        total = ring.zero
+        for p, g in zip(v, gens):
+            total = total + p * g
+        assert total.is_zero()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_ideals())
+def test_basis_passes_buchberger_criterion(case):
+    # every generator and every S-polynomial of the basis reduces to zero
+    ring, gens = case
+    I = Ideal(ring, gens)
+    basis = I.groebner()
+    assert _is_reduced(basis)
+    assert all(I.member(g) for g in gens)
+    for i, f in enumerate(basis):
+        for g in basis[i + 1:]:
+            lcm = tuple(max(a, b) for a, b in zip(f.lm(), g.lm()))
+            s = (ring.monomial([a - b for a, b in zip(lcm, f.lm())]) * f
+                 - ring.monomial([a - b for a, b in zip(lcm, g.lm())]) * g)
+            assert I.member(s)
+
+
+def test_second_order_peiffer_basis_fits_a_small_budget(skel_c):
+    # 85 generators; the pair criteria leave a few hundred steps of work
+    I = peiffer_P2(skel_c)
+    assert len(I.gens) == 85
+    try:
+        basis = I.groebner(budget=5000)
+    except BudgetExceeded:
+        pytest.fail("P2 basis of fixture c needs more than 5000 steps")
+    assert len(basis) == 17

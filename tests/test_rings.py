@@ -87,6 +87,24 @@ def test_prime_field_arithmetic():
     assert R7.parse("1/3") == R7.parse("5")  # inverse of 3 mod 7
 
 
+def test_prime_moduli_are_checked_exactly():
+    import time
+    from xsq.scalars import MAX_MODULUS, is_prime
+    start = time.perf_counter()
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+    for bad in (2**61 + 1, 561, 1, 0, 3215031751):
+        with pytest.raises(ValueError):
+            GF(bad)
+    with pytest.raises(TypeError):
+        GF(7.5)
+    with pytest.raises(ValueError):
+        GF(MAX_MODULUS + 2)
+    small = [n for n in range(3000)
+             if n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(3000) if is_prime(n)] == small
+
+
 def test_weighted_degree():
     RS = PolyRing(["x", "S"], weights=(1, 2))
     assert RS.parse("S^2").wdeg() == 4
