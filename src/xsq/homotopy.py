@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from .groebner import (Ideal, GradedDims, affine_hilbert, ideal_intersect,
                        hom_kernel, mono_divides, monomials_leq,
                        subquotient_dims, syzygies, _reringed)
-from .linalg import Echelon, FilteredBasis, rref, truncated_ideal_span
-from .rings import Polynomial, RingHom
+from .linalg import (FilteredBasis, dense, graded_span, nullity,
+                     truncated_ideal_span)
+from .rings import RingHom
 from .crossed import QuotientRing, Subquotient, functor_M
 from .simplicial import _lift
 from .tensor import tensor_presentation
@@ -80,6 +81,17 @@ def pi0(skel):
     return QuotientRing(R, Ideal(R, list(data.boundary_images)))
 
 
+def _pair_dims(left, right, image, ring, D):
+    """dim (L cap R)_d - dim I_d for d = 0..D, where L, R and I are the
+    truncated spans of the given generators: the intersection of the two
+    spans has dimension rank L + rank R - rank (L + R)."""
+    fb = FilteredBasis(ring, D)
+    rows = [truncated_ideal_span(gens, fb).ranks
+            for gens in (left, right, left + right, image)]
+    return GradedDims(tuple(l + r - both - im
+                            for l, r, both, im in zip(*rows)))
+
+
 def _pair_kernel_dims(skel, D, budget=None):
     """Homotopy in degree one of the squared complex by truncated linear
     algebra on the pair term: the kernel of (m, n) -> m + n meets the span
@@ -88,22 +100,10 @@ def _pair_kernel_dims(skel, D, budget=None):
     E1 = skel.E1
     moore = skel.moore(budget=budget)
     d2 = skel.face[(2, 2)]
-    left = moore.ne1.groebner(budget=budget)
-    right = moore.kbar.groebner(budget=budget)
-    image = Ideal(E1, [d2(g) for g in moore.ne2.gens]).groebner(budget=budget)
-    dims = []
-    for d in range(D + 1):
-        fb = FilteredBasis(E1, d)
-        span_l = truncated_ideal_span(left, fb)
-        span_r = truncated_ideal_span(right, fb)
-        both = Echelon(len(fb), E1.field)
-        for ech in (span_l, span_r):
-            for col in sorted(ech.pivot_of):
-                both.add(ech.pivot_of[col])
-        inter = span_l.rank + span_r.rank - both.rank
-        span_im = truncated_ideal_span(image, fb)
-        dims.append(inter - span_im.rank)
-    return GradedDims(tuple(dims))
+    image = Ideal(E1, [d2(g) for g in moore.ne2.gens])
+    return _pair_dims(moore.ne1.groebner(budget=budget),
+                      moore.kbar.groebner(budget=budget),
+                      image.groebner(budget=budget), E1, D)
 
 
 def pi1(skel, D, route="ideal", budget=None):
@@ -176,93 +176,39 @@ def _koszul_vectors(t, R):
     return out
 
 
-class _VectorSpan:
-    """Echelon span of shifted module vectors under the box filtration:
-    a vector is in the degree-d piece when every entry has wdeg <= d."""
-
-    def __init__(self, R, rank, d):
-        self.R = R
-        self.rank = rank
-        self.fb = FilteredBasis(R, d)
-        self.d = d
-        self.ech = Echelon(rank * len(self.fb), R.field)
-
-    def coords(self, vec):
-        out = []
-        for p in vec:
-            out.extend(self.fb.to_vec(p))
-        return out
-
-    def add_multiples(self, vec):
-        top = max((p.wdeg() for p in vec if not p.is_zero()), default=-1)
-        if top < 0 or top > self.d:
-            return
-        for m in monomials_leq(self.R, self.d - top):
-            shifted = tuple(Polynomial(self.R,
-                                       {tuple(a + b for a, b in zip(m, t)): c
-                                        for t, c in p.terms.items()})
-                            for p in vec)
-            self.ech.add(self.coords(shifted))
-
-    def add(self, vec):
-        return self.ech.add(self.coords(vec))
-
-    def contains(self, vec):
-        return self.ech.contains(self.coords(vec))
-
-
 def aq_h2(data, route="syzygy", D=8, budget=None):
     """Second homology of the presented quotient: relations among the
     boundary images modulo the alternating ones, as filtered dimensions.
 
     route "syzygy" spans the module computed by cofactor-tracked reduction;
-    route "kernel" solves the linear systems degree by degree and never
-    consults the syzygy machinery.  Both quotient by the span of the
-    alternating vectors.
+    route "kernel" counts the relations among the multiples of the images
+    degree by degree and never consults the syzygy machinery.  Both
+    quotient by the span of the alternating vectors, and each filtered
+    span is one graded sweep.
     """
     R = data.base_ring
     t = list(data.boundary_images)
     n = len(t)
     if n == 0 or all(p.is_zero() for p in t):
         return GradedDims((0,) * (D + 1))
-    koszul = _koszul_vectors(t, R)
-    dims = []
+    fb = FilteredBasis(R, D)
     if route == "syzygy":
         syz = syzygies(tuple(t), ring=R, budget=budget)
-        for d in range(D + 1):
-            num = _VectorSpan(R, n, d)
-            for v in syz:
-                num.add_multiples(v)
-            den = _VectorSpan(R, n, d)
-            for v in koszul:
-                den.add_multiples(v)
-            dims.append(num.ech.rank - den.ech.rank)
-        return GradedDims(tuple(dims))
-    if route == "kernel":
-        for d in range(D + 1):
-            fb = FilteredBasis(R, d)
-            top = max(p.wdeg() for p in t)
-            out_fb = FilteredBasis(R, d + top)
-            rows = []
-            for i in range(n):
-                for m in fb.monos:
-                    mono = R.monomial(m)
-                    rows.append(out_fb.to_vec(mono * t[i]))
-            width = len(out_fb)
-            aug = []
-            count = len(rows)
-            for idx, r in enumerate(rows):
-                tail = [R.field.zero] * count
-                tail[idx] = R.field.one
-                aug.append(list(r) + tail)
-            _, red = rref(aug, R.field)
-            kern_dim = sum(1 for r in red if not any(r[:width]))
-            den = _VectorSpan(R, n, d)
-            for v in koszul:
-                den.add_multiples(v)
-            dims.append(kern_dim - den.ech.rank)
-        return GradedDims(tuple(dims))
-    raise ValueError("unknown route %r" % (route,))
+        num = graded_span(syz, fb).ranks
+    elif route == "kernel":
+        # the relations among the rows m * t_i with wdeg m <= d: the rows
+        # minus their rank, swept in degree order under the common top
+        # degree of the images
+        top = max(p.wdeg() for p in t)
+        ranks = graded_span([(p,) for p in t], FilteredBasis(R, D + top),
+                            top=top).ranks
+        degs = [R.wdeg(m) for m in fb.monos]
+        num = [n * sum(1 for e in degs if e <= d) - ranks[top + d]
+               for d in range(D + 1)]
+    else:
+        raise ValueError("unknown route %r" % (route,))
+    den = graded_span(_koszul_vectors(t, R), fb).ranks
+    return GradedDims(tuple(a - b for a, b in zip(num, den)))
 
 
 def aq_h2_witness(data, D=8, budget=None):
@@ -280,10 +226,8 @@ def aq_h2_witness(data, D=8, budget=None):
         d = max((p.wdeg() for p in v if not p.is_zero()), default=0)
         if d > D:
             continue
-        den = _VectorSpan(R, n, d)
-        for k in koszul:
-            den.add_multiples(k)
-        if not den.contains(v):
+        fb = FilteredBasis(R, d)
+        if not graded_span(koszul, fb).contains(fb.coords(v)):
             return v
     return None
 
@@ -425,6 +369,11 @@ def compare_XY(skel, D=6, budget=None):
     projection on the nose.  The kernel complex is an isomorphism in one
     spot, so its filtered homology vanishes; the homotopy rows of the two
     complexes coincide.
+
+    The middle kernel row is zero by construction: its rows are the echelon
+    basis of the kernel pairs' span, which has no relations.  It is
+    structural, not an independent check; only the bottom row compares
+    two spans.
     """
     data = skel.data
     if data.s3_names:
@@ -465,24 +414,16 @@ def compare_XY(skel, D=6, budget=None):
     N_ideal = Ideal(E1, n_gens)
     n_basis = N_ideal.groebner(budget=budget)
     kernel_rows = hom_kernel(d1, budget=budget).groebner(budget=budget)
-    middle, bottom = [], []
-    for d in range(D + 1):
-        fb = FilteredBasis(E1, d)
-        span_n = truncated_ideal_span(n_basis, fb)
-        # middle: kernel of the boundary restricted to the kernel pairs,
-        # which sends (0, n) to n
-        vecs = [span_n.pivot_of[c] for c in sorted(span_n.pivot_of)]
-        aug = []
-        for idx, r in enumerate(vecs):
-            tail = [E1.field.zero] * len(vecs)
-            tail[idx] = E1.field.one
-            aug.append(list(r) + tail)
-        _, red = rref(aug, E1.field)
-        middle.append(sum(1 for r in red if not any(r[:len(fb)])))
-        span_ker = truncated_ideal_span(kernel_rows, fb)
-        bottom.append(span_ker.rank - span_n.rank)
-    rep.kernel_middle = GradedDims(tuple(middle))
-    rep.kernel_bottom = GradedDims(tuple(bottom))
+    fb = FilteredBasis(E1, D)
+    span_n = truncated_ideal_span(n_basis, fb)
+    span_ker = truncated_ideal_span(kernel_rows, fb)
+    # middle: kernel of the boundary restricted to the kernel pairs, which
+    # sends (0, n) to n, on the basis of the degree-d piece of the span
+    rep.kernel_middle = GradedDims(tuple(
+        nullity(dense(span_n.basis(r), E1.field), E1.field)
+        for r in span_n.ranks))
+    rep.kernel_bottom = GradedDims(tuple(
+        k - n for k, n in zip(span_ker.ranks, span_n.ranks)))
 
     # homotopy rows of both complexes
     M_ideal = Ideal(E1, m_gens)
@@ -497,64 +438,38 @@ def compare_XY(skel, D=6, budget=None):
     else:
         pi1_narrow = subquotient_dims(inter, lam_ideal, D, budget=budget)
         # wide route by linear algebra on the pair term
-        dims = []
-        for d in range(D + 1):
-            fb = FilteredBasis(E1, d)
-            sm = truncated_ideal_span(M_ideal.groebner(budget=budget), fb)
-            sn = truncated_ideal_span(N_ideal.groebner(budget=budget), fb)
-            both = Echelon(len(fb), E1.field)
-            for ech in (sm, sn):
-                for col in sorted(ech.pivot_of):
-                    both.add(ech.pivot_of[col])
-            si = truncated_ideal_span(lam_ideal.groebner(budget=budget), fb)
-            dims.append(sm.rank + sn.rank - both.rank - si.rank)
-        pi1_wide = GradedDims(tuple(dims))
-    pi2_wide = _tensor_kernel_dims(pres, D, doubled=True, budget=budget)
-    pi2_narrow = _tensor_kernel_dims(pres, D, doubled=False, budget=budget)
+        pi1_wide = _pair_dims(M_ideal.groebner(budget=budget), n_basis,
+                              lam_ideal.groebner(budget=budget), E1, D)
+    pi2_wide, pi2_narrow = _tensor_kernel_dims(pres, D, budget=budget)
     rep.pi0_rows = (pi0_wide, pi0_narrow)
     rep.pi1_rows = (pi1_wide, pi1_narrow)
     rep.pi2_rows = (pi2_wide, pi2_narrow)
     return rep
 
 
-def _tensor_kernel_dims(pres, D, doubled, budget=None):
+def _tensor_kernel_dims(pres, D, budget=None):
     """Filtered dimensions of the kernel of the top boundary on the tensor
-    presentation; with doubled=True the boundary is taken with values in
-    the pair term (both slots), otherwise in the single corner."""
+    presentation, with values in the pair term (both slots) and in the
+    single corner."""
     ring = pres.ring
     if not pres.symbol_grid:
-        return GradedDims((0,) * (D + 1))
+        zeros = GradedDims((0,) * (D + 1))
+        return zeros, zeros
     basis = pres.relations.groebner(budget=budget)
     work = ring if ring.order == "wdegrevlex" else ring.with_order("wdegrevlex")
     lts = [_reringed(b, work).lm() for b in basis]
     sym_index = [ring._index[str(g)] for g in pres.symbols]
-    dims = []
+    out_fb = FilteredBasis(pres.base, D)
+    size = len(out_fb)
+    images = [(work.wdeg(m), out_fb.coords((pres.lam(ring.monomial(m)),)))
+              for m in monomials_leq(work, D)
+              if any(m[i] for i in sym_index)
+              and not any(mono_divides(lt, m) for lt in lts)]
+    wide, narrow = [], []
     for d in range(D + 1):
-        classes = []
-        for m in monomials_leq(work, d):
-            if not any(m[i] for i in sym_index):
-                continue
-            if any(mono_divides(lt, m) for lt in lts):
-                continue
-            classes.append(ring.monomial(m))
-        if not classes:
-            dims.append(0)
-            continue
-        out_fb = FilteredBasis(pres.base, d)
-        width = len(out_fb) * (2 if doubled else 1)
-        rows = []
-        for c in classes:
-            img = pres.lam(c)
-            vec = out_fb.to_vec(img)
-            if doubled:
-                vec = [-x for x in vec] + vec
-            rows.append(vec)
-        aug = []
-        count = len(rows)
-        for idx, r in enumerate(rows):
-            tail = [ring.field.zero] * count
-            tail[idx] = ring.field.one
-            aug.append(list(r) + tail)
-        _, red = rref(aug, ring.field)
-        dims.append(sum(1 for r in red if not any(r[:width])))
-    return GradedDims(tuple(dims))
+        rows = [v for deg, v in images if deg <= d]
+        doubled = [{**{c: -x for c, x in v.items()},
+                    **{size + c: x for c, x in v.items()}} for v in rows]
+        wide.append(nullity(dense(doubled, ring.field), ring.field))
+        narrow.append(nullity(dense(rows, ring.field), ring.field))
+    return GradedDims(tuple(wide)), GradedDims(tuple(narrow))

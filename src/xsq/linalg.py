@@ -1,91 +1,128 @@
-"""Exact dense linear algebra over the ground field, for degree-truncated
-computations: spans, kernels and quotient dimensions of filtered pieces.
+"""Exact sparse linear algebra over the ground field, for degree-truncated
+computations: ranks, kernels and normal forms of filtered pieces.
 
-Vectors are coordinate lists against an explicit monomial basis; everything
-is deterministic (fixed basis order, leftmost pivots).
+Vectors are coordinates against an explicit monomial basis, given dense (a
+list) or sparse (a dict column -> value).  ``Echelon`` keeps a sparse
+semi-echelon form: a pivot row is a list of (column, value) pairs right of
+its pivot, normalised to pivot 1, and the pivot columns stay in a sorted
+list.  A new row is reduced against the earlier ones, which are never
+back-substituted; ``reduce`` still clears every pivot column, in ascending
+order, so it returns the unique normal form of a vector modulo the span.
+``rref`` runs the same elimination and back-substitutes once at the end;
+``nullity`` is the number of rows minus their rank.
+
+A filtered row d = 0..D is one graded sweep: ``graded_span`` adds the
+multiples m * v with wdeg m + wdeg v <= D to one echelon in degree order
+and records the rank at each degree boundary.  Rows are never modified
+after insertion, so the first ``ranks[d]`` rows are a basis of the
+degree-d piece.  Everything is deterministic (fixed basis order, leftmost
+pivots).
 """
 
 from __future__ import annotations
+
+from bisect import insort
+from heapq import heapify, heappop, heappush
 
 from .groebner import monomials_leq
 from .rings import Polynomial
 
 
-def rref(rows, field):
-    """Reduced row echelon form; returns (pivot column list, reduced rows).
-    Input rows are lists of field elements; zero rows are dropped."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    reduced = []
-    width = len(rows[0]) if rows else 0
-    col = 0
-    work = rows
-    while work and col < width:
-        pivot_row = None
-        for r in work:
-            if r[col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        work.remove(pivot_row)
-        inv = field.one / pivot_row[col]
-        pivot_row = [x * inv for x in pivot_row]
-        for r in work:
-            if r[col]:
-                f = r[col]
-                for i in range(col, width):
-                    r[i] = r[i] - f * pivot_row[i]
-        for r in reduced:
-            if r[col]:
-                f = r[col]
-                for i in range(col, width):
-                    r[i] = r[i] - f * pivot_row[i]
-        reduced.append(pivot_row)
-        pivots.append(col)
-        col += 1
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [reduced[i] for i in order]
+def _sparse(vec):
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {c: x for c, x in items if x}
 
 
 class Echelon:
-    """Incrementally built echelon span with membership reduction."""
+    """Incrementally built sparse semi-echelon span with membership
+    reduction."""
 
     def __init__(self, width, field):
         self.width = width
         self.field = field
-        self.pivot_of = {}   # column -> row
-        self.rank = 0
+        self.pivots = []    # sorted pivot columns
+        self.rows = {}      # pivot column -> [(column, value)] right of it
+        self.ranks = []     # rank at each degree boundary of a sweep
+
+    @property
+    def rank(self):
+        return len(self.pivots)
 
     def reduce(self, vec):
-        v = list(vec)
-        for col in sorted(self.pivot_of):
-            if v[col]:
-                f = v[col]
-                row = self.pivot_of[col]
-                for i in range(col, self.width):
-                    v[i] = v[i] - f * row[i]
+        """Normal form of vec modulo the span, as a dict of its nonzero
+        entries; no entry lies in a pivot column."""
+        v = _sparse(vec)
+        rows = self.rows
+        todo = [c for c in v if c in rows]
+        heapify(todo)
+        while todo:
+            col = heappop(todo)
+            f = v.pop(col, None)
+            if f is None:
+                continue
+            for c, x in rows[col]:
+                y = v.get(c)
+                if y is None:
+                    v[c] = -f * x
+                    if c in rows:
+                        heappush(todo, c)
+                else:
+                    y = y - f * x
+                    if y:
+                        v[c] = y
+                    else:
+                        del v[c]
         return v
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
         v = self.reduce(vec)
-        for col in range(self.width):
-            if v[col]:
-                inv = self.field.one / v[col]
-                v = [x * inv for x in v]
-                for c, row in list(self.pivot_of.items()):
-                    if row[col]:
-                        f = row[col]
-                        self.pivot_of[c] = [a - f * b for a, b in zip(row, v)]
-                self.pivot_of[col] = v
-                self.rank += 1
-                return True
-        return False
+        if not v:
+            return False
+        col = min(v)
+        inv = self.field.one / v.pop(col)
+        self.rows[col] = [(c, x * inv) for c, x in v.items()]
+        insort(self.pivots, col)
+        return True
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
+
+    def basis(self, count=None):
+        """The first count inserted rows (all by default) as sparse
+        vectors."""
+        one = self.field.one
+        return [{col: one, **dict(row)}
+                for col, row in list(self.rows.items())[:count]]
+
+
+def dense(vecs, field):
+    """Sparse vectors as dense rows over the columns they use."""
+    cols = sorted({c for v in vecs for c in v})
+    zero = field.zero
+    return [[v.get(c, zero) for c in cols] for v in vecs]
+
+
+def rref(rows, field):
+    """Reduced row echelon form; returns (pivot column list, reduced rows).
+    Input rows are lists of field elements; zero rows are dropped."""
+    width = len(rows[0]) if rows else 0
+    ech = Echelon(width, field)
+    for r in rows:
+        ech.add(r)
+    reduced = []
+    for col in ech.pivots:
+        row = [field.zero] * width
+        row[col] = field.one
+        for c, x in ech.reduce(dict(ech.rows[col])).items():
+            row[c] = x
+        reduced.append(row)
+    return list(ech.pivots), reduced
+
+
+def nullity(rows, field):
+    """Dimension of the linear relations among the rows."""
+    return len(rows) - len(rref(rows, field)[0])
 
 
 class FilteredBasis:
@@ -113,21 +150,53 @@ class FilteredBasis:
         terms = {m: c for m, c in zip(self.monos, v) if c}
         return Polynomial(self.ring, terms)
 
+    def coords(self, vec, shift=None):
+        """Sparse coordinates of shift * vec, for a module vector vec (a
+        tuple of polynomials, one block of the basis per slot) and an
+        optional monomial shift."""
+        size, index = len(self.monos), self.index
+        out = {}
+        for k, p in enumerate(vec):
+            for t, c in p.terms.items():
+                if shift:
+                    t = tuple(a + b for a, b in zip(shift, t))
+                out[k * size + index[t]] = c
+        return out
 
-def truncated_ideal_span(gens, fbasis):
-    """Echelon span of {monomial * g : wdeg <= D}; exact for ideals with
-    weighted-homogeneous generators, a lower bound otherwise."""
-    ring = fbasis.ring
-    ech = Echelon(len(fbasis), ring.field)
-    for g in gens:
-        if g.is_zero():
-            continue
-        room = fbasis.D - g.wdeg()
-        if room < 0:
-            continue
-        for m in monomials_leq(ring, room):
-            shifted = Polynomial(ring, {tuple(a + b for a, b in zip(m, t)): c
-                                        for t, c in g.terms.items()})
-            ech.add(fbasis.to_vec(shifted))
+
+def _top(vec):
+    return max((p.wdeg() for p in vec), default=-1)
+
+
+def graded_span(vecs, fbasis, top=None):
+    """Echelon span of the multiples m * v of module vectors with
+    wdeg m + top(v) <= D, added in degree order by one sweep; ranks[d] is
+    the rank of the degree-d piece.  top(v) is the largest weighted degree
+    of an entry of v (the box filtration), or the given top for every
+    nonzero v."""
+    ring, D = fbasis.ring, fbasis.D
+    slots = max((len(v) for v in vecs), default=1)
+    ech = Echelon(slots * len(fbasis), ring.field)
+    by_top = [[] for _ in range(D + 1)]
+    for v in vecs:
+        t = _top(v)
+        if 0 <= t and top is not None:
+            t = top
+        if 0 <= t <= D:
+            by_top[t].append(v)
+    shifts = [[] for _ in range(D + 1)]
+    for m in monomials_leq(ring, D):
+        shifts[ring.wdeg(m)].append(m)
+    for d in range(D + 1):
+        for t in range(d + 1):
+            for v in by_top[t]:
+                for m in shifts[d - t]:
+                    ech.add(fbasis.coords(v, m))
+        ech.ranks.append(ech.rank)
     return ech
 
+
+def truncated_ideal_span(gens, fbasis):
+    """Graded span of {monomial * g : wdeg <= D}; exact for ideals with
+    weighted-homogeneous generators, a lower bound otherwise."""
+    return graded_span([(g,) for g in gens], fbasis)

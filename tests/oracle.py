@@ -1,20 +1,127 @@
 """Degree-truncated linear-algebra oracles, independent of the reduction
 machinery they check.
 
-The normal-form oracle row-reduces the matrix of generator multiples
-against the monomial basis of the filtered piece; for weighted-homogeneous
-generators that matrix spans the ideal's filtered piece exactly, so the
-reduced vector is the unique normal form.
+The oracles share no code with ``xsq.linalg`` or the Groebner engine: they
+enumerate their own monomial bases and run their own dense Gauss-Jordan
+elimination.  The normal-form oracle row-reduces the matrix of generator
+multiples against the monomial basis of the filtered piece; for
+weighted-homogeneous generators that matrix spans the ideal's filtered
+piece exactly, so the reduced vector is the unique normal form.
 """
 
-from xsq.groebner import monomials_leq
-from xsq.linalg import Echelon, FilteredBasis
 from xsq.rings import Polynomial
 
 
 def is_whomogeneous(p):
     degs = {p.ring.wdeg(m) for m in p.terms}
     return len(degs) <= 1
+
+
+# -- dense elimination ------------------------------------------------------
+
+
+def gauss_jordan(rows, field):
+    """(pivot columns, fully reduced nonzero rows) of dense rows, pivots
+    ascending."""
+    rows = [list(r) for r in rows]
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(width):
+        done = len(pivots)
+        hit = next((i for i in range(done, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[done], rows[hit] = rows[hit], rows[done]
+        inv = field.one / rows[done][col]
+        piv = rows[done] = [x * inv for x in rows[done]]
+        for i, r in enumerate(rows):
+            if i != done and r[col]:
+                f = r[col]
+                rows[i] = [a - f * b for a, b in zip(r, piv)]
+        pivots.append(col)
+    return pivots, rows[:len(pivots)]
+
+
+def rank(rows, field):
+    return len(gauss_jordan(rows, field)[0])
+
+
+def reduce(vec, pivots, reduced):
+    """vec minus the combination of fully reduced rows that clears every
+    pivot column."""
+    v = list(vec)
+    for col, r in zip(pivots, reduced):
+        if v[col]:
+            f = v[col]
+            v = [a - f * b for a, b in zip(v, r)]
+    return v
+
+
+def kernel_rows(rows, field):
+    """Basis of {c : sum c_i rows_i = 0}, read off the free columns of the
+    reduced transpose."""
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    cols = [[rows[i][j] for i in range(n)] for j in range(width)]
+    pivots, reduced = gauss_jordan(cols, field)
+    out = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        c = [field.zero] * n
+        c[free] = field.one
+        for p, r in zip(pivots, reduced):
+            c[p] = -r[free]
+        out.append(c)
+    return out
+
+
+# -- monomial bases -----------------------------------------------------------
+
+
+def monomials_upto(ring, D):
+    """Exponent tuples of weighted degree <= D, largest monomial first."""
+    monos = [((), 0)]
+    for w in ring.weights:
+        monos = [(m + (e,), s + e * w) for m, s in monos
+                 for e in range((D - s) // w + 1)]
+    return sorted((m for m, _ in monos), key=ring.mono_key, reverse=True)
+
+
+class Basis:
+    """Coordinates against the monomials of weighted degree <= D."""
+
+    def __init__(self, ring, D):
+        self.ring = ring
+        self.monos = monomials_upto(ring, D)
+        self.index = {m: i for i, m in enumerate(self.monos)}
+
+    def __len__(self):
+        return len(self.monos)
+
+    def to_vec(self, p):
+        v = [self.ring.field.zero] * len(self.monos)
+        for m, c in p.terms.items():
+            v[self.index[m]] = c
+        return v
+
+    def from_vec(self, v):
+        return Polynomial(self.ring, {m: c for m, c in zip(self.monos, v)
+                                      if c})
+
+
+def multiples(gens, ring, D):
+    """Every m * g with wdeg(m * g) <= D, as polynomials."""
+    out = []
+    for g in gens:
+        if g.is_zero() or g.wdeg() > D:
+            continue
+        for m in monomials_upto(ring, D - g.wdeg()):
+            out.append(g * ring.monomial(m))
+    return out
+
+
+# -- oracles ------------------------------------------------------------------
 
 
 class MacaulayNF:
@@ -26,23 +133,14 @@ class MacaulayNF:
             assert is_whomogeneous(g), "oracle needs homogeneous generators"
         self.ring = ring
         self.D = D
-        self.fb = FilteredBasis(ring, D)
-        self.ech = Echelon(len(self.fb), ring.field)
-        for g in gens:
-            if g.is_zero():
-                continue
-            room = D - g.wdeg()
-            if room < 0:
-                continue
-            for m in monomials_leq(ring, room):
-                shifted = Polynomial(
-                    ring, {tuple(a + b for a, b in zip(m, t)): c
-                           for t, c in g.terms.items()})
-                self.ech.add(self.fb.to_vec(shifted))
+        self.fb = Basis(ring, D)
+        self.pivots, self.reduced = gauss_jordan(
+            [self.fb.to_vec(p) for p in multiples(gens, ring, D)], ring.field)
 
     def nf(self, p):
         assert p.wdeg() <= self.D
-        return self.fb.from_vec(self.ech.reduce(self.fb.to_vec(p)))
+        return self.fb.from_vec(reduce(self.fb.to_vec(p), self.pivots,
+                                       self.reduced))
 
     def member(self, p):
         return self.nf(p).is_zero()
@@ -51,26 +149,12 @@ class MacaulayNF:
 def truncated_module_kernel(gens, ring, d):
     """Basis of {v : sum(v_i g_i) = 0, wdeg(v_i) <= d} as coordinate rows
     over the box-truncated vector space, by pure linear algebra."""
-    from xsq.linalg import rref
-
-    n = len(gens)
-    fb_in = FilteredBasis(ring, d)
+    fb_in = Basis(ring, d)
     top = max((g.wdeg() for g in gens if not g.is_zero()), default=0)
-    fb_out = FilteredBasis(ring, d + top)
-
-    rows = []
-    for i in range(n):
-        for m in fb_in.monos:
-            mono = ring.monomial(m)
-            rows.append(fb_out.to_vec(mono * gens[i]))
-    width = len(fb_out)
-    aug = []
-    for idx, r in enumerate(rows):
-        tail = [ring.field.zero] * len(rows)
-        tail[idx] = ring.field.one
-        aug.append(list(r) + tail)
-    _, red = rref(aug, ring.field)
-    return [r[width:] for r in red if not any(r[:width])], fb_in
+    fb_out = Basis(ring, d + top)
+    rows = [fb_out.to_vec(ring.monomial(m) * g)
+            for g in gens for m in fb_in.monos]
+    return kernel_rows(rows, ring.field), fb_in
 
 
 def vector_to_coords(vec, fb):
@@ -85,37 +169,20 @@ def face_kernel_dims(skel, D, rels_gens):
     modulo the span of the relation generators, degree by degree, using
     only linear algebra on the face maps."""
     E2 = skel.E2
+    field = E2.field
     dims = []
     faces = [skel.face[(2, 0)], skel.face[(2, 1)], skel.face[(2, 2)]]
     for d in range(D + 1):
-        fb = FilteredBasis(E2, d)
-        fb_out = FilteredBasis(skel.E1, d)
-        from xsq.linalg import rref
-        aug = []
-        count = len(fb.monos)
-        for idx, m in enumerate(fb.monos):
+        fb = Basis(E2, d)
+        fb_out = Basis(skel.E1, d)
+        rows = []
+        for m in fb.monos:
             mono = E2.monomial(m)
             row = []
             for f in faces:
                 row.extend(fb_out.to_vec(f(mono)))
-            tail = [E2.field.zero] * count
-            tail[idx] = E2.field.one
-            aug.append(row + tail)
-        width = 3 * len(fb_out)
-        _, red = rref(aug, E2.field)
-        kern = [r[width:] for r in red if not any(r[:width])]
-        span = Echelon(len(fb), E2.field)
-        for g in rels_gens:
-            if g.is_zero() or g.wdeg() > d:
-                continue
-            for m in monomials_leq(E2, d - g.wdeg()):
-                shifted = Polynomial(
-                    E2, {tuple(a + b for a, b in zip(m, t)): c
-                         for t, c in g.terms.items()})
-                span.add(fb.to_vec(shifted))
-        count_outside = 0
-        for v in kern:
-            if span.add(v):
-                count_outside += 1
-        dims.append(count_outside)
+            rows.append(row)
+        kern = kernel_rows(rows, field)
+        span = [fb.to_vec(p) for p in multiples(rels_gens, E2, d)]
+        dims.append(rank(span + kern, field) - rank(span, field))
     return dims

@@ -1,13 +1,18 @@
-"""Text stdout of every command on fixtures a-c, compared byte for byte with
-the recorded files under tests/golden/.
+"""Text stdout of the commands compared byte for byte with the recorded
+files under tests/golden/.
 
-The recorded files are the output of the default flags.  A change that
-alters any of them changes what the command reports; regenerate a file
-only when that change is intended, with
+Recorded cases: every command on fixtures a-c with the default flags;
+homotopy and compare on fixtures a and b at --max-degree 9 and on fixture b
+over GF(32003) at --max-degree 9, where truncated linear algebra dominates;
+and every command on three edge inputs (no level-1 generators, no
+variables, a zero boundary image).  A change that alters any of them
+changes what the command reports; regenerate a file only when that change
+is intended, with
 
-    python -m xsq.cli <command> fixtures/<fixture>.json > tests/golden/<command>_<fixture>.txt
+    python -m xsq.cli <command> <input> [flags] > tests/golden/<command>_<case>.txt
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -16,15 +21,61 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+COMMANDS = ["build", "verify", "homotopy", "compare"]
+
+# case -> (fixture, prime modulus replacing the field or None), at degree 9
+ROWS_CASES = {
+    "fixture_a_d9": ("fixture_a", None),
+    "fixture_b_d9": ("fixture_b", None),
+    "fixture_b_gf32003_d9": ("fixture_b", 32003),
+}
+
+EDGE_INPUTS = {
+    "empty_s2": {"field": "Q", "S1": ["x", "y"], "S2": [], "S3": []},
+    "empty_s1": {"field": "Q", "S1": [],
+                 "S2": [{"name": "S", "image": "0"}], "S3": []},
+    "zero_image": {"field": "Q", "S1": ["x"],
+                   "S2": [{"name": "S", "image": "0"},
+                          {"name": "T", "image": "x^2"}], "S3": []},
+}
 
 
-@pytest.mark.parametrize("fixture", ["fixture_a", "fixture_b", "fixture_c"])
-@pytest.mark.parametrize("command", ["build", "verify", "homotopy", "compare"])
-def test_stdout_matches_golden(command, fixture):
-    out = subprocess.run(
-        [sys.executable, "-m", "xsq.cli", command,
-         str(ROOT / "fixtures" / ("%s.json" % fixture))],
-        capture_output=True)
+def run_cli(*args):
+    out = subprocess.run([sys.executable, "-m", "xsq.cli", *map(str, args)],
+                         capture_output=True)
     assert out.returncode == 0, out.stderr.decode()
-    expected = (GOLDEN / ("%s_%s.txt" % (command, fixture))).read_bytes()
-    assert out.stdout == expected
+    return out.stdout
+
+
+def fixture(name):
+    return ROOT / "fixtures" / ("%s.json" % name)
+
+
+@pytest.mark.parametrize("name", ["fixture_a", "fixture_b", "fixture_c"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_stdout_matches_golden(command, name):
+    expected = (GOLDEN / ("%s_%s.txt" % (command, name))).read_bytes()
+    assert run_cli(command, fixture(name)) == expected
+
+
+@pytest.mark.parametrize("case", sorted(ROWS_CASES))
+@pytest.mark.parametrize("command", ["homotopy", "compare"])
+def test_rows_stdout_matches_golden(command, case, tmp_path):
+    name, modulus = ROWS_CASES[case]
+    path = fixture(name)
+    if modulus is not None:
+        obj = json.loads(path.read_text())
+        obj["field"] = {"Fp": modulus}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+    expected = (GOLDEN / ("%s_%s.txt" % (command, case))).read_bytes()
+    assert run_cli(command, path, "--max-degree", "9") == expected
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_INPUTS))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_edge_input_matches_golden(command, case, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(EDGE_INPUTS[case]))
+    expected = (GOLDEN / ("%s_%s.txt" % (command, case))).read_bytes()
+    assert run_cli(command, path) == expected
