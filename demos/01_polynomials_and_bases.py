@@ -3,8 +3,7 @@
 Run:  python3 demos/01_polynomials_and_bases.py
 """
 
-from xsq import (Ideal, PolyRing, affine_hilbert, buchberger, ideal_intersect,
-                 lift_cofactors, normal_form, syzygies)
+from xsq import Ideal, PolyRing, affine_hilbert, ideal_intersect, syzygies
 
 print("== exact polynomials ==")
 R = PolyRing(["x", "y"])
@@ -17,14 +16,14 @@ print()
 print("== reduced bases and normal forms ==")
 I = Ideal(R, ["x^2 - y^2", "x*y"])
 print("generators:", [str(g) for g in I.gens])
-print("reduced basis:", [str(g) for g in buchberger(I)])
+print("reduced basis:", [str(g) for g in I.groebner()])
 q = R.parse("x^3 + y^3")
-print("normal form of x^3 + y^3:", normal_form(q, I))
+print("normal form of x^3 + y^3:", I.normal_form(q))
 
 print()
 print("== membership certificates ==")
 member = R.parse("x^3 - x*y^2 + y*x*y")
-cofs = lift_cofactors(member, I)
+cofs = I.lift(member)
 print("cofactors:", [str(c) for c in cofs])
 recon = R.zero
 for c, g in zip(cofs, I.gens):

@@ -2,24 +2,19 @@
 commutative algebras from 2-dimensional construction data."""
 
 from .scalars import QQ, GF, field_from_label
-from .rings import (PolyRing, Polynomial, RingHom, ParseError,
-                    parse_poly, format_poly, poly_arith, apply_hom)
+from .rings import PolyRing, Polynomial, RingHom, ParseError
 from .groebner import (
     Ideal,
     GradedDims,
     BudgetExceeded,
     NotInIdeal,
     affine_hilbert,
-    buchberger,
     eliminate,
     hom_kernel,
     ideal_equal,
     ideal_intersect,
     ideal_product,
-    lift_cofactors,
-    member,
     monomials_leq,
-    normal_form,
     subquotient_dims,
     syzygies,
 )
@@ -42,11 +37,10 @@ from .homotopy import (HomotopyReport, SplitComparisonReport,
 __all__ = [
     "QQ", "GF", "field_from_label",
     "PolyRing", "Polynomial", "RingHom", "ParseError",
-    "parse_poly", "format_poly", "poly_arith", "apply_hom",
     "Ideal", "GradedDims", "BudgetExceeded", "NotInIdeal",
-    "affine_hilbert", "buchberger", "eliminate", "hom_kernel", "ideal_equal",
-    "ideal_intersect", "ideal_product", "lift_cofactors", "member",
-    "monomials_leq", "normal_form", "subquotient_dims", "syzygies",
+    "affine_hilbert", "eliminate", "hom_kernel", "ideal_equal",
+    "ideal_intersect", "ideal_product", "monomials_leq", "subquotient_dims",
+    "syzygies",
     "ConstructionData", "InvalidData", "MooreData", "Skeleton2",
     "build_skeleton", "peiffer_P1", "peiffer_P2",
     "simplicial_identity_report",

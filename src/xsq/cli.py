@@ -16,7 +16,7 @@ import sys
 
 from .groebner import BudgetExceeded
 from .simplicial import (ConstructionData, InvalidData, build_skeleton,
-                         peiffer_P1, peiffer_P2)
+                         peiffer_P1)
 from .crossed import functor_M, verify_square, verify_xmod, h_eval
 from .tensor import compare_corner
 from .homotopy import compare_XY, homotopy_report
@@ -38,8 +38,10 @@ def cmd_build(data, args):
     skel = build_skeleton(data)
     moore = skel.moore(budget=budget)
     p1 = peiffer_P1(data)
-    p2 = peiffer_P2(skel, "c_families", budget=budget)
     square = functor_M(skel, 2, budget=budget)
+    # before the pairings: their normal forms reach the same ideal with no
+    # budget, and the budget applies to the first basis computation
+    p2_reduced = _basis_strs(square.top.rels, order, budget)
     pairs = []
     for m in square.left.gens:
         for n in square.right.gens:
@@ -58,7 +60,7 @@ def cmd_build(data, args):
             "generators": [str(g) for g in p1.gens],
             "reduced": _basis_strs(p1, order, budget),
         },
-        "peiffer_level2": {"reduced": _basis_strs(p2, order, budget)},
+        "peiffer_level2": {"reduced": p2_reduced},
         "square": {
             "left": [str(g) for g in square.left.gens],
             "right": [str(g) for g in square.right.gens],

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groebner import (Ideal, ideal_intersect, subquotient_dims,
+from .groebner import (Ideal, GradedDims, ideal_intersect, subquotient_dims,
                        affine_hilbert)
 from .rings import PolyRing, RingHom
-from .simplicial import peiffer_P1, peiffer_P2, _lift
+from .simplicial import peiffer_P1
 
 
 class Subquotient:
@@ -46,7 +46,6 @@ class Subquotient:
 
     def dims(self, D, budget=None):
         if self.numer.is_zero():
-            from .groebner import GradedDims
             return GradedDims((0,) * (D + 1))
         return subquotient_dims(self.numer, self.rels, D, budget=budget)
 
@@ -384,18 +383,24 @@ class LinearizedCrossedModule:
         return tuple(vec)
 
 
-def linearize(cm, data):
-    t = data.boundary_images
-    names = data.s2_names
-    n = len(names)
-    R = data.base_ring
-    rels = []
+def _koszul_vectors(t, R):
+    """The alternating vectors t_i e_j - t_j e_i for i < j over R."""
+    n = len(t)
+    out = []
     for i in range(n):
         for j in range(i + 1, n):
             vec = [R.zero] * n
             vec[j] = t[i]
             vec[i] = -t[j]
-            rels.append(tuple(vec))
+            out.append(tuple(vec))
+    return out
+
+
+def linearize(cm, data):
+    t = data.boundary_images
+    names = data.s2_names
+    n = len(names)
+    R = data.base_ring
     block = PolyRing(tuple(names) + data.s1_names, data.field,
                      tuple(data.ring1.weights[data.ring1._index[v]]
                            for v in names) + R.weights,
@@ -403,7 +408,7 @@ def linearize(cm, data):
     emb = RingHom.from_map(data.ring1, block, {})
     work = Ideal(block, [emb(g) for g in cm.top.rels.gens])
     return LinearizedCrossedModule(rank=n, names=names, boundary=t,
-                                   relations=tuple(rels),
+                                   relations=tuple(_koszul_vectors(t, R)),
                                    _work=work, _emb=emb, _base=R)
 
 
@@ -471,14 +476,11 @@ def functor_M(skel, n, budget=None, break_h=False):
     if n == 2:
         E1, E2 = skel.E1, skel.E2
         moore = skel.moore(budget=budget)
-        P2 = peiffer_P2(skel, "c_families", budget=budget)
-        top = Subquotient(E2, moore.ne2, P2, gens=moore.ne2.gens)
-        t = skel.boundary_images()
-        left = Subquotient(E1, moore.ne1, Ideal(E1, []),
-                           gens=[E1.var(v) for v in data.s2_names])
-        right = Subquotient(E1, moore.kbar, Ideal(E1, []),
-                            gens=[E1.var(v) - _lift(t[v], E1)
-                                  for v in data.s2_names])
+        top = Subquotient(E2, moore.ne2, skel.p2(budget=budget),
+                          gens=moore.ne2.gens)
+        m_gens, n_gens = skel.corner_gens
+        left = Subquotient(E1, moore.ne1, Ideal(E1, []), gens=m_gens)
+        right = Subquotient(E1, moore.kbar, Ideal(E1, []), gens=n_gens)
         square = CrossedSquare(
             top=top, left=left, right=right, base=E1,
             bnd=skel.face[(2, 2)], lift=skel.degen[(1, 1)],

@@ -311,6 +311,8 @@ class Ideal:
     def __add__(self, other):
         if not isinstance(other, Ideal) or other.ring != self.ring:
             raise ValueError("ideal sum needs a common ring")
+        if other.is_zero():
+            return self
         return Ideal(self.ring, self.gens + other.gens)
 
 
@@ -546,24 +548,3 @@ def subquotient_dims(numer, rels, D, budget=None):
     hn = affine_hilbert(numer, D, budget=budget)
     hr = affine_hilbert(rels, D, budget=budget)
     return GradedDims(tuple(hr[d] - hn[d] for d in range(D + 1)))
-
-
-# -- operation surface -------------------------------------------------------
-
-
-def buchberger(I, order=None, budget=None):
-    """Reduced basis of an ideal; idempotent and canonical per order."""
-    return I.groebner(order=order, budget=budget)
-
-
-def normal_form(p, I, order=None, budget=None):
-    return I.normal_form(p, order=order, budget=budget)
-
-
-def member(p, I, budget=None):
-    return I.member(p, budget=budget)
-
-
-def lift_cofactors(p, I, budget=None):
-    """Cofactors of p against the ideal's original generators."""
-    return I.lift(p, budget=budget)

@@ -18,9 +18,8 @@ from .groebner import (Ideal, GradedDims, affine_hilbert, ideal_intersect,
 from .linalg import (FilteredBasis, dense, graded_span, nullity,
                      truncated_ideal_span)
 from .rings import RingHom
-from .crossed import QuotientRing, Subquotient, functor_M
-from .simplicial import _lift
-from .tensor import tensor_presentation
+from .crossed import QuotientRing, Subquotient, _koszul_vectors, functor_M
+from .tensor import kernel_tensor
 
 
 @dataclass
@@ -63,11 +62,8 @@ def build_squared_complex(skel, budget=None):
 
 def build_2crossed(skel, budget=None):
     square = functor_M(skel, 2, budget=budget)
-    moore = skel.moore(budget=budget)
-    c1 = Subquotient(skel.E1, moore.ne1, Ideal(skel.E1, []),
-                     gens=[skel.E1.var(v) for v in skel.data.s2_names])
     rep = TwoCrossedComplexRep(
-        c0=skel.base, c1=c1, c2=square.top,
+        c0=skel.base, c1=square.left, c2=square.top,
         d1=skel.face[(1, 1)], d2=skel.face[(2, 2)],
         lifting=square.pair)
     if not rep.composite_vanishes():
@@ -76,9 +72,36 @@ def build_2crossed(skel, budget=None):
 
 
 def pi0(skel):
-    data = skel.data
-    R = data.base_ring
-    return QuotientRing(R, Ideal(R, list(data.boundary_images)))
+    return functor_M(skel, 0)
+
+
+def _homotopy_subquotient(skel, k, budget=None):
+    """The subquotient whose filtered dimensions are pi_k, k = 1, 2, built
+    once per skeleton.  k = 1: the intersection of the two level-1 kernels
+    over the pushed-down level-2 kernel.  k = 2: the part of the level-2
+    Moore kernel killed by the last face over the second-order Peiffer
+    ideal."""
+    def make():
+        moore = skel.moore(budget=budget)
+        d2 = skel.face[(2, 2)]
+        if k == 1:
+            numer = ideal_intersect(moore.ne1, moore.kbar, budget=budget)
+            rels = Ideal(skel.E1, [d2(g) for g in moore.ne2.gens])
+            return Subquotient(skel.E1, numer, rels, check=False)
+        numer = ideal_intersect(moore.ne2, hom_kernel(d2, budget=budget),
+                                budget=budget)
+        return Subquotient(skel.E2, numer, skel.p2(budget=budget),
+                           check=False)
+    return skel.once(("pi", k), make)
+
+
+def _witness(sq, budget=None):
+    """A lowest-degree basis element of the numerator whose class is
+    nonzero, if any."""
+    for g in sorted(sq.numer.groebner(budget=budget), key=lambda p: p.wdeg()):
+        if not sq.is_zero_class(g):
+            return g
+    return None
 
 
 def _pair_dims(left, right, image, ring, D):
@@ -97,13 +120,11 @@ def _pair_kernel_dims(skel, D, budget=None):
     algebra on the pair term: the kernel of (m, n) -> m + n meets the span
     pair in the intersection of the two corner spans, and the boundary
     image is the span of the pushed-down top generators."""
-    E1 = skel.E1
     moore = skel.moore(budget=budget)
-    d2 = skel.face[(2, 2)]
-    image = Ideal(E1, [d2(g) for g in moore.ne2.gens])
+    image = _homotopy_subquotient(skel, 1, budget).rels
     return _pair_dims(moore.ne1.groebner(budget=budget),
                       moore.kbar.groebner(budget=budget),
-                      image.groebner(budget=budget), E1, D)
+                      image.groebner(budget=budget), skel.E1, D)
 
 
 def pi1(skel, D, route="ideal", budget=None):
@@ -118,62 +139,22 @@ def pi1(skel, D, route="ideal", budget=None):
         return _pair_kernel_dims(skel, D, budget=budget)
     if route != "ideal":
         raise ValueError("unknown route %r" % (route,))
-    E1 = skel.E1
-    moore = skel.moore(budget=budget)
-    inter = ideal_intersect(moore.ne1, moore.kbar, budget=budget)
-    image = Ideal(E1, [skel.face[(2, 2)](g) for g in moore.ne2.gens])
-    if inter.is_zero():
-        return GradedDims((0,) * (D + 1))
-    return subquotient_dims(inter, image, D, budget=budget)
+    return _homotopy_subquotient(skel, 1, budget).dims(D, budget=budget)
 
 
 def pi1_witness(skel, budget=None):
     """A generator of the intersection whose class is nonzero, if any."""
-    moore = skel.moore(budget=budget)
-    E1 = skel.E1
-    inter = ideal_intersect(moore.ne1, moore.kbar, budget=budget)
-    image = Ideal(E1, [skel.face[(2, 2)](g) for g in moore.ne2.gens])
-    for g in sorted(inter.groebner(budget=budget), key=lambda p: p.wdeg()):
-        if not image.member(g):
-            return g
-    return None
+    return _witness(_homotopy_subquotient(skel, 1, budget), budget)
 
 
 def pi2(skel, D, budget=None):
     """Second homotopy module: the part of the level-2 Moore kernel killed
     by the last face, modulo the second-order Peiffer ideal."""
-    from .simplicial import peiffer_P2
-    moore = skel.moore(budget=budget)
-    ker_last = hom_kernel(skel.face[(2, 2)], budget=budget)
-    numer = ideal_intersect(moore.ne2, ker_last, budget=budget)
-    P2 = peiffer_P2(skel, "c_families", budget=budget)
-    if numer.is_zero():
-        return GradedDims((0,) * (D + 1))
-    return subquotient_dims(numer, P2, D, budget=budget)
+    return _homotopy_subquotient(skel, 2, budget).dims(D, budget=budget)
 
 
 def pi2_witness(skel, budget=None):
-    from .simplicial import peiffer_P2
-    moore = skel.moore(budget=budget)
-    ker_last = hom_kernel(skel.face[(2, 2)], budget=budget)
-    numer = ideal_intersect(moore.ne2, ker_last, budget=budget)
-    P2 = peiffer_P2(skel, "c_families", budget=budget)
-    for g in sorted(numer.groebner(budget=budget), key=lambda p: p.wdeg()):
-        if not P2.member(g):
-            return g
-    return None
-
-
-def _koszul_vectors(t, R):
-    n = len(t)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = [R.zero] * n
-            vec[j] = t[i]
-            vec[i] = -t[j]
-            out.append(tuple(vec))
-    return out
+    return _witness(_homotopy_subquotient(skel, 2, budget), budget)
 
 
 def aq_h2(data, route="syzygy", D=8, budget=None):
@@ -380,11 +361,8 @@ def compare_XY(skel, D=6, budget=None):
         raise ValueError("the comparison is defined for data without "
                          "level-2 generators")
     E1, R = skel.E1, skel.base
-    t = skel.boundary_images()
-    m_gens = [E1.var(v) for v in data.s2_names]
-    n_gens = [E1.var(v) - _lift(t[v], E1) for v in data.s2_names]
-    pres = tensor_presentation(E1, m_gens, n_gens, budget=budget)
-    d0 = skel.face[(1, 0)]
+    pres = kernel_tensor(skel, budget=budget)
+    m_gens, n_gens = pres.m_gens, pres.n_gens
     d1 = skel.face[(1, 1)]
     s0 = skel.degen[(0, 0)]
 
@@ -411,9 +389,8 @@ def compare_XY(skel, D=6, budget=None):
 
     # kernel complex: pairs with zero left slot map isomorphically onto
     # the kernel of the bottom projection; both homology rows must vanish
-    N_ideal = Ideal(E1, n_gens)
-    n_basis = N_ideal.groebner(budget=budget)
-    kernel_rows = hom_kernel(d1, budget=budget).groebner(budget=budget)
+    n_basis = pres.n_ideal.groebner(budget=budget)
+    kernel_rows = skel.moore(budget=budget).kbar.groebner(budget=budget)
     fb = FilteredBasis(E1, D)
     span_n = truncated_ideal_span(n_basis, fb)
     span_ker = truncated_ideal_span(kernel_rows, fb)
@@ -426,10 +403,10 @@ def compare_XY(skel, D=6, budget=None):
         k - n for k, n in zip(span_ker.ranks, span_n.ranks)))
 
     # homotopy rows of both complexes
-    M_ideal = Ideal(E1, m_gens)
+    M_ideal, N_ideal = pres.m_ideal, pres.n_ideal
     lam_ideal = Ideal(E1, [pres.lam(g) for g in pres.symbols])
     pi0_wide = affine_hilbert(M_ideal + N_ideal, D, budget=budget)
-    pi0_narrow = affine_hilbert(Ideal(R, [t[v] for v in data.s2_names]), D,
+    pi0_narrow = affine_hilbert(Ideal(R, list(data.boundary_images)), D,
                                 budget=budget)
     inter = ideal_intersect(M_ideal, N_ideal, budget=budget)
     if inter.is_zero():

@@ -174,6 +174,10 @@ def _tokenize(text):
 
 
 MAX_NESTING = 100
+# A power base^n is refused before it is expanded when n times the weighted
+# degree of the base (at least one, so constant bases are bounded too)
+# exceeds this bound.
+MAX_POWER_DEGREE = 64
 
 
 class _Parser:
@@ -232,6 +236,9 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.take()
+            if val * max(1, p.wdeg()) > MAX_POWER_DEGREE:
+                raise ParseError("power of degree above %d" % MAX_POWER_DEGREE,
+                                 pos)
             p = p ** val
         return p
 
@@ -552,34 +559,3 @@ def fresh_names(candidates, taken):
         used.add(new)
         out.append(new)
     return out
-
-
-# -- operation surface -------------------------------------------------------
-
-
-def parse_poly(text, ring):
-    """Parse an expression string into a canonical ring element."""
-    return ring.parse(text)
-
-
-def format_poly(p):
-    """Canonical text form; reparses to an equal value."""
-    return str(p)
-
-
-def poly_arith(op, a, b):
-    """Exact arithmetic dispatch: add, sub, mul, or scalar."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scalar":
-        return a * b  # b is a field element
-    raise ValueError("unknown operation %r" % (op,))
-
-
-def apply_hom(h, p):
-    """Substitution image of p under a ring map."""
-    return h(p)

@@ -13,6 +13,11 @@ Canonical variable names: an adjoined generator X at level 1 produces
 degeneracies ``s1s0_X``, ``s2s0_X``, ``s2s1_X`` at level 3 (the rewriting
 s_i s_j = s_{j+1} s_i for i <= j normalizes every composite to these); a
 level-2 generator T produces ``s0_T``, ``s1_T``, ``s2_T``.
+
+The ideals derived from a skeleton (the Moore kernels, the second-order
+Peiffer ideal, the homotopy subquotients and the tensor presentation of the
+two level-1 corners) are computed once per skeleton and kept on it, so the
+budget passed to the first computation is the one that applies.
 """
 
 from __future__ import annotations
@@ -217,7 +222,8 @@ class MooreData:
 
 class Skeleton2:
     """Levels 0..3 of the free simplicial algebra with all face and
-    degeneracy homomorphisms; immutable after construction."""
+    degeneracy homomorphisms; immutable after construction except for
+    the memo of derived ideals (``once``)."""
 
     def __init__(self, data):
         self.data = data
@@ -329,7 +335,11 @@ class Skeleton2:
 
         self.face = face
         self.degen = degen
-        self._moore = None
+        # generators of the two level-1 corners: m_i = S_i spans Ker d_0
+        # and n_i = S_i - t_i spans Ker d_1
+        self.corner_gens = (tuple(E1.var(n) for n in s2n),
+                            tuple(E1.var(n) - _lift(t[n], E1) for n in s2n))
+        self._memo = {}
 
     # convenient aliases
     @property
@@ -351,22 +361,27 @@ class Skeleton2:
     def boundary_images(self):
         return {n: img for n, img in self.data.s2}
 
+    def once(self, key, make):
+        """The value stored under key, made by make() on the first call."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
     def moore(self, budget=None):
         """Moore kernels via hom kernels and an ideal intersection,
         cross-checked against their closed forms."""
-        if self._moore is not None:
-            return self._moore
+        return self.once("moore", lambda: self._make_moore(budget))
+
+    def _make_moore(self, budget):
         E1, E2, E3 = self.E1, self.E2, self.E3
         ne1 = hom_kernel(self.face[(1, 0)], budget=budget)
         kbar = hom_kernel(self.face[(1, 1)], budget=budget)
         s2n = self.data.s2_names
         s3n = self.data.s3_names
-        t = self.boundary_images()
-        expect_ne1 = Ideal(E1, [E1.var(n) for n in s2n])
-        expect_kbar = Ideal(E1, [E1.var(n) - _lift(t[n], E1) for n in s2n])
-        if ne1.groebner() != expect_ne1.groebner():
+        m_gens, n_gens = self.corner_gens
+        if ne1.groebner() != Ideal(E1, m_gens).groebner():
             raise AssertionError("Ker d_0^1 disagrees with its closed form")
-        if kbar.groebner() != expect_kbar.groebner():
+        if kbar.groebner() != Ideal(E1, n_gens).groebner():
             raise AssertionError("Ker d_1^1 disagrees with its closed form")
         k0 = hom_kernel(self.face[(2, 0)], budget=budget)
         k1 = hom_kernel(self.face[(2, 1)], budget=budget)
@@ -382,10 +397,14 @@ class Skeleton2:
         ne2 = Ideal(E2, ne2.groebner(budget=budget))
         deg3 = Ideal(E3, [E3.var(v) for v in E3.vars
                           if v not in self.data.s1_names])
-        self._moore = MooreData(ne1=Ideal(E1, ne1.groebner()),
-                                kbar=Ideal(E1, kbar.groebner()),
-                                ne2=ne2, degenerate3=deg3)
-        return self._moore
+        return MooreData(ne1=Ideal(E1, ne1.groebner()),
+                         kbar=Ideal(E1, kbar.groebner()),
+                         ne2=ne2, degenerate3=deg3)
+
+    def p2(self, budget=None):
+        """The second-order Peiffer ideal by the "c_families" route."""
+        return self.once("p2", lambda: peiffer_P2(self, "c_families",
+                                                  budget=budget))
 
 
 def _lift(p, ring):

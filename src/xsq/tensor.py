@@ -19,7 +19,6 @@ from .groebner import Ideal, syzygies, GradedDims
 from .rings import PolyRing, RingHom, fresh_names
 from .crossed import (CrossedModule, CrossedSquare, Subquotient,
                       free_crossed_on, functor_M, square_pair_rule)
-from .simplicial import _lift
 
 
 @dataclass
@@ -145,6 +144,13 @@ def tensor_presentation(base, m_gens, n_gens, budget=None):
         n_gens=n_gens, relations=Ideal(ring, rels),
         numer=Ideal(ring, [sym(p, q) for p, q in flat]),
         lam=lam, embed=embed, m_ideal=m_ideal, n_ideal=n_ideal)
+
+
+def kernel_tensor(skel, budget=None):
+    """The tensor presentation of the two level-1 kernel corners of the
+    skeleton, built once per skeleton."""
+    return skel.once("kernel tensor", lambda: tensor_presentation(
+        skel.E1, *skel.corner_gens, budget=budget))
 
 
 def tensor_square(Mcm, Ncm, budget=None):
@@ -279,10 +285,8 @@ def assemble_L(skel, budget=None, relation_convention="derived"):
     show what becomes of it."""
     data = skel.data
     E1 = skel.E1
-    t = skel.boundary_images()
-    m_gens = [E1.var(v) for v in data.s2_names]
-    n_gens = [E1.var(v) - _lift(t[v], E1) for v in data.s2_names]
-    pres = tensor_presentation(E1, m_gens, n_gens, budget=budget)
+    pres = kernel_tensor(skel, budget=budget)
+    m_gens, n_gens = pres.m_gens, pres.n_gens
     f3 = {n: img for n, img in data.s3}
     C = free_crossed_on(E1, data.s3_names,
                         [f3[n] for n in data.s3_names],
@@ -317,8 +321,8 @@ def assemble_L(skel, budget=None, relation_convention="derived"):
     chosen = extra if relation_convention == "derived" else variant
     rels = cop.cm.top.rels + Ideal(merged, chosen)
     top = Subquotient(merged, cop.cm.top.numer, rels, gens=cop.cm.top.gens)
-    left = Subquotient(E1, Ideal(E1, m_gens), Ideal(E1, []), gens=m_gens)
-    right = Subquotient(E1, Ideal(E1, n_gens), Ideal(E1, []), gens=n_gens)
+    left = Subquotient(E1, pres.m_ideal, Ideal(E1, []), gens=m_gens)
+    right = Subquotient(E1, pres.n_ideal, Ideal(E1, []), gens=n_gens)
 
     def pair(m, n):
         return cop.i_hom(pres.expand(m, n))

@@ -163,6 +163,16 @@ def test_deep_parentheses_exit_2(tmp_path):
     assert "nested deeper" in out.stderr and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("image", ["(x+1)^5000", "((x+1)^60)^60"])
+def test_high_degree_power_exits_2(tmp_path, image):
+    out = _run_on(tmp_path, {"field": "Q", "S1": ["x"],
+                             "S2": [{"name": "S", "image": image}],
+                             "S3": []}, "build")
+    assert out.returncode == 2
+    assert "power of degree above 64" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("modulus", [2**61 + 1, 7.5, 2**89 - 1])
 def test_bad_modulus_exits_2(tmp_path, modulus):
     out = _run_on(tmp_path, {"field": {"Fp": modulus}, "S1": ["x"],

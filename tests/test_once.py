@@ -1,0 +1,88 @@
+"""Each ideal derived from a skeleton is computed once per command."""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from xsq import build_skeleton, cli, groebner, peiffer_P2, simplicial, tensor
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _record_calls(monkeypatch, module, name, record):
+    """Rebind module.name wherever an xsq module holds it, so that each
+    call passes its result and arguments to record."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        record(result, *args)
+        return result
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "xsq" or modname.startswith("xsq."):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, wrapper)
+
+
+def _run(command, fixture, *flags):
+    path = str(FIXTURES / ("%s.json" % fixture))
+    return cli.main([command, path, *flags])
+
+
+def test_homotopy_builds_p2_and_the_last_face_kernel_once(monkeypatch,
+                                                          capsys):
+    skels, p2_calls, kernels = [], [], []
+    _record_calls(monkeypatch, simplicial, "build_skeleton",
+                  lambda skel, *args: skels.append(skel))
+    _record_calls(monkeypatch, simplicial, "peiffer_P2",
+                  lambda ideal, *args: p2_calls.append(args))
+    _record_calls(monkeypatch, groebner, "hom_kernel",
+                  lambda ideal, h, *args: kernels.append(h))
+    assert _run("homotopy", "fixture_c") == 0
+    capsys.readouterr()
+    assert len(skels) == 1 and len(p2_calls) == 1
+    assert sum(h is skels[0].face[(2, 2)] for h in kernels) == 1
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ((), {"wdegrevlex": 1}),
+    (("--order", "lex"), {"wdegrevlex": 1, "lex": 1}),
+])
+def test_build_computes_the_p2_basis_once_per_order(monkeypatch, capsys,
+                                                    data_c, flags, expected):
+    def key(gens):
+        return frozenset(frozenset(g.terms.items()) for g in gens)
+
+    p2_key = key(peiffer_P2(build_skeleton(data_c)).gens)
+    orders = Counter()
+
+    def record(result, gens, ring, *args):
+        if key(gens) == p2_key:
+            orders[ring.order] += 1
+
+    _record_calls(monkeypatch, groebner, "_buchberger", record)
+    assert _run("build", "fixture_c", *flags) == 0
+    capsys.readouterr()
+    assert orders == expected
+
+
+def test_compare_builds_the_kernel_tensor_once(monkeypatch, capsys):
+    calls = []
+    _record_calls(monkeypatch, tensor, "tensor_presentation",
+                  lambda pres, *args: calls.append(args))
+    assert _run("compare", "fixture_b") == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_the_budget_applies_to_the_reported_p2_basis(capsys):
+    # the pairings reach the same P2 ideal with no budget; the budget must
+    # still apply to the reported basis
+    assert _run("build", "fixture_c", "--budget", "300") == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: step budget of 300 reductions exceeded\n"
