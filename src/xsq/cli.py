@@ -76,8 +76,12 @@ def cmd_verify(data, args):
     budget = args.budget
     reports = []
     all_ok = True
+    skel = None
     for level in (0, 1, 2):
-        skel = build_skeleton(data, level=level)
+        # levels whose truncations drop nothing share one skeleton
+        truncated = data.truncate(level)
+        if skel is None or skel.data is not truncated:
+            skel = build_skeleton(truncated)
         quot = functor_M(skel, 0)
         reports.append({
             "object": "pi0 at skeleton level %d" % level,

@@ -13,6 +13,11 @@ The text grammar understood by :func:`PolyRing.parse`:
     atom   := INT [ '/' INT ] | NAME | '(' expr ')'
 
 Implicit multiplication is rejected, exponents must be non-negative.
+
+A ring map (:class:`RingHom`) is applied by substitution term by term into
+one accumulator: a zero image drops the term, a one-term image adds to the
+exponent vector and scales the coefficient, and only the powers of
+several-term images are multiplied out.
 """
 
 from __future__ import annotations
@@ -478,10 +483,35 @@ class Polynomial:
         return "<%s>" % self
 
 
+def _accumulate(out, m, c):
+    s = out.get(m)
+    if s is None:
+        out[m] = c
+    else:
+        s = s + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+
+
+def _substitution(img):
+    """How one variable's image enters a product of images: None for zero,
+    (nonzero exponents as (index, exponent) pairs, coefficient or None for
+    one) for a single term, the polynomial itself for several terms."""
+    if not img.terms:
+        return None
+    if len(img.terms) > 1:
+        return img
+    (m, c), = img.terms.items()
+    return ([(j, k) for j, k in enumerate(m) if k],
+            None if c == img.ring.field.one else c)
+
+
 class RingHom:
     """Algebra map determined by one image polynomial per domain variable."""
 
-    __slots__ = ("domain", "codomain", "images")
+    __slots__ = ("domain", "codomain", "images", "_subst")
 
     def __init__(self, domain, codomain, images):
         images = tuple(images)
@@ -494,6 +524,7 @@ class RingHom:
         self.domain = domain
         self.codomain = codomain
         self.images = images
+        self._subst = tuple(_substitution(img) for img in images)
 
     @classmethod
     def from_map(cls, domain, codomain, mapping, default="same_name"):
@@ -519,21 +550,46 @@ class RingHom:
         return cls(ring, ring, ring.gens())
 
     def __call__(self, p):
+        """Image of p by the substitution of the module docstring; each
+        power of a several-term image is computed once per call."""
         if p.ring != self.domain:
             raise ValueError("argument not in the domain ring")
-        out = self.codomain.zero
-        # per-variable power cache keeps substitution cheap on small inputs
-        powers = [{0: self.codomain.one} for _ in self.images]
-        for m, c in p.sorted_terms():
-            term = self.codomain.const(c)
+        coerce = self.codomain.field.coerce
+        n = len(self.codomain.vars)
+        subst = self._subst
+        powers = {}
+        out = {}
+        for m, c in p.terms.items():
+            c = coerce(c)
+            exps = [0] * n
+            factor = None
             for i, e in enumerate(m):
-                if e:
-                    cache = powers[i]
-                    if e not in cache:
-                        cache[e] = self.images[i] ** e
-                    term = term * cache[e]
-            out = out + term
-        return out
+                if not e:
+                    continue
+                s = subst[i]
+                if s is None:
+                    break
+                if isinstance(s, Polynomial):
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[(i, e)] = s ** e
+                    factor = pw if factor is None else factor * pw
+                    continue
+                sparse, ic = s
+                for j, k in sparse:
+                    exps[j] += e * k
+                if ic is not None:
+                    for _ in range(e):
+                        c = c * ic
+            else:
+                if factor is None:
+                    _accumulate(out, tuple(exps), c)
+                else:
+                    for fm, fc in factor.terms.items():
+                        _accumulate(out,
+                                    tuple(a + b for a, b in zip(exps, fm)),
+                                    c * fc)
+        return Polynomial(self.codomain, out)
 
     def then(self, other):
         """Composite ``other after self`` (apply self first)."""

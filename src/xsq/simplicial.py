@@ -151,12 +151,13 @@ class ConstructionData:
         return tuple(img for _, img in self.s2)
 
     def truncate(self, level):
-        """Sub-data for the level-skeleton: drop S3 below 2, S2 below 1."""
-        if level >= 2:
+        """Sub-data for the level-skeleton: drop S3 below 2, S2 below 1.
+        The data itself when nothing is dropped."""
+        s2 = self.s2 if level >= 1 else ()
+        s3 = self.s3 if level >= 2 else ()
+        if s2 == self.s2 and s3 == self.s3:
             return self
-        if level == 1:
-            return ConstructionData(self.field, self.s1_names, self.s2, ())
-        return ConstructionData(self.field, self.s1_names, (), ())
+        return ConstructionData(self.field, self.s1_names, s2, s3)
 
     # -- serialization -----------------------------------------------------
 

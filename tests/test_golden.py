@@ -4,12 +4,16 @@ files under tests/golden/.
 Recorded cases: every command on fixtures a-c with the default flags;
 homotopy and compare on fixtures a and b at --max-degree 9 and on fixture b
 over GF(32003) at --max-degree 9, where truncated linear algebra dominates;
-and every command on three edge inputs (no level-1 generators, no
-variables, a zero boundary image).  A change that alters any of them
-changes what the command reports; regenerate a file only when that change
-is intended, with
+every command on three edge inputs (no level-1 generators, no variables, a
+zero boundary image) and on an input over GF(7) whose boundary images are
+monomials with coefficients other than one; and the --format json stdout
+of every command on fixture c and on the GF(7) input.  A change that alters
+any of them changes what the command reports; regenerate a file only when
+that change is intended, with
 
     python -m xsq.cli <command> <input> [flags] > tests/golden/<command>_<case>.txt
+
+(the .json files with --format json).
 """
 
 import json
@@ -37,6 +41,10 @@ EDGE_INPUTS = {
     "zero_image": {"field": "Q", "S1": ["x"],
                    "S2": [{"name": "S", "image": "0"},
                           {"name": "T", "image": "x^2"}], "S3": []},
+    "fp7_nonunit_image": {"field": {"Fp": 7}, "S1": ["x", "y"],
+                          "S2": [{"name": "S1", "image": "3*x^2"},
+                                 {"name": "S2", "image": "-x*y"}],
+                          "S3": [{"name": "T", "image": "y*S1 + 3*x*S2"}]},
 }
 
 
@@ -79,3 +87,15 @@ def test_edge_input_matches_golden(command, case, tmp_path):
     path.write_text(json.dumps(EDGE_INPUTS[case]))
     expected = (GOLDEN / ("%s_%s.txt" % (command, case))).read_bytes()
     assert run_cli(command, path) == expected
+
+
+@pytest.mark.parametrize("case", ["fixture_c", "fp7_nonunit_image"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_stdout_matches_golden(command, case, tmp_path):
+    if case in EDGE_INPUTS:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(EDGE_INPUTS[case]))
+    else:
+        path = fixture(case)
+    expected = (GOLDEN / ("%s_%s.json" % (command, case))).read_bytes()
+    assert run_cli(command, path, "--format", "json") == expected

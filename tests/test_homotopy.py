@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from xsq import (ConstructionData, QQ, aq_h2, aq_h2_witness, build_2crossed,
                  build_skeleton, build_squared_complex, compare_XY,
                  homotopy_report, peiffer_P2, pi0, pi1, pi2,
                  tensor_presentation)
+from xsq import cli
 from xsq.simplicial import _lift
 
 from .oracle import face_kernel_dims
@@ -158,3 +162,36 @@ def test_split_comparison(which, skel_a, skel_b):
 def test_split_comparison_needs_no_level2_generators(skel_c):
     with pytest.raises(ValueError):
         compare_XY(skel_c, D=4)
+
+
+def _rows(obj, path=()):
+    """Every non-string leaf of a JSON report by its path: the dimension
+    and rank rows and the verdicts, not the witness strings."""
+    if isinstance(obj, dict):
+        return {k: v for key in obj for k, v in _rows(obj[key],
+                                                      path + (key,)).items()}
+    if isinstance(obj, list) and not all(isinstance(v, int) for v in obj):
+        return {k: v for i, val in enumerate(obj)
+                for k, v in _rows(val, path + (i,)).items()}
+    if isinstance(obj, str):
+        return {}
+    return {path: obj}
+
+
+@pytest.mark.parametrize("command", ["homotopy", "compare"])
+def test_rows_agree_over_q_and_a_prime_field(command, tmp_path, capsys):
+    # fixture b has integer boundary images, so the rows over Q and over
+    # GF(32003) agree; witnesses may differ, e.g. -x against 32002*x
+    source = Path(__file__).resolve().parent.parent / "fixtures" / \
+        "fixture_b.json"
+    obj = json.loads(source.read_text())
+    obj["field"] = {"Fp": 32003}
+    fp_path = tmp_path / "fixture_b_gf32003.json"
+    fp_path.write_text(json.dumps(obj))
+    rows = []
+    for path in (source, fp_path):
+        assert cli.main([command, str(path), "--max-degree", "9",
+                         "--format", "json"]) == 0
+        rows.append(_rows(json.loads(capsys.readouterr().out)))
+    assert sum(isinstance(v, list) for v in rows[0].values()) >= 4
+    assert rows[0] == rows[1]

@@ -70,6 +70,20 @@ def test_build_computes_the_p2_basis_once_per_order(monkeypatch, capsys,
     assert orders == expected
 
 
+def test_verify_builds_one_skeleton_per_distinct_truncation(monkeypatch,
+                                                            capsys):
+    # fixture b has no level-2 generators, so levels 1 and 2 share one
+    # skeleton and its Peiffer ideal
+    skels, p2_calls = [], []
+    _record_calls(monkeypatch, simplicial, "build_skeleton",
+                  lambda skel, *args: skels.append(skel))
+    _record_calls(monkeypatch, simplicial, "peiffer_P2",
+                  lambda ideal, *args: p2_calls.append(args))
+    assert _run("verify", "fixture_b") == 0
+    capsys.readouterr()
+    assert len(skels) == 2 and len(p2_calls) == 2
+
+
 def test_compare_builds_the_kernel_tensor_once(monkeypatch, capsys):
     calls = []
     _record_calls(monkeypatch, tensor, "tensor_presentation",

@@ -194,3 +194,43 @@ def test_canonical_equality(R):
 def test_string_form_is_descending(R):
     p = R.parse("y + x^3 + x*y")
     assert str(p) == "x^3 + x*y + y"
+
+
+# images of the substitution test: zero, unit monomials, non-unit monomials
+# and several-term polynomials, in the codomain k[u, v, w]
+HOM_IMAGES = ("0", "u", "v^2", "3*u^2", "-1/2*v", "2*u*w^3",
+              "u + v", "u*v - 2", "1/3*w^2 - u + 1")
+HOM_FIELDS = (QQ, GF(32003))
+
+
+def _substitute(h, p):
+    """Reference: the sum of c * prod(images[i] ** e) in Polynomial
+    arithmetic."""
+    out = h.codomain.zero
+    for m, c in p.terms.items():
+        term = h.codomain.const(c)
+        for img, e in zip(h.images, m):
+            term = term * img ** e
+        out = out + term
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(HOM_FIELDS),
+       st.lists(st.sampled_from(HOM_IMAGES), min_size=3, max_size=3),
+       st.lists(st.sampled_from(HOM_IMAGES[:6]), min_size=3, max_size=3),
+       st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                       st.integers(-9, 9).filter(bool), max_size=6))
+def test_hom_matches_term_by_term_substitution(field, f_imgs, g_imgs, coeffs):
+    # g is an endomorphism of the codomain with monomial images, so that
+    # g(f(p)) stays small
+    R = PolyRing(["x", "y", "z"], field)
+    S = PolyRing(["u", "v", "w"], field)
+    f = RingHom(R, S, [S.parse(t) for t in f_imgs])
+    g = RingHom(S, S, [S.parse(t) for t in g_imgs])
+    p = R.zero
+    for mono, c in sorted(coeffs.items()):
+        p = p + R.monomial(mono, c)
+    assert f(p) == _substitute(f, p)
+    assert g(f(p)) == _substitute(g, _substitute(f, p))
+    assert f.then(g)(p) == g(f(p))

@@ -166,10 +166,15 @@ def test_from_dict_rejects_malformed():
         ConstructionData.from_dict({"S1": ["x"], "S2": [{"name": "S"}]})
 
 
-def test_truncation_levels(data_c):
+def test_truncation_levels(data_b, data_c):
     assert data_c.truncate(1).s3 == ()
     assert data_c.truncate(0).s2 == ()
     assert data_c.truncate(2) is data_c
+    # a truncation that drops nothing is the data itself
+    assert data_b.truncate(1) is data_b
+    assert data_b.truncate(0).s2 == ()
+    empty = data_b.truncate(0)
+    assert empty.truncate(0) is empty and empty.truncate(1) is empty
 
 
 @pytest.mark.parametrize("which", ["a", "b", "c"])
