@@ -4,8 +4,10 @@ Commands: build, verify, homotopy, compare.  Input is a JSON object
 {"field": "Q" | {"Fp": p}, "S1": [names], "S2": [{"name","image"}],
 "S3": [{"name","image"}]} with images in the polynomial grammar.
 
-Exit codes: 0 pass, 1 verification failure, 2 invalid input, 3 step budget
-exhausted.  Identical input and flags produce byte-identical output.
+Exit codes: 0 pass, 1 verification failure, 2 invalid input (including a
+power that may expand past ``rings.MAX_POWER_TERMS`` terms and a
+--max-degree above ``MAX_DEGREE``), 3 step budget exhausted.  Identical
+input and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .tensor import compare_corner
 from .homotopy import compare_XY, homotopy_report
 
 ORDER_TAGS = {"degrevlex": "wdegrevlex", "lex": "lex"}
+# The filtered rows enumerate every monomial up to the bound, so their cost
+# grows as a power of it: compare on fixture b takes minutes at 24.
+MAX_DEGREE = 32
 
 
 def _ring_obj(ring):
@@ -193,8 +198,9 @@ COMMANDS = {
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    if args.max_degree < 0:
-        print("error: --max-degree must be >= 0", file=sys.stderr)
+    if not 0 <= args.max_degree <= MAX_DEGREE:
+        print("error: --max-degree must be between 0 and %d" % MAX_DEGREE,
+              file=sys.stderr)
         return 2
     try:
         with open(args.input, "r", encoding="utf-8") as fh:

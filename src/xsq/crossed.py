@@ -87,9 +87,6 @@ class CrossedModule:
     embed: RingHom        # base -> top.ambient
     label: str = ""
 
-    def boundary_of(self, p):
-        return self.bnd(p)
-
     def act(self, r, c):
         return self.embed(r) * c
 
@@ -446,33 +443,22 @@ def square_pair_rule(skel):
     return pair
 
 
-def unbar(skel, nbar):
-    """Kernel correspondent of a right-corner element: n - s0(d0(n))."""
-    d0 = skel.face[(1, 0)]
-    s0 = skel.degen[(0, 0)]
-    return nbar - s0(d0(nbar))
-
-
-def bar(skel, m):
-    """Right-corner correspondent of a left-corner element: m - s0(d1(m))."""
-    d1 = skel.face[(1, 1)]
-    s0 = skel.degen[(0, 0)]
-    return m - s0(d1(m))
-
-
 def functor_M(skel, n, budget=None, break_h=False):
     """The Moore functor at levels 0, 1, 2 of the skeleton.
 
     n=0: the zeroth homotopy ring.  n=1: the free crossed module of the
     level-1 data.  n=2: the square on the level-2 Moore kernel modulo the
-    second-order Peiffer ideal.
+    second-order Peiffer ideal.  n=0 and n=1 are made once per skeleton;
+    the square is made on every call, so ``break_h`` breaks only its own.
     """
     data = skel.data
     if n == 0:
         R = data.base_ring
-        return QuotientRing(R, Ideal(R, list(data.boundary_images)))
+        return skel.once("pi0", lambda: QuotientRing(
+            R, Ideal(R, list(data.boundary_images))))
     if n == 1:
-        return peiffer_quotient(free_precrossed(data), data)
+        return skel.once("xmod", lambda: peiffer_quotient(
+            free_precrossed(data), data))
     if n == 2:
         E1, E2 = skel.E1, skel.E2
         moore = skel.moore(budget=budget)

@@ -7,6 +7,9 @@ selection strategy; every basis is reduced (monic, auto-reduced, sorted by
 leading monomial), hence canonical for its order.  All entry points accept a
 step budget, which counts the S-pairs reduced plus the reduction steps, and
 raise :class:`BudgetExceeded` instead of silently truncating.
+
+An elimination result (also of :func:`ideal_intersect` and :func:`hom_kernel`)
+carries the reduced basis it was read from, as its generators and cached.
 """
 
 from __future__ import annotations
@@ -236,14 +239,14 @@ class Ideal:
 
     def __init__(self, ring, gens):
         self.ring = ring
-        cleaned = []
+        cleaned = {}  # insertion-ordered set: the first copy of each wins
         for g in gens:
             if isinstance(g, str):
                 g = ring.parse(g)
             if g.ring != ring:
                 raise ValueError("generator %r not in the ring" % (g,))
-            if not g.is_zero() and g not in cleaned:
-                cleaned.append(g)
+            if not g.is_zero():
+                cleaned.setdefault(g)
         self.gens = tuple(cleaned)
         self._cache = {}
 
@@ -360,11 +363,13 @@ def eliminate(I, drop, budget=None):
                     ("block", len(drop)))
     to_work = RingHom.from_map(ring, work, {})
     basis = Ideal(work, [to_work(g) for g in I.gens]).groebner(budget=budget)
-    kept = []
-    for b in basis:
-        if all(all(m[i] == 0 for i in range(len(drop))) for m in b.terms):
-            kept.append(_project(b, target))
-    return Ideal(target, kept)
+    # the elements with leading monomial free of the block lie in the subring
+    # and are its reduced basis for the inner order, the target's order
+    kept = tuple(_project(b, target) for b in basis
+                 if not any(b.lm()[:len(drop)]))
+    K = Ideal(target, kept)
+    K._cache[target.order] = (target, kept, None)
+    return K
 
 
 def ideal_intersect(I, J, budget=None):
@@ -382,8 +387,9 @@ def ideal_intersect(I, J, budget=None):
     gens = [t * emb(g) for g in I.gens]
     gens += [(work.one - t) * emb(h) for h in J.gens]
     K = eliminate(Ideal(work, gens), [tag], budget=budget)
-    back = RingHom.from_map(K.ring, ring, {})
-    return Ideal(ring, [back(g) for g in K.gens])
+    if K.ring == ring:  # every wdegrevlex ring: K and its seeded basis
+        return K
+    return Ideal(ring, [_reringed(g, ring) for g in K.gens])
 
 
 def hom_kernel(h, budget=None):
@@ -397,8 +403,9 @@ def hom_kernel(h, budget=None):
     dom_emb = RingHom.from_map(dom, work, {})
     graph = [dom_emb(dom.var(v)) - cod_emb(h(dom.var(v))) for v in dom.vars]
     K = eliminate(Ideal(work, graph), tags, budget=budget)
-    back = RingHom.from_map(K.ring, dom, {})
-    return Ideal(dom, [back(g) for g in K.gens])
+    if K.ring == dom:  # every wdegrevlex ring: K and its seeded basis
+        return K
+    return Ideal(dom, [_reringed(g, dom) for g in K.gens])
 
 
 def syzygies(gens, ring=None, budget=None):

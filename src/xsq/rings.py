@@ -23,6 +23,7 @@ several-term images are multiplied out.
 from __future__ import annotations
 
 import re
+from math import comb
 
 from .scalars import QQ
 
@@ -183,6 +184,9 @@ MAX_NESTING = 100
 # degree of the base (at least one, so constant bases are bounded too)
 # exceeds this bound.
 MAX_POWER_DEGREE = 64
+# A power of a base with t > 1 terms is refused before it is expanded when
+# the multinomial bound comb(t + n - 1, n) on its terms exceeds this bound.
+MAX_POWER_TERMS = 1000
 
 
 class _Parser:
@@ -244,6 +248,10 @@ class _Parser:
             if val * max(1, p.wdeg()) > MAX_POWER_DEGREE:
                 raise ParseError("power of degree above %d" % MAX_POWER_DEGREE,
                                  pos)
+            t = len(p.terms)
+            if t > 1 and comb(t + val - 1, val) > MAX_POWER_TERMS:
+                raise ParseError("power may expand to more than %d terms"
+                                 % MAX_POWER_TERMS, pos)
             p = p ** val
         return p
 
@@ -353,10 +361,6 @@ class Polynomial:
     def constant_term(self):
         return self.coefficient((0,) * len(self.ring.vars))
 
-    def degree_in(self, name):
-        i = self.ring._index[name]
-        return max((m[i] for m in self.terms), default=0)
-
     def support_vars(self):
         """Names of variables that actually occur."""
         used = [False] * len(self.ring.vars)
@@ -436,8 +440,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the highest bit
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -16,8 +16,10 @@ level-2 generator T produces ``s0_T``, ``s1_T``, ``s2_T``.
 
 The ideals derived from a skeleton (the Moore kernels, the second-order
 Peiffer ideal, the homotopy subquotients and the tensor presentation of the
-two level-1 corners) are computed once per skeleton and kept on it, so the
-budget passed to the first computation is the one that applies.
+two level-1 corners) and the Moore functor at levels 0 and 1 are computed
+once per skeleton and kept on it, so the budget passed to the first
+computation is the one that applies.  The Moore kernels keep the reduced
+bases their eliminations return.
 """
 
 from __future__ import annotations
@@ -374,33 +376,25 @@ class Skeleton2:
         return self.once("moore", lambda: self._make_moore(budget))
 
     def _make_moore(self, budget):
-        E1, E2, E3 = self.E1, self.E2, self.E3
-        ne1 = hom_kernel(self.face[(1, 0)], budget=budget)
-        kbar = hom_kernel(self.face[(1, 1)], budget=budget)
+        E2, E3 = self.E2, self.E3
         s2n = self.data.s2_names
-        s3n = self.data.s3_names
-        m_gens, n_gens = self.corner_gens
-        if ne1.groebner() != Ideal(E1, m_gens).groebner():
-            raise AssertionError("Ker d_0^1 disagrees with its closed form")
-        if kbar.groebner() != Ideal(E1, n_gens).groebner():
-            raise AssertionError("Ker d_1^1 disagrees with its closed form")
-        k0 = hom_kernel(self.face[(2, 0)], budget=budget)
-        k1 = hom_kernel(self.face[(2, 1)], budget=budget)
-        expect_k0 = Ideal(E2, [E2.var("s1_" + n) for n in s2n]
-                          + [E2.var(n) for n in s3n])
-        expect_k1 = Ideal(E2, [E2.var("s0_" + n) - E2.var("s1_" + n)
-                               for n in s2n] + [E2.var(n) for n in s3n])
-        if k0.groebner() != expect_k0.groebner():
-            raise AssertionError("Ker d_0^2 disagrees with its closed form")
-        if k1.groebner() != expect_k1.groebner():
-            raise AssertionError("Ker d_1^2 disagrees with its closed form")
-        ne2 = ideal_intersect(k0, k1, budget=budget)
-        ne2 = Ideal(E2, ne2.groebner(budget=budget))
+        s3 = [E2.var(n) for n in self.data.s3_names]
+        closed = {(1, 0): self.corner_gens[0], (1, 1): self.corner_gens[1],
+                  (2, 0): [E2.var("s1_" + n) for n in s2n] + s3,
+                  (2, 1): [E2.var("s0_" + n) - E2.var("s1_" + n)
+                           for n in s2n] + s3}
+        ker = {}
+        for key, gens in closed.items():  # key = (level, face index)
+            K = ker[key] = hom_kernel(self.face[key], budget=budget)
+            if K.groebner() != Ideal(K.ring, gens).groebner():
+                raise AssertionError("Ker d_%d^%d disagrees with its closed "
+                                     "form" % key[::-1])
         deg3 = Ideal(E3, [E3.var(v) for v in E3.vars
                           if v not in self.data.s1_names])
-        return MooreData(ne1=Ideal(E1, ne1.groebner()),
-                         kbar=Ideal(E1, kbar.groebner()),
-                         ne2=ne2, degenerate3=deg3)
+        return MooreData(ne1=ker[(1, 0)], kbar=ker[(1, 1)],
+                         ne2=ideal_intersect(ker[(2, 0)], ker[(2, 1)],
+                                             budget=budget),
+                         degenerate3=deg3)
 
     def p2(self, budget=None):
         """The second-order Peiffer ideal by the "c_families" route."""

@@ -119,6 +119,17 @@ def test_degenerate_degree_bound():
     assert len(obj["pi0"]["dims"]) == 1
 
 
+@pytest.mark.parametrize("degree, code", [("32", 0), ("33", 2)])
+def test_degree_bound_is_limited(degree, code):
+    # build reads no filtered rows, so the limit itself costs nothing
+    out = run_cli("build", str(FIXTURES / "fixture_a.json"),
+                  "--max-degree", degree)
+    assert out.returncode == code
+    if code:
+        assert out.stdout == ""
+        assert out.stderr == "error: --max-degree must be between 0 and 32\n"
+
+
 def test_lex_order_flag_changes_reported_basis():
     out = run_cli("build", str(FIXTURES / "fixture_b.json"),
                   "--order", "lex", "--format", "json")
@@ -170,6 +181,18 @@ def test_high_degree_power_exits_2(tmp_path, image):
                              "S3": []}, "build")
     assert out.returncode == 2
     assert "power of degree above 64" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("image", ["(x+y+z+w)^17", "((x+y+z)^10)^3"])
+def test_power_of_many_terms_exits_2(tmp_path, image):
+    # the multinomial bound comb(t + n - 1, n) is checked before expanding:
+    # 1140 terms for the first, 50116 (of 496 actual) for the second
+    out = _run_on(tmp_path, {"field": "Q", "S1": ["x", "y", "z", "w"],
+                             "S2": [{"name": "S", "image": image}],
+                             "S3": []}, "build")
+    assert out.returncode == 2
+    assert "power may expand to more than 1000 terms" in out.stderr
     assert "Traceback" not in out.stderr
 
 

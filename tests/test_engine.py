@@ -1,10 +1,12 @@
 """Differential tests of the Groebner engine against the linear-algebra
-oracle, on small weight-homogeneous ideals over Q and GF(32003)."""
+oracle, on small weight-homogeneous ideals over Q and GF(32003), and of the
+bases that elimination results carry against bases computed afresh."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xsq import (GF, QQ, BudgetExceeded, Ideal, PolyRing, monomials_leq,
+from xsq import (GF, QQ, BudgetExceeded, Ideal, PolyRing, RingHom,
+                 eliminate, hom_kernel, ideal_intersect, monomials_leq,
                  peiffer_P2, syzygies)
 from xsq.groebner import mono_divides
 
@@ -57,6 +59,54 @@ def small_ideals(draw):
             g = g + ring.monomial(m, c)
         gens.append(g)
     return ring, gens
+
+
+@st.composite
+def elimination_cases(draw):
+    """(I, J, drop, h): two ideals of one ring in 2-3 weighted variables,
+    wdegrevlex or lex, with generators of up to three terms; a nonempty
+    proper subset of the variables; and a map into that ring from a ring
+    of the same order on two variables, with images of up to two terms."""
+    field = draw(st.sampled_from(FIELDS))
+    order = draw(st.sampled_from(("wdegrevlex", "lex")))
+    n = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    ring = PolyRing(("x", "y", "z")[:n], field, weights, order)
+    monos = st.tuples(*[st.integers(0, 2)] * n)
+
+    def polys(min_size, max_size, terms):
+        out = []
+        for poly in draw(st.lists(st.dictionaries(
+                monos, st.integers(-3, 3).filter(bool), min_size=1,
+                max_size=terms), min_size=min_size, max_size=max_size)):
+            g = ring.zero
+            for m, c in sorted(poly.items()):
+                g = g + ring.monomial(m, c)
+            out.append(g)
+        return out
+
+    I, J = Ideal(ring, polys(2, 4, 3)), Ideal(ring, polys(1, 3, 3))
+    drop = draw(st.lists(st.sampled_from(ring.vars), min_size=1,
+                         max_size=n - 1, unique=True))
+    h = RingHom(PolyRing(("a", "b"), field, order=order), ring,
+                polys(2, 2, 2))
+    return I, J, drop, h
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(elimination_cases())
+def test_elimination_results_carry_their_reduced_basis(case):
+    # in a wdegrevlex ring the result holds, as its generators and as its
+    # cached basis, the basis a fresh ideal on those generators computes;
+    # a result in a lex ring holds no basis
+    I, J, drop, h = case
+    for K in (eliminate(I, drop), ideal_intersect(I, J), hom_kernel(h)):
+        if K.ring.order != "wdegrevlex":
+            assert not K._cache
+            continue
+        assert K.ring.order in K._cache
+        fresh = Ideal(K.ring, K.gens).groebner()
+        assert K.groebner() == fresh and K.gens == fresh
 
 
 def _is_reduced(basis):

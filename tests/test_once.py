@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from xsq import build_skeleton, cli, groebner, peiffer_P2, simplicial, tensor
+from xsq import (build_skeleton, cli, crossed, groebner, peiffer_P2,
+                 simplicial, tensor)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -73,15 +74,40 @@ def test_build_computes_the_p2_basis_once_per_order(monkeypatch, capsys,
 def test_verify_builds_one_skeleton_per_distinct_truncation(monkeypatch,
                                                             capsys):
     # fixture b has no level-2 generators, so levels 1 and 2 share one
-    # skeleton and its Peiffer ideal
-    skels, p2_calls = [], []
+    # skeleton, its Peiffer ideal and its crossed module
+    skels, p2_calls, xmods = [], [], []
     _record_calls(monkeypatch, simplicial, "build_skeleton",
                   lambda skel, *args: skels.append(skel))
     _record_calls(monkeypatch, simplicial, "peiffer_P2",
                   lambda ideal, *args: p2_calls.append(args))
+    _record_calls(monkeypatch, crossed, "peiffer_quotient",
+                  lambda cm, *args: xmods.append(cm))
     assert _run("verify", "fixture_b") == 0
     capsys.readouterr()
-    assert len(skels) == 2 and len(p2_calls) == 2
+    assert len(skels) == 2 and len(p2_calls) == 2 and len(xmods) == 2
+
+
+@pytest.mark.parametrize("fixture", ["fixture_a", "fixture_b", "fixture_c"])
+@pytest.mark.parametrize("command", ["build", "homotopy"])
+def test_no_basis_is_computed_twice(monkeypatch, capsys, command, fixture):
+    # keyed like the benchmark's tracer: (ring, order, generator set), one
+    # count per call that finds no cached basis (or no cofactor rows when
+    # it needs them); the Moore kernels come out of the elimination with
+    # their bases, so no kernel is computed again
+    computed = groebner.Ideal._computed
+    counts = Counter()
+
+    def counting(ideal, order=None, budget=None, track=False):
+        tag = ideal.ring.order if order is None else order
+        hit = ideal._cache.get(tag)
+        if hit is None or (track and hit[2] is None):
+            counts[(ideal.ring, tag, frozenset(ideal.gens))] += 1
+        return computed(ideal, order, budget, track)
+
+    monkeypatch.setattr(groebner.Ideal, "_computed", counting)
+    assert _run(command, fixture) == 0
+    capsys.readouterr()
+    assert counts and max(counts.values()) == 1
 
 
 def test_compare_builds_the_kernel_tensor_once(monkeypatch, capsys):
