@@ -8,6 +8,16 @@ leading monomial), hence canonical for its order.  All entry points accept a
 step budget, which counts the S-pairs reduced plus the reduction steps, and
 raise :class:`BudgetExceeded` instead of silently truncating.
 
+The input generators are inserted lazily: each waits in the pair queue
+under its leading monomial and, when popped, is reduced against the basis
+so far like an S-polynomial, so a redundant generator never becomes a basis
+element or forms pairs.  The reduced basis is the same for any insertion
+order.  The cofactor rows that :meth:`Ideal.lift` and :func:`syzygies` read
+are not unique, and printed relations depend on them, so the tracked path
+keeps every generator as a basis element from the start.  Division reduces
+one mutable term dict in place and computes each monomial's order key once
+per call.
+
 An elimination result (also of :func:`ideal_intersect` and :func:`hom_kernel`)
 carries the reduced basis it was read from, as its generators and cached.
 """
@@ -16,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 
 from .rings import Polynomial, PolyRing, RingHom, fresh_names
 
@@ -67,31 +78,49 @@ class _Budget:
 def _divide(p, basis, budget, want_quotients=True):
     """Multivariate division: p = sum(q_i * basis_i) + r with no monomial of
     r divisible by any leading monomial of the basis.  Deterministic: the
-    first divisor in list order wins."""
+    first divisor in list order wins, and every term taken off the dividend
+    costs one budget step.
+
+    The dividend is reduced in place as a term dict, and the order key of
+    each monomial is computed once, when the monomial first appears."""
     ring = p.ring
-    quots = [ring.zero] * len(basis) if want_quotients else None
-    rem = ring.zero
-    h = p
-    lms = [(b.lm(), b.lc()) for b in basis]
-    while not h.is_zero():
-        m, c = h.leading()
-        hit = -1
-        for i, (bm, _) in enumerate(lms):
-            if mono_divides(bm, m):
-                hit = i
-                break
+    key = ring.mono_key
+    h = dict(p.terms)
+    keys = {m: key(m) for m in h}
+    leads = [b.leading() for b in basis]
+    quots = [{} for _ in basis] if want_quotients else None
+    rem = {}
+    while h:
+        m = max(h, key=keys.__getitem__)
+        c = h.pop(m)
         budget.spend()
-        if hit >= 0:
-            t = _mono_sub(m, lms[hit][0])
-            factor = c / lms[hit][1]
-            h = h - _mono_mul_poly(ring, t, factor, basis[hit])
-            if want_quotients:
-                quots[hit] = quots[hit] + ring.monomial(t, factor)
+        for i, (bm, bc) in enumerate(leads):
+            if mono_divides(bm, m):
+                t = _mono_sub(m, bm)
+                f = c / bc
+                neg = -f
+                # the reducer's tail; its sorted terms are cached on it
+                for tm, tc in islice(basis[i].sorted_terms(), 1, None):
+                    n = tuple(x + y for x, y in zip(t, tm))
+                    v = h.get(n)
+                    if v is None:
+                        h[n] = neg * tc
+                        if n not in keys:
+                            keys[n] = key(n)
+                    else:
+                        v = v + neg * tc
+                        if v:
+                            h[n] = v
+                        else:
+                            del h[n]
+                if want_quotients:
+                    quots[i][t] = f  # each t once: lm(h) only falls
+                break
         else:
-            lead = Polynomial(ring, {m: c})
-            rem = rem + lead
-            h = h - lead
-    return quots, rem
+            rem[m] = c
+    if want_quotients:
+        quots = [Polynomial(ring, q) for q in quots]
+    return quots, Polynomial(ring, rem)
 
 
 def _vec_add(u, v):
@@ -118,34 +147,42 @@ def _buchberger(gens, ring, budget, track=False):
     and sorted ascending by leading monomial.
 
     Critical pairs are kept by the Gebauer-Moller update (``_update``) and
-    reduced in the normal strategy, smallest lcm first.  Every element
-    stays in the reducer list, so the cofactor rows index all of them.
+    reduced in the normal strategy, smallest lcm first.  Untracked, each
+    generator is queued under its leading monomial (before the pairs with
+    that lcm) and joins the basis only if its remainder on popping is
+    nonzero.  Tracked, every generator joins up front.  Every element stays
+    in the reducer list, so the cofactor rows index all of them.
     """
     k = len(gens)
     one = ring.field.one
+    key = ring.mono_key
 
-    G, rows = [], ([] if track else None)
+    G, lms, rows = [], [], ([] if track else None)
+    pairs, active, heap = {}, [], []
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        if track:
-            row = [ring.zero] * k
-            row[i] = ring.const(one / g.lc())
-            rows.append(tuple(row))
+        if not track:  # queued by leading monomial, reduced when popped
+            heapq.heappush(heap, (key(g.lm()), -1, i))
+            continue
+        row = [ring.zero] * k
+        row[i] = ring.const(one / g.lc())
+        rows.append(tuple(row))
         G.append(g.monic())
-
-    lms = [g.lm() for g in G]
-    pairs, active, heap = {}, [], []
-    for n in range(len(G)):
-        _update(n, lms, active, pairs, heap, ring.mono_key)
+        lms.append(G[-1].lm())
+        _update(len(G) - 1, lms, active, pairs, heap, key)
     while heap:
         _, i, j = heapq.heappop(heap)  # normal strategy: smallest lcm first
-        lcm = pairs.pop((i, j), None)
-        if lcm is None:
-            continue  # dropped by a later update
-        budget.spend()
-        a, b = _mono_sub(lcm, lms[i]), _mono_sub(lcm, lms[j])
-        s = _mono_mul_poly(ring, a, one, G[i]) - _mono_mul_poly(ring, b, one, G[j])
+        if i < 0:
+            s = gens[j]
+        else:
+            lcm = pairs.pop((i, j), None)
+            if lcm is None:
+                continue  # dropped by a later update
+            budget.spend()
+            a, b = _mono_sub(lcm, lms[i]), _mono_sub(lcm, lms[j])
+            s = (_mono_mul_poly(ring, a, one, G[i])
+                 - _mono_mul_poly(ring, b, one, G[j]))
         quots, rem = _divide(s, G, budget, want_quotients=track)
         if rem.is_zero():
             continue
@@ -159,7 +196,7 @@ def _buchberger(gens, ring, budget, track=False):
             rows.append(_vec_scalar(inv, srow))
         G.append(rem * inv)
         lms.append(G[-1].lm())
-        _update(len(G) - 1, lms, active, pairs, heap, ring.mono_key)
+        _update(len(G) - 1, lms, active, pairs, heap, key)
 
     return _reduce_basis(G, rows, ring, budget)
 

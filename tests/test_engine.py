@@ -1,6 +1,10 @@
 """Differential tests of the Groebner engine against the linear-algebra
-oracle, on small weight-homogeneous ideals over Q and GF(32003), and of the
-bases that elimination results carry against bases computed afresh."""
+oracle, on small weight-homogeneous ideals over Q and GF(32003); of the
+bases that elimination results carry against bases computed afresh; of the
+lazily inserted generators against the eager tracked path; and of division
+against a plain reference division."""
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from xsq import (GF, QQ, BudgetExceeded, Ideal, PolyRing, RingHom,
                  eliminate, hom_kernel, ideal_intersect, monomials_leq,
                  peiffer_P2, syzygies)
+from xsq import groebner
 from xsq.groebner import mono_divides
 
 from .oracle import MacaulayNF
@@ -41,6 +46,21 @@ def homogeneous_ideals(draw):
     return ring, gens, mults
 
 
+def _polys(draw, ring, min_size, max_size, terms, exp):
+    """min_size to max_size polynomials of one to `terms` terms, exponents
+    up to exp and coefficients in -3..3."""
+    monos = st.tuples(*[st.integers(0, exp)] * len(ring.vars))
+    out = []
+    for poly in draw(st.lists(st.dictionaries(
+            monos, st.integers(-3, 3).filter(bool), min_size=1,
+            max_size=terms), min_size=min_size, max_size=max_size)):
+        g = ring.zero
+        for m, c in sorted(poly.items()):
+            g = g + ring.monomial(m, c)
+        out.append(g)
+    return out
+
+
 @st.composite
 def small_ideals(draw):
     """(ring, generators): 2-3 variables, degrevlex or lex, two to four
@@ -49,16 +69,7 @@ def small_ideals(draw):
     n = draw(st.integers(2, 3))
     order = draw(st.sampled_from(("wdegrevlex", "lex")))
     ring = PolyRing(("x", "y", "z")[:n], field, order=order)
-    monos = st.tuples(*[st.integers(0, 3)] * n)
-    gens = []
-    for terms in draw(st.lists(st.dictionaries(
-            monos, st.integers(-3, 3).filter(bool), min_size=1, max_size=3),
-            min_size=2, max_size=4)):
-        g = ring.zero
-        for m, c in sorted(terms.items()):
-            g = g + ring.monomial(m, c)
-        gens.append(g)
-    return ring, gens
+    return ring, _polys(draw, ring, 2, 4, 3, 3)
 
 
 @st.composite
@@ -72,24 +83,12 @@ def elimination_cases(draw):
     n = draw(st.integers(2, 3))
     weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
     ring = PolyRing(("x", "y", "z")[:n], field, weights, order)
-    monos = st.tuples(*[st.integers(0, 2)] * n)
-
-    def polys(min_size, max_size, terms):
-        out = []
-        for poly in draw(st.lists(st.dictionaries(
-                monos, st.integers(-3, 3).filter(bool), min_size=1,
-                max_size=terms), min_size=min_size, max_size=max_size)):
-            g = ring.zero
-            for m, c in sorted(poly.items()):
-                g = g + ring.monomial(m, c)
-            out.append(g)
-        return out
-
-    I, J = Ideal(ring, polys(2, 4, 3)), Ideal(ring, polys(1, 3, 3))
+    I = Ideal(ring, _polys(draw, ring, 2, 4, 3, 2))
+    J = Ideal(ring, _polys(draw, ring, 1, 3, 3, 2))
     drop = draw(st.lists(st.sampled_from(ring.vars), min_size=1,
                          max_size=n - 1, unique=True))
     h = RingHom(PolyRing(("a", "b"), field, order=order), ring,
-                polys(2, 2, 2))
+                _polys(draw, ring, 2, 2, 2, 2))
     return I, J, drop, h
 
 
@@ -107,6 +106,130 @@ def test_elimination_results_carry_their_reduced_basis(case):
         assert K.ring.order in K._cache
         fresh = Ideal(K.ring, K.gens).groebner()
         assert K.groebner() == fresh and K.gens == fresh
+
+
+@st.composite
+def ordered_rings(draw):
+    """A ring on 2-3 variables of weight 1-2 over Q or GF(32003), in
+    wdegrevlex, lex or a block order with a leading block of 1 to n-1
+    variables."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    order = draw(st.sampled_from(
+        ["wdegrevlex", "lex"] + [("block", k) for k in range(1, n)]))
+    return PolyRing(("x", "y", "z")[:n], field, weights, order)
+
+
+@st.composite
+def redundant_generators(draw):
+    """(ring, generators): one to three generators of up to three terms,
+    followed by up to six redundant ones, each made from those before it:
+    a scalar multiple, a duplicate, a sum of two, a monomial multiple, or a
+    combination of two with monomial multipliers (which reduces to zero
+    once both are in the basis); then shuffled."""
+    ring = draw(ordered_rings())
+    gens = _polys(draw, ring, 1, 3, 3, 2)
+    pick = st.integers(0, 10**6)
+    for kind in draw(st.lists(st.sampled_from(
+            ["scale", "dup", "sum", "mono", "combo"]), max_size=6)):
+        f = gens[draw(pick) % len(gens)]
+        g = gens[draw(pick) % len(gens)]
+        mono = ring.monomial(draw(st.tuples(
+            *[st.integers(0, 1)] * len(ring.vars))))
+        c = draw(st.integers(-3, 3).filter(bool))
+        gens.append({"scale": f * c, "dup": f, "sum": f + g,
+                     "mono": mono * f, "combo": mono * f + g * c}[kind])
+    order = draw(st.permutations(range(len(gens))))
+    return ring, [gens[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(redundant_generators())
+def test_lazy_insertion_gives_the_eager_basis(case):
+    # the untracked path queues the generators and keeps only nonzero
+    # remainders; its basis must equal the tracked (eager) one and that of
+    # the reversed list, and every element must join the basis reduced
+    # against the elements before it
+    ring, gens = case
+    joined = []
+    reduce_basis = groebner._reduce_basis
+
+    def recording(G, rows, ring, budget):
+        if rows is None:
+            joined.append(list(G))
+        return reduce_basis(G, rows, ring, budget)
+
+    with mock.patch.object(groebner, "_reduce_basis", recording):
+        lazy = Ideal(ring, gens)._computed()[1]
+    eager = Ideal(ring, gens)._computed(track=True)[1]
+    backwards = Ideal(ring, gens[::-1])._computed()[1]
+    assert lazy == eager == backwards
+    assert _is_reduced(lazy)
+    (G,) = joined
+    for n, g in enumerate(G):
+        assert not any(mono_divides(b.lm(), t)
+                       for b in G[:n] for t in g.terms)
+
+
+def _reference_divide(p, basis):
+    """Division on immutable polynomials: each step takes the leading term
+    of what is left and subtracts a multiple of the first reducer whose
+    leading monomial divides it, or moves the term to the remainder.
+    Returns (quotients, remainder, steps)."""
+    ring = p.ring
+    quots = [ring.zero] * len(basis)
+    rem, h, steps = ring.zero, p, 0
+    while not h.is_zero():
+        m, c = h.leading()
+        steps += 1
+        lead = ring.monomial(m, c)
+        for i, b in enumerate(basis):
+            if mono_divides(b.lm(), m):
+                q = ring.monomial([x - y for x, y in zip(m, b.lm())],
+                                  c / b.lc())
+                h = h - q * b
+                quots[i] = quots[i] + q
+                break
+        else:
+            rem = rem + lead
+            h = h - lead
+    return quots, rem, steps
+
+
+@st.composite
+def division_cases(draw):
+    """(dividend, reducers): a dividend of up to eight terms and one to
+    four reducers of up to three terms, with coefficients other than one
+    and exponents up to 3, so that leading monomials often coincide or
+    divide each other."""
+    ring = draw(ordered_rings())
+    (p,) = _polys(draw, ring, 1, 1, 8, 3)
+    return p, _polys(draw, ring, 1, 4, 3, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(division_cases())
+def test_division_matches_the_reference(case):
+    p, basis = case
+    budget = groebner._Budget(10**6)
+    quots, rem = groebner._divide(p, basis, budget)
+    steps = budget.limit - budget.left
+    total = rem
+    for q, b in zip(quots, basis):
+        total = total + q * b
+    assert total == p
+    assert not any(mono_divides(b.lm(), t) for b in basis for t in rem.terms)
+    ref_quots, ref_rem, ref_steps = _reference_divide(p, basis)
+    assert list(quots) == ref_quots and rem == ref_rem
+    assert steps == ref_steps
+    # the budget is spent one step per term: the exact count fits, one
+    # less raises, and skipping the quotients changes neither
+    _, rem_only = groebner._divide(p, basis, groebner._Budget(steps),
+                                   want_quotients=False)
+    assert rem_only == rem
+    with pytest.raises(BudgetExceeded):
+        groebner._divide(p, basis, groebner._Budget(steps - 1))
 
 
 def _is_reduced(basis):

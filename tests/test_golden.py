@@ -6,8 +6,9 @@ homotopy and compare on fixtures a and b at --max-degree 9 and on fixture b
 over GF(32003) at --max-degree 9, where truncated linear algebra dominates;
 every command on three edge inputs (no level-1 generators, no variables, a
 zero boundary image) and on an input over GF(7) whose boundary images are
-monomials with coefficients other than one; and the --format json stdout
-of every command on fixture c and on the GF(7) input.  A change that alters
+monomials with coefficients other than one; every command on fixture c
+with --order lex, the one order that is not degree-compatible; and the
+--format json stdout of every command on fixture c and on the GF(7) input.  A change that alters
 any of them changes what the command reports; regenerate a file only when
 that change is intended, with
 
@@ -64,6 +65,12 @@ def fixture(name):
 def test_stdout_matches_golden(command, name):
     expected = (GOLDEN / ("%s_%s.txt" % (command, name))).read_bytes()
     assert run_cli(command, fixture(name)) == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_lex_stdout_matches_golden(command):
+    expected = (GOLDEN / ("%s_fixture_c_lex.txt" % command)).read_bytes()
+    assert run_cli(command, fixture("fixture_c"), "--order", "lex") == expected
 
 
 @pytest.mark.parametrize("case", sorted(ROWS_CASES))

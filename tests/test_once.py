@@ -119,6 +119,25 @@ def test_compare_builds_the_kernel_tensor_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_redundant_generators_do_not_join_the_basis(monkeypatch, capsys):
+    # a generator joins a basis (and its pairs are updated) only when it
+    # does not reduce to zero against the basis so far: the four commands
+    # on fixture c make 431 Gebauer-Moller updates, 899 when every
+    # generator joined up front
+    update = groebner._update
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return update(*args)
+
+    monkeypatch.setattr(groebner, "_update", counting)
+    for command in ("build", "verify", "homotopy", "compare"):
+        assert _run(command, "fixture_c") == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 450
+
+
 def test_the_budget_applies_to_the_reported_p2_basis(capsys):
     # the pairings reach the same P2 ideal with no budget; the budget must
     # still apply to the reported basis
