@@ -5,9 +5,10 @@ Commands: build, verify, homotopy, compare.  Input is a JSON object
 "S3": [{"name","image"}]} with images in the polynomial grammar.
 
 Exit codes: 0 pass, 1 verification failure, 2 invalid input (including a
-power that may expand past ``rings.MAX_POWER_TERMS`` terms and a
---max-degree above ``MAX_DEGREE``), 3 step budget exhausted.  Identical
-input and flags produce byte-identical output.
+power that may expand past ``rings.MAX_POWER_TERMS`` terms, a --max-degree
+above ``MAX_DEGREE`` and a --budget below 1), 3 step budget exhausted or an
+exponent above ``rings.MAX_EXPONENT``.  Identical input and flags produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -201,6 +202,9 @@ def main(argv=None):
     if not 0 <= args.max_degree <= MAX_DEGREE:
         print("error: --max-degree must be between 0 and %d" % MAX_DEGREE,
               file=sys.stderr)
+        return 2
+    if args.budget is not None and args.budget < 1:
+        print("error: --budget must be at least 1", file=sys.stderr)
         return 2
     try:
         with open(args.input, "r", encoding="utf-8") as fh:

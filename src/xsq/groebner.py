@@ -14,9 +14,18 @@ so far like an S-polynomial, so a redundant generator never becomes a basis
 element or forms pairs.  The reduced basis is the same for any insertion
 order.  The cofactor rows that :meth:`Ideal.lift` and :func:`syzygies` read
 are not unique, and printed relations depend on them, so the tracked path
-keeps every generator as a basis element from the start.  Division reduces
-one mutable term dict in place and computes each monomial's order key once
-per call.
+keeps every generator as a basis element from the start.
+
+The engine works on packed monomials (:class:`rings.Packing`): a product is
+one int sum, a quotient one difference, a divisibility test one
+subtraction and a mask, and the order key is an int linear in the
+monomial.  Polynomials are packed once on entry, as descending
+(monomial, key, coefficient) terms, and the results are unpacked once; a
+reduced basis comes back with its sorted view and packed form set.
+Division reduces a dividend keyed by order key in place and gives each
+new term the key key(t) + key(m).  An exponent above 2^31 - 1, in a
+monomial packed on entry or in a product the engine forms, raises
+:class:`ExponentOverflow`, a :class:`BudgetExceeded`.
 
 An elimination result (also of :func:`ideal_intersect` and :func:`hom_kernel`)
 carries the reduced basis it was read from, as its generators and cached.
@@ -28,38 +37,14 @@ import heapq
 from dataclasses import dataclass
 from itertools import islice
 
-from .rings import Polynomial, PolyRing, RingHom, fresh_names
+from .rings import (BudgetExceeded, ExponentOverflow, Polynomial, PolyRing,
+                    RingHom, fresh_names)
 
 DEFAULT_BUDGET = 10**6
 
 
-class BudgetExceeded(RuntimeError):
-    def __init__(self, steps):
-        super().__init__("step budget of %d reductions exceeded" % steps)
-        self.steps = steps
-
-
 class NotInIdeal(ValueError):
     pass
-
-
-def mono_divides(a, b):
-    """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_sub(a, b):
-    """Exponent vector a - b."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _mono_mul_poly(ring, mono, coeff, p):
-    return Polynomial(ring, {tuple(m + e for m, e in zip(mono, t)): c * coeff
-                             for t, c in p.terms.items()})
 
 
 class _Budget:
@@ -75,76 +60,123 @@ class _Budget:
             raise BudgetExceeded(self.limit)
 
 
-def _divide(p, basis, budget, want_quotients=True):
-    """Multivariate division: p = sum(q_i * basis_i) + r with no monomial of
-    r divisible by any leading monomial of the basis.  Deterministic: the
-    first divisor in list order wins, and every term taken off the dividend
-    costs one budget step.
+def _budget(budget):
+    return _Budget(DEFAULT_BUDGET if budget is None else budget)
 
-    The dividend is reduced in place as a term dict, and the order key of
-    each monomial is computed once, when the monomial first appears."""
-    ring = p.ring
-    key = ring.mono_key
-    h = dict(p.terms)
-    keys = {m: key(m) for m in h}
-    leads = [b.leading() for b in basis]
-    quots = [{} for _ in basis] if want_quotients else None
-    rem = {}
+
+def _dividend(terms):
+    """Packed terms as a mutable dividend: {order key: coefficient} and
+    {order key: packed monomial}."""
+    return ({k: c for _, k, c in terms}, {k: m for m, k, _ in terms})
+
+
+def _negated(q):
+    return {m: -c for m, c in q.items()}
+
+
+def _add_multiple(h, monos, terms, t, kt, f, guards):
+    """h += f * x^t * terms on a dividend: terms are packed (M, key, c)
+    triples and the key of each product is key(t) + key(M).  A product
+    whose key is new is checked against the exponent limit; a product that
+    overflows a field has a key no valid monomial has, so the check covers
+    every product."""
+    for tm, ktm, tc in terms:
+        kn = kt + ktm
+        v = h.get(kn)
+        if v is None:
+            if kn not in monos:
+                n = t + tm
+                if n & guards:
+                    raise ExponentOverflow()
+                monos[kn] = n
+            h[kn] = f * tc
+        else:
+            v = v + f * tc
+            if v:
+                h[kn] = v
+            else:
+                del h[kn]
+
+
+def _divide(h, monos, reducers, budget, guards, want_quotients=True,
+            lms=None):
+    """Multivariate division of the dividend (h, monos) by the packed
+    reducers: h = sum(q_i * reducer_i) + r with no monomial of r divisible
+    by any leading monomial of a reducer.  Deterministic: the first divisor
+    in list order wins, and every term taken off the dividend costs one
+    budget step.
+
+    The dividend is reduced in place; its leading term is the one of
+    largest key.  lms, when given, are the reducers' leading monomials.
+    Returns the quotients as {packed monomial: coefficient} dicts (None
+    unless wanted) and the remainder as descending packed terms."""
+    if lms is None:
+        lms = [r[0][0] for r in reducers]
+    quots = [{} for _ in reducers] if want_quotients else None
+    rem = []
     while h:
-        m = max(h, key=keys.__getitem__)
-        c = h.pop(m)
+        k = max(h)
+        c = h.pop(k)
+        m = monos[k]
         budget.spend()
-        for i, (bm, bc) in enumerate(leads):
-            if mono_divides(bm, m):
-                t = _mono_sub(m, bm)
-                f = c / bc
-                neg = -f
-                # the reducer's tail; its sorted terms are cached on it
-                for tm, tc in islice(basis[i].sorted_terms(), 1, None):
-                    n = tuple(x + y for x, y in zip(t, tm))
-                    v = h.get(n)
-                    if v is None:
-                        h[n] = neg * tc
-                        if n not in keys:
-                            keys[n] = key(n)
-                    else:
-                        v = v + neg * tc
-                        if v:
-                            h[n] = v
-                        else:
-                            del h[n]
+        for i, lm in enumerate(lms):
+            t = m - lm
+            if not t & guards:
+                red = reducers[i]
+                _, lk, lc = red[0]
+                f = c / lc
+                _add_multiple(h, monos, islice(red, 1, None), t, k - lk, -f,
+                              guards)
                 if want_quotients:
                     quots[i][t] = f  # each t once: lm(h) only falls
                 break
         else:
-            rem[m] = c
-    if want_quotients:
-        quots = [Polynomial(ring, q) for q in quots]
-    return quots, Polynomial(ring, rem)
+            rem.append((m, k, c))
+    return quots, rem
 
 
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def _scaled(terms, c):
+    return tuple([(m, k, v * c) for m, k, v in terms])
 
 
-def _vec_mono(ring, mono, coeff, v):
-    return tuple(_mono_mul_poly(ring, mono, coeff, p) for p in v)
+def _spoly(f, a, g, b, packing):
+    """x^a * f - x^b * g for monic packed f and g, as a dividend."""
+    key, one = packing.key, f[0][2]
+    h, monos = {}, {}
+    _add_multiple(h, monos, f, a, key(a), one, packing.guards)
+    _add_multiple(h, monos, g, b, key(b), -one, packing.guards)
+    return h, monos
 
 
-def _vec_scalar(c, v):
-    return tuple(p * c for p in v)
-
-
-def _vec_poly(q, v):
-    return tuple(q * p for p in v)
+def _row_add(acc, q, row, guards):
+    """acc += q * row for cofactor rows, which are lists of {packed
+    monomial: coefficient} dicts; q is one such dict."""
+    for out, p in zip(acc, row):
+        for qm, qc in q.items():
+            for pm, pc in p.items():
+                n = qm + pm
+                if n & guards:
+                    raise ExponentOverflow()
+                v = out.get(n)
+                if v is None:
+                    out[n] = qc * pc
+                else:
+                    v = v + qc * pc
+                    if v:
+                        out[n] = v
+                    else:
+                        del out[n]
 
 
 def _buchberger(gens, ring, budget, track=False):
-    """Reduced Groebner basis, optionally with cofactor rows.
+    """Reduced Groebner basis of packed generators, optionally with
+    cofactor rows.
 
     Returns (basis, rows) with basis[i] = sum_j rows[i][j] * gens[j] when
     track is set (rows is None otherwise); the basis is monic, auto-reduced
-    and sorted ascending by leading monomial.
+    and sorted ascending by leading monomial, each element as descending
+    packed terms, and each row a tuple of {packed monomial: coefficient}
+    dicts.
 
     Critical pairs are kept by the Gebauer-Moller update (``_update``) and
     reduced in the normal strategy, smallest lcm first.  Untracked, each
@@ -155,53 +187,55 @@ def _buchberger(gens, ring, budget, track=False):
     """
     k = len(gens)
     one = ring.field.one
-    key = ring.mono_key
+    packing = ring.packing
+    guards = packing.guards
 
     G, lms, rows = [], [], ([] if track else None)
     pairs, active, heap = {}, [], []
     for i, g in enumerate(gens):
-        if g.is_zero():
+        if not g:
             continue
         if not track:  # queued by leading monomial, reduced when popped
-            heapq.heappush(heap, (key(g.lm()), -1, i))
+            heapq.heappush(heap, (g[0][1], -1, i))
             continue
-        row = [ring.zero] * k
-        row[i] = ring.const(one / g.lc())
-        rows.append(tuple(row))
-        G.append(g.monic())
-        lms.append(G[-1].lm())
-        _update(len(G) - 1, lms, active, pairs, heap, key)
+        inv = one / g[0][2]
+        rows.append(tuple({0: inv} if j == i else {} for j in range(k)))
+        G.append(g if inv == one else _scaled(g, inv))
+        lms.append(g[0][0])
+        _update(len(G) - 1, lms, active, pairs, heap, packing)
     while heap:
         _, i, j = heapq.heappop(heap)  # normal strategy: smallest lcm first
         if i < 0:
-            s = gens[j]
+            h, monos = _dividend(gens[j])
         else:
             lcm = pairs.pop((i, j), None)
             if lcm is None:
                 continue  # dropped by a later update
             budget.spend()
-            a, b = _mono_sub(lcm, lms[i]), _mono_sub(lcm, lms[j])
-            s = (_mono_mul_poly(ring, a, one, G[i])
-                 - _mono_mul_poly(ring, b, one, G[j]))
-        quots, rem = _divide(s, G, budget, want_quotients=track)
-        if rem.is_zero():
+            a, b = lcm - lms[i], lcm - lms[j]
+            h, monos = _spoly(G[i], a, G[j], b, packing)
+        quots, rem = _divide(h, monos, G, budget, guards,
+                             want_quotients=track, lms=lms)
+        if not rem:
             continue
-        inv = one / rem.lc()
+        inv = one / rem[0][2]
         if track:
-            srow = _vec_add(_vec_mono(ring, a, one, rows[i]),
-                            _vec_mono(ring, b, -one, rows[j]))
+            srow = [{} for _ in range(k)]
+            _row_add(srow, {a: one}, rows[i], guards)
+            _row_add(srow, {b: -one}, rows[j], guards)
             for t, q in enumerate(quots):
-                if not q.is_zero():
-                    srow = _vec_add(srow, _vec_scalar(-one, _vec_poly(q, rows[t])))
-            rows.append(_vec_scalar(inv, srow))
-        G.append(rem * inv)
-        lms.append(G[-1].lm())
-        _update(len(G) - 1, lms, active, pairs, heap, key)
+                if q:
+                    _row_add(srow, _negated(q), rows[t], guards)
+            rows.append(tuple({m: c * inv for m, c in p.items()}
+                              for p in srow))
+        G.append(_scaled(rem, inv))
+        lms.append(rem[0][0])
+        _update(len(G) - 1, lms, active, pairs, heap, packing)
 
     return _reduce_basis(G, rows, ring, budget)
 
 
-def _update(n, lms, active, pairs, heap, key):
+def _update(n, lms, active, pairs, heap, packing):
     """Gebauer-Moller update for the new element n.
 
     The new pairs (t, n) for the active t keep only the minimal lcms, one
@@ -209,66 +243,79 @@ def _update(n, lms, active, pairs, heap, key):
     coprime pair.  A queued pair (i, j) is dropped when lm(n) divides its
     lcm and that lcm differs from both lcm(i, n) and lcm(j, n).  Active
     elements whose leading monomial lm(n) divides stop forming pairs."""
+    guards, values, fieldmax = packing.guards, packing.values, packing.fieldmax
     lm_n = lms[n]
-    for (i, j), lcm in list(pairs.items()):
-        if (mono_divides(lm_n, lcm) and _mono_lcm(lms[i], lm_n) != lcm
-                and _mono_lcm(lms[j], lm_n) != lcm):
-            del pairs[(i, j)]
+    for ij in [ij for ij, lcm in pairs.items() if not (lcm - lm_n) & guards
+               and fieldmax(lms[ij[0]], lm_n) != lcm & values
+               and fieldmax(lms[ij[1]], lm_n) != lcm & values]:
+        del pairs[ij]
+    # lcms by their exponent fields alone until a pair is queued
     first, coprime = {}, set()  # lcm -> smallest t; lcms of coprime pairs
     for t in active:
-        lcm = _mono_lcm(lms[t], lm_n)
+        lcm = fieldmax(lms[t], lm_n)
         first.setdefault(lcm, t)
-        if lcm == tuple(a + b for a, b in zip(lms[t], lm_n)):
+        if lcm == (lms[t] + lm_n) & values:
             coprime.add(lcm)
-    for lcm, t in first.items():
-        if lcm in coprime or any(o != lcm and mono_divides(o, lcm)
-                                 for o in first):
-            continue
-        pairs[(t, n)] = lcm
-        heapq.heappush(heap, (key(lcm), t, n))
-    active[:] = [t for t in active if not mono_divides(lm_n, lms[t])]
+    # A proper divisor of an lcm is a smaller int, and is itself divided by
+    # a minimal lcm, so in ascending order each lcm is tested only against
+    # the minimal ones found so far.
+    minimal = []
+    for lcm in sorted(first):
+        for o in minimal:
+            if not (lcm - o) & guards:
+                break
+        else:
+            minimal.append(lcm)
+            if lcm not in coprime:
+                t = first[lcm]
+                lcm = packing.with_degrees(lcm)
+                pairs[(t, n)] = lcm
+                heapq.heappush(heap, (packing.key(lcm), t, n))
+    active[:] = [t for t in active if (lms[t] - lm_n) & guards]
     active.append(n)
 
 
 def _reduce_basis(G, rows, ring, budget):
     """Minimalize and tail-reduce; canonical output order."""
     one = ring.field.one
+    guards = ring.packing.guards
     track = rows is not None
-    order = sorted(range(len(G)), key=lambda i: (ring.mono_key(G[i].lm()), i))
     keep = []
-    for i in order:
-        lm = G[i].lm()
-        if any(mono_divides(G[j].lm(), lm) for j in keep):
+    for i in sorted(range(len(G)), key=lambda i: (G[i][0][1], i)):
+        lm = G[i][0][0]
+        if any(not (lm - G[j][0][0]) & guards for j in keep):
             continue
         keep.append(i)
     basis = [G[i] for i in keep]
     brows = [rows[i] for i in keep] if track else None
     out, out_rows = [], ([] if track else None)
-    for idx in range(len(basis)):
-        others = [b for t, b in enumerate(basis) if t != idx]
-        quots, rem = _divide(basis[idx], others, budget, want_quotients=track)
-        if rem.is_zero():
+    for idx, b in enumerate(basis):
+        quots, rem = _divide(*_dividend(b), basis[:idx] + basis[idx + 1:],
+                             budget, guards, want_quotients=track)
+        if not rem:
             continue
-        inv = one / rem.lc()
+        inv = one / rem[0][2]
         if track:
-            row = brows[idx]
-            qi = 0
-            for t in range(len(basis)):
-                if t == idx:
-                    continue
-                q = quots[qi]
-                qi += 1
-                if not q.is_zero():
-                    row = _vec_add(row, _vec_scalar(-one, _vec_poly(q, brows[t])))
-            out_rows.append(_vec_scalar(inv, row))
-        out.append(rem * inv)
-    ranks = sorted(range(len(out)), key=lambda i: ring.mono_key(out[i].lm()))
-    basis = [out[i] for i in ranks]
-    return basis, ([out_rows[i] for i in ranks] if track else None)
+            row = [dict(p) for p in brows[idx]]
+            for q, other in zip(quots, brows[:idx] + brows[idx + 1:]):
+                if q:
+                    _row_add(row, _negated(q), other, guards)
+            out_rows.append(tuple({m: c * inv for m, c in p.items()}
+                                  for p in row))
+        out.append(_scaled(rem, inv))
+    ranks = sorted(range(len(out)), key=lambda i: out[i][0][1])
+    return ([out[i] for i in ranks],
+            [out_rows[i] for i in ranks] if track else None)
+
+
+def _unpacked(ring, terms):
+    """The polynomial of a {packed monomial: coefficient} dict."""
+    unpack = ring.packing.unpack
+    return Polynomial(ring, {unpack(m): c for m, c in terms.items()})
 
 
 def _reringed(p, ring):
-    return Polynomial(ring, p.terms)
+    return p if p.ring == ring else Polynomial(ring, p.terms)
 
 
 class Ideal:
@@ -297,12 +344,13 @@ class Ideal:
         hit = self._cache.get(tag)
         if hit is None or (track and hit[2] is None):
             work = self.ring if tag == self.ring.order else self.ring.with_order(tag)
-            gens = [_reringed(g, work) for g in self.gens]
-            basis, rows = _buchberger(gens, work,
-                                      _Budget(budget or DEFAULT_BUDGET),
+            gens = [_reringed(g, work).packed() for g in self.gens]
+            basis, rows = _buchberger(gens, work, _budget(budget),
                                       track=track)
-            self._cache[tag] = (work, tuple(basis),
-                                tuple(rows) if rows is not None else None)
+            self._cache[tag] = (
+                work, tuple(Polynomial.from_packed(work, b) for b in basis),
+                None if rows is None else
+                tuple(tuple(_unpacked(work, p) for p in row) for row in rows))
         return self._cache[tag]
 
     def groebner(self, order=None, budget=None):
@@ -314,10 +362,11 @@ class Ideal:
         if p.ring != self.ring:
             raise ValueError("polynomial not in the ideal's ring")
         work, basis, _ = self._computed(order, budget)
-        _, rem = _divide(_reringed(p, work), list(basis),
-                         _Budget(budget or DEFAULT_BUDGET),
+        _, rem = _divide(*_dividend(_reringed(p, work).packed()),
+                         [b.packed() for b in basis],
+                         _budget(budget), work.packing.guards,
                          want_quotients=False)
-        return _reringed(rem, self.ring)
+        return _reringed(Polynomial.from_packed(work, rem), self.ring)
 
     def member(self, p, order=None, budget=None):
         return self.normal_form(p, order, budget).is_zero()
@@ -326,18 +375,19 @@ class Ideal:
         """Cofactors against the original generators; exact identity
         sum(c_i * gens_i) == p, or :class:`NotInIdeal`."""
         work, basis, rows = self._computed(None, budget, track=True)
-        quots, rem = _divide(_reringed(p, work), list(basis),
-                             _Budget(budget or DEFAULT_BUDGET))
-        if not rem.is_zero():
-            raise NotInIdeal("polynomial is not a member: residue %s" % rem)
-        cof = [work.zero] * len(self.gens)
+        guards = work.packing.guards
+        quots, rem = _divide(*_dividend(_reringed(p, work).packed()),
+                             [b.packed() for b in basis],
+                             _budget(budget), guards)
+        if rem:
+            raise NotInIdeal("polynomial is not a member: residue %s"
+                             % Polynomial.from_packed(work, rem))
+        cof = [{} for _ in self.gens]
         for q, row in zip(quots, rows):
-            if q.is_zero():
-                continue
-            for j, rj in enumerate(row):
-                if not rj.is_zero():
-                    cof[j] = cof[j] + q * rj
-        cof = tuple(_reringed(c, self.ring) for c in cof)
+            if q:
+                _row_add(cof, q, [{m: c for m, _, c in r.packed()}
+                                  for r in row], guards)
+        cof = tuple(_unpacked(self.ring, c) for c in cof)
         check = self.ring.zero
         for c, g in zip(cof, self.gens):
             check = check + c * g
@@ -463,57 +513,58 @@ def syzygies(gens, ring=None, budget=None):
     if k == 0:
         return ()
     one = ring.field.one
-    bud = _Budget(budget or DEFAULT_BUDGET)
-    nonzero = [(i, g) for i, g in enumerate(gens) if not g.is_zero()]
+    packing = ring.packing
+    guards = packing.guards
+    bud = _budget(budget)
+    nonzero = [(i, _reringed(g, ring).packed())
+               for i, g in enumerate(gens) if not g.is_zero()]
     basis, rows = _buchberger([g for _, g in nonzero], ring, bud, track=True)
 
     def widen(v):
-        out = [ring.zero] * k
+        out = [{} for _ in range(k)]
         for (orig, _), p in zip(nonzero, v):
             out[orig] = p
-        return tuple(out)
+        return out
 
     rows = [widen(r) for r in rows]
     syz = []
     for i, g in enumerate(gens):
         if g.is_zero():
-            e = [ring.zero] * k
-            e[i] = ring.one
-            syz.append(tuple(e))
+            e = [{} for _ in range(k)]
+            e[i] = {0: one}
+            syz.append(e)
     m = len(basis)
     # S-pair syzygies of the reduced basis; no pair is skipped here
     for i in range(m):
         for j in range(i + 1, m):
-            lcm = _mono_lcm(basis[i].lm(), basis[j].lm())
-            a = _mono_sub(lcm, basis[i].lm())
-            b = _mono_sub(lcm, basis[j].lm())
-            s = _mono_mul_poly(ring, a, one, basis[i]) \
-                - _mono_mul_poly(ring, b, one, basis[j])
-            quots, rem = _divide(s, basis, bud)
-            if not rem.is_zero():
+            lm_i, lm_j = basis[i][0][0], basis[j][0][0]
+            lcm = packing.lcm(lm_i, lm_j)
+            a, b = lcm - lm_i, lcm - lm_j
+            quots, rem = _divide(*_spoly(basis[i], a, basis[j], b, packing),
+                                 basis, bud, guards)
+            if rem:
                 raise AssertionError("S-polynomial of a basis did not vanish")
-            v = _vec_add(_vec_mono(ring, a, one, rows[i]),
-                         _vec_mono(ring, b, -one, rows[j]))
+            v = [{} for _ in range(k)]
+            _row_add(v, {a: one}, rows[i], guards)
+            _row_add(v, {b: -one}, rows[j], guards)
             for t, q in enumerate(quots):
-                if not q.is_zero():
-                    v = _vec_add(v, _vec_scalar(-one, _vec_poly(q, rows[t])))
+                if q:
+                    _row_add(v, _negated(q), rows[t], guards)
             syz.append(v)
     # identity defects: e_j minus the expansion of g_j through the basis
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        quots, rem = _divide(g, basis, bud)
-        if not rem.is_zero():
+    for j, g in nonzero:
+        quots, rem = _divide(*_dividend(g), basis, bud, guards)
+        if rem:
             raise AssertionError("generator did not reduce to zero")
-        v = [ring.zero] * k
-        v[j] = ring.one
-        v = tuple(v)
+        v = [{} for _ in range(k)]
+        v[j] = {0: one}
         for t, q in enumerate(quots):
-            if not q.is_zero():
-                v = _vec_add(v, _vec_scalar(-one, _vec_poly(q, rows[t])))
+            if q:
+                _row_add(v, _negated(q), rows[t], guards)
         syz.append(v)
     out = []
     for v in syz:
+        v = tuple(_unpacked(ring, p) for p in v)
         if all(p.is_zero() for p in v):
             continue
         check = ring.zero
@@ -566,20 +617,50 @@ def monomials_leq(ring, D):
     return out
 
 
+def standard_monomials(I, D, budget=None):
+    """(work, standard): the wdegrevlex ring on the variables of I, and the
+    (packed monomial, weighted degree) pairs of the monomials of weighted
+    degree <= D that no leading monomial of its reduced basis of I divides.
+
+    The monomials are built one variable at a time.  A leading monomial is
+    tested when its last variable is set; once it divides, the higher powers
+    of that variable, and every monomial above them, are skipped."""
+    work, basis, _ = I._computed("wdegrevlex", budget)
+    packing = work.packing
+    guards, units, weights = packing.guards, packing.units, work.weights
+    n = len(units)
+    by_last = [[] for _ in range(n)]
+    for b in basis:
+        used = [i for i, e in enumerate(b.lm()) if e]
+        if not used:
+            return work, []  # the unit ideal
+        by_last[used[-1]].append(b.packed()[0][0])
+    standard = []
+
+    def rec(i, left, M):
+        if i == n:
+            standard.append((M, D - left))
+            return
+        lts, unit, w = by_last[i], units[i], weights[i]
+        while True:
+            rec(i + 1, left, M)
+            left -= w
+            M += unit
+            if left < 0 or any(not (M - lt) & guards for lt in lts):
+                return
+
+    rec(0, D, 0)
+    return work, standard
+
+
 def affine_hilbert(I, D, budget=None):
     """Dimension of {p : wdeg p <= d} / (I cap same) for d = 0..D, read off
     the leading-term data of a degree-compatible basis."""
     if D < 0:
         raise ValueError("degree bound must be >= 0")
-    basis = I.groebner(order="wdegrevlex", budget=budget)
-    work = I.ring if I.ring.order == "wdegrevlex" \
-        else I.ring.with_order("wdegrevlex")
-    lts = [_reringed(b, work).lm() for b in basis]
     counts = [0] * (D + 1)
-    for m in monomials_leq(work, D):
-        if any(mono_divides(lt, m) for lt in lts):
-            continue
-        counts[work.wdeg(m)] += 1
+    for _, d in standard_monomials(I, D, budget)[1]:
+        counts[d] += 1
     dims, total = [], 0
     for d in range(D + 1):
         total += counts[d]

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .groebner import (Ideal, GradedDims, affine_hilbert, ideal_intersect,
-                       hom_kernel, mono_divides, monomials_leq,
-                       subquotient_dims, syzygies, _reringed)
+                       hom_kernel, standard_monomials, subquotient_dims,
+                       syzygies)
 from .linalg import (FilteredBasis, dense, graded_span, nullity,
                      truncated_ideal_span)
 from .rings import RingHom
@@ -432,16 +432,16 @@ def _tensor_kernel_dims(pres, D, budget=None):
     if not pres.symbol_grid:
         zeros = GradedDims((0,) * (D + 1))
         return zeros, zeros
-    basis = pres.relations.groebner(budget=budget)
-    work = ring if ring.order == "wdegrevlex" else ring.with_order("wdegrevlex")
-    lts = [_reringed(b, work).lm() for b in basis]
+    work, standard = standard_monomials(pres.relations, D, budget=budget)
+    key, unpack = work.packing.key, work.packing.unpack
     sym_index = [ring._index[str(g)] for g in pres.symbols]
     out_fb = FilteredBasis(pres.base, D)
     size = len(out_fb)
-    images = [(work.wdeg(m), out_fb.coords((pres.lam(ring.monomial(m)),)))
-              for m in monomials_leq(work, D)
-              if any(m[i] for i in sym_index)
-              and not any(mono_divides(lt, m) for lt in lts)]
+    images = []
+    for M, deg in sorted(standard, key=lambda s: key(s[0]), reverse=True):
+        m = unpack(M)
+        if any(m[i] for i in sym_index):
+            images.append((deg, out_fb.coords((pres.lam(ring.monomial(m)),))))
     wide, narrow = [], []
     for d in range(D + 1):
         rows = [v for deg, v in images if deg <= d]

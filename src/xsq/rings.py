@@ -18,12 +18,20 @@ A ring map (:class:`RingHom`) is applied by substitution term by term into
 one accumulator: a zero image drops the term, a one-term image adds to the
 exponent vector and scales the coefficient, and only the powers of
 several-term images are multiplied out.
+
+Each ring also packs a monomial into one int (:class:`Packing`, kept as
+``PolyRing.packing``); the order key :meth:`PolyRing.mono_key` is the int
+key of the packed exponent vector, so each order is defined once.  An
+exponent above MAX_EXPONENT = 2^31 - 1 cannot be packed and raises
+:class:`ExponentOverflow`, a :class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from math import comb
+from operator import itemgetter, mul
 
 from .scalars import QQ
 
@@ -36,11 +44,123 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _key_wdegrevlex(exps, weights):
-    wd = 0
-    for e, w in zip(exps, weights):
-        wd += e * w
-    return (wd, tuple(-e for e in reversed(exps)))
+class BudgetExceeded(RuntimeError):
+    def __init__(self, steps):
+        super().__init__("step budget of %d reductions exceeded" % steps)
+        self.steps = steps
+
+
+# Every exponent of a packed monomial has a field of 32 bits: 31 value bits
+# under one guard bit.  Packing refuses an exponent above MAX_EXPONENT, the
+# largest value a field holds.  Fields are read through a memoryview of
+# unsigned ints ("I", 4 bytes) in the machine's byte order.
+_FIELD = 32
+_VALUES = (1 << (_FIELD - 1)) - 1
+MAX_EXPONENT = _VALUES
+_BYTEORDER = sys.byteorder
+
+
+class ExponentOverflow(BudgetExceeded):
+    """An exponent above MAX_EXPONENT, in a monomial being packed or in a
+    product formed by the Groebner engine."""
+
+    def __init__(self):
+        super(BudgetExceeded, self).__init__(
+            "exponent above the limit of %d" % MAX_EXPONENT)
+        self.steps = None
+
+
+class Packing:
+    """Packed monomials of one ring: a monomial is one non-negative int.
+
+    Each exponent has a 32-bit field, 31 value bits under a guard bit.  Each
+    block of the order has a weighted-degree field above its variables, wide
+    enough for any exponents up to MAX_EXPONENT: wdegrevlex has one block,
+    ("block", k) two, the first k variables in the more significant one, and
+    lex none, with x_1 in the top field.  Within a block the variables sit
+    low to high.  So the packed form is linear in the exponent vector: a
+    product is a sum, a quotient a difference, and a divides b iff
+    ``(b - a) & guards`` is zero.  ``key(M) = M - 2 * (M & pmask)`` negates
+    the exponent fields of the blocks with a degree field; it is an int that
+    orders monomials as the ring's order does, and it is linear too.
+
+    The packed form of an exponent vector is checked against MAX_EXPONENT;
+    a sum of two packed monomials overflows a field exactly when it sets
+    a guard bit, and the engine checks every product it forms.
+    """
+
+    __slots__ = ("units", "guards", "values", "pmask", "_nbytes", "_slots",
+                 "_degrees")
+
+    def __init__(self, weights, order):
+        n = len(weights)
+        if order == "lex":
+            blocks, graded = [range(n - 1, -1, -1)], False
+        elif order == "wdegrevlex":
+            blocks, graded = [range(n)], True
+        else:
+            k = min(order[1], n)
+            blocks, graded = [range(k, n), range(k)], True
+        units, slots, slot = [0] * n, [0] * n, 0
+        self._degrees = []  # per degree field: each slot's weight, shift
+        for block in blocks:
+            if not block:
+                continue
+            for i in block:
+                slots[i] = slot
+                units[i] = 1 << (_FIELD * slot)
+                slot += 1
+            if graded:
+                shift = _FIELD * slot
+                per_slot = [0] * slot
+                for i in block:
+                    units[i] += weights[i] << shift
+                    per_slot[slots[i]] = weights[i]
+                self._degrees.append((tuple(per_slot), shift))
+                width = (sum(weights[i] for i in block)
+                         * _VALUES).bit_length()
+                slot += -(-width // _FIELD)
+        self.units = tuple(units)
+        self._slots = tuple(slots)
+        self._nbytes = slot * _FIELD // 8
+        self.values = sum(_VALUES << (_FIELD * s) for s in slots)
+        self.guards = sum(1 << (_FIELD * s + _FIELD - 1) for s in slots)
+        self.pmask = (self.values | self.guards) if graded else 0
+
+    def pack(self, exps):
+        if exps and max(exps) > MAX_EXPONENT:
+            raise ExponentOverflow()
+        return sum(map(mul, exps, self.units))
+
+    def unpack(self, M):
+        fields = memoryview(M.to_bytes(self._nbytes, _BYTEORDER)).cast("I")
+        return tuple(map(fields.__getitem__, self._slots))
+
+    def key(self, M):
+        return M - ((M & self.pmask) << 1)
+
+    def fieldmax(self, a, b):
+        """The exponent fields of the lcm: the field-wise maximum, with no
+        degree fields."""
+        values, guards = self.values, self.guards
+        a &= values
+        b &= values
+        wins = ((a | guards) - b) & guards  # guard bit set where a >= b
+        wins -= wins >> (_FIELD - 1)        # ... spread to the value bits
+        return b ^ ((a ^ b) & wins)
+
+    def with_degrees(self, E):
+        """The packed monomial of exponent fields E: its degree fields
+        filled in."""
+        if self._degrees:
+            fields = memoryview(E.to_bytes(self._nbytes,
+                                           _BYTEORDER)).cast("I")
+            for per_slot, shift in self._degrees:
+                E += sum(map(mul, fields, per_slot)) << shift
+        return E
+
+    def lcm(self, a, b):
+        return self.with_degrees(self.fieldmax(a, b))
 
 
 class PolyRing:
@@ -50,7 +170,8 @@ class PolyRing:
     variables form an elimination block, wdegrevlex inside each block.
     """
 
-    __slots__ = ("vars", "field", "weights", "order", "_index", "_hash")
+    __slots__ = ("vars", "field", "weights", "order", "packing", "_index",
+                 "_hash")
 
     def __init__(self, vars, field=QQ, weights=None, order="wdegrevlex"):
         vars = tuple(vars)
@@ -70,11 +191,12 @@ class PolyRing:
                 or (isinstance(order, tuple) and order[0] == "block")):
             raise ValueError("unknown monomial order %r" % (order,))
         self.order = order
+        self.packing = Packing(self.weights, order)
         self._index = {v: i for i, v in enumerate(vars)}
         self._hash = hash((self.vars, self.field, self.weights, self.order))
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing)
+        return other is self or (isinstance(other, PolyRing)
                 and self.vars == other.vars
                 and self.field == other.field
                 and self.weights == other.weights
@@ -90,14 +212,8 @@ class PolyRing:
 
     def mono_key(self, exps):
         """Sort key; larger key = larger monomial in the ring's order."""
-        order = self.order
-        if order == "wdegrevlex":
-            return _key_wdegrevlex(exps, self.weights)
-        if order == "lex":
-            return exps
-        k = order[1]
-        return (_key_wdegrevlex(exps[:k], self.weights[:k]),
-                _key_wdegrevlex(exps[k:], self.weights[k:]))
+        packing = self.packing
+        return packing.key(packing.pack(exps))
 
     def wdeg(self, exps):
         return sum(e * w for e, w in zip(exps, self.weights))
@@ -300,14 +416,26 @@ class Polynomial:
     """Immutable sparse polynomial; term dict maps exponent tuples to
     nonzero coefficients."""
 
-    __slots__ = ("ring", "terms", "_sorted", "_hash", "_lead")
+    __slots__ = ("ring", "terms", "_sorted", "_packed", "_hash", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._sorted = None
+        self._packed = None
         self._hash = None
         self._lead = None
+
+    @classmethod
+    def from_packed(cls, ring, packed):
+        """The polynomial of descending (packed monomial, order key,
+        coefficient) terms, with its sorted view and packed form set."""
+        unpack = ring.packing.unpack
+        view = tuple([(unpack(M), c) for M, _, c in packed])
+        p = cls(ring, dict(view))
+        p._sorted = view
+        p._packed = tuple(packed)
+        return p
 
     # -- canonical views --------------------------------------------------
 
@@ -318,6 +446,20 @@ class Polynomial:
             self._sorted = tuple(sorted(self.terms.items(),
                                         key=lambda t: key(t[0]), reverse=True))
         return self._sorted
+
+    def packed(self):
+        """Terms as (packed monomial, order key, coefficient) in descending
+        order (cached)."""
+        if self._packed is None:
+            packing = self.ring.packing
+            pack, key = packing.pack, packing.key
+            out = []
+            for m, c in self.terms.items():
+                M = pack(m)
+                out.append((M, key(M), c))
+            out.sort(key=itemgetter(1), reverse=True)
+            self._packed = tuple(out)
+        return self._packed
 
     def is_zero(self):
         return not self.terms

@@ -92,6 +92,29 @@ def test_budget_exhaustion_exits_3():
     assert "budget" in out.stderr
 
 
+@pytest.mark.parametrize("budget, code", [("0", 2), ("-5", 2), ("1", 3)])
+def test_budget_below_one_is_refused(budget, code):
+    out = run_cli("build", str(FIXTURES / "fixture_a.json"),
+                  "--budget", budget)
+    assert out.returncode == code
+    assert out.stdout == ""
+    if code == 2:
+        assert out.stderr == "error: --budget must be at least 1\n"
+    else:
+        assert out.stderr == "error: step budget of 1 reductions exceeded\n"
+
+
+def test_exponent_limit_exits_3(monkeypatch, capsys):
+    # no input within the parser's bounds reaches 2^31 - 1, so the limit is
+    # lowered below the squares of fixture a
+    from xsq import cli, rings
+    monkeypatch.setattr(rings, "MAX_EXPONENT", 1)
+    assert cli.main(["build", str(FIXTURES / "fixture_a.json")]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: exponent above the limit of 1\n"
+
+
 def test_break_h_fails_exactly_axiom5():
     out = run_cli("verify", str(FIXTURES / "fixture_a.json"),
                   "--break-h", "--format", "json")

@@ -2,22 +2,28 @@
 oracle, on small weight-homogeneous ideals over Q and GF(32003); of the
 bases that elimination results carry against bases computed afresh; of the
 lazily inserted generators against the eager tracked path; and of division
-against a plain reference division."""
+against a plain reference division.  Products past the exponent limit must
+raise."""
 
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xsq import (GF, QQ, BudgetExceeded, Ideal, PolyRing, RingHom,
-                 eliminate, hom_kernel, ideal_intersect, monomials_leq,
-                 peiffer_P2, syzygies)
+from xsq import (GF, QQ, BudgetExceeded, Ideal, PolyRing, Polynomial,
+                 RingHom, eliminate, hom_kernel, ideal_intersect,
+                 monomials_leq, peiffer_P2, syzygies)
 from xsq import groebner
-from xsq.groebner import mono_divides
+from xsq.rings import MAX_EXPONENT, ExponentOverflow
 
 from .oracle import MacaulayNF
 
 FIELDS = (QQ, GF(32003))
+
+
+def mono_divides(a, b):
+    """True if the exponent tuple a divides the exponent tuple b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 @st.composite
@@ -156,8 +162,8 @@ def test_lazy_insertion_gives_the_eager_basis(case):
     reduce_basis = groebner._reduce_basis
 
     def recording(G, rows, ring, budget):
-        if rows is None:
-            joined.append(list(G))
+        if rows is None:  # the engine's packed terms, unpacked
+            joined.append([Polynomial.from_packed(ring, g) for g in G])
         return reduce_basis(G, rows, ring, budget)
 
     with mock.patch.object(groebner, "_reduce_basis", recording):
@@ -197,6 +203,18 @@ def _reference_divide(p, basis):
     return quots, rem, steps
 
 
+def _divide(p, basis, budget, want_quotients=True):
+    """groebner._divide on polynomials: the dividend and the reducers are
+    packed, the quotients and the remainder unpacked."""
+    ring = p.ring
+    quots, rem = groebner._divide(
+        *groebner._dividend(p.packed()), [b.packed() for b in basis], budget,
+        ring.packing.guards, want_quotients)
+    if quots is not None:
+        quots = [groebner._unpacked(ring, q) for q in quots]
+    return quots, Polynomial.from_packed(ring, rem)
+
+
 @st.composite
 def division_cases(draw):
     """(dividend, reducers): a dividend of up to eight terms and one to
@@ -213,7 +231,7 @@ def division_cases(draw):
 def test_division_matches_the_reference(case):
     p, basis = case
     budget = groebner._Budget(10**6)
-    quots, rem = groebner._divide(p, basis, budget)
+    quots, rem = _divide(p, basis, budget)
     steps = budget.limit - budget.left
     total = rem
     for q, b in zip(quots, basis):
@@ -225,11 +243,11 @@ def test_division_matches_the_reference(case):
     assert steps == ref_steps
     # the budget is spent one step per term: the exact count fits, one
     # less raises, and skipping the quotients changes neither
-    _, rem_only = groebner._divide(p, basis, groebner._Budget(steps),
-                                   want_quotients=False)
+    _, rem_only = _divide(p, basis, groebner._Budget(steps),
+                          want_quotients=False)
     assert rem_only == rem
     with pytest.raises(BudgetExceeded):
-        groebner._divide(p, basis, groebner._Budget(steps - 1))
+        _divide(p, basis, groebner._Budget(steps - 1))
 
 
 def _is_reduced(basis):
@@ -316,3 +334,20 @@ def test_second_order_peiffer_basis_fits_a_small_budget(skel_c):
     except BudgetExceeded:
         pytest.fail("P2 basis of fixture c needs more than 5000 steps")
     assert len(basis) == 17
+
+
+def test_products_past_the_exponent_limit_raise():
+    # x - y^L leads with x in lex; reducing x*y by it, and its S-polynomial
+    # with x*y, both form y^(L + 1), one past the limit
+    ring = PolyRing(("x", "y"), order="lex")
+    x, y = ring.gens()
+    big = ring.monomial((0, MAX_EXPONENT))
+    I = Ideal(ring, [x - big])
+    assert I.normal_form(x + y) == big + y
+    with pytest.raises(ExponentOverflow):
+        I.normal_form(x * y)
+    for track in (False, True):
+        with pytest.raises(ExponentOverflow) as e:
+            Ideal(ring, [x - big, x * y])._computed(track=track)
+        assert isinstance(e.value, BudgetExceeded)
+        assert "limit of %d" % MAX_EXPONENT in str(e.value)

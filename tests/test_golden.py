@@ -7,10 +7,12 @@ over GF(32003) at --max-degree 9, where truncated linear algebra dominates;
 every command on three edge inputs (no level-1 generators, no variables, a
 zero boundary image) and on an input over GF(7) whose boundary images are
 monomials with coefficients other than one; every command on fixture c
-with --order lex, the one order that is not degree-compatible; and the
---format json stdout of every command on fixture c and on the GF(7) input.  A change that alters
-any of them changes what the command reports; regenerate a file only when
-that change is intended, with
+with --order lex, the one order that is not degree-compatible; build,
+homotopy and compare on d3 (fixtures/d3.json), the smallest input with three
+variables, block-order eliminations and larger bases; and the --format json
+stdout of every command on fixture c and on the GF(7) input.  A change that
+alters any of them changes what the command reports; regenerate a file only
+when that change is intended, with
 
     python -m xsq.cli <command> <input> [flags] > tests/golden/<command>_<case>.txt
 
@@ -71,6 +73,12 @@ def test_stdout_matches_golden(command, name):
 def test_lex_stdout_matches_golden(command):
     expected = (GOLDEN / ("%s_fixture_c_lex.txt" % command)).read_bytes()
     assert run_cli(command, fixture("fixture_c"), "--order", "lex") == expected
+
+
+@pytest.mark.parametrize("command", ["build", "homotopy", "compare"])
+def test_d3_stdout_matches_golden(command):
+    expected = (GOLDEN / ("%s_d3.txt" % command)).read_bytes()
+    assert run_cli(command, fixture("d3")) == expected
 
 
 @pytest.mark.parametrize("case", sorted(ROWS_CASES))

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from xsq import GF, QQ, ParseError, PolyRing, RingHom
+from xsq import GF, QQ, BudgetExceeded, ParseError, PolyRing, RingHom
+from xsq.rings import MAX_EXPONENT, ExponentOverflow
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +235,96 @@ def test_hom_matches_term_by_term_substitution(field, f_imgs, g_imgs, coeffs):
     assert f(p) == _substitute(f, p)
     assert g(f(p)) == _substitute(g, _substitute(f, p))
     assert f.then(g)(p) == g(f(p))
+
+
+# -- packed monomials ----------------------------------------------------
+
+
+def _reference_key(exps, weights, order):
+    """The tuple order key that the packed key replaced: wdegrevlex compares
+    the weighted degree, then the negated exponents from the last variable
+    on; lex compares the exponents; ("block", k) compares the wdegrevlex
+    keys of the first k variables and then of the rest."""
+    def wdegrevlex(e, w):
+        return (sum(a * b for a, b in zip(e, w)),
+                tuple(-a for a in reversed(e)))
+
+    if order == "wdegrevlex":
+        return wdegrevlex(exps, weights)
+    if order == "lex":
+        return tuple(exps)
+    k = order[1]
+    return (wdegrevlex(exps[:k], weights[:k]),
+            wdegrevlex(exps[k:], weights[k:]))
+
+
+_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT),
+                       st.integers(MAX_EXPONENT - 3, MAX_EXPONENT))
+
+
+@st.composite
+def packing_cases(draw):
+    """(ring, a, b): a ring on one to four variables of weight 1-5 in
+    wdegrevlex, lex or ("block", k) for k = 0..n, and two exponent vectors
+    with entries that are small, arbitrary or near the limit.  Half of the
+    time b is a with weighted degree moved between two variables, so that
+    the two have the same weighted degree and differ in the tie-break."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    order = draw(st.sampled_from(["wdegrevlex", "lex"]
+                                 + [("block", k) for k in range(n + 1)]))
+    ring = PolyRing(["x%d" % i for i in range(n)], weights=weights,
+                    order=order)
+    vectors = st.tuples(*[_EXPONENTS] * n)
+    a, b = draw(vectors), list(draw(vectors))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        most = min(a[j] // weights[i], (MAX_EXPONENT - a[i]) // weights[j])
+        t = draw(st.integers(0, most))
+        b = list(a)
+        b[i] += weights[j] * t
+        b[j] -= weights[i] * t
+    return ring, a, tuple(b)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(packing_cases())
+def test_packed_monomials_match_the_exponent_tuples(case):
+    ring, a, b = case
+    packing = ring.packing
+    pack, key, guards = packing.pack, packing.key, packing.guards
+    A, B = pack(a), pack(b)
+    assert packing.unpack(A) == a and packing.unpack(B) == b
+    # the int key orders every pair as the reference key does
+    ref_a, ref_b = (_reference_key(e, ring.weights, ring.order)
+                    for e in (a, b))
+    assert (key(A) < key(B)) == (ref_a < ref_b)
+    assert (key(A) == key(B)) == (a == b)
+    assert ring.mono_key(a) == key(A)
+    # a product is a sum with a linear key, or sets a guard bit on overflow
+    prod = tuple(x + y for x, y in zip(a, b))
+    if max(prod) <= MAX_EXPONENT:
+        assert A + B == pack(prod) and not (A + B) & guards
+        assert key(A + B) == key(A) + key(B)
+    else:
+        assert (A + B) & guards
+    # divisibility by one subtraction and the guard mask
+    hi = tuple(max(x, y) for x, y in zip(a, b))
+    lo = tuple(min(x, y) for x, y in zip(a, b))
+    for u, v in ((a, b), (b, a), (a, hi), (lo, a), (lo, hi)):
+        divides = all(x <= y for x, y in zip(u, v))
+        assert (not (pack(v) - pack(u)) & guards) == divides
+    # the lcm is the element-wise maximum, degree fields included
+    assert packing.lcm(A, B) == pack(hi)
+    assert packing.unpack(packing.lcm(A, B)) == hi
+
+
+def test_packing_refuses_an_exponent_above_the_limit():
+    ring = PolyRing(["x", "y"])
+    assert ring.packing.pack((MAX_EXPONENT, 0)) > 0
+    with pytest.raises(ExponentOverflow) as e:
+        ring.packing.pack((0, 2**31))
+    assert isinstance(e.value, BudgetExceeded)
+    assert str(e.value) == "exponent above the limit of 2147483647"
+    with pytest.raises(ExponentOverflow):
+        ring.mono_key((2**31, 1))
