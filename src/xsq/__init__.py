@@ -1,59 +1,44 @@
 """Exact construction and verification of free crossed squares of
-commutative algebras from 2-dimensional construction data."""
+commutative algebras from 2-dimensional construction data.
 
-from .scalars import QQ, GF, field_from_label
-from .rings import PolyRing, Polynomial, RingHom, ParseError
-from .groebner import (
-    Ideal,
-    GradedDims,
-    BudgetExceeded,
-    NotInIdeal,
-    affine_hilbert,
-    eliminate,
-    hom_kernel,
-    ideal_equal,
-    ideal_intersect,
-    ideal_product,
-    monomials_leq,
-    subquotient_dims,
-    syzygies,
-)
-from .simplicial import (ConstructionData, InvalidData, MooreData, Skeleton2,
-                         build_skeleton, peiffer_P1, peiffer_P2,
-                         simplicial_identity_report)
-from .crossed import (CrossedModule, CrossedSquare, LinearizedCrossedModule,
-                      QuotientRing, Subquotient, VerifyReport,
-                      free_crossed_on, free_precrossed, functor_M, h_eval,
-                      ideal_square, linearize, peiffer_quotient,
-                      verify_square, verify_xmod)
-from .tensor import (AssembledCorner, ComparisonReport, CoproductResult,
-                     TensorPresentation, assemble_L, compare_corner,
-                     coproduct, tensor_presentation, tensor_square)
-from .homotopy import (HomotopyReport, SplitComparisonReport,
-                       SquaredComplexRep, TwoCrossedComplexRep, aq_h2,
-                       aq_h2_witness, build_2crossed, build_squared_complex,
-                       compare_XY, homotopy_report, pi0, pi1, pi2)
+The public names below resolve on first use (PEP 562): ``xsq.Ideal`` or
+``from xsq import Ideal`` imports ``xsq.groebner`` then, and importing the
+package or one of its submodules loads nothing else.  So each CLI command
+loads only the modules it runs."""
 
-__all__ = [
-    "QQ", "GF", "field_from_label",
-    "PolyRing", "Polynomial", "RingHom", "ParseError",
-    "Ideal", "GradedDims", "BudgetExceeded", "NotInIdeal",
-    "affine_hilbert", "eliminate", "hom_kernel", "ideal_equal",
-    "ideal_intersect", "ideal_product", "monomials_leq", "subquotient_dims",
-    "syzygies",
-    "ConstructionData", "InvalidData", "MooreData", "Skeleton2",
-    "build_skeleton", "peiffer_P1", "peiffer_P2",
-    "simplicial_identity_report",
-    "CrossedModule", "CrossedSquare", "LinearizedCrossedModule",
-    "QuotientRing", "Subquotient", "VerifyReport",
-    "free_crossed_on", "free_precrossed", "functor_M", "h_eval",
-    "ideal_square", "linearize", "peiffer_quotient",
-    "verify_square", "verify_xmod",
-    "AssembledCorner", "ComparisonReport", "CoproductResult",
-    "TensorPresentation", "assemble_L", "compare_corner", "coproduct",
-    "tensor_presentation", "tensor_square",
-    "HomotopyReport", "SplitComparisonReport", "SquaredComplexRep",
-    "TwoCrossedComplexRep", "aq_h2", "aq_h2_witness", "build_2crossed",
-    "build_squared_complex", "compare_XY", "homotopy_report",
-    "pi0", "pi1", "pi2",
-]
+from importlib import import_module
+
+# public name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in (
+    ("scalars", "QQ GF field_from_label"),
+    ("rings", "PolyRing Polynomial RingHom ParseError"),
+    ("groebner", "Ideal GradedDims BudgetExceeded NotInIdeal affine_hilbert "
+                 "eliminate hom_kernel ideal_equal ideal_intersect "
+                 "ideal_product monomials_leq subquotient_dims syzygies"),
+    ("simplicial", "ConstructionData InvalidData MooreData Skeleton2 "
+                   "build_skeleton peiffer_P1 peiffer_P2 "
+                   "simplicial_identity_report"),
+    ("crossed", "CrossedModule CrossedSquare LinearizedCrossedModule "
+                "QuotientRing Subquotient VerifyReport free_crossed_on "
+                "free_precrossed functor_M h_eval ideal_square linearize "
+                "peiffer_quotient verify_square verify_xmod"),
+    ("tensor", "AssembledCorner ComparisonReport CoproductResult "
+               "TensorPresentation assemble_L compare_corner coproduct "
+               "tensor_presentation tensor_square"),
+    ("homotopy", "HomotopyReport SplitComparisonReport SquaredComplexRep "
+                 "TwoCrossedComplexRep aq_h2 aq_h2_witness build_2crossed "
+                 "build_squared_complex compare_XY homotopy_report "
+                 "pi0 pi1 pi2"),
+) for name in names.split()}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value

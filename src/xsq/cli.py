@@ -6,9 +6,10 @@ Commands: build, verify, homotopy, compare.  Input is a JSON object
 
 Exit codes: 0 pass, 1 verification failure, 2 invalid input (including a
 power that may expand past ``rings.MAX_POWER_TERMS`` terms, a --max-degree
-above ``MAX_DEGREE`` and a --budget below 1), 3 step budget exhausted or an
-exponent above ``rings.MAX_EXPONENT``.  Identical input and flags produce
-byte-identical output.
+above ``MAX_DEGREE``, a --budget below 1, a rational literal whose reduced
+denominator the characteristic divides and a file that is not UTF-8), 3
+step budget exhausted or an exponent above ``rings.MAX_EXPONENT``.
+Identical input and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .groebner import BudgetExceeded
 from .simplicial import (ConstructionData, InvalidData, build_skeleton,
                          peiffer_P1)
 from .crossed import functor_M, verify_square, verify_xmod, h_eval
-from .tensor import compare_corner
-from .homotopy import compare_XY, homotopy_report
+
+# tensor and homotopy are imported by the two commands that run them, so
+# build and verify start without them
 
 ORDER_TAGS = {"degrevlex": "wdegrevlex", "lex": "lex"}
 # The filtered rows enumerate every monomial up to the bound, so their cost
@@ -113,6 +115,7 @@ def cmd_verify(data, args):
 
 
 def cmd_homotopy(data, args):
+    from .homotopy import homotopy_report
     budget = args.budget
     D = args.max_degree
     skel = build_skeleton(data)
@@ -123,6 +126,8 @@ def cmd_homotopy(data, args):
 
 
 def cmd_compare(data, args):
+    from .homotopy import compare_XY
+    from .tensor import compare_corner
     budget = args.budget
     D = args.max_degree
     skel = build_skeleton(data)
@@ -209,7 +214,7 @@ def main(argv=None):
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = ConstructionData.from_json(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print("error: cannot read input: %s" % e, file=sys.stderr)
         return 2
     except InvalidData as e:

@@ -10,8 +10,6 @@ the offending generator pair and its nonzero normal form on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .groebner import (Ideal, GradedDims, ideal_intersect, subquotient_dims,
                        affine_hilbert)
 from .rings import PolyRing, RingHom
@@ -76,28 +74,28 @@ class QuotientRing:
             ", ".join(self.ring.vars), ", ".join(str(b) for b in self.basis))
 
 
-@dataclass
 class CrossedModule:
     """Boundary top -> base with the action given by multiplication through
     the declared embedding of the base into the top's ambient ring."""
 
-    top: Subquotient
-    base: PolyRing
-    bnd: RingHom          # top.ambient -> base
-    embed: RingHom        # base -> top.ambient
-    label: str = ""
+    def __init__(self, top, base, bnd, embed, label=""):
+        self.top = top
+        self.base = base
+        self.bnd = bnd          # top.ambient -> base
+        self.embed = embed      # base -> top.ambient
+        self.label = label
 
     def act(self, r, c):
         return self.embed(r) * c
 
 
-@dataclass
 class CheckResult:
-    check: str
-    instance: str
-    ok: bool
-    witness: str
-    informational: bool = False
+    def __init__(self, check, instance, ok, witness, informational=False):
+        self.check = check
+        self.instance = instance
+        self.ok = ok
+        self.witness = witness
+        self.informational = informational
 
     def to_obj(self):
         return {"check": self.check, "instance": self.instance,
@@ -106,10 +104,10 @@ class CheckResult:
                 "informational": self.informational}
 
 
-@dataclass
 class VerifyReport:
-    label: str
-    items: list = field(default_factory=list)
+    def __init__(self, label, items=None):
+        self.label = label
+        self.items = [] if items is None else items
 
     def add(self, check, instance, residue, informational=False):
         ok = residue.is_zero()
@@ -165,7 +163,6 @@ def verify_xmod(cm, include_cm2=True):
     return rep
 
 
-@dataclass
 class CrossedSquare:
     """Corners: top L (subquotient), left M and right N (ideals of the
     base), the base ring itself.  Both boundary maps of the top corner are
@@ -174,21 +171,19 @@ class CrossedSquare:
     ``top_mul`` is the same-corner pairing on L (ambient product unless a
     negative control replaces it)."""
 
-    top: Subquotient
-    left: Subquotient
-    right: Subquotient
-    base: PolyRing
-    bnd: RingHom
-    lift: RingHom
-    pair: object
-    top_mul: object = None
-    label: str = ""
-
-    def __post_init__(self):
-        if self.left.ambient != self.base or self.right.ambient != self.base:
+    def __init__(self, top, left, right, base, bnd, lift, pair,
+                 top_mul=None, label=""):
+        if left.ambient != base or right.ambient != base:
             raise ValueError("corner ideals must live in the base ring")
-        if self.top_mul is None:
-            self.top_mul = lambda a, b: a * b
+        self.top = top
+        self.left = left
+        self.right = right
+        self.base = base
+        self.bnd = bnd
+        self.lift = lift
+        self.pair = pair
+        self.top_mul = (lambda a, b: a * b) if top_mul is None else top_mul
+        self.label = label
 
     def h(self, m, n):
         return self.pair(m, n)
@@ -349,18 +344,19 @@ def peiffer_quotient(pre, data):
     return cm
 
 
-@dataclass
 class LinearizedCrossedModule:
     """Rank-n description of the free crossed module: relation vectors
     t_i e_j - t_j e_i over the base and the boundary (t_1, ..., t_n)."""
 
-    rank: int
-    names: tuple
-    boundary: tuple            # images t_i in the base ring
-    relations: tuple           # tuples over the base ring
-    _work: Ideal = None        # relation ideal in the elimination order
-    _emb: RingHom = None
-    _base: PolyRing = None
+    def __init__(self, rank, names, boundary, relations, _work=None,
+                 _emb=None, _base=None):
+        self.rank = rank
+        self.names = names
+        self.boundary = boundary        # images t_i in the base ring
+        self.relations = relations      # tuples over the base ring
+        self._work = _work      # relation ideal in the elimination order
+        self._emb = _emb
+        self._base = _base
 
     def to_vector(self, p):
         """Linear representative of a class of the free crossed module.

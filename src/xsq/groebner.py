@@ -34,7 +34,6 @@ carries the reduced basis it was read from, as its generators and cached.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import islice
 
 from .rings import (BudgetExceeded, ExponentOverflow, Polynomial, PolyRing,
@@ -577,11 +576,20 @@ def syzygies(gens, ring=None, budget=None):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class GradedDims:
-    """Dimensions of the degree-filtered pieces, index d = 0..D."""
+    """Dimensions of the degree-filtered pieces, index d = 0..D; equal and
+    of equal hash when their dims are."""
 
-    dims: tuple
+    def __init__(self, dims):
+        self.dims = dims
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedDims):
+            return NotImplemented
+        return self.dims == other.dims
+
+    def __hash__(self):
+        return hash(self.dims)
 
     @property
     def max_degree(self):

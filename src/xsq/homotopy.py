@@ -10,26 +10,24 @@ agreement genuinely certifies both implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .groebner import (Ideal, GradedDims, affine_hilbert, ideal_intersect,
                        hom_kernel, standard_monomials, subquotient_dims,
                        syzygies)
 from .linalg import (FilteredBasis, dense, graded_span, nullity,
                      truncated_ideal_span)
-from .rings import RingHom
 from .crossed import QuotientRing, Subquotient, _koszul_vectors, functor_M
 from .tensor import kernel_tensor
 
 
-@dataclass
 class SquaredComplexRep:
     """A crossed square extended by (here empty) higher free modules over
     the zeroth homotopy ring."""
 
-    square: object
-    higher_ranks: tuple
-    coefficients: QuotientRing   # base/(left + right), the module ring above
+    def __init__(self, square, higher_ranks, coefficients):
+        self.square = square
+        self.higher_ranks = higher_ranks
+        # base/(left + right), the module ring above
+        self.coefficients = coefficients
 
     def boundary_pair(self, l):
         """Image of a top element in the pair term: (-right, left) slots
@@ -38,14 +36,14 @@ class SquaredComplexRep:
         return (-img, img)
 
 
-@dataclass
 class TwoCrossedComplexRep:
-    c0: object                   # base ring of the bottom term
-    c1: Subquotient
-    c2: Subquotient
-    d1: RingHom
-    d2: RingHom
-    lifting: object              # pairing rule used as the Peiffer lifting
+    def __init__(self, c0, c1, c2, d1, d2, lifting):
+        self.c0 = c0            # base ring of the bottom term
+        self.c1 = c1
+        self.c2 = c2
+        self.d1 = d1
+        self.d2 = d2
+        self.lifting = lifting  # pairing rule used as the Peiffer lifting
 
     def composite_vanishes(self):
         return all(self.d1(self.d2(g)).is_zero() for g in self.c2.gens)
@@ -213,18 +211,20 @@ def aq_h2_witness(data, D=8, budget=None):
     return None
 
 
-@dataclass
 class HomotopyReport:
-    pi0_basis: tuple
-    pi0_dims: GradedDims
-    pi1_dims: GradedDims
-    pi1_pair_dims: GradedDims
-    pi1_witness: object
-    pi2_dims: GradedDims
-    pi2_witness: object
-    h2_syzygy: GradedDims
-    h2_kernel: GradedDims
-    h2_witness: object
+    def __init__(self, pi0_basis, pi0_dims, pi1_dims, pi1_pair_dims,
+                 pi1_witness, pi2_dims, pi2_witness, h2_syzygy, h2_kernel,
+                 h2_witness):
+        self.pi0_basis = pi0_basis
+        self.pi0_dims = pi0_dims
+        self.pi1_dims = pi1_dims
+        self.pi1_pair_dims = pi1_pair_dims
+        self.pi1_witness = pi1_witness
+        self.pi2_dims = pi2_dims
+        self.pi2_witness = pi2_witness
+        self.h2_syzygy = h2_syzygy
+        self.h2_kernel = h2_kernel
+        self.h2_witness = h2_witness
 
     def to_obj(self):
         def vec_str(v):
@@ -285,14 +285,15 @@ def homotopy_report(skel, D=6, D_h2=8, budget=None):
 # -- the two complexes on the tensor corner and their comparison -----------
 
 
-@dataclass
 class SplitComparisonReport:
-    checks: list = field(default_factory=list)
-    kernel_middle: GradedDims = None
-    kernel_bottom: GradedDims = None
-    pi0_rows: tuple = None
-    pi1_rows: tuple = None
-    pi2_rows: tuple = None
+    def __init__(self, checks=None, kernel_middle=None, kernel_bottom=None,
+                 pi0_rows=None, pi1_rows=None, pi2_rows=None):
+        self.checks = [] if checks is None else checks
+        self.kernel_middle = kernel_middle
+        self.kernel_bottom = kernel_bottom
+        self.pi0_rows = pi0_rows
+        self.pi1_rows = pi1_rows
+        self.pi2_rows = pi2_rows
 
     def add(self, name, residue):
         ok = residue.is_zero()

@@ -12,7 +12,8 @@ The text grammar understood by :func:`PolyRing.parse`:
     factor := atom [ '^' INT ]
     atom   := INT [ '/' INT ] | NAME | '(' expr ')'
 
-Implicit multiplication is rejected, exponents must be non-negative.
+Implicit multiplication is rejected, exponents must be non-negative, and
+over F_p a literal INT/INT whose reduced denominator p divides is rejected.
 
 A ring map (:class:`RingHom`) is applied by substitution term by term into
 one accumulator: a zero image drops the term, a one-term image adds to the
@@ -383,7 +384,12 @@ class _Parser:
                 if v3 == 0:
                     raise ParseError("zero denominator", p3)
                 from fractions import Fraction
-                return self.ring.const(Fraction(val, v3))
+                q = Fraction(val, v3)
+                char = self.ring.field.char
+                if char and q.denominator % char == 0:
+                    raise ParseError("denominator divisible by the "
+                                     "characteristic %d" % char, pos)
+                return self.ring.const(q)
             return self.ring.const(val)
         if kind == "name":
             if val not in self.ring._index:

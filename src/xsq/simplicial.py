@@ -25,7 +25,6 @@ bases their eliminations return.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .scalars import field_from_label
 from .rings import PolyRing, Polynomial, RingHom
@@ -213,14 +212,14 @@ class ConstructionData:
         }
 
 
-@dataclass
 class MooreData:
     """Moore kernels at levels 1 and 2 plus the degenerate ideal at 3."""
 
-    ne1: Ideal        # Ker d_0^1
-    kbar: Ideal       # Ker d_1^1
-    ne2: Ideal        # Ker d_0^2 cap Ker d_1^2
-    degenerate3: Ideal
+    def __init__(self, ne1, kbar, ne2, degenerate3):
+        self.ne1 = ne1                  # Ker d_0^1
+        self.kbar = kbar                # Ker d_1^1
+        self.ne2 = ne2                  # Ker d_0^2 cap Ker d_1^2
+        self.degenerate3 = degenerate3
 
 
 class Skeleton2:

@@ -13,29 +13,28 @@ affine Hilbert rows of both presentations up to a degree bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .groebner import Ideal, syzygies, GradedDims
-from .rings import PolyRing, RingHom, fresh_names
+from .groebner import Ideal, syzygies
+from .rings import RingHom, fresh_names
 from .crossed import (CrossedModule, CrossedSquare, Subquotient,
                       free_crossed_on, functor_M, square_pair_rule)
 
 
-@dataclass
 class TensorPresentation:
     """Presentation of the tensor of two ideal corners of the base ring."""
 
-    base: PolyRing
-    ring: PolyRing                  # base extended by the symbols
-    symbol_grid: tuple              # symbol_grid[p][q] = variable name
-    m_gens: tuple
-    n_gens: tuple
-    relations: Ideal
-    numer: Ideal
-    lam: RingHom                    # both structure maps share this ambient map
-    embed: RingHom
-    m_ideal: Ideal = None
-    n_ideal: Ideal = None
+    def __init__(self, base, ring, symbol_grid, m_gens, n_gens, relations,
+                 numer, lam, embed, m_ideal=None, n_ideal=None):
+        self.base = base
+        self.ring = ring                # base extended by the symbols
+        self.symbol_grid = symbol_grid  # symbol_grid[p][q] = variable name
+        self.m_gens = m_gens
+        self.n_gens = n_gens
+        self.relations = relations
+        self.numer = numer
+        self.lam = lam          # both structure maps share this ambient map
+        self.embed = embed
+        self.m_ideal = m_ideal
+        self.n_ideal = n_ideal
 
     @property
     def symbols(self):
@@ -178,12 +177,13 @@ def _symbol_block(cm):
     return extras, [amb.weights[amb._index[v]] for v in extras]
 
 
-@dataclass
 class CoproductResult:
-    cm: CrossedModule
-    i_hom: RingHom          # first summand's ambient into the merged ring
-    j_hom: RingHom
-    cross_relations: tuple  # the Peiffer generators of the quotient
+    def __init__(self, cm, i_hom, j_hom, cross_relations):
+        self.cm = cm
+        self.i_hom = i_hom      # first summand's ambient into the merged ring
+        self.j_hom = j_hom
+        # the Peiffer generators of the quotient
+        self.cross_relations = cross_relations
 
 
 def coproduct(Mcm, Ncm, budget=None):
@@ -257,18 +257,19 @@ def coproduct(Mcm, Ncm, budget=None):
                            cross_relations=tuple(cross))
 
 
-@dataclass
 class AssembledCorner:
     """Top corner reconstructed as (tensor of the two kernels) joined with
     the free crossed module on the level-2 generators, divided by the
     interchange relations."""
 
-    square: CrossedSquare
-    tensor: TensorPresentation
-    coprod: CoproductResult
-    extra_relations: tuple
-    variant_relations: tuple
-    c_names: tuple
+    def __init__(self, square, tensor, coprod, extra_relations,
+                 variant_relations, c_names):
+        self.square = square
+        self.tensor = tensor
+        self.coprod = coprod
+        self.extra_relations = extra_relations
+        self.variant_relations = variant_relations
+        self.c_names = c_names
 
     @property
     def top(self):
@@ -336,17 +337,21 @@ def assemble_L(skel, budget=None, relation_convention="derived"):
                            c_names=data.s3_names)
 
 
-@dataclass
 class ComparisonReport:
     """Per-check status with witnesses; any failure is report content."""
 
-    label: str
-    well_defined: list = field(default_factory=list)
-    surjective: list = field(default_factory=list)
-    pairing_respected: list = field(default_factory=list)
-    hilbert_target: GradedDims = None
-    hilbert_moore: GradedDims = None
-    variant_relations: list = field(default_factory=list)
+    def __init__(self, label, well_defined=None, surjective=None,
+                 pairing_respected=None, hilbert_target=None,
+                 hilbert_moore=None, variant_relations=None):
+        self.label = label
+        self.well_defined = [] if well_defined is None else well_defined
+        self.surjective = [] if surjective is None else surjective
+        self.pairing_respected = ([] if pairing_respected is None
+                                  else pairing_respected)
+        self.hilbert_target = hilbert_target
+        self.hilbert_moore = hilbert_moore
+        self.variant_relations = ([] if variant_relations is None
+                                  else variant_relations)
 
     @property
     def hilbert_equal(self):

@@ -234,3 +234,33 @@ def test_large_prime_modulus_builds(tmp_path):
                              "S3": []}, "build", "--format", "json")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["input"]["field"] == {"Fp": 2**61 - 1}
+
+
+def test_non_utf8_input_exits_2(tmp_path):
+    bad = tmp_path / "input.json"
+    bad.write_bytes(b"\xff\xfe")
+    out = run_cli("build", str(bad))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: cannot read input: ")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("image", ["1/7*x", "1/14*x"])
+def test_rational_literal_not_defined_mod_p_exits_2(tmp_path, image):
+    out = _run_on(tmp_path, {"field": {"Fp": 7}, "S1": ["x"],
+                             "S2": [{"name": "S", "image": image}],
+                             "S3": []}, "build")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("error: S2 image for 'S': denominator divisible "
+                          "by the characteristic 7 (at position 0)\n")
+
+
+@pytest.mark.parametrize("image, parsed", [("7/7*x", "x"), ("14/7*x", "2*x")])
+def test_rational_literal_defined_mod_p_builds(tmp_path, image, parsed):
+    out = _run_on(tmp_path, {"field": {"Fp": 7}, "S1": ["x"],
+                             "S2": [{"name": "S", "image": image}],
+                             "S3": []}, "build", "--format", "json")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["input"]["S2"][0]["image"] == parsed
