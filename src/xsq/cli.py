@@ -7,7 +7,8 @@ Commands: build, verify, homotopy, compare.  Input is a JSON object
 Exit codes: 0 pass, 1 verification failure, 2 invalid input (including a
 power that may expand past ``rings.MAX_POWER_TERMS`` terms, a --max-degree
 above ``MAX_DEGREE``, a --budget below 1, a rational literal whose reduced
-denominator the characteristic divides and a file that is not UTF-8), 3
+denominator the characteristic divides, a file that is not UTF-8 and a
+top-level key other than field, S1, S2 and S3), 3
 step budget exhausted or an exponent above ``rings.MAX_EXPONENT``.
 Identical input and flags produce byte-identical output.
 """

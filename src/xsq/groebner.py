@@ -97,13 +97,14 @@ def _add_multiple(h, monos, terms, t, kt, f, guards):
                 del h[kn]
 
 
-def _divide(h, monos, reducers, budget, guards, want_quotients=True,
+def _divide(h, monos, reducers, inv, budget, guards, want_quotients=True,
             lms=None):
     """Multivariate division of the dividend (h, monos) by the packed
     reducers: h = sum(q_i * reducer_i) + r with no monomial of r divisible
     by any leading monomial of a reducer.  Deterministic: the first divisor
     in list order wins, and every term taken off the dividend costs one
-    budget step.
+    budget step.  inv is the field's exact inverse, needed only for a
+    reducer that is not monic.
 
     The dividend is reduced in place; its leading term is the one of
     largest key.  lms, when given, are the reducers' leading monomials.
@@ -123,7 +124,7 @@ def _divide(h, monos, reducers, budget, guards, want_quotients=True,
             if not t & guards:
                 red = reducers[i]
                 _, lk, lc = red[0]
-                f = c / lc
+                f = c if lc == 1 else c * inv(lc)
                 _add_multiple(h, monos, islice(red, 1, None), t, k - lk, -f,
                               guards)
                 if want_quotients:
@@ -185,7 +186,7 @@ def _buchberger(gens, ring, budget, track=False):
     in the reducer list, so the cofactor rows index all of them.
     """
     k = len(gens)
-    one = ring.field.one
+    one, inv = ring.field.one, ring.field.inv
     packing = ring.packing
     guards = packing.guards
 
@@ -197,9 +198,9 @@ def _buchberger(gens, ring, budget, track=False):
         if not track:  # queued by leading monomial, reduced when popped
             heapq.heappush(heap, (g[0][1], -1, i))
             continue
-        inv = one / g[0][2]
-        rows.append(tuple({0: inv} if j == i else {} for j in range(k)))
-        G.append(g if inv == one else _scaled(g, inv))
+        u = inv(g[0][2])
+        rows.append(tuple({0: u} if j == i else {} for j in range(k)))
+        G.append(g if u == one else _scaled(g, u))
         lms.append(g[0][0])
         _update(len(G) - 1, lms, active, pairs, heap, packing)
     while heap:
@@ -213,11 +214,11 @@ def _buchberger(gens, ring, budget, track=False):
             budget.spend()
             a, b = lcm - lms[i], lcm - lms[j]
             h, monos = _spoly(G[i], a, G[j], b, packing)
-        quots, rem = _divide(h, monos, G, budget, guards,
+        quots, rem = _divide(h, monos, G, inv, budget, guards,
                              want_quotients=track, lms=lms)
         if not rem:
             continue
-        inv = one / rem[0][2]
+        u = inv(rem[0][2])
         if track:
             srow = [{} for _ in range(k)]
             _row_add(srow, {a: one}, rows[i], guards)
@@ -225,9 +226,9 @@ def _buchberger(gens, ring, budget, track=False):
             for t, q in enumerate(quots):
                 if q:
                     _row_add(srow, _negated(q), rows[t], guards)
-            rows.append(tuple({m: c * inv for m, c in p.items()}
+            rows.append(tuple({m: c * u for m, c in p.items()}
                               for p in srow))
-        G.append(_scaled(rem, inv))
+        G.append(_scaled(rem, u))
         lms.append(rem[0][0])
         _update(len(G) - 1, lms, active, pairs, heap, packing)
 
@@ -276,7 +277,7 @@ def _update(n, lms, active, pairs, heap, packing):
 
 def _reduce_basis(G, rows, ring, budget):
     """Minimalize and tail-reduce; canonical output order."""
-    one = ring.field.one
+    inv = ring.field.inv
     guards = ring.packing.guards
     track = rows is not None
     keep = []
@@ -290,18 +291,18 @@ def _reduce_basis(G, rows, ring, budget):
     out, out_rows = [], ([] if track else None)
     for idx, b in enumerate(basis):
         quots, rem = _divide(*_dividend(b), basis[:idx] + basis[idx + 1:],
-                             budget, guards, want_quotients=track)
+                             inv, budget, guards, want_quotients=track)
         if not rem:
             continue
-        inv = one / rem[0][2]
+        u = inv(rem[0][2])
         if track:
             row = [dict(p) for p in brows[idx]]
             for q, other in zip(quots, brows[:idx] + brows[idx + 1:]):
                 if q:
                     _row_add(row, _negated(q), other, guards)
-            out_rows.append(tuple({m: c * inv for m, c in p.items()}
+            out_rows.append(tuple({m: c * u for m, c in p.items()}
                                   for p in row))
-        out.append(_scaled(rem, inv))
+        out.append(_scaled(rem, u))
     ranks = sorted(range(len(out)), key=lambda i: out[i][0][1])
     return ([out[i] for i in ranks],
             [out_rows[i] for i in ranks] if track else None)
@@ -362,7 +363,7 @@ class Ideal:
             raise ValueError("polynomial not in the ideal's ring")
         work, basis, _ = self._computed(order, budget)
         _, rem = _divide(*_dividend(_reringed(p, work).packed()),
-                         [b.packed() for b in basis],
+                         [b.packed() for b in basis], work.field.inv,
                          _budget(budget), work.packing.guards,
                          want_quotients=False)
         return _reringed(Polynomial.from_packed(work, rem), self.ring)
@@ -376,7 +377,7 @@ class Ideal:
         work, basis, rows = self._computed(None, budget, track=True)
         guards = work.packing.guards
         quots, rem = _divide(*_dividend(_reringed(p, work).packed()),
-                             [b.packed() for b in basis],
+                             [b.packed() for b in basis], work.field.inv,
                              _budget(budget), guards)
         if rem:
             raise NotInIdeal("polynomial is not a member: residue %s"
@@ -511,7 +512,7 @@ def syzygies(gens, ring=None, budget=None):
     k = len(gens)
     if k == 0:
         return ()
-    one = ring.field.one
+    one, inv = ring.field.one, ring.field.inv
     packing = ring.packing
     guards = packing.guards
     bud = _budget(budget)
@@ -540,7 +541,7 @@ def syzygies(gens, ring=None, budget=None):
             lcm = packing.lcm(lm_i, lm_j)
             a, b = lcm - lm_i, lcm - lm_j
             quots, rem = _divide(*_spoly(basis[i], a, basis[j], b, packing),
-                                 basis, bud, guards)
+                                 basis, inv, bud, guards)
             if rem:
                 raise AssertionError("S-polynomial of a basis did not vanish")
             v = [{} for _ in range(k)]
@@ -552,7 +553,7 @@ def syzygies(gens, ring=None, budget=None):
             syz.append(v)
     # identity defects: e_j minus the expansion of g_j through the basis
     for j, g in nonzero:
-        quots, rem = _divide(*_dividend(g), basis, bud, guards)
+        quots, rem = _divide(*_dividend(g), basis, inv, bud, guards)
         if rem:
             raise AssertionError("generator did not reduce to zero")
         v = [{} for _ in range(k)]

@@ -80,8 +80,8 @@ class Echelon:
         if not v:
             return False
         col = min(v)
-        inv = self.field.one / v.pop(col)
-        self.rows[col] = [(c, x * inv) for c, x in v.items()]
+        u = self.field.inv(v.pop(col))
+        self.rows[col] = [(c, x * u) for c, x in v.items()]
         insort(self.pivots, col)
         return True
 

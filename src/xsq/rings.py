@@ -501,7 +501,7 @@ class Polynomial:
         c = self.lc()
         if c == self.ring.field.one:
             return self
-        return self * (self.ring.field.one / c)
+        return self * self.ring.field.inv(c)
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.ring.field.zero)

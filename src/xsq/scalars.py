@@ -1,8 +1,13 @@
 """Exact ground fields: the rationals and prime fields.
 
-Every coefficient that enters a polynomial is produced by ``field.coerce``
-and is kept in canonical form (reduced fraction, or residue in ``[0, p)``).
-No floats anywhere; ideal membership has to be decidable.
+Every coefficient that enters a polynomial is produced by ``field.coerce``.
+Over Q an integral coefficient is a plain ``int`` and any other a reduced
+``Fraction``, so the common case runs on machine integers; an integral
+``Fraction`` that arithmetic leaves behind (1/2 + 1/2) compares, hashes and
+prints like its ``int``.  Over F_p a coefficient is an :class:`FpElement`
+with residue in ``[0, p)``.  Coefficients are divided only through
+``field.inv``, which is exact: ``/`` on two ints would give a float.  No
+floats anywhere; ideal membership has to be decidable.
 """
 
 from __future__ import annotations
@@ -90,24 +95,26 @@ class FpElement:
 
 
 class RationalField:
-    """The field Q; coefficients are ``fractions.Fraction`` values."""
+    """The field Q; a coefficient is an ``int`` when integral and a
+    ``fractions.Fraction`` otherwise."""
 
     char = 0
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)  # a bool comes back as 0 or 1
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
         raise TypeError("cannot coerce %r into Q" % (value,))
+
+    def inv(self, c):
+        if c == 1 or c == -1:  # most pivots and leading coefficients
+            return int(c)
+        if not c:
+            raise ZeroDivisionError("division by zero in Q")
+        return self.coerce(Fraction(1, c))
 
     def label(self):
         return "Q"
@@ -181,8 +188,15 @@ class PrimeField:
         if isinstance(value, int):
             return FpElement(value, self.p)
         if isinstance(value, Fraction):
-            return FpElement(value.numerator, self.p) / FpElement(value.denominator, self.p)
+            return (FpElement(value.numerator, self.p)
+                    * self.inv(FpElement(value.denominator, self.p)))
         raise TypeError("cannot coerce %r into F_%d" % (value, self.p))
+
+    def inv(self, c):
+        c = self.coerce(c)
+        if not c:
+            raise ZeroDivisionError("division by zero in F_%d" % self.p)
+        return FpElement(pow(c.val, -1, self.p), self.p)
 
     def label(self):
         return {"Fp": self.p}

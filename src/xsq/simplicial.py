@@ -167,6 +167,10 @@ class ConstructionData:
         problems = []
         if not isinstance(obj, dict):
             raise InvalidData(["input is not a JSON object"])
+        unknown = [k for k in obj if k not in ("field", "S1", "S2", "S3")]
+        if unknown:
+            raise InvalidData(["unknown key %r (the keys are field, S1, S2 "
+                               "and S3)" % k for k in unknown])
         field_label = obj.get("field", "Q")
         try:
             field = field_from_label(field_label)

@@ -9,6 +9,8 @@ weighted-homogeneous generators that matrix spans the ideal's filtered
 piece exactly, so the reduced vector is the unique normal form.
 """
 
+from fractions import Fraction
+
 from xsq.rings import Polynomial
 
 
@@ -32,7 +34,7 @@ def gauss_jordan(rows, field):
         if hit is None:
             continue
         rows[done], rows[hit] = rows[hit], rows[done]
-        inv = field.one / rows[done][col]
+        inv = Fraction(1) / rows[done][col]  # exact; FpElement over GF(p)
         piv = rows[done] = [x * inv for x in rows[done]]
         for i, r in enumerate(rows):
             if i != done and r[col]:

@@ -73,6 +73,22 @@ def test_invalid_boundary_exits_2(tmp_path):
     assert "x^2*y" in out.stderr
 
 
+def test_unknown_top_level_key_exits_2(tmp_path):
+    # a misspelt key would otherwise drop its generators without a word
+    obj = json.loads((FIXTURES / "fixture_c.json").read_text())
+    obj["s3"] = obj.pop("S3")
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps(obj))
+    out = run_cli("build", str(bad))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: unknown key 's3'")
+    # a missing key still takes its default
+    del obj["s3"]
+    bad.write_text(json.dumps(obj))
+    assert run_cli("build", str(bad)).returncode == 0
+
+
 def test_missing_file_exits_2():
     out = run_cli("build", "no_such_file.json")
     assert out.returncode == 2

@@ -5,6 +5,7 @@ lazily inserted generators against the eager tracked path; and of division
 against a plain reference division.  Products past the exponent limit must
 raise."""
 
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -192,8 +193,9 @@ def _reference_divide(p, basis):
         lead = ring.monomial(m, c)
         for i, b in enumerate(basis):
             if mono_divides(b.lm(), m):
+                # exact over Q and defers to FpElement over GF(p)
                 q = ring.monomial([x - y for x, y in zip(m, b.lm())],
-                                  c / b.lc())
+                                  c * (Fraction(1) / b.lc()))
                 h = h - q * b
                 quots[i] = quots[i] + q
                 break
@@ -208,8 +210,8 @@ def _divide(p, basis, budget, want_quotients=True):
     packed, the quotients and the remainder unpacked."""
     ring = p.ring
     quots, rem = groebner._divide(
-        *groebner._dividend(p.packed()), [b.packed() for b in basis], budget,
-        ring.packing.guards, want_quotients)
+        *groebner._dividend(p.packed()), [b.packed() for b in basis],
+        ring.field.inv, budget, ring.packing.guards, want_quotients)
     if quots is not None:
         quots = [groebner._unpacked(ring, q) for q in quots]
     return quots, Polynomial.from_packed(ring, rem)

@@ -5,14 +5,16 @@ Recorded cases: every command on fixtures a-c with the default flags;
 homotopy and compare on fixtures a and b at --max-degree 9 and on fixture b
 over GF(32003) at --max-degree 9, where truncated linear algebra dominates;
 every command on three edge inputs (no level-1 generators, no variables, a
-zero boundary image) and on an input over GF(7) whose boundary images are
-monomials with coefficients other than one; every command on fixture c
-with --order lex, the one order that is not degree-compatible; build,
-homotopy and compare on d3 (fixtures/d3.json), the smallest input with three
-variables, block-order eliminations and larger bases; and the --format json
-stdout of every command on fixture c and on the GF(7) input.  A change that
-alters any of them changes what the command reports; regenerate a file only
-when that change is intended, with
+zero boundary image), on an input over GF(7) whose boundary images are
+monomials with coefficients other than one, and on its analogue over Q
+with the non-integral coefficient 3/2, whose output prints 2/3 and 3/2;
+every command on fixture c with --order lex, the one order that is not
+degree-compatible; build, homotopy and compare on d3 (fixtures/d3.json),
+the smallest input with three variables, block-order eliminations and
+larger bases; and the --format json stdout of every command on fixture c,
+on the GF(7) input and on its analogue over Q.  A change that alters any
+of them changes what the command reports; regenerate a file only when that
+change is intended, with
 
     python -m xsq.cli <command> <input> [flags] > tests/golden/<command>_<case>.txt
 
@@ -48,6 +50,10 @@ EDGE_INPUTS = {
                           "S2": [{"name": "S1", "image": "3*x^2"},
                                  {"name": "S2", "image": "-x*y"}],
                           "S3": [{"name": "T", "image": "y*S1 + 3*x*S2"}]},
+    "q_fractions": {"field": "Q", "S1": ["x", "y"],
+                    "S2": [{"name": "S1", "image": "3/2*x^2"},
+                           {"name": "S2", "image": "-x*y"}],
+                    "S3": [{"name": "T", "image": "y*S1 + 3/2*x*S2"}]},
 }
 
 
@@ -104,7 +110,8 @@ def test_edge_input_matches_golden(command, case, tmp_path):
     assert run_cli(command, path) == expected
 
 
-@pytest.mark.parametrize("case", ["fixture_c", "fp7_nonunit_image"])
+@pytest.mark.parametrize("case", ["fixture_c", "fp7_nonunit_image",
+                                  "q_fractions"])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_json_stdout_matches_golden(command, case, tmp_path):
     if case in EDGE_INPUTS:

@@ -1,7 +1,10 @@
 import itertools
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from xsq import cli, groebner
 from xsq import (BudgetExceeded, GradedDims, Ideal, NotInIdeal, PolyRing,
                  RingHom, affine_hilbert, eliminate, hom_kernel, ideal_equal,
                  ideal_intersect, ideal_product, monomials_leq, syzygies)
@@ -206,3 +209,23 @@ def test_weighted_hilbert_uses_weights():
     RS = PolyRing(["x", "S"], weights=(1, 2))
     # monomials of weight <= 2: 1, x, x^2, S
     assert affine_hilbert(Ideal(RS, []), 2).as_list() == [1, 2, 4]
+
+
+def test_integral_bases_keep_int_coefficients(capsys):
+    """Over Q an integral coefficient stays a plain int through the engine:
+    every reduced basis that build computes on fixture c has only int
+    coefficients (no Fraction, not even an integral one)."""
+    reduce_basis = groebner._reduce_basis
+    bases = []
+
+    def recording(*args):
+        out = reduce_basis(*args)
+        bases.extend(out[0])
+        return out
+
+    fixture = Path(__file__).resolve().parent.parent / "fixtures"
+    with mock.patch.object(groebner, "_reduce_basis", recording):
+        assert cli.main(["build", str(fixture / "fixture_c.json")]) == 0
+    capsys.readouterr()
+    assert len(bases) > 10
+    assert all(type(c) is int for b in bases for _, _, c in b)

@@ -33,7 +33,7 @@ def naive_rref(rows, field):
                 break
         else:
             continue
-        inv = field.one / rows[top][col]
+        inv = Fraction(1) / rows[top][col]  # exact; FpElement over GF(p)
         rows[top] = [x * inv for x in rows[top]]
         for i in range(len(rows)):
             if i != top and rows[i][col]:

@@ -87,6 +87,31 @@ def test_prime_field_arithmetic():
     assert R7.parse("1/3") == R7.parse("5")  # inverse of 3 mod 7
 
 
+def test_rational_coefficients_are_ints_when_integral(R):
+    for value in (3, True, Fraction(4, 2), -7):
+        assert type(QQ.coerce(value)) is int
+    assert type(QQ.coerce(Fraction(3, 2))) is Fraction
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert str(R.const(True)) == "1"  # never printed as True
+    assert [type(c) for c in R.parse("2*x + 1/2*y - 4/2").terms.values()] \
+        == [int, Fraction, int]
+
+
+def test_inverses_are_exact():
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(6) == Fraction(1, 6)
+    assert QQ.inv(Fraction(-3, 2)) == Fraction(-2, 3)
+    for c in (1, -2, 5, Fraction(3, 4), Fraction(-7, 9), Fraction(8, 4)):
+        assert c * QQ.inv(c) == 1
+    F = GF(7)
+    assert F.inv(F.coerce(3)) == F.coerce(5)
+    assert all(F.coerce(v) * F.inv(F.coerce(v)) == 1 for v in range(1, 7))
+    for field in (QQ, F):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(field.zero)
+
+
 def test_prime_moduli_are_checked_exactly():
     import time
     from xsq.scalars import MAX_MODULUS, is_prime
