@@ -84,33 +84,32 @@ def cmd_build(data, args):
 def cmd_verify(data, args):
     budget = args.budget
     reports = []
-    all_ok = True
-    skel = None
+    skel = found = None
     for level in (0, 1, 2):
-        # levels whose truncations drop nothing share one skeleton
+        # levels whose truncations drop nothing share one skeleton, and
+        # its reports, unless --break-h changes the square
         truncated = data.truncate(level)
+        break_h = args.break_h and level == 2
         if skel is None or skel.data is not truncated:
-            skel = build_skeleton(truncated)
-        quot = functor_M(skel, 0)
-        reports.append({
-            "object": "pi0 at skeleton level %d" % level,
-            "ok": True,
-            "items": [{"check": "presentation",
-                       "instance": "reduced basis [%s]"
-                       % ", ".join(str(b) for b in quot.basis),
-                       "status": "pass", "witness": "0",
-                       "informational": False}],
-        })
-        rep = verify_xmod(functor_M(skel, 1, budget=budget))
-        rep.label = "crossed module at skeleton level %d" % level
-        reports.append(rep.to_obj())
-        all_ok = all_ok and rep.ok
-        square = functor_M(skel, 2, budget=budget,
-                           break_h=args.break_h and level == 2)
-        srep = verify_square(square)
-        srep.label = "crossed square at skeleton level %d" % level
-        reports.append(srep.to_obj())
-        all_ok = all_ok and srep.ok
+            skel, found = build_skeleton(truncated), None
+        if found is None or break_h:
+            basis = ", ".join(str(b) for b in functor_M(skel, 0).basis)
+            found = (
+                {"ok": True,
+                 "items": [{"check": "presentation",
+                            "instance": "reduced basis [%s]" % basis,
+                            "status": "pass", "witness": "0",
+                            "informational": False}]},
+                verify_xmod(functor_M(skel, 1, budget=budget)).to_obj(),
+                verify_square(functor_M(skel, 2, budget=budget,
+                                        break_h=break_h)).to_obj())
+        pi0, xmod, square = found
+        reports.append({"object": "pi0 at skeleton level %d" % level, **pi0})
+        reports.append(dict(xmod, label="crossed module at skeleton level %d"
+                            % level))
+        reports.append(dict(square, label="crossed square at skeleton "
+                            "level %d" % level))
+    all_ok = all(r["ok"] for r in reports)
     return {"command": "verify", "ok": all_ok, "reports": reports}, \
         (0 if all_ok else 1)
 
@@ -214,17 +213,18 @@ def main(argv=None):
         return 2
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            data = ConstructionData.from_json(fh.read())
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         print("error: cannot read input: %s" % e, file=sys.stderr)
         return 2
+    try:
+        obj, code = COMMANDS[args.command](ConstructionData.from_json(text),
+                                           args)
     except InvalidData as e:
         for problem in e.problems:
             print("error: %s" % problem, file=sys.stderr)
         return 2
-    try:
-        obj, code = COMMANDS[args.command](data, args)
-    except BudgetExceeded as e:
+    except BudgetExceeded as e:  # also an exponent past the limit
         print("error: %s" % e, file=sys.stderr)
         return 3
     if args.format == "json":

@@ -366,7 +366,7 @@ class LinearizedCrossedModule:
         generator degree down to a linear form."""
         nf = self._work.normal_form(self._emb(p))
         vec = [self._base.zero] * self.rank
-        for mono, coeff in nf.terms.items():
+        for mono, coeff in nf.exponent_terms().items():
             head = mono[:self.rank]
             if sum(head) != 1:
                 raise ValueError("representative %s is not linear" % nf)

@@ -16,15 +16,16 @@ order.  The cofactor rows that :meth:`Ideal.lift` and :func:`syzygies` read
 are not unique, and printed relations depend on them, so the tracked path
 keeps every generator as a basis element from the start.
 
-The engine works on packed monomials (:class:`rings.Packing`): a product is
-one int sum, a quotient one difference, a divisibility test one
-subtraction and a mask, and the order key is an int linear in the
-monomial.  Polynomials are packed once on entry, as descending
-(monomial, key, coefficient) terms, and the results are unpacked once; a
-reduced basis comes back with its sorted view and packed form set.
-Division reduces a dividend keyed by order key in place and gives each
-new term the key key(t) + key(m).  An exponent above 2^31 - 1, in a
-monomial packed on entry or in a product the engine forms, raises
+The engine works on the packed monomials that polynomials store
+(:class:`rings.Packing`): a product is one int sum, a quotient one
+difference, a divisibility test one subtraction and a mask, and the order
+key is an int linear in the monomial.  A reducer is a tuple of (monomial,
+key, coefficient) terms with the leading term first, and ``Ideal._cache``
+keeps each reduced basis in that form beside its polynomials.  Division
+reduces a dividend keyed by order key in place and gives each new term the
+key key(t) + key(m).  A polynomial moves to a ring with another order, or
+to a ring on fewer variables, by a linear map of packed monomials.  An
+exponent above 2^31 - 1 in a product the engine forms raises
 :class:`ExponentOverflow`, a :class:`BudgetExceeded`.
 
 An elimination result (also of :func:`ideal_intersect` and :func:`hom_kernel`)
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
+from operator import itemgetter
 
 from .rings import (BudgetExceeded, ExponentOverflow, Polynomial, PolyRing,
                     RingHom, fresh_names)
@@ -61,6 +63,20 @@ class _Budget:
 
 def _budget(budget):
     return _Budget(DEFAULT_BUDGET if budget is None else budget)
+
+
+def _terms(p):
+    """The terms of p as (packed monomial, order key, coefficient) triples
+    in descending order."""
+    key = p.ring.packing.key
+    return tuple(sorted([(M, key(M), c) for M, c in p.terms.items()],
+                        key=itemgetter(1), reverse=True))
+
+
+def _polynomial(ring, terms):
+    """The polynomial of descending (monomial, key, coefficient) terms."""
+    return Polynomial(ring, {M: c for M, _, c in terms},
+                      (terms[0][0], terms[0][2]) if terms else None)
 
 
 def _dividend(terms):
@@ -308,14 +324,19 @@ def _reduce_basis(G, rows, ring, budget):
             [out_rows[i] for i in ranks] if track else None)
 
 
-def _unpacked(ring, terms):
-    """The polynomial of a {packed monomial: coefficient} dict."""
-    unpack = ring.packing.unpack
-    return Polynomial(ring, {unpack(m): c for m, c in terms.items()})
-
-
 def _reringed(p, ring):
-    return p if p.ring == ring else Polynomial(ring, p.terms)
+    """p in a ring on its variables or on a subset that covers its
+    support, repacked by the linear map between the two packings."""
+    if p.ring == ring:
+        return p
+    src, index, units = p.ring, ring._index, ring.packing.units
+    dropped = src.packing.mask(i for i, v in enumerate(src.vars)
+                               if v not in index)
+    if any(M & dropped for M in p.terms):
+        raise ValueError("polynomial %s uses dropped variables" % p)
+    to = src.packing.mapping([units[index[v]] if v in index else 0
+                              for v in src.vars])
+    return Polynomial(ring, {to(M): c for M, c in p.terms.items()})
 
 
 class Ideal:
@@ -338,35 +359,34 @@ class Ideal:
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
 
     def _computed(self, order=None, budget=None, track=False):
-        """(work ring, basis, rows) for the requested order; rows only when
-        cofactor tracking was requested at some point."""
+        """(work ring, basis, rows, reducers) for the requested order: the
+        basis as polynomials of the work ring and as reducers, and the
+        cofactor rows of packed dicts only when tracking was requested at
+        some point."""
         tag = self.ring.order if order is None else order
         hit = self._cache.get(tag)
         if hit is None or (track and hit[2] is None):
             work = self.ring if tag == self.ring.order else self.ring.with_order(tag)
-            gens = [_reringed(g, work).packed() for g in self.gens]
+            gens = [_terms(_reringed(g, work)) for g in self.gens]
             basis, rows = _buchberger(gens, work, _budget(budget),
                                       track=track)
-            self._cache[tag] = (
-                work, tuple(Polynomial.from_packed(work, b) for b in basis),
-                None if rows is None else
-                tuple(tuple(_unpacked(work, p) for p in row) for row in rows))
+            self._cache[tag] = (work, tuple(_polynomial(work, b)
+                                            for b in basis), rows, basis)
         return self._cache[tag]
 
     def groebner(self, order=None, budget=None):
         """Reduced basis, unique for (ideal, order), as ring elements."""
-        work, basis, _ = self._computed(order, budget)
+        basis = self._computed(order, budget)[1]
         return tuple(_reringed(b, self.ring) for b in basis)
 
     def normal_form(self, p, order=None, budget=None):
         if p.ring != self.ring:
             raise ValueError("polynomial not in the ideal's ring")
-        work, basis, _ = self._computed(order, budget)
-        _, rem = _divide(*_dividend(_reringed(p, work).packed()),
-                         [b.packed() for b in basis], work.field.inv,
-                         _budget(budget), work.packing.guards,
-                         want_quotients=False)
-        return _reringed(Polynomial.from_packed(work, rem), self.ring)
+        work, _, _, basis = self._computed(order, budget)
+        _, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
+                         work.field.inv, _budget(budget),
+                         work.packing.guards, want_quotients=False)
+        return _reringed(_polynomial(work, rem), self.ring)
 
     def member(self, p, order=None, budget=None):
         return self.normal_form(p, order, budget).is_zero()
@@ -374,20 +394,18 @@ class Ideal:
     def lift(self, p, budget=None):
         """Cofactors against the original generators; exact identity
         sum(c_i * gens_i) == p, or :class:`NotInIdeal`."""
-        work, basis, rows = self._computed(None, budget, track=True)
+        work, _, rows, basis = self._computed(None, budget, track=True)
         guards = work.packing.guards
-        quots, rem = _divide(*_dividend(_reringed(p, work).packed()),
-                             [b.packed() for b in basis], work.field.inv,
-                             _budget(budget), guards)
+        quots, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
+                             work.field.inv, _budget(budget), guards)
         if rem:
             raise NotInIdeal("polynomial is not a member: residue %s"
-                             % Polynomial.from_packed(work, rem))
+                             % _polynomial(work, rem))
         cof = [{} for _ in self.gens]
         for q, row in zip(quots, rows):
             if q:
-                _row_add(cof, q, [{m: c for m, _, c in r.packed()}
-                                  for r in row], guards)
-        cof = tuple(_unpacked(self.ring, c) for c in cof)
+                _row_add(cof, q, row, guards)
+        cof = tuple(Polynomial(work, c) for c in cof)
         check = self.ring.zero
         for c, g in zip(cof, self.gens):
             check = check + c * g
@@ -416,19 +434,6 @@ def ideal_product(I, J):
     return Ideal(I.ring, [a * b for a in I.gens for b in J.gens])
 
 
-def _project(p, target):
-    """Rewrite p in a ring on a subset of its variables (which must cover
-    the support)."""
-    src = p.ring
-    pos = [src._index[v] for v in target.vars]
-    out = {}
-    for m, c in p.terms.items():
-        if sum(m) != sum(m[i] for i in pos):
-            raise ValueError("polynomial %s uses dropped variables" % p)
-        out[tuple(m[i] for i in pos)] = c
-    return Polynomial(target, out)
-
-
 def eliminate(I, drop, budget=None):
     """I intersected with the subring on the retained variables, via a
     block order with the dropped variables in the leading block."""
@@ -442,7 +447,7 @@ def eliminate(I, drop, budget=None):
     keep = [v for v in ring.vars if v not in dropset]
     target = ring.drop_to(keep)
     if not drop:
-        return Ideal(target, [_project(g, target) for g in I.gens])
+        return Ideal(target, [_reringed(g, target) for g in I.gens])
     if I.is_zero():
         return Ideal(target, [])
     weights = tuple(ring.weights[ring._index[v]] for v in drop + keep)
@@ -452,10 +457,12 @@ def eliminate(I, drop, budget=None):
     basis = Ideal(work, [to_work(g) for g in I.gens]).groebner(budget=budget)
     # the elements with leading monomial free of the block lie in the subring
     # and are its reduced basis for the inner order, the target's order
-    kept = tuple(_project(b, target) for b in basis
-                 if not any(b.lm()[:len(drop)]))
+    block = work.packing.mask(range(len(drop)))
+    kept = tuple(_reringed(b, target) for b in basis
+                 if not b.leading()[0] & block)
     K = Ideal(target, kept)
-    K._cache[target.order] = (target, kept, None)
+    K._cache[target.order] = (target, kept, None,
+                              tuple(_terms(b) for b in kept))
     return K
 
 
@@ -516,7 +523,7 @@ def syzygies(gens, ring=None, budget=None):
     packing = ring.packing
     guards = packing.guards
     bud = _budget(budget)
-    nonzero = [(i, _reringed(g, ring).packed())
+    nonzero = [(i, _terms(_reringed(g, ring)))
                for i, g in enumerate(gens) if not g.is_zero()]
     basis, rows = _buchberger([g for _, g in nonzero], ring, bud, track=True)
 
@@ -564,7 +571,7 @@ def syzygies(gens, ring=None, budget=None):
         syz.append(v)
     out = []
     for v in syz:
-        v = tuple(_unpacked(ring, p) for p in v)
+        v = tuple(Polynomial(ring, p) for p in v)
         if all(p.is_zero() for p in v):
             continue
         check = ring.zero
@@ -634,16 +641,17 @@ def standard_monomials(I, D, budget=None):
     The monomials are built one variable at a time.  A leading monomial is
     tested when its last variable is set; once it divides, the higher powers
     of that variable, and every monomial above them, are skipped."""
-    work, basis, _ = I._computed("wdegrevlex", budget)
+    work, _, _, basis = I._computed("wdegrevlex", budget)
     packing = work.packing
     guards, units, weights = packing.guards, packing.units, work.weights
     n = len(units)
     by_last = [[] for _ in range(n)]
     for b in basis:
-        used = [i for i, e in enumerate(b.lm()) if e]
+        lm = b[0][0]
+        used = [i for i, e in enumerate(packing.unpack(lm)) if e]
         if not used:
             return work, []  # the unit ideal
-        by_last[used[-1]].append(b.packed()[0][0])
+        by_last[used[-1]].append(lm)
     standard = []
 
     def rec(i, left, M):

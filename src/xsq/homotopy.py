@@ -13,7 +13,7 @@ from __future__ import annotations
 from .groebner import (Ideal, GradedDims, affine_hilbert, ideal_intersect,
                        hom_kernel, standard_monomials, subquotient_dims,
                        syzygies)
-from .linalg import (FilteredBasis, dense, graded_span, nullity,
+from .linalg import (FilteredBasis, graded_span, nullity,
                      truncated_ideal_span)
 from .crossed import QuotientRing, Subquotient, _koszul_vectors, functor_M
 from .tensor import kernel_tensor
@@ -181,7 +181,7 @@ def aq_h2(data, route="syzygy", D=8, budget=None):
         top = max(p.wdeg() for p in t)
         ranks = graded_span([(p,) for p in t], FilteredBasis(R, D + top),
                             top=top).ranks
-        degs = [R.wdeg(m) for m in fb.monos]
+        degs = fb.degrees
         num = [n * sum(1 for e in degs if e <= d) - ranks[top + d]
                for d in range(D + 1)]
     else:
@@ -398,7 +398,7 @@ def compare_XY(skel, D=6, budget=None):
     # middle: kernel of the boundary restricted to the kernel pairs, which
     # sends (0, n) to n, on the basis of the degree-d piece of the span
     rep.kernel_middle = GradedDims(tuple(
-        nullity(dense(span_n.basis(r), E1.field), E1.field)
+        nullity(span_n.basis(r), E1.field)
         for r in span_n.ranks))
     rep.kernel_bottom = GradedDims(tuple(
         k - n for k, n in zip(span_ker.ranks, span_n.ranks)))
@@ -448,6 +448,6 @@ def _tensor_kernel_dims(pres, D, budget=None):
         rows = [v for deg, v in images if deg <= d]
         doubled = [{**{c: -x for c, x in v.items()},
                     **{size + c: x for c, x in v.items()}} for v in rows]
-        wide.append(nullity(dense(doubled, ring.field), ring.field))
-        narrow.append(nullity(dense(rows, ring.field), ring.field))
+        wide.append(nullity(doubled, ring.field))
+        narrow.append(nullity(rows, ring.field))
     return GradedDims(tuple(wide)), GradedDims(tuple(narrow))

@@ -1,15 +1,17 @@
 """Exact sparse linear algebra over the ground field, for degree-truncated
 computations: ranks, kernels and normal forms of filtered pieces.
 
-Vectors are coordinates against an explicit monomial basis, given dense (a
-list) or sparse (a dict column -> value).  ``Echelon`` keeps a sparse
-semi-echelon form: a pivot row is a list of (column, value) pairs right of
-its pivot, normalised to pivot 1, and the pivot columns stay in a sorted
-list.  A new row is reduced against the earlier ones, which are never
-back-substituted; ``reduce`` still clears every pivot column, in ascending
-order, so it returns the unique normal form of a vector modulo the span.
-``rref`` runs the same elimination and back-substitutes once at the end;
-``nullity`` is the number of rows minus their rank.
+Vectors are coordinates against an explicit basis of packed monomials,
+given dense (a list) or sparse (a dict column -> value).  ``Echelon``
+keeps a sparse semi-echelon form: a pivot row is a list of (column, value)
+pairs right of its pivot, normalised to pivot 1, and the pivot columns
+stay in a sorted list.  A new row is reduced against the earlier ones,
+which are never back-substituted; ``reduce`` still clears every pivot
+column, in ascending order, so it returns the unique normal form of a
+vector modulo the span.
+``rref`` runs the same elimination on dense or sparse rows and
+back-substitutes once at the end; ``nullity`` is the number of rows minus
+their rank.
 
 A filtered row d = 0..D is one graded sweep: ``graded_span`` adds the
 multiples m * v with wdeg m + wdeg v <= D to one echelon in degree order
@@ -25,7 +27,6 @@ from bisect import insort
 from heapq import heapify, heappop, heappush
 
 from .groebner import monomials_leq
-from .rings import Polynomial
 
 
 def _sparse(vec):
@@ -96,27 +97,19 @@ class Echelon:
                 for col, row in list(self.rows.items())[:count]]
 
 
-def dense(vecs, field):
-    """Sparse vectors as dense rows over the columns they use."""
-    cols = sorted({c for v in vecs for c in v})
-    zero = field.zero
-    return [[v.get(c, zero) for c in cols] for v in vecs]
-
-
 def rref(rows, field):
     """Reduced row echelon form; returns (pivot column list, reduced rows).
-    Input rows are lists of field elements; zero rows are dropped."""
+    Input rows are dense lists of field elements or sparse dicts, and the
+    reduced rows take the same form; zero rows are dropped."""
     width = len(rows[0]) if rows else 0
     ech = Echelon(width, field)
     for r in rows:
         ech.add(r)
-    reduced = []
-    for col in ech.pivots:
-        row = [field.zero] * width
-        row[col] = field.one
-        for c, x in ech.reduce(dict(ech.rows[col])).items():
-            row[c] = x
-        reduced.append(row)
+    reduced = [{col: field.one, **ech.reduce(dict(ech.rows[col]))}
+               for col in ech.pivots]
+    if rows and not isinstance(rows[0], dict):
+        zero = field.zero
+        reduced = [[r.get(c, zero) for c in range(width)] for r in reduced]
     return list(ech.pivots), reduced
 
 
@@ -126,18 +119,26 @@ def nullity(rows, field):
 
 
 class FilteredBasis:
-    """Monomial basis of {p in ring : wdeg p <= D} with coordinate maps."""
+    """Basis of {p in ring : wdeg p <= D}: the packed monomials in
+    descending order, with their weighted degrees and coordinate maps."""
 
     def __init__(self, ring, D):
         self.ring = ring
         self.D = D
-        self.monos = monomials_leq(ring, D)
-        self.index = {m: i for i, m in enumerate(self.monos)}
+        monos = monomials_leq(ring, D)
+        self.degrees = [ring.wdeg(m) for m in monos]
+        self.monos = [ring.packing.pack(m) for m in monos]
+        self.index = {M: i for i, M in enumerate(self.monos)}
 
     def __len__(self):
         return len(self.monos)
 
+    def _check(self, p):
+        if p.ring != self.ring:
+            raise ValueError("polynomial not in the basis ring")
+
     def to_vec(self, p):
+        self._check(p)
         v = [self.ring.field.zero] * len(self.monos)
         for m, c in p.terms.items():
             i = self.index.get(m)
@@ -146,21 +147,17 @@ class FilteredBasis:
             v[i] = c
         return v
 
-    def from_vec(self, v):
-        terms = {m: c for m, c in zip(self.monos, v) if c}
-        return Polynomial(self.ring, terms)
-
-    def coords(self, vec, shift=None):
+    def coords(self, vec, shift=0):
         """Sparse coordinates of shift * vec, for a module vector vec (a
         tuple of polynomials, one block of the basis per slot) and an
-        optional monomial shift."""
+        optional packed monomial shift."""
         size, index = len(self.monos), self.index
         out = {}
         for k, p in enumerate(vec):
+            self._check(p)
+            base = k * size
             for t, c in p.terms.items():
-                if shift:
-                    t = tuple(a + b for a, b in zip(shift, t))
-                out[k * size + index[t]] = c
+                out[base + index[t + shift]] = c
         return out
 
 
@@ -185,8 +182,8 @@ def graded_span(vecs, fbasis, top=None):
         if 0 <= t <= D:
             by_top[t].append(v)
     shifts = [[] for _ in range(D + 1)]
-    for m in monomials_leq(ring, D):
-        shifts[ring.wdeg(m)].append(m)
+    for M, d in zip(fbasis.monos, fbasis.degrees):
+        shifts[d].append(M)
     for d in range(D + 1):
         for t in range(d + 1):
             for v in by_top[t]:

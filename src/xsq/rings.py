@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 A ring fixes an ordered variable list, a ground field, per-variable weights
-(used for the degree filtration) and a monomial order.  Polynomials are
-immutable dictionaries from exponent tuples to nonzero coefficients; two
-polynomials are equal iff their canonical term lists are identical.
+(used for the degree filtration) and a monomial order.  Each ring packs a
+monomial into one int (:class:`Packing`, kept as ``PolyRing.packing``), and
+a polynomial is an immutable dict from packed monomials to nonzero
+coefficients: a monomial product is an int sum, and the order key is an
+int.  Exponent tuples appear only where monomials are read or written: the
+parser and :meth:`PolyRing.monomial` pack them, and ``str()`` and
+:meth:`Polynomial.exponent_terms` unpack them.
 
 The text grammar understood by :func:`PolyRing.parse`:
 
@@ -15,24 +19,25 @@ The text grammar understood by :func:`PolyRing.parse`:
 Implicit multiplication is rejected, exponents must be non-negative, and
 over F_p a literal INT/INT whose reduced denominator p divides is rejected.
 
-A ring map (:class:`RingHom`) is applied by substitution term by term into
-one accumulator: a zero image drops the term, a one-term image adds to the
-exponent vector and scales the coefficient, and only the powers of
-several-term images are multiplied out.
+A ring map (:class:`RingHom`) is applied term by term into one
+accumulator.  The image of a monomial is computed once per map and kept: a
+zero image drops the term, each one-term image adds its packed monomial
+scaled by the exponent (and its coefficient, unless one), and only the
+powers of several-term images are multiplied out.
 
-Each ring also packs a monomial into one int (:class:`Packing`, kept as
-``PolyRing.packing``); the order key :meth:`PolyRing.mono_key` is the int
-key of the packed exponent vector, so each order is defined once.  An
-exponent above MAX_EXPONENT = 2^31 - 1 cannot be packed and raises
+An exponent above MAX_EXPONENT = 2^31 - 1, in a monomial that is packed or
+parsed, and an exponent past it in a product, raise
 :class:`ExponentOverflow`, a :class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 import sys
+from functools import reduce
 from math import comb
-from operator import itemgetter, mul
+from operator import add, mul, or_
 
 from .scalars import QQ
 
@@ -53,8 +58,8 @@ class BudgetExceeded(RuntimeError):
 
 # Every exponent of a packed monomial has a field of 32 bits: 31 value bits
 # under one guard bit.  Packing refuses an exponent above MAX_EXPONENT, the
-# largest value a field holds.  Fields are read through a memoryview of
-# unsigned ints ("I", 4 bytes) in the machine's byte order.
+# largest value a field holds.  Fields are read with a struct of unsigned
+# ints ("I", 4 bytes) in the machine's byte order.
 _FIELD = 32
 _VALUES = (1 << (_FIELD - 1)) - 1
 MAX_EXPONENT = _VALUES
@@ -62,8 +67,8 @@ _BYTEORDER = sys.byteorder
 
 
 class ExponentOverflow(BudgetExceeded):
-    """An exponent above MAX_EXPONENT, in a monomial being packed or in a
-    product formed by the Groebner engine."""
+    """An exponent above MAX_EXPONENT, in a monomial being packed or parsed,
+    or in a product."""
 
     def __init__(self):
         super(BudgetExceeded, self).__init__(
@@ -85,13 +90,15 @@ class Packing:
     the exponent fields of the blocks with a degree field; it is an int that
     orders monomials as the ring's order does, and it is linear too.
 
-    The packed form of an exponent vector is checked against MAX_EXPONENT;
-    a sum of two packed monomials overflows a field exactly when it sets
-    a guard bit, and the engine checks every product it forms.
+    :meth:`fields` reads the exponents in field order, low to high, and
+    ``positions[i]`` is the place of variable i in it; :meth:`unpack`
+    gives them in variable order.  The packed form of an exponent vector is
+    checked against MAX_EXPONENT; a sum of two packed monomials overflows a
+    field exactly when it sets a guard bit, and every product is checked.
     """
 
-    __slots__ = ("units", "guards", "values", "pmask", "_nbytes", "_slots",
-                 "_degrees")
+    __slots__ = ("units", "guards", "values", "pmask", "positions",
+                 "_slots", "_nbytes", "_struct", "_degrees", "_weights")
 
     def __init__(self, weights, order):
         n = len(weights)
@@ -102,30 +109,36 @@ class Packing:
         else:
             k = min(order[1], n)
             blocks, graded = [range(k, n), range(k)], True
-        units, slots, slot = [0] * n, [0] * n, 0
-        self._degrees = []  # per degree field: each slot's weight, shift
+        layout = []   # per 32-bit field, low to high: a variable or None
+        degrees = []  # per degree field: its block, first field and width
         for block in blocks:
             if not block:
                 continue
-            for i in block:
-                slots[i] = slot
-                units[i] = 1 << (_FIELD * slot)
-                slot += 1
+            layout.extend(block)
             if graded:
-                shift = _FIELD * slot
-                per_slot = [0] * slot
-                for i in block:
-                    units[i] += weights[i] << shift
-                    per_slot[slots[i]] = weights[i]
-                self._degrees.append((tuple(per_slot), shift))
-                width = (sum(weights[i] for i in block)
-                         * _VALUES).bit_length()
-                slot += -(-width // _FIELD)
+                width = -(-(sum(weights[i] for i in block)
+                            * _VALUES).bit_length() // _FIELD)
+                degrees.append((block, len(layout), width))
+                layout.extend([None] * width)
+        exponents = [i for i in layout if i is not None]
+        self.positions = tuple(exponents.index(i) for i in range(n))
+        self._slots = tuple(layout.index(i) for i in range(n))
+        self._weights = tuple(weights[i] for i in exponents)
+        units = [1 << (_FIELD * s) for s in self._slots]
+        # per degree field: the weights in field order, its shift and mask
+        self._degrees = []
+        for block, first, width in degrees:
+            for i in block:
+                units[i] += weights[i] << (_FIELD * first)
+            self._degrees.append((
+                tuple(weights[i] if i in block else 0 for i in exponents),
+                _FIELD * first, (1 << (_FIELD * width)) - 1))
         self.units = tuple(units)
-        self._slots = tuple(slots)
-        self._nbytes = slot * _FIELD // 8
-        self.values = sum(_VALUES << (_FIELD * s) for s in slots)
-        self.guards = sum(1 << (_FIELD * s + _FIELD - 1) for s in slots)
+        self._nbytes = len(layout) * _FIELD // 8
+        self._struct = struct.Struct("=" + "".join(
+            "I" if i is not None else "4x" for i in layout))
+        self.values = sum(_VALUES << (_FIELD * s) for s in self._slots)
+        self.guards = sum(1 << (_FIELD * s + _FIELD - 1) for s in self._slots)
         self.pmask = (self.values | self.guards) if graded else 0
 
     def pack(self, exps):
@@ -133,9 +146,13 @@ class Packing:
             raise ExponentOverflow()
         return sum(map(mul, exps, self.units))
 
+    def fields(self, M):
+        """The exponents of M in field order."""
+        return self._struct.unpack(M.to_bytes(self._nbytes, _BYTEORDER))
+
     def unpack(self, M):
-        fields = memoryview(M.to_bytes(self._nbytes, _BYTEORDER)).cast("I")
-        return tuple(map(fields.__getitem__, self._slots))
+        """The exponents of M in variable order."""
+        return tuple(map(self.fields(M).__getitem__, self.positions))
 
     def key(self, M):
         return M - ((M & self.pmask) << 1)
@@ -154,14 +171,31 @@ class Packing:
         """The packed monomial of exponent fields E: its degree fields
         filled in."""
         if self._degrees:
-            fields = memoryview(E.to_bytes(self._nbytes,
-                                           _BYTEORDER)).cast("I")
-            for per_slot, shift in self._degrees:
-                E += sum(map(mul, fields, per_slot)) << shift
+            fields = self.fields(E)
+            for per_field, shift, _ in self._degrees:
+                E += sum(map(mul, fields, per_field)) << shift
         return E
 
     def lcm(self, a, b):
         return self.with_degrees(self.fieldmax(a, b))
+
+    def wdeg(self, M):
+        """The weighted degree of M: the sum of its degree fields."""
+        if not self._degrees:
+            return sum(map(mul, self.fields(M), self._weights))
+        return sum([(M >> shift) & mask for _, shift, mask in self._degrees])
+
+    def mask(self, indices):
+        """The mask of the exponent fields of the variables at indices."""
+        return sum(_VALUES << (_FIELD * self._slots[i]) for i in indices)
+
+    def mapping(self, images):
+        """The linear map of packed monomials that sends the i-th variable
+        to the packed monomial images[i] (of this or another packing)."""
+        fields = self.fields
+        images = [images[i] for i in sorted(range(len(images)),
+                                            key=self.positions.__getitem__)]
+        return lambda M: sum(map(mul, fields(M), images))
 
 
 class PolyRing:
@@ -233,14 +267,13 @@ class PolyRing:
         c = self.field.coerce(c)
         if not c:
             return Polynomial(self, {})
-        return Polynomial(self, {(0,) * len(self.vars): c})
+        return Polynomial(self, {0: c})
 
     def var(self, name):
         if name not in self._index:
             raise KeyError("no variable %r in %r" % (name, self))
-        e = [0] * len(self.vars)
-        e[self._index[name]] = 1
-        return Polynomial(self, {tuple(e): self.field.one})
+        return Polynomial(self, {self.packing.units[self._index[name]]:
+                                 self.field.one})
 
     def gens(self):
         return tuple(self.var(v) for v in self.vars)
@@ -252,7 +285,7 @@ class PolyRing:
         c = self.field.coerce(coeff)
         if not c:
             return self.zero
-        return Polynomial(self, {exps: c})
+        return Polynomial(self, {self.packing.pack(exps): c})
 
     def with_order(self, order):
         return PolyRing(self.vars, self.field, self.weights, order)
@@ -415,108 +448,53 @@ def _parse(text, ring):
     kind, val, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input %r" % (val,), pos)
+    unpack = ring.packing.unpack
+    if any(max(unpack(M), default=0) > MAX_EXPONENT for M in p.terms):
+        raise ExponentOverflow()
     return p
 
 
 class Polynomial:
-    """Immutable sparse polynomial; term dict maps exponent tuples to
-    nonzero coefficients."""
+    """Immutable sparse polynomial: terms maps packed monomials of its
+    ring to nonzero coefficients."""
 
-    __slots__ = ("ring", "terms", "_sorted", "_packed", "_hash", "_lead")
+    __slots__ = ("ring", "terms", "_hash", "_lead", "_str")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, terms, lead=None):
         self.ring = ring
         self.terms = terms
-        self._sorted = None
-        self._packed = None
         self._hash = None
-        self._lead = None
+        self._lead = lead  # (packed monomial, coefficient), when known
+        self._str = None
 
-    @classmethod
-    def from_packed(cls, ring, packed):
-        """The polynomial of descending (packed monomial, order key,
-        coefficient) terms, with its sorted view and packed form set."""
-        unpack = ring.packing.unpack
-        view = tuple([(unpack(M), c) for M, _, c in packed])
-        p = cls(ring, dict(view))
-        p._sorted = view
-        p._packed = tuple(packed)
-        return p
-
-    # -- canonical views --------------------------------------------------
-
-    def sorted_terms(self):
-        """Terms in descending monomial order (cached)."""
-        if self._sorted is None:
-            key = self.ring.mono_key
-            self._sorted = tuple(sorted(self.terms.items(),
-                                        key=lambda t: key(t[0]), reverse=True))
-        return self._sorted
-
-    def packed(self):
-        """Terms as (packed monomial, order key, coefficient) in descending
-        order (cached)."""
-        if self._packed is None:
-            packing = self.ring.packing
-            pack, key = packing.pack, packing.key
-            out = []
-            for m, c in self.terms.items():
-                M = pack(m)
-                out.append((M, key(M), c))
-            out.sort(key=itemgetter(1), reverse=True)
-            self._packed = tuple(out)
-        return self._packed
+    def exponent_terms(self):
+        """The terms as a new dict {exponent tuple: coefficient}, in
+        descending monomial order."""
+        packing, terms = self.ring.packing, self.terms
+        return {packing.unpack(M): terms[M]
+                for M in sorted(terms, key=packing.key, reverse=True)}
 
     def is_zero(self):
         return not self.terms
 
     def leading(self):
-        """(monomial, coefficient) of the leading term; error on zero."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
+        """(packed monomial, coefficient) of the leading term; error on
+        zero."""
         if self._lead is None:
-            if self._sorted is not None:
-                self._lead = self._sorted[0]
-            else:
-                m = max(self.terms, key=self.ring.mono_key)
-                self._lead = (m, self.terms[m])
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            M = max(self.terms, key=self.ring.packing.key)
+            self._lead = (M, self.terms[M])
         return self._lead
-
-    def lm(self):
-        return self.leading()[0]
-
-    def lc(self):
-        return self.leading()[1]
 
     def wdeg(self):
         """Weighted total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        w = self.ring.wdeg
-        return max(w(m) for m in self.terms)
-
-    def monic(self):
-        if not self.terms:
-            return self
-        c = self.lc()
-        if c == self.ring.field.one:
-            return self
-        return self * self.ring.field.inv(c)
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.ring.field.zero)
-
-    def constant_term(self):
-        return self.coefficient((0,) * len(self.ring.vars))
+        return max(map(self.ring.packing.wdeg, self.terms), default=-1)
 
     def support_vars(self):
         """Names of variables that actually occur."""
-        used = [False] * len(self.ring.vars)
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.ring.vars, used) if u)
+        used = self.ring.packing.unpack(reduce(or_, self.terms, 0))
+        return tuple(v for v, e in zip(self.ring.vars, used) if e)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -530,15 +508,7 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+            _accumulate(out, m, c)
         return Polynomial(self.ring, out)
 
     def __neg__(self):
@@ -550,6 +520,8 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
+        """A monomial product is the sum of the packed monomials; a product
+        with an exponent past MAX_EXPONENT sets a guard bit and raises."""
         if not isinstance(other, Polynomial):
             # scalar multiplication
             c = self.ring.field.coerce(other)
@@ -557,24 +529,28 @@ class Polynomial:
                 return self.ring.zero
             return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
         self._check(other)
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
-        out = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                c = c1 * c2
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return self.ring.zero
+        rows = iter(a.items())
+        m1, c1 = next(rows)
+        out = {m1 + m2: c1 * c2 for m2, c2 in b.items()}  # no collisions
+        for m1, c1 in rows:
+            for m2, c2 in b.items():
+                m = m1 + m2
                 s = out.get(m)
                 if s is None:
-                    out[m] = c
+                    out[m] = c1 * c2
                 else:
-                    s = s + c
+                    s = s + c1 * c2
                     if s:
                         out[m] = s
                     else:
                         del out[m]
+        if reduce(or_, out, 0) & self.ring.packing.guards:
+            raise ExponentOverflow()
         return Polynomial(self.ring, out)
 
     def __rmul__(self, other):
@@ -606,16 +582,12 @@ class Polynomial:
     # -- formatting ---------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
+        if self._str is not None:
+            return self._str
         chunks = []
-        for m, c in self.sorted_terms():
-            body = []
-            for v, e in zip(self.ring.vars, m):
-                if e == 1:
-                    body.append(v)
-                elif e > 1:
-                    body.append("%s^%d" % (v, e))
+        for m, c in self.exponent_terms().items():
+            body = [v if e == 1 else "%s^%d" % (v, e)
+                    for v, e in zip(self.ring.vars, m) if e]
             cs = str(c)
             neg = cs.startswith("-")
             if neg:
@@ -630,7 +602,8 @@ class Polynomial:
                 chunks.append("-" + piece if neg else piece)
             else:
                 chunks.append((" - " if neg else " + ") + piece)
-        return "".join(chunks)
+        self._str = "".join(chunks) or "0"
+        return self._str
 
     def __repr__(self):
         return "<%s>" % self
@@ -648,23 +621,11 @@ def _accumulate(out, m, c):
             del out[m]
 
 
-def _substitution(img):
-    """How one variable's image enters a product of images: None for zero,
-    (nonzero exponents as (index, exponent) pairs, coefficient or None for
-    one) for a single term, the polynomial itself for several terms."""
-    if not img.terms:
-        return None
-    if len(img.terms) > 1:
-        return img
-    (m, c), = img.terms.items()
-    return ([(j, k) for j, k in enumerate(m) if k],
-            None if c == img.ring.field.one else c)
-
-
 class RingHom:
     """Algebra map determined by one image polynomial per domain variable."""
 
-    __slots__ = ("domain", "codomain", "images", "_subst")
+    __slots__ = ("domain", "codomain", "images", "_monos", "_zero",
+                 "_scaled", "_several", "_scale", "_coerce", "_memo")
 
     def __init__(self, domain, codomain, images):
         images = tuple(images)
@@ -677,7 +638,30 @@ class RingHom:
         self.domain = domain
         self.codomain = codomain
         self.images = images
-        self._subst = tuple(_substitution(img) for img in images)
+        # per variable, at its place in the domain's field order
+        unpack, place = codomain.packing.unpack, domain.packing.positions
+        monos = [0] * len(images)
+        zero, self._scaled, self._several = [], [], []
+        columns = [0] * len(codomain.vars)
+        for i, img in enumerate(images):
+            if not img.terms:
+                zero.append(i)
+            elif len(img.terms) > 1:
+                self._several.append((place[i], img))
+            else:
+                (N, c), = img.terms.items()
+                monos[place[i]] = N
+                if c != codomain.field.one:
+                    self._scaled.append((place[i], c))
+                columns = list(map(add, columns, unpack(N)))
+        self._monos = tuple(monos)
+        self._zero = domain.packing.mask(zero)
+        # an image exponent passes the limit only if a domain exponent
+        # times the largest column sum does
+        self._scale = max(columns, default=0)
+        self._coerce = (None if codomain.field == domain.field
+                        else codomain.field.coerce)
+        self._memo = {}  # packed monomial -> the terms of its image
 
     @classmethod
     def from_map(cls, domain, codomain, mapping, default="same_name"):
@@ -703,46 +687,51 @@ class RingHom:
         return cls(ring, ring, ring.gens())
 
     def __call__(self, p):
-        """Image of p by the substitution of the module docstring; each
-        power of a several-term image is computed once per call."""
+        """Image of p by the substitution of the module docstring; the
+        image of each monomial is computed once per map."""
         if p.ring != self.domain:
             raise ValueError("argument not in the domain ring")
-        coerce = self.codomain.field.coerce
-        n = len(self.codomain.vars)
-        subst = self._subst
-        powers = {}
+        memo, coerce = self._memo, self._coerce
         out = {}
-        for m, c in p.terms.items():
-            c = coerce(c)
-            exps = [0] * n
-            factor = None
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                s = subst[i]
-                if s is None:
-                    break
-                if isinstance(s, Polynomial):
-                    pw = powers.get((i, e))
-                    if pw is None:
-                        pw = powers[(i, e)] = s ** e
-                    factor = pw if factor is None else factor * pw
-                    continue
-                sparse, ic = s
-                for j, k in sparse:
-                    exps[j] += e * k
-                if ic is not None:
-                    for _ in range(e):
-                        c = c * ic
-            else:
-                if factor is None:
-                    _accumulate(out, tuple(exps), c)
-                else:
-                    for fm, fc in factor.terms.items():
-                        _accumulate(out,
-                                    tuple(a + b for a, b in zip(exps, fm)),
-                                    c * fc)
+        for M, c in p.terms.items():
+            image = memo.get(M)
+            if image is None:
+                image = memo[M] = self._monomial(M)
+            if coerce is not None:
+                c = coerce(c)
+            for N, f in image:
+                _accumulate(out, N, c if f is None else c * f)
         return Polynomial(self.codomain, out)
+
+    def _monomial(self, M):
+        """The image of the monomial M as (packed monomial, coefficient)
+        pairs, the coefficient None for one."""
+        if M & self._zero:
+            return ()
+        e = self.domain.packing.fields(M)
+        if self._scale > 1 and max(e) * self._scale > _VALUES:
+            # the exponents of the one-term part of the image, exactly
+            unpack = self.codomain.packing.unpack
+            rows = [[k * f for f in unpack(N)] for k, N in zip(e, self._monos)]
+            if max(map(sum, zip(*rows))) > _VALUES:
+                raise ExponentOverflow()
+        N = sum(map(mul, e, self._monos))
+        f = None
+        for i, c in self._scaled:
+            for _ in range(e[i]):
+                f = c if f is None else f * c
+        factor = None
+        for i, img in self._several:
+            if e[i]:
+                power = img ** e[i]
+                factor = power if factor is None else factor * power
+        if factor is None:
+            return ((N, f),)
+        guards = self.codomain.packing.guards
+        if any((N + fM) & guards for fM in factor.terms):
+            raise ExponentOverflow()
+        return tuple((N + fM, fc if f is None else f * fc)
+                     for fM, fc in factor.terms.items())
 
     def then(self, other):
         """Composite ``other after self`` (apply self first)."""

@@ -130,8 +130,9 @@ class ConstructionData:
             raise InvalidData(problems)
 
     def _in_augmentation(self, p):
-        offset = len(self.s1_names)
-        return all(any(m[offset:]) for m in p.terms) or p.is_zero()
+        adjoined = self.ring1.packing.mask(
+            range(len(self.s1_names), len(self.ring1.vars)))
+        return all(M & adjoined for M in p.terms)
 
     def level1_boundary(self):
         """The map R[S2] -> R sending each adjoined generator to its image."""

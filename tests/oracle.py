@@ -11,11 +11,9 @@ piece exactly, so the reduced vector is the unique normal form.
 
 from fractions import Fraction
 
-from xsq.rings import Polynomial
-
 
 def is_whomogeneous(p):
-    degs = {p.ring.wdeg(m) for m in p.terms}
+    degs = {p.ring.wdeg(m) for m in p.exponent_terms()}
     return len(degs) <= 1
 
 
@@ -103,13 +101,16 @@ class Basis:
 
     def to_vec(self, p):
         v = [self.ring.field.zero] * len(self.monos)
-        for m, c in p.terms.items():
+        for m, c in p.exponent_terms().items():
             v[self.index[m]] = c
         return v
 
     def from_vec(self, v):
-        return Polynomial(self.ring, {m: c for m, c in zip(self.monos, v)
-                                      if c})
+        p = self.ring.zero
+        for m, c in zip(self.monos, v):
+            if c:
+                p = p + self.ring.monomial(m, c)
+        return p
 
 
 def multiples(gens, ring, D):

@@ -27,6 +27,15 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def lead(p):
+    """(exponent tuple, coefficient) of the leading term of p."""
+    return next(iter(p.exponent_terms().items()))
+
+
+def lm(p):
+    return lead(p)[0]
+
+
 @st.composite
 def homogeneous_ideals(draw):
     """(ring, generators, multipliers): 2-3 variables of weight 1-2, one to
@@ -163,8 +172,8 @@ def test_lazy_insertion_gives_the_eager_basis(case):
     reduce_basis = groebner._reduce_basis
 
     def recording(G, rows, ring, budget):
-        if rows is None:  # the engine's packed terms, unpacked
-            joined.append([Polynomial.from_packed(ring, g) for g in G])
+        if rows is None:  # the engine's packed terms
+            joined.append([groebner._polynomial(ring, g) for g in G])
         return reduce_basis(G, rows, ring, budget)
 
     with mock.patch.object(groebner, "_reduce_basis", recording):
@@ -175,8 +184,8 @@ def test_lazy_insertion_gives_the_eager_basis(case):
     assert _is_reduced(lazy)
     (G,) = joined
     for n, g in enumerate(G):
-        assert not any(mono_divides(b.lm(), t)
-                       for b in G[:n] for t in g.terms)
+        assert not any(mono_divides(lm(b), t)
+                       for b in G[:n] for t in g.exponent_terms())
 
 
 def _reference_divide(p, basis):
@@ -188,33 +197,36 @@ def _reference_divide(p, basis):
     quots = [ring.zero] * len(basis)
     rem, h, steps = ring.zero, p, 0
     while not h.is_zero():
-        m, c = h.leading()
+        m, c = lead(h)
         steps += 1
-        lead = ring.monomial(m, c)
+        term = ring.monomial(m, c)
         for i, b in enumerate(basis):
-            if mono_divides(b.lm(), m):
+            bm, bc = lead(b)
+            if mono_divides(bm, m):
                 # exact over Q and defers to FpElement over GF(p)
-                q = ring.monomial([x - y for x, y in zip(m, b.lm())],
-                                  c * (Fraction(1) / b.lc()))
+                q = ring.monomial([x - y for x, y in zip(m, bm)],
+                                  c * (Fraction(1) / bc))
                 h = h - q * b
                 quots[i] = quots[i] + q
                 break
         else:
-            rem = rem + lead
-            h = h - lead
+            rem = rem + term
+            h = h - term
     return quots, rem, steps
 
 
 def _divide(p, basis, budget, want_quotients=True):
-    """groebner._divide on polynomials: the dividend and the reducers are
-    packed, the quotients and the remainder unpacked."""
+    """groebner._divide on polynomials: the dividend and the reducers as
+    descending packed terms, the quotients and the remainder as
+    polynomials."""
     ring = p.ring
     quots, rem = groebner._divide(
-        *groebner._dividend(p.packed()), [b.packed() for b in basis],
+        *groebner._dividend(groebner._terms(p)),
+        [groebner._terms(b) for b in basis],
         ring.field.inv, budget, ring.packing.guards, want_quotients)
     if quots is not None:
-        quots = [groebner._unpacked(ring, q) for q in quots]
-    return quots, Polynomial.from_packed(ring, rem)
+        quots = [Polynomial(ring, q) for q in quots]
+    return quots, groebner._polynomial(ring, rem)
 
 
 @st.composite
@@ -239,7 +251,8 @@ def test_division_matches_the_reference(case):
     for q, b in zip(quots, basis):
         total = total + q * b
     assert total == p
-    assert not any(mono_divides(b.lm(), t) for b in basis for t in rem.terms)
+    assert not any(mono_divides(lm(b), t) for b in basis
+                   for t in rem.exponent_terms())
     ref_quots, ref_rem, ref_steps = _reference_divide(p, basis)
     assert list(quots) == ref_quots and rem == ref_rem
     assert steps == ref_steps
@@ -253,11 +266,11 @@ def test_division_matches_the_reference(case):
 
 
 def _is_reduced(basis):
-    lms = [b.lm() for b in basis]
+    lms = [lm(b) for b in basis]
     for i, b in enumerate(basis):
-        if b.lc() != b.ring.field.one:
+        if lead(b)[1] != b.ring.field.one:
             return False
-        for t in b.terms:
+        for t in b.exponent_terms():
             if any(j != i and mono_divides(lm, t) for j, lm in enumerate(lms)):
                 return False
     keys = [basis[0].ring.mono_key(m) for m in lms]
@@ -321,9 +334,9 @@ def test_basis_passes_buchberger_criterion(case):
     assert all(I.member(g) for g in gens)
     for i, f in enumerate(basis):
         for g in basis[i + 1:]:
-            lcm = tuple(max(a, b) for a, b in zip(f.lm(), g.lm()))
-            s = (ring.monomial([a - b for a, b in zip(lcm, f.lm())]) * f
-                 - ring.monomial([a - b for a, b in zip(lcm, g.lm())]) * g)
+            lcm = tuple(max(a, b) for a, b in zip(lm(f), lm(g)))
+            s = (ring.monomial([a - b for a, b in zip(lcm, lm(f))]) * f
+                 - ring.monomial([a - b for a, b in zip(lcm, lm(g))]) * g)
             assert I.member(s)
 
 

@@ -6,13 +6,14 @@ homotopy and compare on fixtures a and b at --max-degree 9 and on fixture b
 over GF(32003) at --max-degree 9, where truncated linear algebra dominates;
 every command on three edge inputs (no level-1 generators, no variables, a
 zero boundary image), on an input over GF(7) whose boundary images are
-monomials with coefficients other than one, and on its analogue over Q
-with the non-integral coefficient 3/2, whose output prints 2/3 and 3/2;
-every command on fixture c with --order lex, the one order that is not
-degree-compatible; build, homotopy and compare on d3 (fixtures/d3.json),
-the smallest input with three variables, block-order eliminations and
-larger bases; and the --format json stdout of every command on fixture c,
-on the GF(7) input and on its analogue over Q.  A change that alters any
+monomials with coefficients other than one, on its analogue over Q
+with the non-integral coefficient 3/2, whose output prints 2/3 and 3/2,
+and on f1, the three-variable input over GF(32003) of the benchmark's
+fp-3var workload; every command on fixture c with --order lex, the one
+order that is not degree-compatible; every command on d3
+(fixtures/d3.json), the smallest input with three variables, block-order
+eliminations and larger bases; and the --format json stdout of every
+command on fixture c, on the GF(7) input and on its analogue over Q.  A change that alters any
 of them changes what the command reports; regenerate a file only when that
 change is intended, with
 
@@ -50,6 +51,10 @@ EDGE_INPUTS = {
                           "S2": [{"name": "S1", "image": "3*x^2"},
                                  {"name": "S2", "image": "-x*y"}],
                           "S3": [{"name": "T", "image": "y*S1 + 3*x*S2"}]},
+    "f1": {"field": {"Fp": 32003}, "S1": ["x", "y", "z"],
+           "S2": [{"name": "A", "image": "x*y"},
+                  {"name": "B", "image": "y*z"}],
+           "S3": [{"name": "T", "image": "z*A - x*B"}]},
     "q_fractions": {"field": "Q", "S1": ["x", "y"],
                     "S2": [{"name": "S1", "image": "3/2*x^2"},
                            {"name": "S2", "image": "-x*y"}],
@@ -81,7 +86,7 @@ def test_lex_stdout_matches_golden(command):
     assert run_cli(command, fixture("fixture_c"), "--order", "lex") == expected
 
 
-@pytest.mark.parametrize("command", ["build", "homotopy", "compare"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_d3_stdout_matches_golden(command):
     expected = (GOLDEN / ("%s_d3.txt" % command)).read_bytes()
     assert run_cli(command, fixture("d3")) == expected

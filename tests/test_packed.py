@@ -1,0 +1,237 @@
+"""Differential tests of the packed polynomial representation against a
+small reference on exponent tuples written here: sums, products, powers,
+ring maps, repacking into rings with another order or fewer variables, and
+the printed form, over Q and GF(32003) in wdegrevlex, lex and ("block", k)
+rings.  The reference shares no code with xsq beyond the coefficient
+fields.  A negative control perturbs one image of a ring map and requires
+the comparison to report it."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from xsq import GF, QQ, PolyRing, RingHom
+from xsq.groebner import _reringed
+
+FIELDS = (QQ, GF(32003))
+NAMES = ("x", "y", "z", "w")
+
+
+# -- the reference: {exponent tuple: coefficient} dicts ----------------------
+
+
+def ref_key(exps, weights, order):
+    """wdegrevlex compares the weighted degree, then the negated exponents
+    from the last variable on; lex compares the exponents; ("block", k)
+    compares the wdegrevlex keys of the first k variables, then of the
+    rest."""
+    def wdegrevlex(e, w):
+        return (sum(a * b for a, b in zip(e, w)),
+                tuple(-a for a in reversed(e)))
+
+    if order == "wdegrevlex":
+        return wdegrevlex(exps, weights)
+    if order == "lex":
+        return tuple(exps)
+    k = order[1]
+    return (wdegrevlex(exps[:k], weights[:k]),
+            wdegrevlex(exps[k:], weights[k:]))
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out[m] + c if m in out else c
+        if not out[m]:
+            del out[m]
+    return out
+
+
+def ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            out = ref_add(out, {tuple(a + b for a, b in zip(m1, m2)): c1 * c2})
+    return out
+
+
+def ref_pow(p, k, n, one):
+    out = {(0,) * n: one}
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_substitute(p, images, n, one):
+    """sum of c * prod(images[i] ** e_i), images in a ring on n
+    variables."""
+    out = {}
+    for m, c in p.items():
+        term = {(0,) * n: c}
+        for img, e in zip(images, m):
+            term = ref_mul(term, ref_pow(img, e, n, one))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_str(p, names, weights, order):
+    """The printed form: terms in descending order, coefficient one
+    omitted, signs joined as " + " and " - "."""
+    if not p:
+        return "0"
+    chunks = []
+    for m in sorted(p, key=lambda m: ref_key(m, weights, order),
+                    reverse=True):
+        body = [v if e == 1 else "%s^%d" % (v, e)
+                for v, e in zip(names, m) if e]
+        cs = str(p[m])
+        neg = cs.startswith("-")
+        cs = cs[1:] if neg else cs
+        piece = "*".join(([] if cs == "1" and body else [cs]) + body)
+        if chunks:
+            chunks.append((" - " if neg else " + ") + piece)
+        else:
+            chunks.append("-" + piece if neg else piece)
+    return "".join(chunks)
+
+
+def packed(ring, p):
+    out = ring.zero
+    for m, c in p.items():
+        out = out + ring.monomial(m, c)
+    return out
+
+
+# -- inputs -------------------------------------------------------------------
+
+
+def orders(n):
+    return ["wdegrevlex", "lex"] + [("block", k) for k in range(1, n)]
+
+
+@st.composite
+def rings(draw, field=None, n=None):
+    field = draw(st.sampled_from(FIELDS)) if field is None else field
+    n = draw(st.integers(2, 4)) if n is None else n
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n,
+                                  max_size=n)))
+    return PolyRing(NAMES[:n], field, weights,
+                    draw(st.sampled_from(orders(n))))
+
+
+@st.composite
+def ref_polys(draw, ring, max_terms=4, max_exp=3):
+    """A reference polynomial with small exponents and coefficients, some
+    of them non-integral over Q."""
+    n = len(ring.vars)
+    coeffs = st.integers(-5, 5).filter(bool)
+    if ring.field == QQ:
+        coeffs = st.one_of(coeffs, st.builds(
+            Fraction, st.integers(-5, 5).filter(bool), st.integers(2, 4)))
+    raw = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * n), coeffs,
+        max_size=max_terms))
+    return {m: ring.field.coerce(c) for m, c in raw.items()}
+
+
+def differences(ring, p, q):
+    """The arithmetic and printing of the packed forms of p and q against
+    the reference; returns the names of the operations that differ."""
+    n, one = len(ring.vars), ring.field.one
+    P, Q = packed(ring, p), packed(ring, q)
+    neg = {m: -c for m, c in q.items()}
+    cases = [("p", P, p), ("sum", P + Q, ref_add(p, q)),
+             ("difference", P - Q, ref_add(p, neg)),
+             ("product", P * Q, ref_mul(p, q)),
+             ("square", P * P, ref_mul(p, p))]
+    cases += [("power %d" % k, P ** k, ref_pow(p, k, n, one))
+              for k in range(4)]
+    bad = []
+    for name, got, want in cases:
+        if (got.exponent_terms() != want
+                or str(got) != ref_str(want, ring.vars, ring.weights,
+                                       ring.order)):
+            bad.append(name)
+    descending = sorted(p, key=lambda m: ref_key(m, ring.weights,
+                                                 ring.order), reverse=True)
+    if list(P.exponent_terms()) != descending:
+        bad.append("order")
+    return bad
+
+
+def hom_differences(h, p, images):
+    """h applied twice to the packed form of p (the second time from the
+    map's memo of monomial images) against the reference substitution of
+    the images."""
+    S = h.codomain
+    want = ref_substitute(p, images, len(S.vars), S.field.one)
+    P = packed(h.domain, p)
+    return [k for k in range(2) if h(P).exponent_terms() != want]
+
+
+# -- tests --------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_arithmetic_and_printing_match_the_reference(data):
+    ring = data.draw(rings())
+    p = data.draw(ref_polys(ring))
+    q = data.draw(ref_polys(ring))
+    assert differences(ring, p, q) == []
+
+
+@st.composite
+def hom_cases(draw):
+    """(domain, codomain, reference images, p): images of up to three
+    terms, zero among them, with exponents up to 2."""
+    R = draw(rings(n=draw(st.integers(2, 3))))
+    S = draw(rings(field=R.field, n=draw(st.integers(2, 3))))
+    images = [draw(ref_polys(S, max_terms=3, max_exp=2)) for _ in R.vars]
+    p = draw(ref_polys(R, max_exp=2))
+    return R, S, images, p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hom_cases())
+def test_ring_maps_match_the_reference(case):
+    R, S, images, p = case
+    h = RingHom(R, S, [packed(S, img) for img in images])
+    assert hom_differences(h, p, images) == []
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(hom_cases())
+def test_a_perturbed_image_is_caught(case):
+    # negative control: the map sends the first variable to its image
+    # plus one, so the comparison must report both applications to it
+    R, S, images, _ = case
+    wrong = [packed(S, images[0]) + S.one] + [packed(S, img)
+                                              for img in images[1:]]
+    x = (1,) + (0,) * (len(R.vars) - 1)
+    assert hom_differences(RingHom(R, S, wrong), {x: R.field.one},
+                           images) == [0, 1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_repacking_keeps_the_exponents(data):
+    ring = data.draw(rings())
+    p = data.draw(ref_polys(ring))
+    P = packed(ring, p)
+    for order in orders(len(ring.vars)):
+        other = ring.with_order(order)
+        Q = _reringed(P, other)
+        assert Q.ring == other and Q.exponent_terms() == p
+        assert str(Q) == ref_str(p, ring.vars, ring.weights, order)
+        assert _reringed(Q, ring) == P
+    # onto the ring of the variables p uses, and refused onto fewer
+    used = [v for i, v in enumerate(ring.vars) if any(m[i] for m in p)]
+    sub = ring.drop_to(used)
+    keep = [ring.vars.index(v) for v in used]
+    assert _reringed(P, sub).exponent_terms() == {
+        tuple(m[i] for i in keep): c for m, c in p.items()}
+    if used:
+        with pytest.raises(ValueError):
+            _reringed(P, ring.drop_to(used[1:]))
