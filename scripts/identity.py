@@ -1,0 +1,124 @@
+"""Output identity of two xsq checkouts over a fixed grid of command runs.
+
+    python3 scripts/identity.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of the repository.  Every run of the grid
+is ``python -m xsq.cli ...`` in a fresh interpreter with the checkout's
+``src`` on PYTHONPATH; the inputs are written once to a temporary
+directory, so both sides read the same paths.  The script prints every run
+whose stdout, stderr or exit code differs between the two sides, then one
+summary line per part of the grid with the exit codes seen, and exits 1
+when any run differs.
+
+The grid (323 runs a side):
+
+- the four commands on the benchmark's workload inputs (fixtures a-c, f1
+  and f2) at seeds 0 and 7, on fixtures/d3.json, and on the golden inputs
+  q_fractions, fp7_nonunit_image (GF(7)) and fixture_c_gf_m61
+  (GF(2^61 - 1)), each with the default flags, --format json, --order lex
+  and --max-degree 9;
+- the --budget grid: the four commands on fixtures a-c at eight budgets
+  from 20 to 5000 (96 runs), where a budget step that moved would move an
+  exit code between 0 and 3;
+- verify --break-h on fixtures a-c, which must fail (exit 1) on both sides.
+
+The inputs come from this script's own checkout: xsqbench/workloads.py and
+the golden cases of tests/test_golden.py.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "xsqbench")]
+
+from tests.test_golden import EDGE_INPUTS  # noqa: E402
+from workloads import COMMANDS, make_input  # noqa: E402
+
+RUN_CAP_S = 600
+JOBS = 2  # runs at a time; the outputs compared do not depend on timing
+FLAGS = ((), ("--format", "json"), ("--order", "lex"), ("--max-degree", "9"))
+BUDGETS = (20, 50, 100, 200, 500, 1000, 2000, 5000)
+GOLDEN_INPUTS = ("q_fractions", "fp7_nonunit_image", "fixture_c_gf_m61")
+
+
+def write_inputs(folder):
+    """{name: path} of every input of the grid, written under folder."""
+    objs = {"%s_seed%d" % (base, seed): make_input(base, seed)
+            for seed in (0, 7) for base in ("a", "b", "c", "f1", "f2")}
+    objs["d3"] = json.loads((ROOT / "fixtures" / "d3.json").read_text())
+    objs.update((name, EDGE_INPUTS[name]) for name in GOLDEN_INPUTS)
+    paths = {}
+    for name, obj in objs.items():
+        path = Path(folder) / ("%s.json" % name)
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    return paths
+
+
+def grid(paths):
+    """(part, argument list) for every run."""
+    runs = [("flags", [c, path, *flags]) for path in paths.values()
+            for c in COMMANDS for flags in FLAGS]
+    fixtures = [paths["%s_seed0" % b] for b in ("a", "b", "c")]
+    runs += [("budget", [c, path, "--budget", str(n)]) for path in fixtures
+             for c in COMMANDS for n in BUDGETS]
+    runs += [("break-h", ["verify", path, "--break-h"]) for path in fixtures]
+    return runs
+
+
+def run(checkout, args):
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+    try:
+        out = subprocess.run([sys.executable, "-m", "xsq.cli", *args],
+                             cwd=checkout, env=env, capture_output=True,
+                             timeout=RUN_CAP_S)
+    except subprocess.TimeoutExpired:
+        return ("timeout", b"", b"")
+    return (out.returncode, out.stdout, out.stderr)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as folder:
+        runs = grid(write_inputs(folder))
+        with ThreadPoolExecutor(JOBS) as pool:
+            sides = [pool.map(functools.partial(run, checkout),
+                              [argv_ for _, argv_ in runs])
+                     for checkout in (args.parent, args.change)]
+            results = list(zip(*sides))
+        differ = 0
+        codes = {}
+        for (part, argv_), (old, new) in zip(runs, results):
+            codes.setdefault(part, (Counter(), Counter()))
+            codes[part][0][old[0]] += 1
+            codes[part][1][new[0]] += 1
+            if old != new:
+                differ += 1
+                what = [name for name, a, b in zip(
+                    ("exit code", "stdout", "stderr"), old, new) if a != b]
+                print("DIFFERS (%s): xsq %s" % (", ".join(what),
+                                               " ".join(argv_)))
+    for part, (old, new) in codes.items():
+        print("%s: %d runs, exit codes parent %s, change %s"
+              % (part, sum(old.values()), dict(sorted(old.items(), key=str)),
+                 dict(sorted(new.items(), key=str))))
+    print("%d of %d runs differ" % (differ, len(runs)))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -207,7 +207,15 @@ def verify_square(square, scalars=(2, -3)):
     """
     rep = VerifyReport(square.label or "crossed square")
     L, M, N = square.top, square.left, square.right
-    bnd, lft, pair = square.bnd, square.lift, square.pair
+    bnd, lft = square.bnd, square.lift
+    pairs = {}  # (m, n) -> h(m, n); the axioms share argument pairs
+
+    def pair(m, n):
+        h = pairs.get((m, n))
+        if h is None:
+            h = pairs[m, n] = square.pair(m, n)
+        return h
+
     mgens, ngens, lgens = M.gens, N.gens, L.gens
     zero = square.base.zero
 

@@ -21,7 +21,8 @@ The engine works on the packed monomials that polynomials store
 difference, a divisibility test one subtraction and a mask, and the order
 key is an int linear in the monomial.  A reducer is a tuple of (monomial,
 key, coefficient) terms with the leading term first, and ``Ideal._cache``
-keeps each reduced basis in that form beside its polynomials.  Division
+keeps each reduced basis in that form, with its leading monomials, beside
+its polynomials.  Division
 reduces a dividend keyed by order key in place and gives each new term the
 key key(t) + key(m).  A polynomial moves to a ring with another order, or
 to a ring on fewer variables, by a linear map of packed monomials.  An
@@ -40,6 +41,7 @@ from operator import itemgetter
 
 from .rings import (BudgetExceeded, ExponentOverflow, Polynomial, PolyRing,
                     RingHom, fresh_names)
+from .scalars import reduced
 
 DEFAULT_BUDGET = 10**6
 
@@ -113,19 +115,22 @@ def _add_multiple(h, monos, terms, t, kt, f, guards):
                 del h[kn]
 
 
-def _divide(h, monos, reducers, inv, budget, guards, want_quotients=True,
-            lms=None):
+def _divide(h, monos, reducers, inv, budget, guards, char,
+            want_quotients=True, lms=None):
     """Multivariate division of the dividend (h, monos) by the packed
     reducers: h = sum(q_i * reducer_i) + r with no monomial of r divisible
     by any leading monomial of a reducer.  Deterministic: the first divisor
     in list order wins, and every term taken off the dividend costs one
     budget step.  inv is the field's exact inverse, needed only for a
-    reducer that is not monic.
+    reducer that is not monic, and char its characteristic.
 
     The dividend is reduced in place; its leading term is the one of
-    largest key.  lms, when given, are the reducers' leading monomials.
-    Returns the quotients as {packed monomial: coefficient} dicts (None
-    unless wanted) and the remainder as descending packed terms."""
+    largest key.  Over F_p (char > 0) it sums exact integers, and a term
+    is reduced mod char when it is taken off: one that vanishes is dropped
+    at no step, as an exact zero is dropped when it arises.  lms, when
+    given, are the reducers' leading monomials.  Returns the quotients as
+    {packed monomial: coefficient} dicts (None unless wanted) and the
+    remainder as descending packed terms."""
     if lms is None:
         lms = [r[0][0] for r in reducers]
     quots = [{} for _ in reducers] if want_quotients else None
@@ -133,6 +138,10 @@ def _divide(h, monos, reducers, inv, budget, guards, want_quotients=True,
     while h:
         k = max(h)
         c = h.pop(k)
+        if char:
+            c %= char
+            if not c:
+                continue
         m = monos[k]
         budget.spend()
         for i, lm in enumerate(lms):
@@ -140,7 +149,11 @@ def _divide(h, monos, reducers, inv, budget, guards, want_quotients=True,
             if not t & guards:
                 red = reducers[i]
                 _, lk, lc = red[0]
-                f = c if lc == 1 else c * inv(lc)
+                f = c
+                if lc != 1:
+                    f = c * inv(lc)
+                    if char:
+                        f %= char
                 _add_multiple(h, monos, islice(red, 1, None), t, k - lk, -f,
                               guards)
                 if want_quotients:
@@ -151,8 +164,9 @@ def _divide(h, monos, reducers, inv, budget, guards, want_quotients=True,
     return quots, rem
 
 
-def _scaled(terms, c):
-    return tuple([(m, k, v * c) for m, k, v in terms])
+def _scaled(terms, c, char):
+    return tuple([(m, k, v * c % char if char else v * c)
+                  for m, k, v in terms])
 
 
 def _spoly(f, a, g, b, packing):
@@ -166,7 +180,8 @@ def _spoly(f, a, g, b, packing):
 
 def _row_add(acc, q, row, guards):
     """acc += q * row for cofactor rows, which are lists of {packed
-    monomial: coefficient} dicts; q is one such dict."""
+    monomial: coefficient} dicts; q is one such dict.  Coefficients are
+    summed exactly; the caller reduces the finished row."""
     for out, p in zip(acc, row):
         for qm, qc in q.items():
             for pm, pc in p.items():
@@ -202,7 +217,7 @@ def _buchberger(gens, ring, budget, track=False):
     in the reducer list, so the cofactor rows index all of them.
     """
     k = len(gens)
-    one, inv = ring.field.one, ring.field.inv
+    one, inv, char = ring.field.one, ring.field.inv, ring.field.char
     packing = ring.packing
     guards = packing.guards
 
@@ -216,7 +231,7 @@ def _buchberger(gens, ring, budget, track=False):
             continue
         u = inv(g[0][2])
         rows.append(tuple({0: u} if j == i else {} for j in range(k)))
-        G.append(g if u == one else _scaled(g, u))
+        G.append(g if u == one else _scaled(g, u, char))
         lms.append(g[0][0])
         _update(len(G) - 1, lms, active, pairs, heap, packing)
     while heap:
@@ -230,7 +245,7 @@ def _buchberger(gens, ring, budget, track=False):
             budget.spend()
             a, b = lcm - lms[i], lcm - lms[j]
             h, monos = _spoly(G[i], a, G[j], b, packing)
-        quots, rem = _divide(h, monos, G, inv, budget, guards,
+        quots, rem = _divide(h, monos, G, inv, budget, guards, char,
                              want_quotients=track, lms=lms)
         if not rem:
             continue
@@ -242,9 +257,9 @@ def _buchberger(gens, ring, budget, track=False):
             for t, q in enumerate(quots):
                 if q:
                     _row_add(srow, _negated(q), rows[t], guards)
-            rows.append(tuple({m: c * u for m, c in p.items()}
+            rows.append(tuple(reduced({m: c * u for m, c in p.items()}, char)
                               for p in srow))
-        G.append(_scaled(rem, u))
+        G.append(_scaled(rem, u, char))
         lms.append(rem[0][0])
         _update(len(G) - 1, lms, active, pairs, heap, packing)
 
@@ -293,7 +308,7 @@ def _update(n, lms, active, pairs, heap, packing):
 
 def _reduce_basis(G, rows, ring, budget):
     """Minimalize and tail-reduce; canonical output order."""
-    inv = ring.field.inv
+    inv, char = ring.field.inv, ring.field.char
     guards = ring.packing.guards
     track = rows is not None
     keep = []
@@ -307,7 +322,7 @@ def _reduce_basis(G, rows, ring, budget):
     out, out_rows = [], ([] if track else None)
     for idx, b in enumerate(basis):
         quots, rem = _divide(*_dividend(b), basis[:idx] + basis[idx + 1:],
-                             inv, budget, guards, want_quotients=track)
+                             inv, budget, guards, char, want_quotients=track)
         if not rem:
             continue
         u = inv(rem[0][2])
@@ -316,9 +331,9 @@ def _reduce_basis(G, rows, ring, budget):
             for q, other in zip(quots, brows[:idx] + brows[idx + 1:]):
                 if q:
                     _row_add(row, _negated(q), other, guards)
-            out_rows.append(tuple({m: c * u for m, c in p.items()}
-                                  for p in row))
-        out.append(_scaled(rem, u))
+            out_rows.append(tuple(
+                reduced({m: c * u for m, c in p.items()}, char) for p in row))
+        out.append(_scaled(rem, u, char))
     ranks = sorted(range(len(out)), key=lambda i: out[i][0][1])
     return ([out[i] for i in ranks],
             [out_rows[i] for i in ranks] if track else None)
@@ -359,10 +374,10 @@ class Ideal:
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
 
     def _computed(self, order=None, budget=None, track=False):
-        """(work ring, basis, rows, reducers) for the requested order: the
-        basis as polynomials of the work ring and as reducers, and the
-        cofactor rows of packed dicts only when tracking was requested at
-        some point."""
+        """(work ring, basis, rows, reducers, lms) for the requested order:
+        the basis as polynomials of the work ring, as reducers and as their
+        leading monomials, and the cofactor rows of packed dicts only when
+        tracking was requested at some point."""
         tag = self.ring.order if order is None else order
         hit = self._cache.get(tag)
         if hit is None or (track and hit[2] is None):
@@ -371,7 +386,8 @@ class Ideal:
             basis, rows = _buchberger(gens, work, _budget(budget),
                                       track=track)
             self._cache[tag] = (work, tuple(_polynomial(work, b)
-                                            for b in basis), rows, basis)
+                                            for b in basis), rows, basis,
+                                tuple(b[0][0] for b in basis))
         return self._cache[tag]
 
     def groebner(self, order=None, budget=None):
@@ -382,10 +398,10 @@ class Ideal:
     def normal_form(self, p, order=None, budget=None):
         if p.ring != self.ring:
             raise ValueError("polynomial not in the ideal's ring")
-        work, _, _, basis = self._computed(order, budget)
+        work, _, _, basis, lms = self._computed(order, budget)
         _, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
-                         work.field.inv, _budget(budget),
-                         work.packing.guards, want_quotients=False)
+                         work.field.inv, _budget(budget), work.packing.guards,
+                         work.field.char, want_quotients=False, lms=lms)
         return _reringed(_polynomial(work, rem), self.ring)
 
     def member(self, p, order=None, budget=None):
@@ -394,10 +410,11 @@ class Ideal:
     def lift(self, p, budget=None):
         """Cofactors against the original generators; exact identity
         sum(c_i * gens_i) == p, or :class:`NotInIdeal`."""
-        work, _, rows, basis = self._computed(None, budget, track=True)
-        guards = work.packing.guards
+        work, _, rows, basis, lms = self._computed(None, budget, track=True)
+        guards, char = work.packing.guards, work.field.char
         quots, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
-                             work.field.inv, _budget(budget), guards)
+                             work.field.inv, _budget(budget), guards, char,
+                             lms=lms)
         if rem:
             raise NotInIdeal("polynomial is not a member: residue %s"
                              % _polynomial(work, rem))
@@ -405,7 +422,7 @@ class Ideal:
         for q, row in zip(quots, rows):
             if q:
                 _row_add(cof, q, row, guards)
-        cof = tuple(Polynomial(work, c) for c in cof)
+        cof = tuple(Polynomial(work, reduced(c, char)) for c in cof)
         check = self.ring.zero
         for c, g in zip(cof, self.gens):
             check = check + c * g
@@ -461,8 +478,9 @@ def eliminate(I, drop, budget=None):
     kept = tuple(_reringed(b, target) for b in basis
                  if not b.leading()[0] & block)
     K = Ideal(target, kept)
-    K._cache[target.order] = (target, kept, None,
-                              tuple(_terms(b) for b in kept))
+    reducers = tuple(_terms(b) for b in kept)
+    K._cache[target.order] = (target, kept, None, reducers,
+                              tuple(r[0][0] for r in reducers))
     return K
 
 
@@ -519,7 +537,7 @@ def syzygies(gens, ring=None, budget=None):
     k = len(gens)
     if k == 0:
         return ()
-    one, inv = ring.field.one, ring.field.inv
+    one, inv, char = ring.field.one, ring.field.inv, ring.field.char
     packing = ring.packing
     guards = packing.guards
     bud = _budget(budget)
@@ -548,7 +566,7 @@ def syzygies(gens, ring=None, budget=None):
             lcm = packing.lcm(lm_i, lm_j)
             a, b = lcm - lm_i, lcm - lm_j
             quots, rem = _divide(*_spoly(basis[i], a, basis[j], b, packing),
-                                 basis, inv, bud, guards)
+                                 basis, inv, bud, guards, char)
             if rem:
                 raise AssertionError("S-polynomial of a basis did not vanish")
             v = [{} for _ in range(k)]
@@ -560,7 +578,7 @@ def syzygies(gens, ring=None, budget=None):
             syz.append(v)
     # identity defects: e_j minus the expansion of g_j through the basis
     for j, g in nonzero:
-        quots, rem = _divide(*_dividend(g), basis, inv, bud, guards)
+        quots, rem = _divide(*_dividend(g), basis, inv, bud, guards, char)
         if rem:
             raise AssertionError("generator did not reduce to zero")
         v = [{} for _ in range(k)]
@@ -571,7 +589,7 @@ def syzygies(gens, ring=None, budget=None):
         syz.append(v)
     out = []
     for v in syz:
-        v = tuple(Polynomial(ring, p) for p in v)
+        v = tuple(Polynomial(ring, reduced(p, char)) for p in v)
         if all(p.is_zero() for p in v):
             continue
         check = ring.zero
@@ -641,13 +659,12 @@ def standard_monomials(I, D, budget=None):
     The monomials are built one variable at a time.  A leading monomial is
     tested when its last variable is set; once it divides, the higher powers
     of that variable, and every monomial above them, are skipped."""
-    work, _, _, basis = I._computed("wdegrevlex", budget)
+    work, _, _, _, lms = I._computed("wdegrevlex", budget)
     packing = work.packing
     guards, units, weights = packing.guards, packing.units, work.weights
     n = len(units)
     by_last = [[] for _ in range(n)]
-    for b in basis:
-        lm = b[0][0]
+    for lm in lms:
         used = [i for i, e in enumerate(packing.unpack(lm)) if e]
         if not used:
             return work, []  # the unit ideal

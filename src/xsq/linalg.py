@@ -27,6 +27,7 @@ from bisect import insort
 from heapq import heapify, heappop, heappush
 
 from .groebner import monomials_leq
+from .scalars import reduced
 
 
 def _sparse(vec):
@@ -51,9 +52,11 @@ class Echelon:
 
     def reduce(self, vec):
         """Normal form of vec modulo the span, as a dict of its nonzero
-        entries; no entry lies in a pivot column."""
+        entries; no entry lies in a pivot column.  Over F_p the entries
+        sum exact integers until they are read: an entry is reduced when
+        its pivot column is cleared, and the normal form at the end."""
         v = _sparse(vec)
-        rows = self.rows
+        rows, char = self.rows, self.field.char
         todo = [c for c in v if c in rows]
         heapify(todo)
         while todo:
@@ -61,6 +64,10 @@ class Echelon:
             f = v.pop(col, None)
             if f is None:
                 continue
+            if char:
+                f %= char
+                if not f:
+                    continue
             for c, x in rows[col]:
                 y = v.get(c)
                 if y is None:
@@ -73,7 +80,7 @@ class Echelon:
                         v[c] = y
                     else:
                         del v[c]
-        return v
+        return reduced(v, char)
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
@@ -81,8 +88,9 @@ class Echelon:
         if not v:
             return False
         col = min(v)
-        u = self.field.inv(v.pop(col))
-        self.rows[col] = [(c, x * u) for c, x in v.items()]
+        u, char = self.field.inv(v.pop(col)), self.field.char
+        self.rows[col] = [(c, x * u % char if char else x * u)
+                          for c, x in v.items()]
         insort(self.pivots, col)
         return True
 

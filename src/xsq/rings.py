@@ -4,9 +4,10 @@ A ring fixes an ordered variable list, a ground field, per-variable weights
 (used for the degree filtration) and a monomial order.  Each ring packs a
 monomial into one int (:class:`Packing`, kept as ``PolyRing.packing``), and
 a polynomial is an immutable dict from packed monomials to nonzero
-coefficients: a monomial product is an int sum, and the order key is an
-int.  Exponent tuples appear only where monomials are read or written: the
-parser and :meth:`PolyRing.monomial` pack them, and ``str()`` and
+coefficients (residues in [0, p) over F_p, see :mod:`xsq.scalars`): a
+monomial product is an int sum, and the order key is an int.  Exponent
+tuples appear only where monomials are read or written: the parser and
+:meth:`PolyRing.monomial` pack them, and ``str()`` and
 :meth:`Polynomial.exponent_terms` unpack them.
 
 The text grammar understood by :func:`PolyRing.parse`:
@@ -39,7 +40,7 @@ from functools import reduce
 from math import comb
 from operator import add, mul, or_
 
-from .scalars import QQ
+from .scalars import QQ, reduced
 
 
 class ParseError(ValueError):
@@ -506,13 +507,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
+        char = self.ring.field.char
         out = dict(self.terms)
         for m, c in other.terms.items():
-            _accumulate(out, m, c)
+            _accumulate(out, m, c, char)
         return Polynomial(self.ring, out)
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        char = self.ring.field.char  # 0 over Q, where char - c is -c
+        return Polynomial(self.ring,
+                          {m: char - c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -521,13 +525,16 @@ class Polynomial:
 
     def __mul__(self, other):
         """A monomial product is the sum of the packed monomials; a product
-        with an exponent past MAX_EXPONENT sets a guard bit and raises."""
+        with an exponent past MAX_EXPONENT sets a guard bit and raises.
+        Coefficients are summed exactly and reduced once at the end."""
+        char = self.ring.field.char
         if not isinstance(other, Polynomial):
             # scalar multiplication
             c = self.ring.field.coerce(other)
             if not c:
                 return self.ring.zero
-            return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
+            return Polynomial(self.ring, reduced(
+                {m: v * c for m, v in self.terms.items()}, char))
         self._check(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -549,6 +556,7 @@ class Polynomial:
                         out[m] = s
                     else:
                         del out[m]
+        out = reduced(out, char)
         if reduce(or_, out, 0) & self.ring.packing.guards:
             raise ExponentOverflow()
         return Polynomial(self.ring, out)
@@ -609,16 +617,18 @@ class Polynomial:
         return "<%s>" % self
 
 
-def _accumulate(out, m, c):
+def _accumulate(out, m, c, char):
+    """out[m] += c, reduced mod char when char is nonzero; a sum of zero
+    drops the term."""
     s = out.get(m)
-    if s is None:
+    if s is not None:
+        c = s + c
+    if char:
+        c %= char
+    if c:
         out[m] = c
-    else:
-        s = s + c
-        if s:
-            out[m] = s
-        else:
-            del out[m]
+    elif s is not None:
+        del out[m]
 
 
 class RingHom:
@@ -635,6 +645,9 @@ class RingHom:
         for img in images:
             if img.ring != codomain:
                 raise ValueError("image %r not in the codomain" % (img,))
+        if domain.field.char and codomain.field != domain.field:
+            raise ValueError("no ring map from %r to %r"
+                             % (domain.field, codomain.field))
         self.domain = domain
         self.codomain = codomain
         self.images = images
@@ -692,6 +705,7 @@ class RingHom:
         if p.ring != self.domain:
             raise ValueError("argument not in the domain ring")
         memo, coerce = self._memo, self._coerce
+        char = self.codomain.field.char
         out = {}
         for M, c in p.terms.items():
             image = memo.get(M)
@@ -700,7 +714,7 @@ class RingHom:
             if coerce is not None:
                 c = coerce(c)
             for N, f in image:
-                _accumulate(out, N, c if f is None else c * f)
+                _accumulate(out, N, c if f is None else c * f, char)
         return Polynomial(self.codomain, out)
 
     def _monomial(self, M):
@@ -716,9 +730,11 @@ class RingHom:
             if max(map(sum, zip(*rows))) > _VALUES:
                 raise ExponentOverflow()
         N = sum(map(mul, e, self._monos))
-        f = None
+        char = self.codomain.field.char
+        f = None  # a product of residues over F_p; the callers reduce it
         for i, c in self._scaled:
-            for _ in range(e[i]):
+            if e[i]:
+                c = pow(c, e[i], char or None)
                 f = c if f is None else f * c
         factor = None
         for i, img in self._several:
@@ -727,11 +743,12 @@ class RingHom:
                 factor = power if factor is None else factor * power
         if factor is None:
             return ((N, f),)
+        if f is not None:
+            factor = factor * f
         guards = self.codomain.packing.guards
         if any((N + fM) & guards for fM in factor.terms):
             raise ExponentOverflow()
-        return tuple((N + fM, fc if f is None else f * fc)
-                     for fM, fc in factor.terms.items())
+        return tuple((N + fM, fc) for fM, fc in factor.terms.items())
 
     def then(self, other):
         """Composite ``other after self`` (apply self first)."""

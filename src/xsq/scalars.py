@@ -4,94 +4,20 @@ Every coefficient that enters a polynomial is produced by ``field.coerce``.
 Over Q an integral coefficient is a plain ``int`` and any other a reduced
 ``Fraction``, so the common case runs on machine integers; an integral
 ``Fraction`` that arithmetic leaves behind (1/2 + 1/2) compares, hashes and
-prints like its ``int``.  Over F_p a coefficient is an :class:`FpElement`
-with residue in ``[0, p)``.  Coefficients are divided only through
-``field.inv``, which is exact: ``/`` on two ints would give a float.  No
-floats anywhere; ideal membership has to be decidable.
+prints like its ``int``.  Over F_p a coefficient is a plain ``int`` in
+``[0, p)``.  Arithmetic on coefficients is the arithmetic of Python numbers,
+so over F_p a sum or product leaves that range: the code that computes one
+reads ``char = field.char`` once and reduces ``% char`` when ``char`` is
+nonzero, or sums exact integers and passes the result through
+:func:`reduced`.  Over Q, ``char`` is 0 and nothing is reduced.
+Coefficients are divided only through ``field.inv``, which is exact: ``/``
+on two ints would give a float.  No floats anywhere; ideal membership has
+to be decidable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-class FpElement:
-    """Residue mod a prime, with field arithmetic via operators."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics %d and %d" % (self.p, other.p))
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        if isinstance(other, Fraction):
-            return FpElement(other.numerator, self.p) / FpElement(other.denominator, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val + other.val, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val - other.val, self.p)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val * other.val, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.val == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return FpElement(self.val * pow(other.val, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __neg__(self):
-        return FpElement(-self.val, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return "FpElement(%d, %d)" % (self.val, self.p)
-
-    def __str__(self):
-        return str(self.val)
 
 
 class RationalField:
@@ -162,7 +88,11 @@ def is_prime(n):
 
 
 class PrimeField:
-    """The field F_p for a prime p below ``MAX_MODULUS``."""
+    """The field F_p for a prime p below ``MAX_MODULUS``; a coefficient is
+    an ``int`` in ``[0, p)``."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         if not isinstance(p, int) or isinstance(p, bool):
@@ -172,31 +102,18 @@ class PrimeField:
         self.p = p
         self.char = p
 
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
-
     def coerce(self, value):
-        if isinstance(value, FpElement):
-            if value.p != self.p:
-                raise TypeError("element of F_%d used in F_%d" % (value.p, self.p))
-            return value
         if isinstance(value, int):
-            return FpElement(value, self.p)
+            return value % self.p  # an int, also for a bool
         if isinstance(value, Fraction):
-            return (FpElement(value.numerator, self.p)
-                    * self.inv(FpElement(value.denominator, self.p)))
+            return value.numerator * self.inv(value.denominator) % self.p
         raise TypeError("cannot coerce %r into F_%d" % (value, self.p))
 
     def inv(self, c):
-        c = self.coerce(c)
+        c %= self.p
         if not c:
             raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return FpElement(pow(c.val, -1, self.p), self.p)
+        return pow(c, -1, self.p)
 
     def label(self):
         return {"Fp": self.p}
@@ -212,6 +129,14 @@ class PrimeField:
 
 
 QQ = RationalField()
+
+
+def reduced(terms, char):
+    """The dict terms with every value reduced mod char and the zeros
+    dropped; terms itself when char is 0, where values are exact."""
+    if not char:
+        return terms
+    return {k: r for k, c in terms.items() if (r := c % char)}
 
 
 def GF(p):

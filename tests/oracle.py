@@ -6,10 +6,10 @@ enumerate their own monomial bases and run their own dense Gauss-Jordan
 elimination.  The normal-form oracle row-reduces the matrix of generator
 multiples against the monomial basis of the filtered piece; for
 weighted-homogeneous generators that matrix spans the ideal's filtered
-piece exactly, so the reduced vector is the unique normal form.
+piece exactly, so the reduced vector is the unique normal form.  Over
+GF(p) every entry they compute is reduced mod p explicitly; the field
+supplies only its inverse.
 """
-
-from fractions import Fraction
 
 
 def is_whomogeneous(p):
@@ -23,6 +23,7 @@ def is_whomogeneous(p):
 def gauss_jordan(rows, field):
     """(pivot columns, fully reduced nonzero rows) of dense rows, pivots
     ascending."""
+    p = field.char
     rows = [list(r) for r in rows]
     width = len(rows[0]) if rows else 0
     pivots = []
@@ -32,12 +33,13 @@ def gauss_jordan(rows, field):
         if hit is None:
             continue
         rows[done], rows[hit] = rows[hit], rows[done]
-        inv = Fraction(1) / rows[done][col]  # exact; FpElement over GF(p)
-        piv = rows[done] = [x * inv for x in rows[done]]
+        inv = field.inv(rows[done][col])
+        piv = rows[done] = [x * inv % p if p else x * inv for x in rows[done]]
         for i, r in enumerate(rows):
             if i != done and r[col]:
                 f = r[col]
-                rows[i] = [a - f * b for a, b in zip(r, piv)]
+                rows[i] = [(a - f * b) % p if p else a - f * b
+                           for a, b in zip(r, piv)]
         pivots.append(col)
     return pivots, rows[:len(pivots)]
 
@@ -46,20 +48,22 @@ def rank(rows, field):
     return len(gauss_jordan(rows, field)[0])
 
 
-def reduce(vec, pivots, reduced):
+def reduce(vec, pivots, reduced, field):
     """vec minus the combination of fully reduced rows that clears every
     pivot column."""
+    p = field.char
     v = list(vec)
     for col, r in zip(pivots, reduced):
         if v[col]:
             f = v[col]
-            v = [a - f * b for a, b in zip(v, r)]
+            v = [(a - f * b) % p if p else a - f * b for a, b in zip(v, r)]
     return v
 
 
 def kernel_rows(rows, field):
     """Basis of {c : sum c_i rows_i = 0}, read off the free columns of the
     reduced transpose."""
+    p = field.char
     n = len(rows)
     width = len(rows[0]) if rows else 0
     cols = [[rows[i][j] for i in range(n)] for j in range(width)]
@@ -70,8 +74,8 @@ def kernel_rows(rows, field):
             continue
         c = [field.zero] * n
         c[free] = field.one
-        for p, r in zip(pivots, reduced):
-            c[p] = -r[free]
+        for col, r in zip(pivots, reduced):
+            c[col] = -r[free] % p if p else -r[free]
         out.append(c)
     return out
 
@@ -143,7 +147,7 @@ class MacaulayNF:
     def nf(self, p):
         assert p.wdeg() <= self.D
         return self.fb.from_vec(reduce(self.fb.to_vec(p), self.pivots,
-                                       self.reduced))
+                                       self.reduced, self.ring.field))
 
     def member(self, p):
         return self.nf(p).is_zero()

@@ -5,7 +5,6 @@ lazily inserted generators against the eager tracked path; and of division
 against a plain reference division.  Products past the exponent limit must
 raise."""
 
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -203,9 +202,10 @@ def _reference_divide(p, basis):
         for i, b in enumerate(basis):
             bm, bc = lead(b)
             if mono_divides(bm, m):
-                # exact over Q and defers to FpElement over GF(p)
+                # the field's exact inverse; over GF(p) the product is
+                # reduced by ring.monomial, which coerces its coefficient
                 q = ring.monomial([x - y for x, y in zip(m, bm)],
-                                  c * (Fraction(1) / bc))
+                                  c * ring.field.inv(bc))
                 h = h - q * b
                 quots[i] = quots[i] + q
                 break
@@ -223,7 +223,8 @@ def _divide(p, basis, budget, want_quotients=True):
     quots, rem = groebner._divide(
         *groebner._dividend(groebner._terms(p)),
         [groebner._terms(b) for b in basis],
-        ring.field.inv, budget, ring.packing.guards, want_quotients)
+        ring.field.inv, budget, ring.packing.guards, ring.field.char,
+        want_quotients)
     if quots is not None:
         quots = [Polynomial(ring, q) for q in quots]
     return quots, groebner._polynomial(ring, rem)

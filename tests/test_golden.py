@@ -8,9 +8,10 @@ every command on three edge inputs (no level-1 generators, no variables, a
 zero boundary image), on an input over GF(7) whose boundary images are
 monomials with coefficients other than one, on its analogue over Q
 with the non-integral coefficient 3/2, whose output prints 2/3 and 3/2,
-and on f1, the three-variable input over GF(32003) of the benchmark's
-fp-3var workload; every command on fixture c with --order lex, the one
-order that is not degree-compatible; every command on d3
+on f1, the three-variable input over GF(32003) of the benchmark's
+fp-3var workload, and on fixture c over GF(2^61 - 1), whose residues and
+their products pass 64 bits; every command on fixture c with --order lex,
+the one order that is not degree-compatible; every command on d3
 (fixtures/d3.json), the smallest input with three variables, block-order
 eliminations and larger bases; and the --format json stdout of every
 command on fixture c, on the GF(7) input and on its analogue over Q.  A change that alters any
@@ -59,6 +60,10 @@ EDGE_INPUTS = {
                     "S2": [{"name": "S1", "image": "3/2*x^2"},
                            {"name": "S2", "image": "-x*y"}],
                     "S3": [{"name": "T", "image": "y*S1 + 3/2*x*S2"}]},
+    "fixture_c_gf_m61": {"field": {"Fp": 2**61 - 1}, "S1": ["x", "y"],
+                         "S2": [{"name": "S1", "image": "x^2"},
+                                {"name": "S2", "image": "x*y"}],
+                         "S3": [{"name": "T", "image": "y*S1 - x*S2"}]},
 }
 
 

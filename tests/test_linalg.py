@@ -21,7 +21,9 @@ FIELDS = (QQ, GF(32003))
 
 
 def naive_rref(rows, field):
-    """Dense Gauss-Jordan: (pivot columns, fully reduced nonzero rows)."""
+    """Dense Gauss-Jordan: (pivot columns, fully reduced nonzero rows),
+    every entry reduced mod p over GF(p)."""
+    p = field.char
     rows = [list(r) for r in rows]
     width = len(rows[0]) if rows else 0
     pivots = []
@@ -33,12 +35,13 @@ def naive_rref(rows, field):
                 break
         else:
             continue
-        inv = Fraction(1) / rows[top][col]  # exact; FpElement over GF(p)
-        rows[top] = [x * inv for x in rows[top]]
+        inv = field.inv(rows[top][col])
+        rows[top] = [x * inv % p if p else x * inv for x in rows[top]]
         for i in range(len(rows)):
             if i != top and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
+                rows[i] = [(a - f * b) % p if p else a - f * b
+                           for a, b in zip(rows[i], rows[top])]
         pivots.append(col)
     return pivots, rows[:len(pivots)]
 
@@ -50,11 +53,12 @@ def naive_rank(rows, field):
 def naive_nf(vec, rows, field):
     """vec reduced by the dense reduced echelon form of rows, as a dict of
     its nonzero entries."""
+    p = field.char
     v = list(vec)
     for col, r in zip(*naive_rref(rows, field)):
         if v[col]:
             f = v[col]
-            v = [a - f * b for a, b in zip(v, r)]
+            v = [(a - f * b) % p if p else a - f * b for a, b in zip(v, r)]
     return {c: x for c, x in enumerate(v) if x}
 
 
@@ -74,7 +78,8 @@ def matrices(draw):
     for i, j in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
                               max_size=2)):
         if i < len(rows) and j < len(rows):
-            rows.append([a + b for a, b in zip(rows[i], rows[j])])
+            rows.append([field.coerce(a + b)
+                         for a, b in zip(rows[i], rows[j])])
     return field, width, rows, draw(vec)
 
 

@@ -3,8 +3,9 @@ small reference on exponent tuples written here: sums, products, powers,
 ring maps, repacking into rings with another order or fewer variables, and
 the printed form, over Q and GF(32003) in wdegrevlex, lex and ("block", k)
 rings.  The reference shares no code with xsq beyond the coefficient
-fields.  A negative control perturbs one image of a ring map and requires
-the comparison to report it."""
+fields, and reduces its GF(p) coefficients mod p itself (char is the
+characteristic, 0 over Q).  A negative control perturbs one image of a
+ring map and requires the comparison to report it."""
 
 from fractions import Fraction
 
@@ -39,39 +40,41 @@ def ref_key(exps, weights, order):
             wdegrevlex(exps[k:], weights[k:]))
 
 
-def ref_add(p, q):
+def ref_add(p, q, char):
     out = dict(p)
     for m, c in q.items():
-        out[m] = out[m] + c if m in out else c
+        v = out[m] + c if m in out else c
+        out[m] = v % char if char else v
         if not out[m]:
             del out[m]
     return out
 
 
-def ref_mul(p, q):
+def ref_mul(p, q, char):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            out = ref_add(out, {tuple(a + b for a, b in zip(m1, m2)): c1 * c2})
+            out = ref_add(out, {tuple(a + b for a, b in zip(m1, m2)): c1 * c2},
+                          char)
     return out
 
 
-def ref_pow(p, k, n, one):
+def ref_pow(p, k, n, one, char):
     out = {(0,) * n: one}
     for _ in range(k):
-        out = ref_mul(out, p)
+        out = ref_mul(out, p, char)
     return out
 
 
-def ref_substitute(p, images, n, one):
+def ref_substitute(p, images, n, one, char):
     """sum of c * prod(images[i] ** e_i), images in a ring on n
     variables."""
     out = {}
     for m, c in p.items():
         term = {(0,) * n: c}
         for img, e in zip(images, m):
-            term = ref_mul(term, ref_pow(img, e, n, one))
-        out = ref_add(out, term)
+            term = ref_mul(term, ref_pow(img, e, n, one, char), char)
+        out = ref_add(out, term, char)
     return out
 
 
@@ -138,14 +141,14 @@ def ref_polys(draw, ring, max_terms=4, max_exp=3):
 def differences(ring, p, q):
     """The arithmetic and printing of the packed forms of p and q against
     the reference; returns the names of the operations that differ."""
-    n, one = len(ring.vars), ring.field.one
+    n, one, char = len(ring.vars), ring.field.one, ring.field.char
     P, Q = packed(ring, p), packed(ring, q)
-    neg = {m: -c for m, c in q.items()}
-    cases = [("p", P, p), ("sum", P + Q, ref_add(p, q)),
-             ("difference", P - Q, ref_add(p, neg)),
-             ("product", P * Q, ref_mul(p, q)),
-             ("square", P * P, ref_mul(p, p))]
-    cases += [("power %d" % k, P ** k, ref_pow(p, k, n, one))
+    neg = {m: -c % char if char else -c for m, c in q.items()}
+    cases = [("p", P, p), ("sum", P + Q, ref_add(p, q, char)),
+             ("difference", P - Q, ref_add(p, neg, char)),
+             ("product", P * Q, ref_mul(p, q, char)),
+             ("square", P * P, ref_mul(p, p, char))]
+    cases += [("power %d" % k, P ** k, ref_pow(p, k, n, one, char))
               for k in range(4)]
     bad = []
     for name, got, want in cases:
@@ -165,7 +168,7 @@ def hom_differences(h, p, images):
     map's memo of monomial images) against the reference substitution of
     the images."""
     S = h.codomain
-    want = ref_substitute(p, images, len(S.vars), S.field.one)
+    want = ref_substitute(p, images, len(S.vars), S.field.one, S.field.char)
     P = packed(h.domain, p)
     return [k for k in range(2) if h(P).exponent_terms() != want]
 
