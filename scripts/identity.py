@@ -18,8 +18,8 @@ The grid (323 runs a side):
   (GF(2^61 - 1)), each with the default flags, --format json, --order lex
   and --max-degree 9;
 - the --budget grid: the four commands on fixtures a-c at eight budgets
-  from 20 to 5000 (96 runs), where a budget step that moved would move an
-  exit code between 0 and 3;
+  from 20 to 5000 (96 runs), where a change in the steps a command spends
+  in all would move an exit code between 0 and 3;
 - verify --break-h on fixtures a-c, which must fail (exit 1) on both sides.
 
 The inputs come from this script's own checkout: xsqbench/workloads.py and

@@ -13,7 +13,7 @@ _EXPORTS = {name: module for module, names in (
     ("scalars", "QQ GF field_from_label"),
     ("rings", "PolyRing Polynomial RingHom ParseError"),
     ("groebner", "Ideal GradedDims BudgetExceeded NotInIdeal affine_hilbert "
-                 "eliminate hom_kernel ideal_equal ideal_intersect "
+                 "budget eliminate hom_kernel ideal_equal ideal_intersect "
                  "ideal_product monomials_leq subquotient_dims syzygies"),
     ("simplicial", "ConstructionData InvalidData MooreData Skeleton2 "
                    "build_skeleton peiffer_P1 peiffer_P2 "

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .groebner import BudgetExceeded
+from .groebner import DEFAULT_BUDGET, BudgetExceeded, budget
 from .simplicial import (ConstructionData, InvalidData, build_skeleton,
                          peiffer_P1)
 from .crossed import functor_M, verify_square, verify_xmod, h_eval
@@ -37,20 +37,16 @@ def _ring_obj(ring):
     return {"vars": list(ring.vars), "weights": list(ring.weights)}
 
 
-def _basis_strs(ideal, order, budget):
-    return [str(g) for g in ideal.groebner(order=order, budget=budget)]
+def _basis_strs(ideal, order):
+    return [str(g) for g in ideal.groebner(order=order)]
 
 
 def cmd_build(data, args):
     order = ORDER_TAGS[args.order]
-    budget = args.budget
     skel = build_skeleton(data)
-    moore = skel.moore(budget=budget)
+    moore = skel.moore()
     p1 = peiffer_P1(data)
-    square = functor_M(skel, 2, budget=budget)
-    # before the pairings: their normal forms reach the same ideal with no
-    # budget, and the budget applies to the first basis computation
-    p2_reduced = _basis_strs(square.top.rels, order, budget)
+    square = functor_M(skel, 2)
     pairs = []
     for m in square.left.gens:
         for n in square.right.gens:
@@ -61,15 +57,15 @@ def cmd_build(data, args):
         "input": data.to_dict(),
         "rings": {"E%d" % i: _ring_obj(r) for i, r in enumerate(skel.rings)},
         "moore": {
-            "ker_d0_level1": _basis_strs(moore.ne1, order, budget),
-            "ker_d1_level1": _basis_strs(moore.kbar, order, budget),
-            "ker_level2": _basis_strs(moore.ne2, order, budget),
+            "ker_d0_level1": _basis_strs(moore.ne1, order),
+            "ker_d1_level1": _basis_strs(moore.kbar, order),
+            "ker_level2": _basis_strs(moore.ne2, order),
         },
         "peiffer_level1": {
             "generators": [str(g) for g in p1.gens],
-            "reduced": _basis_strs(p1, order, budget),
+            "reduced": _basis_strs(p1, order),
         },
-        "peiffer_level2": {"reduced": p2_reduced},
+        "peiffer_level2": {"reduced": _basis_strs(square.top.rels, order)},
         "square": {
             "left": [str(g) for g in square.left.gens],
             "right": [str(g) for g in square.right.gens],
@@ -82,7 +78,6 @@ def cmd_build(data, args):
 
 
 def cmd_verify(data, args):
-    budget = args.budget
     reports = []
     skel = found = None
     for level in (0, 1, 2):
@@ -100,9 +95,8 @@ def cmd_verify(data, args):
                             "instance": "reduced basis [%s]" % basis,
                             "status": "pass", "witness": "0",
                             "informational": False}]},
-                verify_xmod(functor_M(skel, 1, budget=budget)).to_obj(),
-                verify_square(functor_M(skel, 2, budget=budget,
-                                        break_h=break_h)).to_obj())
+                verify_xmod(functor_M(skel, 1)).to_obj(),
+                verify_square(functor_M(skel, 2, break_h=break_h)).to_obj())
         pi0, xmod, square = found
         reports.append({"object": "pi0 at skeleton level %d" % level, **pi0})
         reports.append(dict(xmod, label="crossed module at skeleton level %d"
@@ -116,10 +110,9 @@ def cmd_verify(data, args):
 
 def cmd_homotopy(data, args):
     from .homotopy import homotopy_report
-    budget = args.budget
     D = args.max_degree
     skel = build_skeleton(data)
-    rep = homotopy_report(skel, D=D, D_h2=D + 2, budget=budget)
+    rep = homotopy_report(skel, D=D, D_h2=D + 2)
     obj = rep.to_obj()
     obj["command"] = "homotopy"
     return obj, 0
@@ -128,10 +121,9 @@ def cmd_homotopy(data, args):
 def cmd_compare(data, args):
     from .homotopy import compare_XY
     from .tensor import compare_corner
-    budget = args.budget
     D = args.max_degree
     skel = build_skeleton(data)
-    corner = compare_corner(skel, D=D, budget=budget)
+    corner = compare_corner(skel, D=D)
     obj = {"command": "compare", "corner": corner.to_obj()}
     ok = corner.ok
     if data.s3_names:
@@ -139,7 +131,7 @@ def cmd_compare(data, args):
             "skipped": "the split comparison needs data without level-2 "
                        "generators"}
     else:
-        split = compare_XY(skel, D=D, budget=budget)
+        split = compare_XY(skel, D=D)
         obj["split"] = split.to_obj()
         ok = ok and split.ok
     obj["ok"] = ok
@@ -184,8 +176,8 @@ def make_parser():
         p.add_argument("input", help="construction data (JSON file)")
         p.add_argument("--max-degree", type=int, default=6,
                        help="degree bound for filtered dimensions")
-        p.add_argument("--budget", type=int, default=None,
-                       help="reduction step budget")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="reduction step budget for the whole command")
         p.add_argument("--order", choices=sorted(ORDER_TAGS),
                        default="degrevlex", help="monomial order for bases")
         p.add_argument("--format", choices=["text", "json"], default="text")
@@ -208,7 +200,7 @@ def main(argv=None):
         print("error: --max-degree must be between 0 and %d" % MAX_DEGREE,
               file=sys.stderr)
         return 2
-    if args.budget is not None and args.budget < 1:
+    if args.budget < 1:
         print("error: --budget must be at least 1", file=sys.stderr)
         return 2
     try:
@@ -218,8 +210,9 @@ def main(argv=None):
         print("error: cannot read input: %s" % e, file=sys.stderr)
         return 2
     try:
-        obj, code = COMMANDS[args.command](ConstructionData.from_json(text),
-                                           args)
+        with budget(args.budget):
+            obj, code = COMMANDS[args.command](
+                ConstructionData.from_json(text), args)
     except InvalidData as e:
         for problem in e.problems:
             print("error: %s" % problem, file=sys.stderr)

@@ -42,10 +42,10 @@ class Subquotient:
     def same_class(self, p, q):
         return self.rels.member(p - q)
 
-    def dims(self, D, budget=None):
+    def dims(self, D):
         if self.numer.is_zero():
             return GradedDims((0,) * (D + 1))
-        return subquotient_dims(self.numer, self.rels, D, budget=budget)
+        return subquotient_dims(self.numer, self.rels, D)
 
     def __repr__(self):
         return "Subquotient(gens=%s; rels=%d)" % (
@@ -447,7 +447,7 @@ def square_pair_rule(skel):
     return pair
 
 
-def functor_M(skel, n, budget=None, break_h=False):
+def functor_M(skel, n, break_h=False):
     """The Moore functor at levels 0, 1, 2 of the skeleton.
 
     n=0: the zeroth homotopy ring.  n=1: the free crossed module of the
@@ -465,9 +465,8 @@ def functor_M(skel, n, budget=None, break_h=False):
             free_precrossed(data), data))
     if n == 2:
         E1, E2 = skel.E1, skel.E2
-        moore = skel.moore(budget=budget)
-        top = Subquotient(E2, moore.ne2, skel.p2(budget=budget),
-                          gens=moore.ne2.gens)
+        moore = skel.moore()
+        top = Subquotient(E2, moore.ne2, skel.p2(), gens=moore.ne2.gens)
         m_gens, n_gens = skel.corner_gens
         left = Subquotient(E1, moore.ne1, Ideal(E1, []), gens=m_gens)
         right = Subquotient(E1, moore.kbar, Ideal(E1, []), gens=n_gens)
@@ -481,10 +480,10 @@ def functor_M(skel, n, budget=None, break_h=False):
     raise ValueError("the functor is computed for n in {0, 1, 2}")
 
 
-def ideal_square(ring, I, J, budget=None):
+def ideal_square(ring, I, J):
     """The square of a pair of ideals: intersections, inclusions and the
     product pairing."""
-    inter = ideal_intersect(I, J, budget=budget)
+    inter = ideal_intersect(I, J)
     top = Subquotient(ring, inter, Ideal(ring, []), gens=inter.groebner())
     ident = RingHom.identity(ring)
     return CrossedSquare(

@@ -4,9 +4,11 @@ kernels of ring maps, cofactor lifting, syzygies and affine Hilbert data.
 Buchberger's algorithm with the Gebauer-Moller pair criteria ("On an
 installation of Buchberger's algorithm", J. Symb. Comp. 1988) and the normal
 selection strategy; every basis is reduced (monic, auto-reduced, sorted by
-leading monomial), hence canonical for its order.  All entry points accept a
-step budget, which counts the S-pairs reduced plus the reduction steps, and
-raise :class:`BudgetExceeded` instead of silently truncating.
+leading monomial), hence canonical for its order.  Inside a ``with
+budget(limit):`` block every computation spends from one step counter, which
+counts the S-pairs reduced plus the reduction steps, and the step past the
+limit raises :class:`BudgetExceeded` instead of silently truncating.
+Outside any block no limit applies.
 
 The input generators are inserted lazily: each waits in the pair queue
 under its leading monomial and, when popped, is reduced against the basis
@@ -36,6 +38,8 @@ carries the reduced basis it was read from, as its generators and cached.
 from __future__ import annotations
 
 import heapq
+import math
+from contextlib import contextmanager
 from itertools import islice
 from operator import itemgetter
 
@@ -57,14 +61,27 @@ class _Budget:
         self.left = limit
         self.limit = limit
 
-    def spend(self, n=1):
-        self.left -= n
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceeded(self.limit)
 
 
-def _budget(budget):
-    return _Budget(DEFAULT_BUDGET if budget is None else budget)
+_steps = _Budget(math.inf)  # the counter in force; no limit outside a block
+
+
+@contextmanager
+def budget(limit):
+    """A block in which the Groebner steps of every computation together
+    are at most limit.  Yields the counter: ``limit - left`` is the steps
+    spent so far.  On exit the counter in force before is restored, so
+    blocks nest."""
+    global _steps
+    outer, _steps = _steps, _Budget(limit)
+    try:
+        yield _steps
+    finally:
+        _steps = outer
 
 
 def _terms(p):
@@ -115,14 +132,14 @@ def _add_multiple(h, monos, terms, t, kt, f, guards):
                 del h[kn]
 
 
-def _divide(h, monos, reducers, inv, budget, guards, char,
-            want_quotients=True, lms=None):
+def _divide(h, monos, reducers, inv, guards, char, want_quotients=True,
+            lms=None):
     """Multivariate division of the dividend (h, monos) by the packed
     reducers: h = sum(q_i * reducer_i) + r with no monomial of r divisible
     by any leading monomial of a reducer.  Deterministic: the first divisor
     in list order wins, and every term taken off the dividend costs one
-    budget step.  inv is the field's exact inverse, needed only for a
-    reducer that is not monic, and char its characteristic.
+    step of the budget in force.  inv is the field's exact inverse, needed
+    only for a reducer that is not monic, and char its characteristic.
 
     The dividend is reduced in place; its leading term is the one of
     largest key.  Over F_p (char > 0) it sums exact integers, and a term
@@ -135,6 +152,7 @@ def _divide(h, monos, reducers, inv, budget, guards, char,
         lms = [r[0][0] for r in reducers]
     quots = [{} for _ in reducers] if want_quotients else None
     rem = []
+    spend = _steps.spend
     while h:
         k = max(h)
         c = h.pop(k)
@@ -143,7 +161,7 @@ def _divide(h, monos, reducers, inv, budget, guards, char,
             if not c:
                 continue
         m = monos[k]
-        budget.spend()
+        spend()
         for i, lm in enumerate(lms):
             t = m - lm
             if not t & guards:
@@ -199,7 +217,7 @@ def _row_add(acc, q, row, guards):
                         del out[n]
 
 
-def _buchberger(gens, ring, budget, track=False):
+def _buchberger(gens, ring, track=False):
     """Reduced Groebner basis of packed generators, optionally with
     cofactor rows.
 
@@ -242,10 +260,10 @@ def _buchberger(gens, ring, budget, track=False):
             lcm = pairs.pop((i, j), None)
             if lcm is None:
                 continue  # dropped by a later update
-            budget.spend()
+            _steps.spend()
             a, b = lcm - lms[i], lcm - lms[j]
             h, monos = _spoly(G[i], a, G[j], b, packing)
-        quots, rem = _divide(h, monos, G, inv, budget, guards, char,
+        quots, rem = _divide(h, monos, G, inv, guards, char,
                              want_quotients=track, lms=lms)
         if not rem:
             continue
@@ -263,7 +281,7 @@ def _buchberger(gens, ring, budget, track=False):
         lms.append(rem[0][0])
         _update(len(G) - 1, lms, active, pairs, heap, packing)
 
-    return _reduce_basis(G, rows, ring, budget)
+    return _reduce_basis(G, rows, ring)
 
 
 def _update(n, lms, active, pairs, heap, packing):
@@ -306,7 +324,7 @@ def _update(n, lms, active, pairs, heap, packing):
     active.append(n)
 
 
-def _reduce_basis(G, rows, ring, budget):
+def _reduce_basis(G, rows, ring):
     """Minimalize and tail-reduce; canonical output order."""
     inv, char = ring.field.inv, ring.field.char
     guards = ring.packing.guards
@@ -322,7 +340,7 @@ def _reduce_basis(G, rows, ring, budget):
     out, out_rows = [], ([] if track else None)
     for idx, b in enumerate(basis):
         quots, rem = _divide(*_dividend(b), basis[:idx] + basis[idx + 1:],
-                             inv, budget, guards, char, want_quotients=track)
+                             inv, guards, char, want_quotients=track)
         if not rem:
             continue
         u = inv(rem[0][2])
@@ -373,7 +391,7 @@ class Ideal:
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
 
-    def _computed(self, order=None, budget=None, track=False):
+    def _computed(self, order=None, track=False):
         """(work ring, basis, rows, reducers, lms) for the requested order:
         the basis as polynomials of the work ring, as reducers and as their
         leading monomials, and the cofactor rows of packed dicts only when
@@ -383,38 +401,36 @@ class Ideal:
         if hit is None or (track and hit[2] is None):
             work = self.ring if tag == self.ring.order else self.ring.with_order(tag)
             gens = [_terms(_reringed(g, work)) for g in self.gens]
-            basis, rows = _buchberger(gens, work, _budget(budget),
-                                      track=track)
+            basis, rows = _buchberger(gens, work, track=track)
             self._cache[tag] = (work, tuple(_polynomial(work, b)
                                             for b in basis), rows, basis,
                                 tuple(b[0][0] for b in basis))
         return self._cache[tag]
 
-    def groebner(self, order=None, budget=None):
+    def groebner(self, order=None):
         """Reduced basis, unique for (ideal, order), as ring elements."""
-        basis = self._computed(order, budget)[1]
+        basis = self._computed(order)[1]
         return tuple(_reringed(b, self.ring) for b in basis)
 
-    def normal_form(self, p, order=None, budget=None):
+    def normal_form(self, p, order=None):
         if p.ring != self.ring:
             raise ValueError("polynomial not in the ideal's ring")
-        work, _, _, basis, lms = self._computed(order, budget)
+        work, _, _, basis, lms = self._computed(order)
         _, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
-                         work.field.inv, _budget(budget), work.packing.guards,
-                         work.field.char, want_quotients=False, lms=lms)
+                         work.field.inv, work.packing.guards, work.field.char,
+                         want_quotients=False, lms=lms)
         return _reringed(_polynomial(work, rem), self.ring)
 
-    def member(self, p, order=None, budget=None):
-        return self.normal_form(p, order, budget).is_zero()
+    def member(self, p, order=None):
+        return self.normal_form(p, order).is_zero()
 
-    def lift(self, p, budget=None):
+    def lift(self, p):
         """Cofactors against the original generators; exact identity
         sum(c_i * gens_i) == p, or :class:`NotInIdeal`."""
-        work, _, rows, basis, lms = self._computed(None, budget, track=True)
+        work, _, rows, basis, lms = self._computed(track=True)
         guards, char = work.packing.guards, work.field.char
         quots, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
-                             work.field.inv, _budget(budget), guards, char,
-                             lms=lms)
+                             work.field.inv, guards, char, lms=lms)
         if rem:
             raise NotInIdeal("polynomial is not a member: residue %s"
                              % _polynomial(work, rem))
@@ -441,17 +457,17 @@ class Ideal:
         return Ideal(self.ring, self.gens + other.gens)
 
 
-def ideal_equal(I, J, budget=None):
+def ideal_equal(I, J):
     if I.ring != J.ring:
         raise ValueError("ideal comparison needs a common ring")
-    return I.groebner(budget=budget) == J.groebner(budget=budget)
+    return I.groebner() == J.groebner()
 
 
 def ideal_product(I, J):
     return Ideal(I.ring, [a * b for a in I.gens for b in J.gens])
 
 
-def eliminate(I, drop, budget=None):
+def eliminate(I, drop):
     """I intersected with the subring on the retained variables, via a
     block order with the dropped variables in the leading block."""
     ring = I.ring
@@ -471,7 +487,7 @@ def eliminate(I, drop, budget=None):
     work = PolyRing(tuple(drop + keep), ring.field, weights,
                     ("block", len(drop)))
     to_work = RingHom.from_map(ring, work, {})
-    basis = Ideal(work, [to_work(g) for g in I.gens]).groebner(budget=budget)
+    basis = Ideal(work, [to_work(g) for g in I.gens]).groebner()
     # the elements with leading monomial free of the block lie in the subring
     # and are its reduced basis for the inner order, the target's order
     block = work.packing.mask(range(len(drop)))
@@ -484,7 +500,7 @@ def eliminate(I, drop, budget=None):
     return K
 
 
-def ideal_intersect(I, J, budget=None):
+def ideal_intersect(I, J):
     """Tag-variable trick: eliminate t from t*I + (1-t)*J."""
     ring = I.ring
     if J.ring != ring:
@@ -498,13 +514,13 @@ def ideal_intersect(I, J, budget=None):
     t = work.var(tag)
     gens = [t * emb(g) for g in I.gens]
     gens += [(work.one - t) * emb(h) for h in J.gens]
-    K = eliminate(Ideal(work, gens), [tag], budget=budget)
+    K = eliminate(Ideal(work, gens), [tag])
     if K.ring == ring:  # every wdegrevlex ring: K and its seeded basis
         return K
     return Ideal(ring, [_reringed(g, ring) for g in K.gens])
 
 
-def hom_kernel(h, budget=None):
+def hom_kernel(h):
     """Kernel of a ring map as an ideal of the domain, via the graph ideal
     and elimination of (tagged copies of) the codomain variables."""
     dom, cod = h.domain, h.codomain
@@ -514,13 +530,13 @@ def hom_kernel(h, budget=None):
     cod_emb = RingHom(cod, work, tuple(work.var(t) for t in tags))
     dom_emb = RingHom.from_map(dom, work, {})
     graph = [dom_emb(dom.var(v)) - cod_emb(h(dom.var(v))) for v in dom.vars]
-    K = eliminate(Ideal(work, graph), tags, budget=budget)
+    K = eliminate(Ideal(work, graph), tags)
     if K.ring == dom:  # every wdegrevlex ring: K and its seeded basis
         return K
     return Ideal(dom, [_reringed(g, dom) for g in K.gens])
 
 
-def syzygies(gens, ring=None, budget=None):
+def syzygies(gens, ring=None):
     """Generating set of {v : sum(v_i * g_i) = 0} as tuples of polynomials.
 
     Schreyer-style: the syzygies of the reduced basis coming from all
@@ -540,10 +556,9 @@ def syzygies(gens, ring=None, budget=None):
     one, inv, char = ring.field.one, ring.field.inv, ring.field.char
     packing = ring.packing
     guards = packing.guards
-    bud = _budget(budget)
     nonzero = [(i, _terms(_reringed(g, ring)))
                for i, g in enumerate(gens) if not g.is_zero()]
-    basis, rows = _buchberger([g for _, g in nonzero], ring, bud, track=True)
+    basis, rows = _buchberger([g for _, g in nonzero], ring, track=True)
 
     def widen(v):
         out = [{} for _ in range(k)]
@@ -566,7 +581,7 @@ def syzygies(gens, ring=None, budget=None):
             lcm = packing.lcm(lm_i, lm_j)
             a, b = lcm - lm_i, lcm - lm_j
             quots, rem = _divide(*_spoly(basis[i], a, basis[j], b, packing),
-                                 basis, inv, bud, guards, char)
+                                 basis, inv, guards, char)
             if rem:
                 raise AssertionError("S-polynomial of a basis did not vanish")
             v = [{} for _ in range(k)]
@@ -578,7 +593,7 @@ def syzygies(gens, ring=None, budget=None):
             syz.append(v)
     # identity defects: e_j minus the expansion of g_j through the basis
     for j, g in nonzero:
-        quots, rem = _divide(*_dividend(g), basis, inv, bud, guards, char)
+        quots, rem = _divide(*_dividend(g), basis, inv, guards, char)
         if rem:
             raise AssertionError("generator did not reduce to zero")
         v = [{} for _ in range(k)]
@@ -651,7 +666,7 @@ def monomials_leq(ring, D):
     return out
 
 
-def standard_monomials(I, D, budget=None):
+def standard_monomials(I, D):
     """(work, standard): the wdegrevlex ring on the variables of I, and the
     (packed monomial, weighted degree) pairs of the monomials of weighted
     degree <= D that no leading monomial of its reduced basis of I divides.
@@ -659,7 +674,7 @@ def standard_monomials(I, D, budget=None):
     The monomials are built one variable at a time.  A leading monomial is
     tested when its last variable is set; once it divides, the higher powers
     of that variable, and every monomial above them, are skipped."""
-    work, _, _, _, lms = I._computed("wdegrevlex", budget)
+    work, _, _, _, lms = I._computed("wdegrevlex")
     packing = work.packing
     guards, units, weights = packing.guards, packing.units, work.weights
     n = len(units)
@@ -687,13 +702,13 @@ def standard_monomials(I, D, budget=None):
     return work, standard
 
 
-def affine_hilbert(I, D, budget=None):
+def affine_hilbert(I, D):
     """Dimension of {p : wdeg p <= d} / (I cap same) for d = 0..D, read off
     the leading-term data of a degree-compatible basis."""
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     counts = [0] * (D + 1)
-    for _, d in standard_monomials(I, D, budget)[1]:
+    for _, d in standard_monomials(I, D)[1]:
         counts[d] += 1
     dims, total = [], 0
     for d in range(D + 1):
@@ -702,8 +717,8 @@ def affine_hilbert(I, D, budget=None):
     return GradedDims(tuple(dims))
 
 
-def subquotient_dims(numer, rels, D, budget=None):
+def subquotient_dims(numer, rels, D):
     """Filtered dimensions of numer/rels for nested ideals rels <= numer."""
-    hn = affine_hilbert(numer, D, budget=budget)
-    hr = affine_hilbert(rels, D, budget=budget)
+    hn = affine_hilbert(numer, D)
+    hr = affine_hilbert(rels, D)
     return GradedDims(tuple(hr[d] - hn[d] for d in range(D + 1)))

@@ -49,8 +49,8 @@ class TwoCrossedComplexRep:
         return all(self.d1(self.d2(g)).is_zero() for g in self.c2.gens)
 
 
-def build_squared_complex(skel, budget=None):
-    square = functor_M(skel, 2, budget=budget)
+def build_squared_complex(skel):
+    square = functor_M(skel, 2)
     E1 = skel.E1
     joined = Ideal(E1, list(square.left.numer.gens)
                    + list(square.right.numer.gens))
@@ -58,8 +58,8 @@ def build_squared_complex(skel, budget=None):
                              coefficients=QuotientRing(E1, joined))
 
 
-def build_2crossed(skel, budget=None):
-    square = functor_M(skel, 2, budget=budget)
+def build_2crossed(skel):
+    square = functor_M(skel, 2)
     rep = TwoCrossedComplexRep(
         c0=skel.base, c1=square.left, c2=square.top,
         d1=skel.face[(1, 1)], d2=skel.face[(2, 2)],
@@ -73,30 +73,28 @@ def pi0(skel):
     return functor_M(skel, 0)
 
 
-def _homotopy_subquotient(skel, k, budget=None):
+def _homotopy_subquotient(skel, k):
     """The subquotient whose filtered dimensions are pi_k, k = 1, 2, built
     once per skeleton.  k = 1: the intersection of the two level-1 kernels
     over the pushed-down level-2 kernel.  k = 2: the part of the level-2
     Moore kernel killed by the last face over the second-order Peiffer
     ideal."""
     def make():
-        moore = skel.moore(budget=budget)
+        moore = skel.moore()
         d2 = skel.face[(2, 2)]
         if k == 1:
-            numer = ideal_intersect(moore.ne1, moore.kbar, budget=budget)
+            numer = ideal_intersect(moore.ne1, moore.kbar)
             rels = Ideal(skel.E1, [d2(g) for g in moore.ne2.gens])
             return Subquotient(skel.E1, numer, rels, check=False)
-        numer = ideal_intersect(moore.ne2, hom_kernel(d2, budget=budget),
-                                budget=budget)
-        return Subquotient(skel.E2, numer, skel.p2(budget=budget),
-                           check=False)
+        numer = ideal_intersect(moore.ne2, hom_kernel(d2))
+        return Subquotient(skel.E2, numer, skel.p2(), check=False)
     return skel.once(("pi", k), make)
 
 
-def _witness(sq, budget=None):
+def _witness(sq):
     """A lowest-degree basis element of the numerator whose class is
     nonzero, if any."""
-    for g in sorted(sq.numer.groebner(budget=budget), key=lambda p: p.wdeg()):
+    for g in sorted(sq.numer.groebner(), key=lambda p: p.wdeg()):
         if not sq.is_zero_class(g):
             return g
     return None
@@ -113,19 +111,18 @@ def _pair_dims(left, right, image, ring, D):
                             for l, r, both, im in zip(*rows)))
 
 
-def _pair_kernel_dims(skel, D, budget=None):
+def _pair_kernel_dims(skel, D):
     """Homotopy in degree one of the squared complex by truncated linear
     algebra on the pair term: the kernel of (m, n) -> m + n meets the span
     pair in the intersection of the two corner spans, and the boundary
     image is the span of the pushed-down top generators."""
-    moore = skel.moore(budget=budget)
-    image = _homotopy_subquotient(skel, 1, budget).rels
-    return _pair_dims(moore.ne1.groebner(budget=budget),
-                      moore.kbar.groebner(budget=budget),
-                      image.groebner(budget=budget), skel.E1, D)
+    moore = skel.moore()
+    image = _homotopy_subquotient(skel, 1).rels
+    return _pair_dims(moore.ne1.groebner(), moore.kbar.groebner(),
+                      image.groebner(), skel.E1, D)
 
 
-def pi1(skel, D, route="ideal", budget=None):
+def pi1(skel, D, route="ideal"):
     """First homotopy module as filtered dimensions.
 
     route "ideal": the intersection of the two level-1 kernels modulo the
@@ -134,28 +131,28 @@ def pi1(skel, D, route="ideal", budget=None):
     truncated linear algebra.
     """
     if route == "pair":
-        return _pair_kernel_dims(skel, D, budget=budget)
+        return _pair_kernel_dims(skel, D)
     if route != "ideal":
         raise ValueError("unknown route %r" % (route,))
-    return _homotopy_subquotient(skel, 1, budget).dims(D, budget=budget)
+    return _homotopy_subquotient(skel, 1).dims(D)
 
 
-def pi1_witness(skel, budget=None):
+def pi1_witness(skel):
     """A generator of the intersection whose class is nonzero, if any."""
-    return _witness(_homotopy_subquotient(skel, 1, budget), budget)
+    return _witness(_homotopy_subquotient(skel, 1))
 
 
-def pi2(skel, D, budget=None):
+def pi2(skel, D):
     """Second homotopy module: the part of the level-2 Moore kernel killed
     by the last face, modulo the second-order Peiffer ideal."""
-    return _homotopy_subquotient(skel, 2, budget).dims(D, budget=budget)
+    return _homotopy_subquotient(skel, 2).dims(D)
 
 
-def pi2_witness(skel, budget=None):
-    return _witness(_homotopy_subquotient(skel, 2, budget), budget)
+def pi2_witness(skel):
+    return _witness(_homotopy_subquotient(skel, 2))
 
 
-def aq_h2(data, route="syzygy", D=8, budget=None):
+def aq_h2(data, route="syzygy", D=8):
     """Second homology of the presented quotient: relations among the
     boundary images modulo the alternating ones, as filtered dimensions.
 
@@ -168,17 +165,17 @@ def aq_h2(data, route="syzygy", D=8, budget=None):
     R = data.base_ring
     t = list(data.boundary_images)
     n = len(t)
-    if n == 0 or all(p.is_zero() for p in t):
+    if n == 0:
         return GradedDims((0,) * (D + 1))
     fb = FilteredBasis(R, D)
     if route == "syzygy":
-        syz = syzygies(tuple(t), ring=R, budget=budget)
+        syz = syzygies(tuple(t), ring=R)
         num = graded_span(syz, fb).ranks
     elif route == "kernel":
         # the relations among the rows m * t_i with wdeg m <= d: the rows
         # minus their rank, swept in degree order under the common top
-        # degree of the images
-        top = max(p.wdeg() for p in t)
+        # degree of the images (zero images have degree -1)
+        top = max(0, *(p.wdeg() for p in t))
         ranks = graded_span([(p,) for p in t], FilteredBasis(R, D + top),
                             top=top).ranks
         degs = fb.degrees
@@ -190,7 +187,7 @@ def aq_h2(data, route="syzygy", D=8, budget=None):
     return GradedDims(tuple(a - b for a, b in zip(num, den)))
 
 
-def aq_h2_witness(data, D=8, budget=None):
+def aq_h2_witness(data, D=8):
     """Lowest-degree syzygy class outside the alternating span."""
     R = data.base_ring
     t = list(data.boundary_images)
@@ -198,7 +195,7 @@ def aq_h2_witness(data, D=8, budget=None):
     if n == 0:
         return None
     koszul = _koszul_vectors(t, R)
-    syz = sorted(syzygies(tuple(t), ring=R, budget=budget),
+    syz = sorted(syzygies(tuple(t), ring=R),
                  key=lambda v: max((p.wdeg() for p in v if not p.is_zero()),
                                    default=0))
     for v in syz:
@@ -266,19 +263,19 @@ class HomotopyReport:
         return "\n".join(lines)
 
 
-def homotopy_report(skel, D=6, D_h2=8, budget=None):
+def homotopy_report(skel, D=6, D_h2=8):
     p0 = pi0(skel)
     return HomotopyReport(
         pi0_basis=p0.basis,
         pi0_dims=p0.dims(D),
-        pi1_dims=pi1(skel, D, "ideal", budget=budget),
-        pi1_pair_dims=pi1(skel, D, "pair", budget=budget),
-        pi1_witness=pi1_witness(skel, budget=budget),
-        pi2_dims=pi2(skel, D, budget=budget),
-        pi2_witness=pi2_witness(skel, budget=budget),
-        h2_syzygy=aq_h2(skel.data, "syzygy", D_h2, budget=budget),
-        h2_kernel=aq_h2(skel.data, "kernel", D_h2, budget=budget),
-        h2_witness=aq_h2_witness(skel.data, D_h2, budget=budget),
+        pi1_dims=pi1(skel, D, "ideal"),
+        pi1_pair_dims=pi1(skel, D, "pair"),
+        pi1_witness=pi1_witness(skel),
+        pi2_dims=pi2(skel, D),
+        pi2_witness=pi2_witness(skel),
+        h2_syzygy=aq_h2(skel.data, "syzygy", D_h2),
+        h2_kernel=aq_h2(skel.data, "kernel", D_h2),
+        h2_witness=aq_h2_witness(skel.data, D_h2),
     )
 
 
@@ -342,7 +339,7 @@ class SplitComparisonReport:
         return "\n".join(lines)
 
 
-def compare_XY(skel, D=6, budget=None):
+def compare_XY(skel, D=6):
     """The complex on the pair term against the one on the left kernel.
 
     Both carry the tensor corner on top.  The projection is (take the
@@ -362,7 +359,7 @@ def compare_XY(skel, D=6, budget=None):
         raise ValueError("the comparison is defined for data without "
                          "level-2 generators")
     E1, R = skel.E1, skel.base
-    pres = kernel_tensor(skel, budget=budget)
+    pres = kernel_tensor(skel)
     m_gens, n_gens = pres.m_gens, pres.n_gens
     d1 = skel.face[(1, 1)]
     s0 = skel.degen[(0, 0)]
@@ -390,8 +387,8 @@ def compare_XY(skel, D=6, budget=None):
 
     # kernel complex: pairs with zero left slot map isomorphically onto
     # the kernel of the bottom projection; both homology rows must vanish
-    n_basis = pres.n_ideal.groebner(budget=budget)
-    kernel_rows = skel.moore(budget=budget).kbar.groebner(budget=budget)
+    n_basis = pres.n_ideal.groebner()
+    kernel_rows = skel.moore().kbar.groebner()
     fb = FilteredBasis(E1, D)
     span_n = truncated_ideal_span(n_basis, fb)
     span_ker = truncated_ideal_span(kernel_rows, fb)
@@ -406,26 +403,25 @@ def compare_XY(skel, D=6, budget=None):
     # homotopy rows of both complexes
     M_ideal, N_ideal = pres.m_ideal, pres.n_ideal
     lam_ideal = Ideal(E1, [pres.lam(g) for g in pres.symbols])
-    pi0_wide = affine_hilbert(M_ideal + N_ideal, D, budget=budget)
-    pi0_narrow = affine_hilbert(Ideal(R, list(data.boundary_images)), D,
-                                budget=budget)
-    inter = ideal_intersect(M_ideal, N_ideal, budget=budget)
+    pi0_wide = affine_hilbert(M_ideal + N_ideal, D)
+    pi0_narrow = affine_hilbert(Ideal(R, list(data.boundary_images)), D)
+    inter = ideal_intersect(M_ideal, N_ideal)
     if inter.is_zero():
         zeros = GradedDims((0,) * (D + 1))
         pi1_wide = pi1_narrow = zeros
     else:
-        pi1_narrow = subquotient_dims(inter, lam_ideal, D, budget=budget)
+        pi1_narrow = subquotient_dims(inter, lam_ideal, D)
         # wide route by linear algebra on the pair term
-        pi1_wide = _pair_dims(M_ideal.groebner(budget=budget), n_basis,
-                              lam_ideal.groebner(budget=budget), E1, D)
-    pi2_wide, pi2_narrow = _tensor_kernel_dims(pres, D, budget=budget)
+        pi1_wide = _pair_dims(M_ideal.groebner(), n_basis,
+                              lam_ideal.groebner(), E1, D)
+    pi2_wide, pi2_narrow = _tensor_kernel_dims(pres, D)
     rep.pi0_rows = (pi0_wide, pi0_narrow)
     rep.pi1_rows = (pi1_wide, pi1_narrow)
     rep.pi2_rows = (pi2_wide, pi2_narrow)
     return rep
 
 
-def _tensor_kernel_dims(pres, D, budget=None):
+def _tensor_kernel_dims(pres, D):
     """Filtered dimensions of the kernel of the top boundary on the tensor
     presentation, with values in the pair term (both slots) and in the
     single corner."""
@@ -433,7 +429,7 @@ def _tensor_kernel_dims(pres, D, budget=None):
     if not pres.symbol_grid:
         zeros = GradedDims((0,) * (D + 1))
         return zeros, zeros
-    work, standard = standard_monomials(pres.relations, D, budget=budget)
+    work, standard = standard_monomials(pres.relations, D)
     key, unpack = work.packing.key, work.packing.unpack
     sym_index = [ring._index[str(g)] for g in pres.symbols]
     out_fb = FilteredBasis(pres.base, D)

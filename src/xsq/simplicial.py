@@ -17,9 +17,8 @@ level-2 generator T produces ``s0_T``, ``s1_T``, ``s2_T``.
 The ideals derived from a skeleton (the Moore kernels, the second-order
 Peiffer ideal, the homotopy subquotients and the tensor presentation of the
 two level-1 corners) and the Moore functor at levels 0 and 1 are computed
-once per skeleton and kept on it, so the budget passed to the first
-computation is the one that applies.  The Moore kernels keep the reduced
-bases their eliminations return.
+once per skeleton and kept on it.  The Moore kernels keep the reduced bases
+their eliminations return.
 """
 
 from __future__ import annotations
@@ -374,12 +373,12 @@ class Skeleton2:
             self._memo[key] = make()
         return self._memo[key]
 
-    def moore(self, budget=None):
+    def moore(self):
         """Moore kernels via hom kernels and an ideal intersection,
         cross-checked against their closed forms."""
-        return self.once("moore", lambda: self._make_moore(budget))
+        return self.once("moore", self._make_moore)
 
-    def _make_moore(self, budget):
+    def _make_moore(self):
         E2, E3 = self.E2, self.E3
         s2n = self.data.s2_names
         s3 = [E2.var(n) for n in self.data.s3_names]
@@ -389,21 +388,19 @@ class Skeleton2:
                            for n in s2n] + s3}
         ker = {}
         for key, gens in closed.items():  # key = (level, face index)
-            K = ker[key] = hom_kernel(self.face[key], budget=budget)
+            K = ker[key] = hom_kernel(self.face[key])
             if K.groebner() != Ideal(K.ring, gens).groebner():
                 raise AssertionError("Ker d_%d^%d disagrees with its closed "
                                      "form" % key[::-1])
         deg3 = Ideal(E3, [E3.var(v) for v in E3.vars
                           if v not in self.data.s1_names])
         return MooreData(ne1=ker[(1, 0)], kbar=ker[(1, 1)],
-                         ne2=ideal_intersect(ker[(2, 0)], ker[(2, 1)],
-                                             budget=budget),
+                         ne2=ideal_intersect(ker[(2, 0)], ker[(2, 1)]),
                          degenerate3=deg3)
 
-    def p2(self, budget=None):
+    def p2(self):
         """The second-order Peiffer ideal by the "c_families" route."""
-        return self.once("p2", lambda: peiffer_P2(self, "c_families",
-                                                  budget=budget))
+        return self.once("p2", lambda: peiffer_P2(self, "c_families"))
 
 
 def _lift(p, ring):
@@ -474,11 +471,11 @@ def peiffer_P1(data):
     return Ideal(E1, gens)
 
 
-def _c_instances(skel, budget=None):
+def _c_instances(skel):
     """The six quadratic families inside level 3, instantiated on the
     generators of the level-1 and level-2 Moore kernels.  Yields
     (label, element, touches_s3) triples."""
-    moore = skel.moore(budget=budget)
+    moore = skel.moore()
     s0 = skel.degen[(2, 0)]
     s1 = skel.degen[(2, 1)]
     s2 = skel.degen[(2, 2)]
@@ -508,7 +505,7 @@ def _c_instances(skel, budget=None):
     return out
 
 
-def peiffer_P2(skel, route="c_families", budget=None, s3_free_only=False):
+def peiffer_P2(skel, route="c_families", s3_free_only=False):
     """Second-order Peiffer ideal of E2: the image under the last face of
     the degenerate part of the level-3 Moore kernel.
 
@@ -522,7 +519,7 @@ def peiffer_P2(skel, route="c_families", budget=None, s3_free_only=False):
     if route == "c_families":
         d = {i: skel.face[(3, i)] for i in range(4)}
         gens = []
-        for _, z, uses_s3 in _c_instances(skel, budget=budget):
+        for _, z, uses_s3 in _c_instances(skel):
             if s3_free_only and uses_s3:
                 continue
             for i in (0, 1, 2):

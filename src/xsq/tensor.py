@@ -41,13 +41,13 @@ class TensorPresentation:
         return tuple(self.ring.var(name)
                      for row in self.symbol_grid for name in row)
 
-    def expand(self, m, n, budget=None):
+    def expand(self, m, n):
         """The class of m (x) n as a symbol combination, via cofactor lifts
         of both arguments through the generator lists."""
         if m.is_zero() or n.is_zero():
             return self.ring.zero
-        a = self.m_ideal.lift(m, budget=budget)
-        b = self.n_ideal.lift(n, budget=budget)
+        a = self.m_ideal.lift(m)
+        b = self.n_ideal.lift(n)
         out = self.ring.zero
         for p, ap in enumerate(a):
             if ap.is_zero():
@@ -71,10 +71,10 @@ class TensorPresentation:
         return CrossedSquare(
             top=self.subquotient(), left=left, right=right, base=self.base,
             bnd=self.lam, lift=self.embed,
-            pair=lambda m, n: self.expand(m, n), label=label)
+            pair=self.expand, label=label)
 
 
-def tensor_presentation(base, m_gens, n_gens, budget=None):
+def tensor_presentation(base, m_gens, n_gens):
     """Build the symbol presentation of the tensor of the ideals generated
     by m_gens and n_gens inside the base ring."""
     m_gens, n_gens = tuple(m_gens), tuple(n_gens)
@@ -101,7 +101,7 @@ def tensor_presentation(base, m_gens, n_gens, budget=None):
 
     rels = []
     # bilinearity in the first slot: syzygies of the left generators
-    for v in syzygies(m_gens, ring=base, budget=budget):
+    for v in syzygies(m_gens, ring=base):
         for q in range(len(n_gens)):
             r = ring.zero
             for p, vp in enumerate(v):
@@ -110,7 +110,7 @@ def tensor_presentation(base, m_gens, n_gens, budget=None):
             if not r.is_zero():
                 rels.append(r)
     # and in the second slot
-    for w in syzygies(n_gens, ring=base, budget=budget):
+    for w in syzygies(n_gens, ring=base):
         for p in range(len(m_gens)):
             r = ring.zero
             for q, wq in enumerate(w):
@@ -124,8 +124,8 @@ def tensor_presentation(base, m_gens, n_gens, budget=None):
     flat = [(p, q) for p in range(len(m_gens)) for q in range(len(n_gens))]
     for i, (p, q) in enumerate(flat):
         for (p2, q2) in flat[i:]:
-            prod_m = m_ideal.lift(m_gens[p] * m_gens[p2], budget=budget)
-            prod_n = n_ideal.lift(n_gens[q] * n_gens[q2], budget=budget)
+            prod_m = m_ideal.lift(m_gens[p] * m_gens[p2])
+            prod_n = n_ideal.lift(n_gens[q] * n_gens[q2])
             r = sym(p, q) * sym(p2, q2)
             for u, cu in enumerate(prod_m):
                 if cu.is_zero():
@@ -145,14 +145,14 @@ def tensor_presentation(base, m_gens, n_gens, budget=None):
         lam=lam, embed=embed, m_ideal=m_ideal, n_ideal=n_ideal)
 
 
-def kernel_tensor(skel, budget=None):
+def kernel_tensor(skel):
     """The tensor presentation of the two level-1 kernel corners of the
     skeleton, built once per skeleton."""
     return skel.once("kernel tensor", lambda: tensor_presentation(
-        skel.E1, *skel.corner_gens, budget=budget))
+        skel.E1, *skel.corner_gens))
 
 
-def tensor_square(Mcm, Ncm, budget=None):
+def tensor_square(Mcm, Ncm):
     """The square completing the corner of two crossed ideals: tensor on
     top, the ideals on the sides."""
     base = Mcm.base
@@ -161,8 +161,7 @@ def tensor_square(Mcm, Ncm, budget=None):
     for cm in (Mcm, Ncm):
         if cm.top.ambient != base or cm.top.rels.gens:
             raise ValueError("tensor corners must be ideals of the base")
-    pres = tensor_presentation(base, Mcm.top.gens, Ncm.top.gens,
-                               budget=budget)
+    pres = tensor_presentation(base, Mcm.top.gens, Ncm.top.gens)
     return pres.square(Mcm.top, Ncm.top), pres
 
 
@@ -186,7 +185,7 @@ class CoproductResult:
         self.cross_relations = cross_relations
 
 
-def coproduct(Mcm, Ncm, budget=None):
+def coproduct(Mcm, Ncm):
     """Coproduct of two crossed modules presented on symbols over a common
     base: the pair algebra with the twisted product, divided by the ideal
     of cross Peiffer elements."""
@@ -276,23 +275,23 @@ class AssembledCorner:
         return self.square.top
 
 
-def assemble_L(skel, budget=None, relation_convention="derived"):
+def assemble_L(skel):
     """Assemble the reconstruction of the top Moore corner.
 
-    relation_convention "derived" uses the boundary-compatible interchange
-    relations i(bnd(c) (x) n) ~ j(n.c) and i(m (x) bnd(c)) ~ j(m.c); the
-    "bare-term" variant, which carries an extra bare j(c) summand on each
-    right hand side, is instantiated alongside so comparison reports can
-    show what becomes of it."""
+    The interchange relations are the boundary-compatible ones
+    i(bnd(c) (x) n) ~ j(n.c) and i(m (x) bnd(c)) ~ j(m.c); the "bare-term"
+    variant, which carries an extra bare j(c) summand on each right hand
+    side, is instantiated alongside so comparison reports can show what
+    becomes of it."""
     data = skel.data
     E1 = skel.E1
-    pres = kernel_tensor(skel, budget=budget)
+    pres = kernel_tensor(skel)
     m_gens, n_gens = pres.m_gens, pres.n_gens
     f3 = {n: img for n, img in data.s3}
     C = free_crossed_on(E1, data.s3_names,
                         [f3[n] for n in data.s3_names],
                         label="free crossed module on the level-2 data")
-    cop = coproduct(pres.crossed_module(), C, budget=budget)
+    cop = coproduct(pres.crossed_module(), C)
     merged = cop.cm.top.ambient
     emb = RingHom.from_map(E1, merged, {})
 
@@ -303,8 +302,8 @@ def assemble_L(skel, budget=None, relation_convention="derived"):
     for name in data.s3_names:
         cj = cop.j_hom(C.top.ambient.var(name))
         img = f3[name]
-        a = pres.m_ideal.lift(img, budget=budget)
-        b = pres.n_ideal.lift(img, budget=budget)
+        a = pres.m_ideal.lift(img)
+        b = pres.n_ideal.lift(img)
         for q, nq in enumerate(n_gens):
             lhs = merged.zero
             for p, ap in enumerate(a):
@@ -319,8 +318,7 @@ def assemble_L(skel, budget=None, relation_convention="derived"):
                     lhs = lhs + emb(bq) * G(p, q)
             extra.append(lhs - emb(mp) * cj)
             variant.append(lhs - emb(mp) * cj + cj)
-    chosen = extra if relation_convention == "derived" else variant
-    rels = cop.cm.top.rels + Ideal(merged, chosen)
+    rels = cop.cm.top.rels + Ideal(merged, extra)
     top = Subquotient(merged, cop.cm.top.numer, rels, gens=cop.cm.top.gens)
     left = Subquotient(E1, pres.m_ideal, Ideal(E1, []), gens=m_gens)
     right = Subquotient(E1, pres.n_ideal, Ideal(E1, []), gens=n_gens)
@@ -401,14 +399,14 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def compare_corner(skel, D=6, budget=None):
+def compare_corner(skel, D=6):
     """Certify the reconstruction of the top Moore corner: the canonical
     map sends a symbol to the value of the connecting pairing and each
     adjoined generator to its level-2 variable, the base acting through
     the degeneracy lift."""
     data = skel.data
-    live = functor_M(skel, 2, budget=budget)
-    assembled = assemble_L(skel, budget=budget)
+    live = functor_M(skel, 2)
+    assembled = assemble_L(skel)
     merged = assembled.top.ambient
     E2 = skel.E2
     pair_live = square_pair_rule(skel)
@@ -433,22 +431,21 @@ def compare_corner(skel, D=6, budget=None):
     rep = ComparisonReport(label="top corner reconstruction (degree <= %d)" % D)
     P2 = live.top.rels
     for r in assembled.top.rels.gens:
-        residue = P2.normal_form(phi(r), budget=budget)
+        residue = P2.normal_form(phi(r))
         rep.well_defined.append((str(r), residue.is_zero(), str(residue)))
     image_ideal = Ideal(E2, [phi(g) for g in assembled.top.gens]) + P2
     for w in live.top.gens:
-        ok = image_ideal.member(w, budget=budget)
+        ok = image_ideal.member(w)
         rep.surjective.append((str(w), ok, "" if ok else "no lift"))
     for m in pres.m_gens:
         for n in pres.n_gens:
             residue = P2.normal_form(
-                phi(assembled.square.pair(m, n)) - pair_live(m, n),
-                budget=budget)
+                phi(assembled.square.pair(m, n)) - pair_live(m, n))
             rep.pairing_respected.append(
                 ("m=%s, n=%s" % (m, n), residue.is_zero(), str(residue)))
-    rep.hilbert_target = assembled.top.dims(D, budget=budget)
-    rep.hilbert_moore = live.top.dims(D, budget=budget)
+    rep.hilbert_target = assembled.top.dims(D)
+    rep.hilbert_moore = live.top.dims(D)
     for r in assembled.variant_relations:
-        residue = P2.normal_form(phi(r), budget=budget)
+        residue = P2.normal_form(phi(r))
         rep.variant_relations.append((str(r), residue.is_zero(), str(residue)))
     return rep

@@ -280,3 +280,14 @@ def test_rational_literal_defined_mod_p_builds(tmp_path, image, parsed):
                              "S3": []}, "build", "--format", "json")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["input"]["S2"][0]["image"] == parsed
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "homotopy", "compare"])
+def test_the_budget_bounds_the_whole_command(command):
+    # each command on fixture c spends more than 1000 steps in all, though
+    # no single basis, normal form or lift needs that many
+    out = run_cli(command, str(FIXTURES / "fixture_c.json"),
+                  "--budget", "1000")
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == "error: step budget of 1000 reductions exceeded\n"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xsq import (GF, QQ, BudgetExceeded, Ideal, PolyRing, Polynomial,
-                 RingHom, eliminate, hom_kernel, ideal_intersect,
+                 RingHom, budget, eliminate, hom_kernel, ideal_intersect,
                  monomials_leq, peiffer_P2, syzygies)
 from xsq import groebner
 from xsq.rings import MAX_EXPONENT, ExponentOverflow
@@ -170,10 +170,10 @@ def test_lazy_insertion_gives_the_eager_basis(case):
     joined = []
     reduce_basis = groebner._reduce_basis
 
-    def recording(G, rows, ring, budget):
+    def recording(G, rows, ring):
         if rows is None:  # the engine's packed terms
             joined.append([groebner._polynomial(ring, g) for g in G])
-        return reduce_basis(G, rows, ring, budget)
+        return reduce_basis(G, rows, ring)
 
     with mock.patch.object(groebner, "_reduce_basis", recording):
         lazy = Ideal(ring, gens)._computed()[1]
@@ -215,7 +215,7 @@ def _reference_divide(p, basis):
     return quots, rem, steps
 
 
-def _divide(p, basis, budget, want_quotients=True):
+def _divide(p, basis, want_quotients=True):
     """groebner._divide on polynomials: the dividend and the reducers as
     descending packed terms, the quotients and the remainder as
     polynomials."""
@@ -223,7 +223,7 @@ def _divide(p, basis, budget, want_quotients=True):
     quots, rem = groebner._divide(
         *groebner._dividend(groebner._terms(p)),
         [groebner._terms(b) for b in basis],
-        ring.field.inv, budget, ring.packing.guards, ring.field.char,
+        ring.field.inv, ring.packing.guards, ring.field.char,
         want_quotients)
     if quots is not None:
         quots = [Polynomial(ring, q) for q in quots]
@@ -245,9 +245,9 @@ def division_cases(draw):
 @given(division_cases())
 def test_division_matches_the_reference(case):
     p, basis = case
-    budget = groebner._Budget(10**6)
-    quots, rem = _divide(p, basis, budget)
-    steps = budget.limit - budget.left
+    with budget(10**6) as counter:
+        quots, rem = _divide(p, basis)
+    steps = counter.limit - counter.left
     total = rem
     for q, b in zip(quots, basis):
         total = total + q * b
@@ -259,11 +259,11 @@ def test_division_matches_the_reference(case):
     assert steps == ref_steps
     # the budget is spent one step per term: the exact count fits, one
     # less raises, and skipping the quotients changes neither
-    _, rem_only = _divide(p, basis, groebner._Budget(steps),
-                          want_quotients=False)
+    with budget(steps):
+        _, rem_only = _divide(p, basis, want_quotients=False)
     assert rem_only == rem
-    with pytest.raises(BudgetExceeded):
-        _divide(p, basis, groebner._Budget(steps - 1))
+    with pytest.raises(BudgetExceeded), budget(steps - 1):
+        _divide(p, basis)
 
 
 def _is_reduced(basis):
@@ -346,7 +346,8 @@ def test_second_order_peiffer_basis_fits_a_small_budget(skel_c):
     I = peiffer_P2(skel_c)
     assert len(I.gens) == 85
     try:
-        basis = I.groebner(budget=5000)
+        with budget(5000):
+            basis = I.groebner()
     except BudgetExceeded:
         pytest.fail("P2 basis of fixture c needs more than 5000 steps")
     assert len(basis) == 17

@@ -6,8 +6,9 @@ import pytest
 
 from xsq import cli, groebner
 from xsq import (BudgetExceeded, GradedDims, Ideal, NotInIdeal, PolyRing,
-                 RingHom, affine_hilbert, eliminate, hom_kernel, ideal_equal,
-                 ideal_intersect, ideal_product, monomials_leq, syzygies)
+                 RingHom, affine_hilbert, budget, eliminate, hom_kernel,
+                 ideal_equal, ideal_intersect, ideal_product, monomials_leq,
+                 syzygies)
 
 from .oracle import MacaulayNF, truncated_module_kernel, vector_to_coords
 
@@ -199,10 +200,41 @@ def test_ideal_equal_examples(R):
 
 def test_budget_exhaustion_is_loud(R):
     gens = ["x^3*y - y^3", "x*y^3 - x^2", "y^4 - x^2*y"]
-    with pytest.raises(BudgetExceeded):
-        Ideal(R, gens).groebner(budget=3)
+    with pytest.raises(BudgetExceeded), budget(3):
+        Ideal(R, gens).groebner()
     # and a fresh ideal with room succeeds
-    assert Ideal(R, gens).groebner(budget=10**6)
+    with budget(10**6):
+        assert Ideal(R, gens).groebner()
+
+
+SEQUENCE = (["x^3*y - y^3", "x*y^3 - x^2", "y^4 - x^2*y"],
+            ["x^2 - y^3", "x*y^2 - 1"],
+            ["x^2*y - x", "x*y^2 - y", "x^3 - y^3"])
+
+
+def test_one_budget_bounds_every_computation_in_its_block(R):
+    def sequence():
+        for gens in SEQUENCE:  # fresh ideals: no basis is cached
+            Ideal(R, gens).groebner()
+
+    with budget(10**6) as counter:
+        sequence()
+    s = counter.limit - counter.left
+    with budget(s):
+        sequence()
+    with pytest.raises(BudgetExceeded) as e, budget(s - 1):
+        sequence()
+    assert str(e.value) == "step budget of %d reductions exceeded" % (s - 1)
+    # each basis alone fits in s - 1 steps; an inner block charges only
+    # itself and restores the outer counter when it exits
+    with budget(10**6) as outer:
+        for gens in SEQUENCE:
+            with budget(s - 1) as inner:
+                Ideal(R, gens).groebner()
+            assert inner.left < inner.limit
+            assert groebner._steps is outer
+        assert outer.left == outer.limit
+    assert groebner._steps.limit == float("inf")  # no limit outside a block
 
 
 def test_weighted_hilbert_uses_weights():

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from xsq import (ConstructionData, QQ, aq_h2, aq_h2_witness, build_2crossed,
-                 build_skeleton, build_squared_complex, compare_XY,
-                 homotopy_report, peiffer_P2, pi0, pi1, pi2,
+from xsq import (GF, ConstructionData, QQ, aq_h2, aq_h2_witness,
+                 build_2crossed, build_skeleton, build_squared_complex,
+                 compare_XY, homotopy_report, peiffer_P2, pi0, pi1, pi2,
                  tensor_presentation)
 from xsq import cli
 from xsq.simplicial import _lift
@@ -87,6 +87,21 @@ def test_h2_no_relations_is_zero():
     data = ConstructionData(QQ, ["x", "y"], [], [])
     assert aq_h2(data, "syzygy", 6).as_list() == [0] * 7
     assert aq_h2(data, "kernel", 6).as_list() == [0] * 7
+
+
+@pytest.mark.parametrize("field, s1, expected", [
+    (QQ, ["x"], [1, 2, 3, 4, 5]),
+    (GF(7), ["x", "y"], [2, 6, 12, 20, 30]),
+], ids=["Q-one-image", "GF7-two-images"])
+def test_h2_of_zero_images_is_the_free_module(field, s1, expected):
+    # when every boundary image is 0 each vector is a relation and no
+    # alternating vector is nonzero: H2 is R^n, with witness (1, 0, ...)
+    n = len(s1)
+    data = ConstructionData(field, s1,
+                            [("S%d" % i, "0") for i in range(n)], [])
+    assert aq_h2(data, "syzygy", 4).as_list() == expected
+    assert aq_h2(data, "kernel", 4).as_list() == expected
+    assert [str(p) for p in aq_h2_witness(data, 4)] == ["1"] + ["0"] * (n - 1)
 
 
 def test_h2_routes_agree_on_every_fixture(data_a, data_b, data_c):

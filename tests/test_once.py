@@ -99,12 +99,12 @@ def test_no_basis_is_computed_twice(monkeypatch, capsys, command, fixture):
     computed = groebner.Ideal._computed
     counts = Counter()
 
-    def counting(ideal, order=None, budget=None, track=False):
+    def counting(ideal, order=None, track=False):
         tag = ideal.ring.order if order is None else order
         hit = ideal._cache.get(tag)
         if hit is None or (track and hit[2] is None):
             counts[(ideal.ring, tag, frozenset(ideal.gens))] += 1
-        return computed(ideal, order, budget, track)
+        return computed(ideal, order, track=track)
 
     monkeypatch.setattr(groebner.Ideal, "_computed", counting)
     assert _run(command, fixture) == 0
@@ -141,8 +141,7 @@ def test_redundant_generators_do_not_join_the_basis(monkeypatch, capsys):
 
 
 def test_the_budget_applies_to_the_reported_p2_basis(capsys):
-    # the pairings reach the same P2 ideal with no budget; the budget must
-    # still apply to the reported basis
+    # the budget covers the whole command, the reported P2 basis included
     assert _run("build", "fixture_c", "--budget", "300") == 3
     out = capsys.readouterr()
     assert out.out == ""
