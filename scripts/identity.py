@@ -10,11 +10,12 @@ whose stdout, stderr or exit code differs between the two sides, then one
 summary line per part of the grid with the exit codes seen, and exits 1
 when any run differs.
 
-The grid (323 runs a side):
+The grid (339 runs a side):
 
 - the four commands on the benchmark's workload inputs (fixtures a-c, f1
-  and f2) at seeds 0 and 7, on fixtures/d3.json, and on the golden inputs
-  q_fractions, fp7_nonunit_image (GF(7)) and fixture_c_gf_m61
+  and f2) at seeds 0 and 7, on fixtures/d3.json and fixtures/d4f.json
+  (the one checked-in input with two level-2 generators), and on the golden
+  inputs q_fractions, fp7_nonunit_image (GF(7)) and fixture_c_gf_m61
   (GF(2^61 - 1)), each with the default flags, --format json, --order lex
   and --max-degree 9;
 - the --budget grid: the four commands on fixtures a-c at eight budgets
@@ -56,7 +57,9 @@ def write_inputs(folder):
     """{name: path} of every input of the grid, written under folder."""
     objs = {"%s_seed%d" % (base, seed): make_input(base, seed)
             for seed in (0, 7) for base in ("a", "b", "c", "f1", "f2")}
-    objs["d3"] = json.loads((ROOT / "fixtures" / "d3.json").read_text())
+    for name in ("d3", "d4f"):
+        objs[name] = json.loads((ROOT / "fixtures" / ("%s.json" % name))
+                                .read_text())
     objs.update((name, EDGE_INPUTS[name]) for name in GOLDEN_INPUTS)
     paths = {}
     for name, obj in objs.items():

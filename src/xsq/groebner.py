@@ -132,14 +132,14 @@ def _add_multiple(h, monos, terms, t, kt, f, guards):
                 del h[kn]
 
 
-def _divide(h, monos, reducers, inv, guards, char, want_quotients=True,
+def _divide(h, monos, reducers, guards, char, want_quotients=True,
             lms=None):
     """Multivariate division of the dividend (h, monos) by the packed
     reducers: h = sum(q_i * reducer_i) + r with no monomial of r divisible
     by any leading monomial of a reducer.  Deterministic: the first divisor
     in list order wins, and every term taken off the dividend costs one
-    step of the budget in force.  inv is the field's exact inverse, needed
-    only for a reducer that is not monic, and char its characteristic.
+    step of the budget in force.  Every reducer is monic; char is the
+    field's characteristic.
 
     The dividend is reduced in place; its leading term is the one of
     largest key.  Over F_p (char > 0) it sums exact integers, and a term
@@ -166,16 +166,10 @@ def _divide(h, monos, reducers, inv, guards, char, want_quotients=True,
             t = m - lm
             if not t & guards:
                 red = reducers[i]
-                _, lk, lc = red[0]
-                f = c
-                if lc != 1:
-                    f = c * inv(lc)
-                    if char:
-                        f %= char
-                _add_multiple(h, monos, islice(red, 1, None), t, k - lk, -f,
-                              guards)
+                _add_multiple(h, monos, islice(red, 1, None), t,
+                              k - red[0][1], -c, guards)
                 if want_quotients:
-                    quots[i][t] = f  # each t once: lm(h) only falls
+                    quots[i][t] = c  # each t once: lm(h) only falls
                 break
         else:
             rem.append((m, k, c))
@@ -263,7 +257,7 @@ def _buchberger(gens, ring, track=False):
             _steps.spend()
             a, b = lcm - lms[i], lcm - lms[j]
             h, monos = _spoly(G[i], a, G[j], b, packing)
-        quots, rem = _divide(h, monos, G, inv, guards, char,
+        quots, rem = _divide(h, monos, G, guards, char,
                              want_quotients=track, lms=lms)
         if not rem:
             continue
@@ -340,7 +334,7 @@ def _reduce_basis(G, rows, ring):
     out, out_rows = [], ([] if track else None)
     for idx, b in enumerate(basis):
         quots, rem = _divide(*_dividend(b), basis[:idx] + basis[idx + 1:],
-                             inv, guards, char, want_quotients=track)
+                             guards, char, want_quotients=track)
         if not rem:
             continue
         u = inv(rem[0][2])
@@ -417,7 +411,7 @@ class Ideal:
             raise ValueError("polynomial not in the ideal's ring")
         work, _, _, basis, lms = self._computed(order)
         _, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
-                         work.field.inv, work.packing.guards, work.field.char,
+                         work.packing.guards, work.field.char,
                          want_quotients=False, lms=lms)
         return _reringed(_polynomial(work, rem), self.ring)
 
@@ -430,7 +424,7 @@ class Ideal:
         work, _, rows, basis, lms = self._computed(track=True)
         guards, char = work.packing.guards, work.field.char
         quots, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
-                             work.field.inv, guards, char, lms=lms)
+                             guards, char, lms=lms)
         if rem:
             raise NotInIdeal("polynomial is not a member: residue %s"
                              % _polynomial(work, rem))
@@ -553,7 +547,7 @@ def syzygies(gens, ring=None):
     k = len(gens)
     if k == 0:
         return ()
-    one, inv, char = ring.field.one, ring.field.inv, ring.field.char
+    one, char = ring.field.one, ring.field.char
     packing = ring.packing
     guards = packing.guards
     nonzero = [(i, _terms(_reringed(g, ring)))
@@ -581,7 +575,7 @@ def syzygies(gens, ring=None):
             lcm = packing.lcm(lm_i, lm_j)
             a, b = lcm - lm_i, lcm - lm_j
             quots, rem = _divide(*_spoly(basis[i], a, basis[j], b, packing),
-                                 basis, inv, guards, char)
+                                 basis, guards, char)
             if rem:
                 raise AssertionError("S-polynomial of a basis did not vanish")
             v = [{} for _ in range(k)]
@@ -593,7 +587,7 @@ def syzygies(gens, ring=None):
             syz.append(v)
     # identity defects: e_j minus the expansion of g_j through the basis
     for j, g in nonzero:
-        quots, rem = _divide(*_dividend(g), basis, inv, guards, char)
+        quots, rem = _divide(*_dividend(g), basis, guards, char)
         if rem:
             raise AssertionError("generator did not reduce to zero")
         v = [{} for _ in range(k)]

@@ -4,15 +4,18 @@ Construction data is a base variable set S1 (so R = k[S1]), adjoined level-1
 generators S2 with prescribed images in R, and level-2 generators S3 with
 images in the augmentation ideal of R[S2] that die under the level-1
 boundary.  The skeleton carries levels 0..3 with every face and degeneracy
-map; images are forced by the simplicial identities together with the
-free-construction rule that a new level-k generator has all faces zero
-except the k-th.
+map, and derives them rather than listing them: the simplicial identities
+together with the free-construction rule, that a new level-k generator has
+all faces zero except the k-th, which is its image, force every one.
 
-Canonical variable names: an adjoined generator X at level 1 produces
-``s0_X`` and ``s1_X`` at level 2 and the three canonical double
-degeneracies ``s1s0_X``, ``s2s0_X``, ``s2s1_X`` at level 3 (the rewriting
-s_i s_j = s_{j+1} s_i for i <= j normalizes every composite to these); a
-level-2 generator T produces ``s0_T``, ``s1_T``, ``s2_T``.
+Level n is R followed by each adjoined generator X of level l under every
+canonical word s_j1...s_jm with j1 > ... > jm and m = n - l, named
+``s<j1>...s<jm>_X``: a level-1 X gives ``s0_X`` and ``s1_X`` at level 2
+and ``s1s0_X``, ``s2s0_X``, ``s2s1_X`` at level 3, and a level-2 T gives
+``s0_T``, ``s1_T``, ``s2_T``.  A degeneracy renames a copy by the rewriting
+s_i s_k = s_(k+1) s_i for i <= k; a face peels off the outer degeneracy
+by the identities d_i s_j = s_(j-1) d_i (i < j), id (i = j, j + 1) and
+s_j d_(i-1) (i > j + 1) down to the free-construction rule.
 
 The ideals derived from a skeleton (the Moore kernels, the second-order
 Peiffer ideal, the homotopy subquotients and the tensor presentation of the
@@ -24,6 +27,7 @@ their eliminations return.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 from .scalars import field_from_label
 from .rings import PolyRing, Polynomial, RingHom
@@ -234,118 +238,48 @@ class Skeleton2:
     def __init__(self, data):
         self.data = data
         R = data.base_ring
-        field = data.field
-        s2n = data.s2_names
-        s3n = data.s3_names
-        w2 = [_weight_of(img) for _, img in data.s2]
-        w3 = [_weight_of(img) for _, img in data.s3]
-
-        E0 = R
-        E1 = data.ring1
-        E2 = R.extend(
-            ["s0_" + n for n in s2n] + ["s1_" + n for n in s2n] + list(s3n),
-            w2 + w2 + w3)
-        E3 = R.extend(
-            ["s1s0_" + n for n in s2n] + ["s2s0_" + n for n in s2n]
-            + ["s2s1_" + n for n in s2n]
-            + ["s0_" + n for n in s3n] + ["s1_" + n for n in s3n]
-            + ["s2_" + n for n in s3n],
-            w2 * 3 + w3 * 3)
-        self.rings = (E0, E1, E2, E3)
-
-        t = {n: img for n, img in data.s2}
-        f3 = {n: img for n, img in data.s3}
-
-        def hom(dom, cod, mapping):
-            return RingHom.from_map(dom, cod, mapping)
-
-        face = {}
-        degen = {}
-        # level 1 faces: the adjoined generators have face 0 zero and
-        # face 1 the prescribed boundary image
-        face[(1, 0)] = hom(E1, E0, {n: E0.zero for n in s2n})
-        face[(1, 1)] = hom(E1, E0, {n: _lift(t[n], E0) for n in s2n})
-        degen[(0, 0)] = hom(E0, E1, {})
-
-        # level 1 degeneracies into E2
-        degen[(1, 0)] = hom(E1, E2, {n: E2.var("s0_" + n) for n in s2n})
-        degen[(1, 1)] = hom(E1, E2, {n: E2.var("s1_" + n) for n in s2n})
-
-        # level 2 faces
-        m0, m1, m2 = {}, {}, {}
-        for n in s2n:
-            m0["s0_" + n] = E1.var(n)
-            m0["s1_" + n] = E1.zero
-            m1["s0_" + n] = E1.var(n)
-            m1["s1_" + n] = E1.var(n)
-            m2["s0_" + n] = _lift(t[n], E1)
-            m2["s1_" + n] = E1.var(n)
-        for n in s3n:
-            m0[n] = E1.zero
-            m1[n] = E1.zero
-            m2[n] = f3[n]
-        face[(2, 0)] = hom(E2, E1, m0)
-        face[(2, 1)] = hom(E2, E1, m1)
-        face[(2, 2)] = hom(E2, E1, m2)
-
-        # level 2 degeneracies, normalized to the canonical double names
-        g0, g1, g2 = {}, {}, {}
-        for n in s2n:
-            g0["s0_" + n] = E3.var("s1s0_" + n)
-            g0["s1_" + n] = E3.var("s2s0_" + n)
-            g1["s0_" + n] = E3.var("s1s0_" + n)
-            g1["s1_" + n] = E3.var("s2s1_" + n)
-            g2["s0_" + n] = E3.var("s2s0_" + n)
-            g2["s1_" + n] = E3.var("s2s1_" + n)
-        for n in s3n:
-            g0[n] = E3.var("s0_" + n)
-            g1[n] = E3.var("s1_" + n)
-            g2[n] = E3.var("s2_" + n)
-        degen[(2, 0)] = hom(E2, E3, g0)
-        degen[(2, 1)] = hom(E2, E3, g1)
-        degen[(2, 2)] = hom(E2, E3, g2)
-
-        # level 3 faces
-        n0, n1, n2, n3 = {}, {}, {}, {}
-        for n in s2n:
-            n0["s1s0_" + n] = E2.var("s0_" + n)
-            n0["s2s0_" + n] = E2.var("s1_" + n)
-            n0["s2s1_" + n] = E2.zero
-            n1["s1s0_" + n] = E2.var("s0_" + n)
-            n1["s2s0_" + n] = E2.var("s1_" + n)
-            n1["s2s1_" + n] = E2.var("s1_" + n)
-            n2["s1s0_" + n] = E2.var("s0_" + n)
-            n2["s2s0_" + n] = E2.var("s0_" + n)
-            n2["s2s1_" + n] = E2.var("s1_" + n)
-            n3["s1s0_" + n] = _lift(t[n], E2)
-            n3["s2s0_" + n] = E2.var("s0_" + n)
-            n3["s2s1_" + n] = E2.var("s1_" + n)
-        s0_1, s1_1 = degen[(1, 0)], degen[(1, 1)]
-        for n in s3n:
-            n0["s0_" + n] = E2.var(n)
-            n0["s1_" + n] = E2.zero
-            n0["s2_" + n] = E2.zero
-            n1["s0_" + n] = E2.var(n)
-            n1["s1_" + n] = E2.var(n)
-            n1["s2_" + n] = E2.zero
-            n2["s0_" + n] = E2.zero
-            n2["s1_" + n] = E2.var(n)
-            n2["s2_" + n] = E2.var(n)
-            n3["s0_" + n] = s0_1(f3[n])
-            n3["s1_" + n] = s1_1(f3[n])
-            n3["s2_" + n] = E2.var(n)
-        face[(3, 0)] = hom(E3, E2, n0)
-        face[(3, 1)] = hom(E3, E2, n1)
-        face[(3, 2)] = hom(E3, E2, n2)
-        face[(3, 3)] = hom(E3, E2, n3)
-
-        self.face = face
-        self.degen = degen
+        # (word, name, image) per variable of E_n after those of R: each
+        # generator of level l under each canonical word of length n - l
+        copies = [[(w[::-1], x, img)
+                   for level, gens in ((1, data.s2), (2, data.s3))
+                   if level <= n
+                   for w in combinations(range(n), n - level)
+                   for x, img in gens] for n in range(4)]
+        self.rings = E = (R,) + tuple(R.extend(
+            [_copy_name(w, x) for w, x, _ in copies[n]],
+            [_weight_of(img) for _, _, img in copies[n]]) for n in (1, 2, 3))
+        self.degen = {
+            (n, j): RingHom.from_map(E[n], E[n + 1], {
+                _copy_name(w, x):
+                    E[n + 1].var(_copy_name(_degenerate(j, w), x))
+                for w, x, _ in copies[n]})
+            for n in (0, 1, 2) for j in range(n + 1)}
+        self.face = {}  # filled level by level: _face_image reads level n - 1
+        for n in (1, 2, 3):
+            for i in range(n + 1):
+                self.face[(n, i)] = RingHom.from_map(E[n], E[n - 1], {
+                    _copy_name(w, x): self._face_image(n, i, w, x, img)
+                    for w, x, img in copies[n]})
         # generators of the two level-1 corners: m_i = S_i spans Ker d_0
         # and n_i = S_i - t_i spans Ker d_1
-        self.corner_gens = (tuple(E1.var(n) for n in s2n),
-                            tuple(E1.var(n) - _lift(t[n], E1) for n in s2n))
+        E1 = E[1]
+        self.corner_gens = (tuple(E1.var(n) for n in data.s2_names),
+                            tuple(E1.var(n) - _lift(t, E1)
+                                  for n, t in data.s2))
         self._memo = {}
+
+    def _face_image(self, n, i, word, name, image):
+        """d_i of the copy s_word of an adjoined generator with the given
+        image, in E_(n-1), by the rules of the module docstring."""
+        E = self.rings[n - 1]
+        if not word:
+            return image if i == n else E.zero
+        j, below = word[0], E.var(_copy_name(word[1:], name))
+        if i in (j, j + 1):
+            return below
+        if i < j:
+            return self.degen[(n - 2, j - 1)](self.face[(n - 1, i)](below))
+        return self.degen[(n - 2, j)](self.face[(n - 1, i - 1)](below))
 
     # convenient aliases
     @property
@@ -401,6 +335,19 @@ class Skeleton2:
     def p2(self):
         """The second-order Peiffer ideal by the "c_families" route."""
         return self.once("p2", lambda: peiffer_P2(self, "c_families"))
+
+
+def _copy_name(word, name):
+    """``s<j1>...s<jm>_name`` for the word j1 > ... > jm; name alone for
+    the empty word."""
+    return "".join("s%d" % j for j in word) + "_" + name if word else name
+
+
+def _degenerate(j, word):
+    """The canonical word of s_j s_word, by s_i s_k = s_(k+1) s_i for
+    i <= k."""
+    return (tuple(k + 1 for k in word if k >= j) + (j,)
+            + tuple(k for k in word if k < j))
 
 
 def _lift(p, ring):

@@ -23,7 +23,7 @@ class TensorPresentation:
     """Presentation of the tensor of two ideal corners of the base ring."""
 
     def __init__(self, base, ring, symbol_grid, m_gens, n_gens, relations,
-                 numer, lam, embed, m_ideal=None, n_ideal=None):
+                 numer, lam, embed, m_ideal, n_ideal):
         self.base = base
         self.ring = ring                # base extended by the symbols
         self.symbol_grid = symbol_grid  # symbol_grid[p][q] = variable name
@@ -76,16 +76,18 @@ class TensorPresentation:
 
 def tensor_presentation(base, m_gens, n_gens):
     """Build the symbol presentation of the tensor of the ideals generated
-    by m_gens and n_gens inside the base ring."""
-    m_gens, n_gens = tuple(m_gens), tuple(n_gens)
+    by m_gens and n_gens inside the base ring.  The symbols are indexed
+    by the ideals' generator lists, which drop zeros and repeats, so that
+    cofactor lifts and the symbol grid agree."""
+    m_ideal, n_ideal = Ideal(base, m_gens), Ideal(base, n_gens)
+    m_gens, n_gens = m_ideal.gens, n_ideal.gens
     if not m_gens or not n_gens:
-        ring = base
         zero = Ideal(base, [])
         return TensorPresentation(
             base=base, ring=base, symbol_grid=(), m_gens=m_gens,
             n_gens=n_gens, relations=zero, numer=zero,
             lam=RingHom.identity(base), embed=RingHom.identity(base),
-            m_ideal=Ideal(base, m_gens), n_ideal=Ideal(base, n_gens))
+            m_ideal=m_ideal, n_ideal=n_ideal)
     names, weights = [], []
     for p, mp in enumerate(m_gens):
         for q, nq in enumerate(n_gens):
@@ -119,8 +121,6 @@ def tensor_presentation(base, m_gens, n_gens):
             if not r.is_zero():
                 rels.append(r)
     # multiplicativity: products of symbols rewrite through cofactor lifts
-    m_ideal = Ideal(base, m_gens)
-    n_ideal = Ideal(base, n_gens)
     flat = [(p, q) for p in range(len(m_gens)) for q in range(len(n_gens))]
     for i, (p, q) in enumerate(flat):
         for (p2, q2) in flat[i:]:

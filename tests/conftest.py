@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from xsq import QQ, ConstructionData, build_skeleton
@@ -34,3 +36,11 @@ def skel_b(data_b):
 @pytest.fixture(scope="session")
 def skel_c(data_c):
     return build_skeleton(data_c)
+
+
+@pytest.fixture(scope="session")
+def skel_d4f():
+    """fixtures/d4f.json: four variables, four level-1 and two level-2
+    generators."""
+    path = Path(__file__).resolve().parent.parent / "fixtures" / "d4f.json"
+    return build_skeleton(ConstructionData.from_json(path.read_text()))

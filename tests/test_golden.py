@@ -13,10 +13,11 @@ fp-3var workload, and on fixture c over GF(2^61 - 1), whose residues and
 their products pass 64 bits; every command on fixture c with --order lex,
 the one order that is not degree-compatible; every command on d3
 (fixtures/d3.json), the smallest input with three variables, block-order
-eliminations and larger bases; and the --format json stdout of every
-command on fixture c, on the GF(7) input and on its analogue over Q.  A change that alters any
-of them changes what the command reports; regenerate a file only when that
-change is intended, with
+eliminations and larger bases; build on d4f (fixtures/d4f.json), the one
+checked-in input with two level-2 generators; and the --format json stdout
+of every command on fixture c, on the GF(7) input and on its analogue over
+Q.  A change that alters any of them changes what the command reports;
+regenerate a file only when that change is intended, with
 
     python -m xsq.cli <command> <input> [flags] > tests/golden/<command>_<case>.txt
 
@@ -95,6 +96,11 @@ def test_lex_stdout_matches_golden(command):
 def test_d3_stdout_matches_golden(command):
     expected = (GOLDEN / ("%s_d3.txt" % command)).read_bytes()
     assert run_cli(command, fixture("d3")) == expected
+
+
+def test_d4f_build_matches_golden():
+    expected = (GOLDEN / "build_d4f.txt").read_bytes()
+    assert run_cli("build", fixture("d4f")) == expected
 
 
 @pytest.mark.parametrize("case", sorted(ROWS_CASES))

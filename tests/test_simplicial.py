@@ -22,11 +22,25 @@ def test_zero_skeleton_collapses():
             assert h(h.domain.var(v)) == h.codomain.var(v)
 
 
-@pytest.mark.parametrize("which", ["a", "b", "c"])
-def test_simplicial_identities_exhaustive(which, skel_a, skel_b, skel_c):
-    skel = {"a": skel_a, "b": skel_b, "c": skel_c}[which]
+@pytest.mark.parametrize("which", ["a", "b", "c", "d4f"])
+def test_simplicial_identities_exhaustive(which, skel_a, skel_b, skel_c,
+                                          skel_d4f):
+    skel = {"a": skel_a, "b": skel_b, "c": skel_c, "d4f": skel_d4f}[which]
     report = simplicial_identity_report(skel)
     assert report and all(ok for _, ok in report)
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c", "d4f"])
+def test_free_construction_rule(which, skel_a, skel_b, skel_c, skel_d4f):
+    """An adjoined generator at level l has d_i = 0 for i < l, and d_l is
+    its image."""
+    skel = {"a": skel_a, "b": skel_b, "c": skel_c, "d4f": skel_d4f}[which]
+    for level, gens in ((1, skel.data.s2), (2, skel.data.s3)):
+        for name, image in gens:
+            x = skel.rings[level].var(name)
+            for i in range(level):
+                assert skel.face[(level, i)](x).is_zero()
+            assert skel.face[(level, level)](x) == image
 
 
 def test_level1_faces(skel_a):

@@ -1,6 +1,6 @@
 import pytest
 
-from xsq import (ConstructionData, Ideal, QQ, RingHom, Subquotient,
+from xsq import (ConstructionData, Ideal, PolyRing, QQ, RingHom, Subquotient,
                  assemble_L, build_skeleton, compare_corner, coproduct,
                  free_crossed_on, free_precrossed, functor_M, ideal_equal,
                  peiffer_quotient, tensor_presentation, tensor_square,
@@ -45,6 +45,25 @@ def test_tensor_square_verifies(skel_a, skel_b):
         sq, pres = tensor_square(M, N)
         rep = verify_square(sq)
         assert rep.ok, rep.to_text()
+
+
+@pytest.mark.parametrize("m_gens, n_gens", [(["x"], ["0", "y"]),
+                                             (["x", "0", "y"], ["y", "x"])])
+def test_tensor_square_of_corners_with_zero_generators(m_gens, n_gens):
+    # the ideals drop the zero generators; the symbols must be indexed by
+    # the same lists as the cofactor lifts
+    R = PolyRing(("x", "y"), QQ)
+    ident = RingHom.identity(R)
+
+    def corner(gens):
+        gens = [R.parse(g) for g in gens]
+        top = Subquotient(R, Ideal(R, gens), Ideal(R, []), gens=gens)
+        return CrossedModule(top=top, base=R, bnd=ident, embed=ident)
+
+    sq, pres = tensor_square(corner(m_gens), corner(n_gens))
+    assert all(not g.is_zero() for g in pres.m_gens + pres.n_gens)
+    rep = verify_square(sq)
+    assert rep.ok, rep.to_text()
 
 
 def test_tensor_slot_relations_from_syzygies(skel_b):
