@@ -8,6 +8,7 @@ Run:  python3 demos/02_skeleton_and_square.py
 from xsq import (ConstructionData, QQ, build_skeleton, functor_M, h_eval,
                  peiffer_P1, peiffer_P2, simplicial_identity_report,
                  verify_square)
+from xsq.cli import _render_text
 
 data = ConstructionData(
     QQ, ["x", "y"],
@@ -51,5 +52,6 @@ print("pairing h(%s, %s) = %s" % (m, nbar, h_eval(square, m, nbar)))
 
 rep = verify_square(square)
 print()
-print("axiom suite:", "all pass" if rep.ok else rep.to_text())
+print("axiom suite:", "all pass" if rep.ok
+      else "\n".join(_render_text(rep.to_obj())))
 print("checks executed:", len(rep.items))

@@ -6,6 +6,7 @@ Run:  python3 demos/03_tensor_reconstruction.py
 
 from xsq import (ConstructionData, QQ, assemble_L, build_skeleton,
                  compare_corner, tensor_presentation)
+from xsq.cli import _render_text
 
 print("== one-relation presentation: the tensor alone ==")
 data_a = ConstructionData(QQ, ["x"], [("S", "x^2")], [])
@@ -16,8 +17,8 @@ print("symbols:", [str(g) for g in pres.symbols])
 print("relations:", [str(r) for r in pres.relations.gens])
 print("structure map image of the symbol:", pres.lam(pres.symbols[0]))
 
-rep = compare_corner(skel_a, D=6)
-print(rep.to_text())
+# the report is the dict that `xsq compare` prints under "corner"
+print("\n".join(_render_text(compare_corner(skel_a, D=6))))
 
 print()
 print("== with a level-2 generator: tensor joined with a free module ==")
@@ -33,8 +34,7 @@ print("interchange relations:")
 for r in assembled.extra_relations:
     print("   ", r)
 
-rep_c = compare_corner(skel_c, D=5)
-print(rep_c.to_text())
+print("\n".join(_render_text(compare_corner(skel_c, D=5))))
 print()
 print("note the bare-term variant relations: they are recorded, and none")
 print("of them maps to zero, which is why the boundary-compatible form of")

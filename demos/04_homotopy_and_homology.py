@@ -6,6 +6,7 @@ Run:  python3 demos/04_homotopy_and_homology.py
 
 from xsq import (ConstructionData, QQ, aq_h2, aq_h2_witness, build_skeleton,
                  compare_XY, homotopy_report, pi1)
+from xsq.cli import _render_text
 
 data_b = ConstructionData(QQ, ["x", "y"],
                           [("S1", "x^2"), ("S2", "x*y")], [])
@@ -15,12 +16,13 @@ data_c = ConstructionData(QQ, ["x", "y"],
 
 print("== two relations, nothing above ==")
 skel_b = build_skeleton(data_b)
-print(homotopy_report(skel_b, D=6, D_h2=8).to_text())
+# the report is the dict that `xsq homotopy` prints
+print("\n".join(_render_text(homotopy_report(skel_b, D=6, D_h2=8))))
 
 print()
 print("== the same relations with the syzygy class killed ==")
 skel_c = build_skeleton(data_c)
-print(homotopy_report(skel_c, D=6, D_h2=8).to_text())
+print("\n".join(_render_text(homotopy_report(skel_c, D=6, D_h2=8))))
 print("the first homotopy row drops to zero: the adjoined generator")
 print("kills the class that the second homology detects, while the")
 print("homology of the presented quotient itself is unchanged.")
@@ -36,4 +38,4 @@ print("witness class:            (%s)" % ", ".join(str(p) for p in w))
 
 print()
 print("== the split comparison of the two complexes on the tensor ==")
-print(compare_XY(skel_b, D=6).to_text())
+print("\n".join(_render_text(compare_XY(skel_b, D=6))))

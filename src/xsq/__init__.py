@@ -12,7 +12,7 @@ from importlib import import_module
 _EXPORTS = {name: module for module, names in (
     ("scalars", "QQ GF field_from_label"),
     ("rings", "PolyRing Polynomial RingHom ParseError"),
-    ("groebner", "Ideal GradedDims BudgetExceeded NotInIdeal affine_hilbert "
+    ("groebner", "Ideal BudgetExceeded NotInIdeal affine_hilbert "
                  "budget eliminate hom_kernel ideal_equal ideal_intersect "
                  "ideal_product monomials_leq subquotient_dims syzygies"),
     ("simplicial", "ConstructionData InvalidData MooreData Skeleton2 "
@@ -22,13 +22,12 @@ _EXPORTS = {name: module for module, names in (
                 "QuotientRing Subquotient VerifyReport free_crossed_on "
                 "free_precrossed functor_M h_eval ideal_square linearize "
                 "peiffer_quotient verify_square verify_xmod"),
-    ("tensor", "AssembledCorner ComparisonReport CoproductResult "
-               "TensorPresentation assemble_L compare_corner coproduct "
-               "tensor_presentation tensor_square"),
-    ("homotopy", "HomotopyReport SplitComparisonReport SquaredComplexRep "
-                 "TwoCrossedComplexRep aq_h2 aq_h2_witness build_2crossed "
-                 "build_squared_complex compare_XY homotopy_report "
-                 "pi0 pi1 pi2"),
+    ("tensor", "AssembledCorner CoproductResult TensorPresentation "
+               "assemble_L compare_corner coproduct tensor_presentation "
+               "tensor_square"),
+    ("homotopy", "SquaredComplexRep TwoCrossedComplexRep aq_h2 "
+                 "aq_h2_witness build_2crossed build_squared_complex "
+                 "compare_XY homotopy_report pi0 pi1 pi2"),
 ) for name in names.split()}
 
 __all__ = list(_EXPORTS)

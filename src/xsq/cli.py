@@ -7,10 +7,13 @@ Commands: build, verify, homotopy, compare.  Input is a JSON object
 Exit codes: 0 pass, 1 verification failure, 2 invalid input (including a
 power that may expand past ``rings.MAX_POWER_TERMS`` terms, a --max-degree
 above ``MAX_DEGREE``, a --budget below 1, a rational literal whose reduced
-denominator the characteristic divides, a file that is not UTF-8 and a
-top-level key other than field, S1, S2 and S3), 3
-step budget exhausted or an exponent above ``rings.MAX_EXPONENT``.
-Identical input and flags produce byte-identical output.
+denominator the characteristic divides, a file that is not UTF-8, JSON
+nested too deep to decode and a top-level key other than field, S1, S2 and
+S3), 3 step budget exhausted, an exponent above ``rings.MAX_EXPONENT`` or a
+coefficient to print with more digits than ``sys.get_int_max_str_digits()``.
+Identical input and flags produce byte-identical output.  A command builds
+the report it prints as a dict; ``--format json`` dumps it and
+:func:`_render_text`, the one text renderer, writes it out as text.
 """
 
 from __future__ import annotations
@@ -112,10 +115,8 @@ def cmd_homotopy(data, args):
     from .homotopy import homotopy_report
     D = args.max_degree
     skel = build_skeleton(data)
-    rep = homotopy_report(skel, D=D, D_h2=D + 2)
-    obj = rep.to_obj()
-    obj["command"] = "homotopy"
-    return obj, 0
+    report = homotopy_report(skel, D=D, D_h2=D + 2)
+    return {**report, "command": "homotopy"}, 0
 
 
 def cmd_compare(data, args):
@@ -124,16 +125,16 @@ def cmd_compare(data, args):
     D = args.max_degree
     skel = build_skeleton(data)
     corner = compare_corner(skel, D=D)
-    obj = {"command": "compare", "corner": corner.to_obj()}
-    ok = corner.ok
+    obj = {"command": "compare", "corner": corner}
+    ok = corner["ok"]
     if data.s3_names:
         obj["split"] = {
             "skipped": "the split comparison needs data without level-2 "
                        "generators"}
     else:
         split = compare_XY(skel, D=D)
-        obj["split"] = split.to_obj()
-        ok = ok and split.ok
+        obj["split"] = split
+        ok = ok and split["ok"]
     obj["ok"] = ok
     return obj, (0 if ok else 1)
 
@@ -217,7 +218,7 @@ def main(argv=None):
         for problem in e.problems:
             print("error: %s" % problem, file=sys.stderr)
         return 2
-    except BudgetExceeded as e:  # also an exponent past the limit
+    except BudgetExceeded as e:  # also an exponent or coefficient too big
         print("error: %s" % e, file=sys.stderr)
         return 3
     if args.format == "json":

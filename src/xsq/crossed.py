@@ -10,7 +10,7 @@ the offending generator pair and its nonzero normal form on failure.
 
 from __future__ import annotations
 
-from .groebner import (Ideal, GradedDims, ideal_intersect, subquotient_dims,
+from .groebner import (Ideal, ideal_intersect, subquotient_dims,
                        affine_hilbert)
 from .rings import PolyRing, RingHom
 from .simplicial import peiffer_P1
@@ -44,7 +44,7 @@ class Subquotient:
 
     def dims(self, D):
         if self.numer.is_zero():
-            return GradedDims((0,) * (D + 1))
+            return (0,) * (D + 1)
         return subquotient_dims(self.numer, self.rels, D)
 
     def __repr__(self):
@@ -84,9 +84,6 @@ class CrossedModule:
         self.bnd = bnd          # top.ambient -> base
         self.embed = embed      # base -> top.ambient
         self.label = label
-
-    def act(self, r, c):
-        return self.embed(r) * c
 
 
 class CheckResult:
@@ -132,21 +129,9 @@ class VerifyReport:
                 "ok": self.ok,
                 "items": [i.to_obj() for i in self.items]}
 
-    def to_text(self):
-        lines = ["verification of %s: %s"
-                 % (self.label, "pass" if self.ok else "FAIL")]
-        for i in self.items:
-            tag = "pass" if i.ok else "FAIL"
-            if i.informational:
-                tag = "info(%s)" % ("holds" if i.ok else "differs")
-            lines.append("  [%s] %s on %s%s"
-                         % (tag, i.check, i.instance,
-                            "" if i.ok else ": residue " + i.witness))
-        return "\n".join(lines)
 
-
-def verify_xmod(cm, include_cm2=True):
-    """First and (optionally) second crossed-module axioms on generators."""
+def verify_xmod(cm):
+    """First and second crossed-module axioms on generators."""
     rep = VerifyReport(cm.label or "crossed module")
     base_vars = [cm.base.var(v) for v in cm.base.vars]
     for g in cm.top.rels.gens:
@@ -155,11 +140,10 @@ def verify_xmod(cm, include_cm2=True):
         defect = cm.bnd(cm.embed(r)) - r
         for c in cm.top.gens:
             rep.add("CM1", "r=%s, c=%s" % (r, c), defect * cm.bnd(c))
-    if include_cm2:
-        for c in cm.top.gens:
-            for c2 in cm.top.gens:
-                residue = cm.top.nf(cm.embed(cm.bnd(c)) * c2 - c * c2)
-                rep.add("CM2", "c=%s, c'=%s" % (c, c2), residue)
+    for c in cm.top.gens:
+        for c2 in cm.top.gens:
+            residue = cm.top.nf(cm.embed(cm.bnd(c)) * c2 - c * c2)
+            rep.add("CM2", "c=%s, c'=%s" % (c, c2), residue)
     return rep
 
 
@@ -185,9 +169,6 @@ class CrossedSquare:
         self.top_mul = (lambda a, b: a * b) if top_mul is None else top_mul
         self.label = label
 
-    def h(self, m, n):
-        return self.pair(m, n)
-
 
 def h_eval(square, m, nbar):
     """Class of h(m, nbar) in the top corner; arguments are checked for
@@ -199,7 +180,7 @@ def h_eval(square, m, nbar):
     return square.top.nf(square.pair(m, nbar))
 
 
-def verify_square(square, scalars=(2, -3)):
+def verify_square(square):
     """All ten crossed-square axioms specialized to generator instances.
 
     The associativity variant that repeats the middle argument is
@@ -285,7 +266,7 @@ def verify_square(square, scalars=(2, -3)):
                         L.nf(pair(m, n + n2) - pair(m, n) - pair(m, n2)))
 
     # axiom 9: scalars slide through either slot
-    for k in scalars:
+    for k in (2, -3):
         for m in mgens:
             for n in ngens:
                 rep.add("ax9-scalar", "k=%s, m=%s, n=%s" % (k, m, n),

@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import math
 from contextlib import contextmanager
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter
 
 from .rings import (BudgetExceeded, ExponentOverflow, Polynomial, PolyRing,
@@ -611,35 +611,6 @@ def syzygies(gens, ring=None):
     return tuple(out)
 
 
-class GradedDims:
-    """Dimensions of the degree-filtered pieces, index d = 0..D; equal and
-    of equal hash when their dims are."""
-
-    def __init__(self, dims):
-        self.dims = dims
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedDims):
-            return NotImplemented
-        return self.dims == other.dims
-
-    def __hash__(self):
-        return hash(self.dims)
-
-    @property
-    def max_degree(self):
-        return len(self.dims) - 1
-
-    def __getitem__(self, d):
-        return self.dims[d]
-
-    def as_list(self):
-        return list(self.dims)
-
-    def __str__(self):
-        return "[" + ", ".join(str(d) for d in self.dims) + "]"
-
-
 def monomials_leq(ring, D):
     """All exponent tuples of weighted degree <= D, descending ring order."""
     n = len(ring.vars)
@@ -697,22 +668,19 @@ def standard_monomials(I, D):
 
 
 def affine_hilbert(I, D):
-    """Dimension of {p : wdeg p <= d} / (I cap same) for d = 0..D, read off
-    the leading-term data of a degree-compatible basis."""
+    """The tuple of dimensions of {p : wdeg p <= d} / (I cap same) for
+    d = 0..D, read off the leading-term data of a degree-compatible basis."""
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     counts = [0] * (D + 1)
     for _, d in standard_monomials(I, D)[1]:
         counts[d] += 1
-    dims, total = [], 0
-    for d in range(D + 1):
-        total += counts[d]
-        dims.append(total)
-    return GradedDims(tuple(dims))
+    return tuple(accumulate(counts))
 
 
 def subquotient_dims(numer, rels, D):
-    """Filtered dimensions of numer/rels for nested ideals rels <= numer."""
+    """The tuple of filtered dimensions of numer/rels for nested ideals
+    rels <= numer."""
     hn = affine_hilbert(numer, D)
     hr = affine_hilbert(rels, D)
-    return GradedDims(tuple(hr[d] - hn[d] for d in range(D + 1)))
+    return tuple(r - n for n, r in zip(hn, hr))

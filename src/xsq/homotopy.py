@@ -5,12 +5,16 @@ complexes carried by the tensor corner.
 
 Filtered dimensions of ideal subquotients come from leading-term counts;
 the cross-checking routes use exact truncated linear algebra instead, so an
-agreement genuinely certifies both implementations.
+agreement genuinely certifies both implementations.  A row of filtered
+dimensions is a tuple indexed by degree 0..D.  :func:`homotopy_report` and
+:func:`compare_XY` return the dicts that the ``homotopy`` and ``compare``
+commands print: lists, strings, bools and None, so they survive a JSON
+round trip unchanged.
 """
 
 from __future__ import annotations
 
-from .groebner import (Ideal, GradedDims, affine_hilbert, ideal_intersect,
+from .groebner import (Ideal, affine_hilbert, ideal_intersect,
                        hom_kernel, standard_monomials, subquotient_dims,
                        syzygies)
 from .linalg import (FilteredBasis, graded_span, nullity,
@@ -107,8 +111,7 @@ def _pair_dims(left, right, image, ring, D):
     fb = FilteredBasis(ring, D)
     rows = [truncated_ideal_span(gens, fb).ranks
             for gens in (left, right, left + right, image)]
-    return GradedDims(tuple(l + r - both - im
-                            for l, r, both, im in zip(*rows)))
+    return tuple(l + r - both - im for l, r, both, im in zip(*rows))
 
 
 def _pair_kernel_dims(skel, D):
@@ -166,7 +169,7 @@ def aq_h2(data, route="syzygy", D=8):
     t = list(data.boundary_images)
     n = len(t)
     if n == 0:
-        return GradedDims((0,) * (D + 1))
+        return (0,) * (D + 1)
     fb = FilteredBasis(R, D)
     if route == "syzygy":
         syz = syzygies(tuple(t), ring=R)
@@ -184,7 +187,7 @@ def aq_h2(data, route="syzygy", D=8):
     else:
         raise ValueError("unknown route %r" % (route,))
     den = graded_span(_koszul_vectors(t, R), fb).ranks
-    return GradedDims(tuple(a - b for a, b in zip(num, den)))
+    return tuple(a - b for a, b in zip(num, den))
 
 
 def aq_h2_witness(data, D=8):
@@ -208,135 +211,38 @@ def aq_h2_witness(data, D=8):
     return None
 
 
-class HomotopyReport:
-    def __init__(self, pi0_basis, pi0_dims, pi1_dims, pi1_pair_dims,
-                 pi1_witness, pi2_dims, pi2_witness, h2_syzygy, h2_kernel,
-                 h2_witness):
-        self.pi0_basis = pi0_basis
-        self.pi0_dims = pi0_dims
-        self.pi1_dims = pi1_dims
-        self.pi1_pair_dims = pi1_pair_dims
-        self.pi1_witness = pi1_witness
-        self.pi2_dims = pi2_dims
-        self.pi2_witness = pi2_witness
-        self.h2_syzygy = h2_syzygy
-        self.h2_kernel = h2_kernel
-        self.h2_witness = h2_witness
-
-    def to_obj(self):
-        def vec_str(v):
-            if v is None:
-                return None
-            if isinstance(v, tuple):
-                return "(" + ", ".join(str(p) for p in v) + ")"
-            return str(v)
-        return {
-            "pi0": {"relations": [str(b) for b in self.pi0_basis],
-                    "dims": self.pi0_dims.as_list()},
-            "pi1": {"dims": self.pi1_dims.as_list(),
-                    "dims_pair_route": self.pi1_pair_dims.as_list(),
-                    "routes_agree":
-                        self.pi1_dims.dims == self.pi1_pair_dims.dims,
-                    "witness": vec_str(self.pi1_witness)},
-            "pi2": {"dims": self.pi2_dims.as_list(),
-                    "witness": vec_str(self.pi2_witness)},
-            "aq_h2": {"dims_syzygy_route": self.h2_syzygy.as_list(),
-                      "dims_kernel_route": self.h2_kernel.as_list(),
-                      "routes_agree":
-                          self.h2_syzygy.dims == self.h2_kernel.dims,
-                      "witness": vec_str(self.h2_witness)},
-        }
-
-    def to_text(self):
-        obj = self.to_obj()
-        lines = []
-        lines.append("pi0 relations: [%s], filtered dims %s"
-                     % (", ".join(obj["pi0"]["relations"]), self.pi0_dims))
-        lines.append("pi1 dims %s (pair route %s, agree: %s), witness: %s"
-                     % (self.pi1_dims, self.pi1_pair_dims,
-                        obj["pi1"]["routes_agree"], obj["pi1"]["witness"]))
-        lines.append("pi2 dims %s, witness: %s"
-                     % (self.pi2_dims, obj["pi2"]["witness"]))
-        lines.append("H2 dims %s (kernel route %s, agree: %s), witness: %s"
-                     % (self.h2_syzygy, self.h2_kernel,
-                        obj["aq_h2"]["routes_agree"], obj["aq_h2"]["witness"]))
-        return "\n".join(lines)
+def _vec_str(v):
+    if v is None:
+        return None
+    if isinstance(v, tuple):
+        return "(" + ", ".join(str(p) for p in v) + ")"
+    return str(v)
 
 
 def homotopy_report(skel, D=6, D_h2=8):
+    """What the ``homotopy`` command prints: the rows pi0 to pi2 (pi1 by
+    both routes) and the second homology by both routes, as a dict of
+    lists and strings."""
     p0 = pi0(skel)
-    return HomotopyReport(
-        pi0_basis=p0.basis,
-        pi0_dims=p0.dims(D),
-        pi1_dims=pi1(skel, D, "ideal"),
-        pi1_pair_dims=pi1(skel, D, "pair"),
-        pi1_witness=pi1_witness(skel),
-        pi2_dims=pi2(skel, D),
-        pi2_witness=pi2_witness(skel),
-        h2_syzygy=aq_h2(skel.data, "syzygy", D_h2),
-        h2_kernel=aq_h2(skel.data, "kernel", D_h2),
-        h2_witness=aq_h2_witness(skel.data, D_h2),
-    )
+    pi0_row = {"relations": [str(b) for b in p0.basis],
+               "dims": list(p0.dims(D))}
+    ideal_route, pair_route = pi1(skel, D, "ideal"), pi1(skel, D, "pair")
+    pi1_row = {"dims": list(ideal_route),
+               "dims_pair_route": list(pair_route),
+               "routes_agree": ideal_route == pair_route,
+               "witness": _vec_str(pi1_witness(skel))}
+    pi2_row = {"dims": list(pi2(skel, D)),
+               "witness": _vec_str(pi2_witness(skel))}
+    syz_route = aq_h2(skel.data, "syzygy", D_h2)
+    kernel_route = aq_h2(skel.data, "kernel", D_h2)
+    return {"pi0": pi0_row, "pi1": pi1_row, "pi2": pi2_row,
+            "aq_h2": {"dims_syzygy_route": list(syz_route),
+                      "dims_kernel_route": list(kernel_route),
+                      "routes_agree": syz_route == kernel_route,
+                      "witness": _vec_str(aq_h2_witness(skel.data, D_h2))}}
 
 
 # -- the two complexes on the tensor corner and their comparison -----------
-
-
-class SplitComparisonReport:
-    def __init__(self, checks=None, kernel_middle=None, kernel_bottom=None,
-                 pi0_rows=None, pi1_rows=None, pi2_rows=None):
-        self.checks = [] if checks is None else checks
-        self.kernel_middle = kernel_middle
-        self.kernel_bottom = kernel_bottom
-        self.pi0_rows = pi0_rows
-        self.pi1_rows = pi1_rows
-        self.pi2_rows = pi2_rows
-
-    def add(self, name, residue):
-        ok = residue.is_zero()
-        self.checks.append((name, ok, "0" if ok else str(residue)))
-
-    @property
-    def ok(self):
-        rows_ok = (self.pi0_rows[0] == self.pi0_rows[1]
-                   and self.pi1_rows[0] == self.pi1_rows[1]
-                   and self.pi2_rows[0] == self.pi2_rows[1])
-        kernel_ok = (not any(self.kernel_middle.dims)
-                     and not any(self.kernel_bottom.dims))
-        return all(ok for _, ok, _ in self.checks) and rows_ok and kernel_ok
-
-    def to_obj(self):
-        return {
-            "ok": self.ok,
-            "checks": [{"name": n, "status": "pass" if ok else "fail",
-                        "witness": w} for n, ok, w in self.checks],
-            "kernel_homology": {"middle": self.kernel_middle.as_list(),
-                                "bottom": self.kernel_bottom.as_list()},
-            "pi0": {"wide": self.pi0_rows[0].as_list(),
-                    "narrow": self.pi0_rows[1].as_list(),
-                    "equal": self.pi0_rows[0] == self.pi0_rows[1]},
-            "pi1": {"wide": self.pi1_rows[0].as_list(),
-                    "narrow": self.pi1_rows[1].as_list(),
-                    "equal": self.pi1_rows[0] == self.pi1_rows[1]},
-            "pi2": {"wide": self.pi2_rows[0].as_list(),
-                    "narrow": self.pi2_rows[1].as_list(),
-                    "equal": self.pi2_rows[0] == self.pi2_rows[1]},
-        }
-
-    def to_text(self):
-        obj = self.to_obj()
-        lines = ["split comparison: %s" % ("pass" if self.ok else "FAIL")]
-        for c in obj["checks"]:
-            lines.append("  [%s] %s%s" % (c["status"], c["name"],
-                                          "" if c["status"] == "pass"
-                                          else ": " + c["witness"]))
-        lines.append("  kernel homology middle %s bottom %s"
-                     % (self.kernel_middle, self.kernel_bottom))
-        for name in ("pi0", "pi1", "pi2"):
-            row = obj[name]
-            lines.append("  %s wide %s narrow %s equal %s"
-                         % (name, row["wide"], row["narrow"], row["equal"]))
-        return "\n".join(lines)
 
 
 def compare_XY(skel, D=6):
@@ -353,6 +259,10 @@ def compare_XY(skel, D=6):
     basis of the kernel pairs' span, which has no relations.  It is
     structural, not an independent check; only the bottom row compares
     two spans.
+
+    Returns what the ``compare`` command prints under "split": ok, the
+    checks with their witnesses, the two kernel rows and the wide and
+    narrow homotopy rows, as a dict of lists and strings.
     """
     data = skel.data
     if data.s3_names:
@@ -364,26 +274,31 @@ def compare_XY(skel, D=6):
     d1 = skel.face[(1, 1)]
     s0 = skel.degen[(0, 0)]
 
-    rep = SplitComparisonReport()
+    checks = []
+
+    def add(name, residue):
+        ok = residue.is_zero()
+        checks.append({"name": name, "status": "pass" if ok else "fail",
+                       "witness": "0" if ok else str(residue)})
+
     # projection after section is the identity on the bottom level; on the
     # pair level the projection keeps the left slot of (m, -(m - s0 d1 m)),
     # so the composite is the identity by construction
     for v in R.vars:
-        rep.add("bottom projection()section on %s" % v,
-                d1(s0(R.var(v))) - R.var(v))
+        add("bottom projection()section on %s" % v,
+            d1(s0(R.var(v))) - R.var(v))
     for m in m_gens:
         # the section's second slot must land in the right corner
-        rep.add("section lands in the pair term at %s" % m,
-                d1(m - s0(d1(m))))
+        add("section lands in the pair term at %s" % m, d1(m - s0(d1(m))))
         # boundary compatibility of the projection on the pair generators
         # with zero left slot: the right corner dies under the last face
     for n in n_gens:
-        rep.add("projection chain square at (0, %s)" % n, d1(n))
+        add("projection chain square at (0, %s)" % n, d1(n))
     for g in pres.symbols:
         lam = pres.lam(g)
         # section chain square on top: the right-corner correspondent of
         # the boundary image is that image itself
-        rep.add("top section chain square on %s" % g, s0(d1(lam)))
+        add("top section chain square on %s" % g, s0(d1(lam)))
 
     # kernel complex: pairs with zero left slot map isomorphically onto
     # the kernel of the bottom projection; both homology rows must vanish
@@ -394,11 +309,8 @@ def compare_XY(skel, D=6):
     span_ker = truncated_ideal_span(kernel_rows, fb)
     # middle: kernel of the boundary restricted to the kernel pairs, which
     # sends (0, n) to n, on the basis of the degree-d piece of the span
-    rep.kernel_middle = GradedDims(tuple(
-        nullity(span_n.basis(r), E1.field)
-        for r in span_n.ranks))
-    rep.kernel_bottom = GradedDims(tuple(
-        k - n for k, n in zip(span_ker.ranks, span_n.ranks)))
+    middle = [nullity(span_n.basis(r), E1.field) for r in span_n.ranks]
+    bottom = [k - n for k, n in zip(span_ker.ranks, span_n.ranks)]
 
     # homotopy rows of both complexes
     M_ideal, N_ideal = pres.m_ideal, pres.n_ideal
@@ -407,18 +319,23 @@ def compare_XY(skel, D=6):
     pi0_narrow = affine_hilbert(Ideal(R, list(data.boundary_images)), D)
     inter = ideal_intersect(M_ideal, N_ideal)
     if inter.is_zero():
-        zeros = GradedDims((0,) * (D + 1))
-        pi1_wide = pi1_narrow = zeros
+        pi1_wide = pi1_narrow = (0,) * (D + 1)
     else:
         pi1_narrow = subquotient_dims(inter, lam_ideal, D)
         # wide route by linear algebra on the pair term
         pi1_wide = _pair_dims(M_ideal.groebner(), n_basis,
                               lam_ideal.groebner(), E1, D)
     pi2_wide, pi2_narrow = _tensor_kernel_dims(pres, D)
-    rep.pi0_rows = (pi0_wide, pi0_narrow)
-    rep.pi1_rows = (pi1_wide, pi1_narrow)
-    rep.pi2_rows = (pi2_wide, pi2_narrow)
-    return rep
+    rows = {"pi0": (pi0_wide, pi0_narrow), "pi1": (pi1_wide, pi1_narrow),
+            "pi2": (pi2_wide, pi2_narrow)}
+    ok = (all(c["status"] == "pass" for c in checks)
+          and all(wide == narrow for wide, narrow in rows.values())
+          and not any(middle) and not any(bottom))
+    return {"ok": ok, "checks": checks,
+            "kernel_homology": {"middle": middle, "bottom": bottom},
+            **{name: {"wide": list(wide), "narrow": list(narrow),
+                      "equal": wide == narrow}
+               for name, (wide, narrow) in rows.items()}}
 
 
 def _tensor_kernel_dims(pres, D):
@@ -427,7 +344,7 @@ def _tensor_kernel_dims(pres, D):
     single corner."""
     ring = pres.ring
     if not pres.symbol_grid:
-        zeros = GradedDims((0,) * (D + 1))
+        zeros = (0,) * (D + 1)
         return zeros, zeros
     work, standard = standard_monomials(pres.relations, D)
     key, unpack = work.packing.key, work.packing.unpack
@@ -446,4 +363,4 @@ def _tensor_kernel_dims(pres, D):
                     **{size + c: x for c, x in v.items()}} for v in rows]
         wide.append(nullity(doubled, ring.field))
         narrow.append(nullity(rows, ring.field))
-    return GradedDims(tuple(wide)), GradedDims(tuple(narrow))
+    return tuple(wide), tuple(narrow)

@@ -28,7 +28,9 @@ powers of several-term images are multiplied out.
 
 An exponent above MAX_EXPONENT = 2^31 - 1, in a monomial that is packed or
 parsed, and an exponent past it in a product, raise
-:class:`ExponentOverflow`, a :class:`BudgetExceeded`.
+:class:`ExponentOverflow`, a :class:`BudgetExceeded`.  Printing a
+coefficient with more digits than ``str`` writes out for an int raises
+:class:`CoefficientOverflow`, another.
 """
 
 from __future__ import annotations
@@ -74,6 +76,17 @@ class ExponentOverflow(BudgetExceeded):
     def __init__(self):
         super(BudgetExceeded, self).__init__(
             "exponent above the limit of %d" % MAX_EXPONENT)
+        self.steps = None
+
+
+class CoefficientOverflow(BudgetExceeded):
+    """A coefficient with more digits than ``str`` writes out
+    (``sys.get_int_max_str_digits()``), in a polynomial being printed."""
+
+    def __init__(self):
+        super(BudgetExceeded, self).__init__(
+            "coefficient above the limit of %d digits"
+            % sys.get_int_max_str_digits())
         self.steps = None
 
 
@@ -596,7 +609,10 @@ class Polynomial:
         for m, c in self.exponent_terms().items():
             body = [v if e == 1 else "%s^%d" % (v, e)
                     for v, e in zip(self.ring.vars, m) if e]
-            cs = str(c)
+            try:
+                cs = str(c)
+            except ValueError:
+                raise CoefficientOverflow() from None
             neg = cs.startswith("-")
             if neg:
                 cs = cs[1:]
@@ -677,22 +693,17 @@ class RingHom:
         self._memo = {}  # packed monomial -> the terms of its image
 
     @classmethod
-    def from_map(cls, domain, codomain, mapping, default="same_name"):
+    def from_map(cls, domain, codomain, mapping):
         """Build from a name -> image dict; unmapped variables go to the
-        codomain variable of the same name (or to 0 with default=0)."""
+        codomain variable of the same name."""
         images = []
         for v in domain.vars:
-            if v in mapping:
-                img = mapping[v]
-                if isinstance(img, str):
-                    img = codomain.parse(img)
-                images.append(img)
-            elif default == "same_name":
-                images.append(codomain.var(v))
-            elif default == 0:
-                images.append(codomain.zero)
-            else:
-                raise KeyError("no image for variable %r" % v)
+            img = mapping.get(v)
+            if img is None:
+                img = codomain.var(v)
+            elif isinstance(img, str):
+                img = codomain.parse(img)
+            images.append(img)
         return cls(domain, codomain, images)
 
     @classmethod

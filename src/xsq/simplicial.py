@@ -207,7 +207,8 @@ class ConstructionData:
     def from_json(cls, text):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
+            # RecursionError: arrays or objects nested too deep to decode
             raise InvalidData(["invalid JSON: %s" % e])
         return cls.from_dict(obj)
 

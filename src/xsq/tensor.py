@@ -9,6 +9,9 @@ from cofactor lifts of generator products.  A certified comparison checks
 well-definedness (every relation maps to normal form zero), surjectivity
 (every Moore generator lifts through the image ideal) and equality of the
 affine Hilbert rows of both presentations up to a degree bound.
+:func:`compare_corner` returns it as the dict that the ``compare`` command
+prints: lists, strings and bools, each check instance one row with its
+status and witness.
 """
 
 from __future__ import annotations
@@ -335,75 +338,15 @@ def assemble_L(skel):
                            c_names=data.s3_names)
 
 
-class ComparisonReport:
-    """Per-check status with witnesses; any failure is report content."""
-
-    def __init__(self, label, well_defined=None, surjective=None,
-                 pairing_respected=None, hilbert_target=None,
-                 hilbert_moore=None, variant_relations=None):
-        self.label = label
-        self.well_defined = [] if well_defined is None else well_defined
-        self.surjective = [] if surjective is None else surjective
-        self.pairing_respected = ([] if pairing_respected is None
-                                  else pairing_respected)
-        self.hilbert_target = hilbert_target
-        self.hilbert_moore = hilbert_moore
-        self.variant_relations = ([] if variant_relations is None
-                                  else variant_relations)
-
-    @property
-    def hilbert_equal(self):
-        return self.hilbert_target.dims == self.hilbert_moore.dims
-
-    @property
-    def ok(self):
-        return (all(ok for _, ok, _ in self.well_defined)
-                and all(ok for _, ok, _ in self.surjective)
-                and all(ok for _, ok, _ in self.pairing_respected)
-                and self.hilbert_equal)
-
-    def to_obj(self):
-        def rows(items):
-            return [{"instance": inst, "status": "pass" if ok else "fail",
-                     "witness": w} for inst, ok, w in items]
-        return {
-            "label": self.label,
-            "ok": self.ok,
-            "well_defined": rows(self.well_defined),
-            "surjective": rows(self.surjective),
-            "pairing_respected": rows(self.pairing_respected),
-            "hilbert": {
-                "target": self.hilbert_target.as_list(),
-                "moore": self.hilbert_moore.as_list(),
-                "equal": self.hilbert_equal,
-            },
-            "bare_term_variant_relations": rows(self.variant_relations),
-        }
-
-    def to_text(self):
-        lines = ["%s: %s" % (self.label, "pass" if self.ok else "FAIL")]
-        for name, items in (("well-defined", self.well_defined),
-                            ("surjective", self.surjective),
-                            ("pairing", self.pairing_respected)):
-            bad = [(i, w) for i, ok, w in items if not ok]
-            lines.append("  %s: %d/%d" % (name, len(items) - len(bad),
-                                          len(items)))
-            for inst, w in bad:
-                lines.append("    FAIL %s: %s" % (inst, w))
-        lines.append("  hilbert target: %s" % self.hilbert_target)
-        lines.append("  hilbert moore:  %s" % self.hilbert_moore)
-        if self.variant_relations:
-            held = sum(1 for _, ok, _ in self.variant_relations if ok)
-            lines.append("  bare-term variant relations mapping to zero: %d/%d"
-                         % (held, len(self.variant_relations)))
-        return "\n".join(lines)
-
-
 def compare_corner(skel, D=6):
     """Certify the reconstruction of the top Moore corner: the canonical
     map sends a symbol to the value of the connecting pairing and each
     adjoined generator to its level-2 variable, the base acting through
-    the degeneracy lift."""
+    the degeneracy lift.
+
+    Returns what the ``compare`` command prints under "corner": one row per
+    check instance with its status and witness, ok, and the two Hilbert
+    rows, as a dict of lists and strings."""
     data = skel.data
     live = functor_M(skel, 2)
     assembled = assemble_L(skel)
@@ -428,24 +371,36 @@ def compare_corner(skel, D=6):
     phi = RingHom(merged, E2,
                   tuple(images[v] for v in merged.vars))
 
-    rep = ComparisonReport(label="top corner reconstruction (degree <= %d)" % D)
+    def row(instance, residue):
+        ok = residue.is_zero()
+        return {"instance": instance, "status": "pass" if ok else "fail",
+                "witness": "0" if ok else str(residue)}
+
     P2 = live.top.rels
-    for r in assembled.top.rels.gens:
-        residue = P2.normal_form(phi(r))
-        rep.well_defined.append((str(r), residue.is_zero(), str(residue)))
+    well_defined = [row(str(r), P2.normal_form(phi(r)))
+                    for r in assembled.top.rels.gens]
     image_ideal = Ideal(E2, [phi(g) for g in assembled.top.gens]) + P2
+    surjective = []
     for w in live.top.gens:
         ok = image_ideal.member(w)
-        rep.surjective.append((str(w), ok, "" if ok else "no lift"))
-    for m in pres.m_gens:
-        for n in pres.n_gens:
-            residue = P2.normal_form(
-                phi(assembled.square.pair(m, n)) - pair_live(m, n))
-            rep.pairing_respected.append(
-                ("m=%s, n=%s" % (m, n), residue.is_zero(), str(residue)))
-    rep.hilbert_target = assembled.top.dims(D)
-    rep.hilbert_moore = live.top.dims(D)
-    for r in assembled.variant_relations:
-        residue = P2.normal_form(phi(r))
-        rep.variant_relations.append((str(r), residue.is_zero(), str(residue)))
-    return rep
+        surjective.append({"instance": str(w),
+                           "status": "pass" if ok else "fail",
+                           "witness": "" if ok else "no lift"})
+    pairing = [row("m=%s, n=%s" % (m, n),
+                   P2.normal_form(phi(assembled.square.pair(m, n))
+                                  - pair_live(m, n)))
+               for m in pres.m_gens for n in pres.n_gens]
+    target, moore = assembled.top.dims(D), live.top.dims(D)
+    variant = [row(str(r), P2.normal_form(phi(r)))
+               for r in assembled.variant_relations]
+    ok = (all(r["status"] == "pass"
+              for r in well_defined + surjective + pairing)
+          and target == moore)
+    return {"label": "top corner reconstruction (degree <= %d)" % D,
+            "ok": ok,
+            "well_defined": well_defined,
+            "surjective": surjective,
+            "pairing_respected": pairing,
+            "hilbert": {"target": list(target), "moore": list(moore),
+                        "equal": target == moore},
+            "bare_term_variant_relations": variant}

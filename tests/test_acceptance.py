@@ -80,13 +80,14 @@ def test_criterion_3_tensor_reconstruction(skel_a, skel_b):
         start = time.monotonic()
         rep = compare_corner(skel, D=6)
         elapsed = time.monotonic() - start
-        ok = ok and rep.ok and rep.hilbert_equal and elapsed < 60.0
+        ok = (ok and rep["ok"] and rep["hilbert"]["equal"]
+              and elapsed < 60.0)
     report(3, "tensor corner (degrees 0-6)", ok)
 
 
 def test_criterion_4_assembly_reconstruction(skel_c):
     rep = compare_corner(skel_c, D=5)
-    ok = rep.ok and rep.hilbert_equal
+    ok = rep["ok"] and rep["hilbert"]["equal"]
     report(4, "assembled corner (degrees 0-5)", ok)
 
 
@@ -99,19 +100,19 @@ def test_criterion_5_second_homology(data_a, data_b):
     expected_b = [d for d in range(9)]
     rows_b_syz = aq_h2(data_b, "syzygy", 8)
     rows_b_ker = aq_h2(data_b, "kernel", 8)
-    ok = (rows_a_syz.as_list() == [0] * 9
-          and rows_a_syz.dims == rows_a_ker.dims
-          and rows_b_syz.as_list() == expected_b
-          and rows_b_syz.dims == rows_b_ker.dims)
+    ok = (list(rows_a_syz) == [0] * 9
+          and rows_a_syz == rows_a_ker
+          and list(rows_b_syz) == expected_b
+          and rows_b_syz == rows_b_ker)
     report(5, "second homology rows", ok)
 
 
 def test_criterion_6_homotopy_cross_routes(skel_a, skel_b, skel_c):
     ok = True
     for skel in (skel_a, skel_b, skel_c):
-        ok = ok and pi1(skel, 6, "ideal").dims == pi1(skel, 6, "pair").dims
+        ok = ok and pi1(skel, 6, "ideal") == pi1(skel, 6, "pair")
     oracle = face_kernel_dims(skel_c, 5, peiffer_P2(skel_c, "c_families").gens)
-    ok = ok and pi2(skel_c, 5).as_list() == oracle
+    ok = ok and list(pi2(skel_c, 5)) == oracle
     report(6, "homotopy route agreement", ok)
 
 
@@ -127,12 +128,12 @@ def test_criterion_8_split_comparison(skel_a, skel_b):
     ok = True
     for skel in (skel_a, skel_b):
         rep = compare_XY(skel, D=6)
-        ok = ok and rep.ok
-        ok = ok and not any(rep.kernel_middle.dims)
-        ok = ok and not any(rep.kernel_bottom.dims)
-        ok = ok and rep.pi0_rows[0].dims == rep.pi0_rows[1].dims
-        ok = ok and rep.pi1_rows[0].dims == rep.pi1_rows[1].dims
-        ok = ok and rep.pi2_rows[0].dims == rep.pi2_rows[1].dims
+        ok = ok and rep["ok"]
+        ok = ok and not any(rep["kernel_homology"]["middle"])
+        ok = ok and not any(rep["kernel_homology"]["bottom"])
+        ok = ok and rep["pi0"]["wide"] == rep["pi0"]["narrow"]
+        ok = ok and rep["pi1"]["wide"] == rep["pi1"]["narrow"]
+        ok = ok and rep["pi2"]["wide"] == rep["pi2"]["narrow"]
     report(8, "split epimorphism", ok)
 
 

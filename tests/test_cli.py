@@ -291,3 +291,54 @@ def test_the_budget_bounds_the_whole_command(command):
     assert out.returncode == 3
     assert out.stdout == ""
     assert out.stderr == "error: step budget of 1000 reductions exceeded\n"
+
+
+@pytest.mark.parametrize("fixture", ["fixture_b", "fixture_c"])
+def test_reports_are_the_plain_data_the_cli_prints(fixture):
+    from xsq import (ConstructionData, build_skeleton, compare_XY,
+                     compare_corner, homotopy_report)
+    path = FIXTURES / ("%s.json" % fixture)
+    skel = build_skeleton(ConstructionData.from_json(path.read_text()))
+    homotopy = homotopy_report(skel, D=4, D_h2=6)
+    corner = compare_corner(skel, D=4)
+    if fixture == "fixture_b":
+        split = compare_XY(skel, D=4)
+        reports, ok = (homotopy, corner, split), corner["ok"] and split["ok"]
+    else:
+        split = {"skipped": "the split comparison needs data without "
+                            "level-2 generators"}
+        reports, ok = (homotopy, corner), corner["ok"]
+    for report in reports:
+        assert json.loads(json.dumps(report)) == report
+    printed = [json.loads(run_cli(command, str(path), "--format", "json",
+                                  "--max-degree", "4").stdout)
+               for command in ("homotopy", "compare")]
+    assert printed[0] == {**homotopy, "command": "homotopy"}
+    assert printed[1] == {"command": "compare", "corner": corner,
+                          "split": split, "ok": ok}
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    for command in ("build", "verify", "homotopy", "compare"):
+        out = run_cli(command, str(deep))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: invalid JSON: ")
+        assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints ints of any length")
+def test_coefficient_past_the_digit_limit_exits_3(tmp_path):
+    # the image prints; products of it in the square's relations have
+    # more digits than str() writes out for an int
+    image = "1" + "0" * 2200 + "*x"
+    out = _run_on(tmp_path, {"S1": ["x"],
+                             "S2": [{"name": "A", "image": image}]},
+                  "verify")
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == ("error: coefficient above the limit of %d digits\n"
+                          % sys.get_int_max_str_digits())

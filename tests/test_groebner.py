@@ -5,10 +5,9 @@ from unittest import mock
 import pytest
 
 from xsq import cli, groebner
-from xsq import (BudgetExceeded, GradedDims, Ideal, NotInIdeal, PolyRing,
-                 RingHom, affine_hilbert, budget, eliminate, hom_kernel,
-                 ideal_equal, ideal_intersect, ideal_product, monomials_leq,
-                 syzygies)
+from xsq import (BudgetExceeded, Ideal, NotInIdeal, PolyRing, RingHom,
+                 affine_hilbert, budget, eliminate, hom_kernel, ideal_equal,
+                 ideal_intersect, ideal_product, monomials_leq, syzygies)
 
 from .oracle import MacaulayNF, truncated_module_kernel, vector_to_coords
 
@@ -169,9 +168,9 @@ def test_syzygy_soundness_and_truncated_completeness(R):
 
 def test_affine_hilbert_rows():
     Rx = PolyRing(["x"])
-    assert affine_hilbert(Ideal(Rx, ["x^2"]), 4).as_list() == [1, 2, 2, 2, 2]
-    assert affine_hilbert(Ideal(Rx, []), 3).as_list() == [1, 2, 3, 4]
-    assert affine_hilbert(Ideal(Rx, ["1"]), 3).as_list() == [0, 0, 0, 0]
+    assert affine_hilbert(Ideal(Rx, ["x^2"]), 4) == (1, 2, 2, 2, 2)
+    assert affine_hilbert(Ideal(Rx, []), 3) == (1, 2, 3, 4)
+    assert affine_hilbert(Ideal(Rx, ["1"]), 3) == (0, 0, 0, 0)
 
 
 def test_affine_hilbert_generating_set_invariance(R):
@@ -182,13 +181,13 @@ def test_affine_hilbert_generating_set_invariance(R):
         R.parse("x^2") * I.gens[0] - R.parse("y") * I.gens[1],
     ])
     assert ideal_equal(I, regenerated)
-    assert affine_hilbert(I, 6).dims == affine_hilbert(regenerated, 6).dims
+    assert affine_hilbert(I, 6) == affine_hilbert(regenerated, 6)
 
 
 def test_graded_dims_shape(R):
     dims = affine_hilbert(Ideal(R, ["x"]), 5)
-    assert isinstance(dims, GradedDims)
-    assert dims.max_degree == 5
+    assert isinstance(dims, tuple)
+    assert len(dims) - 1 == 5
     assert all(dims[d] <= dims[d + 1] for d in range(5))
     assert dims[0] in (0, 1)
 
@@ -240,7 +239,7 @@ def test_one_budget_bounds_every_computation_in_its_block(R):
 def test_weighted_hilbert_uses_weights():
     RS = PolyRing(["x", "S"], weights=(1, 2))
     # monomials of weight <= 2: 1, x, x^2, S
-    assert affine_hilbert(Ideal(RS, []), 2).as_list() == [1, 2, 4]
+    assert affine_hilbert(Ideal(RS, []), 2) == (1, 2, 4)
 
 
 def test_integral_bases_keep_int_coefficients(capsys):

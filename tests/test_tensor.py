@@ -21,7 +21,7 @@ def test_tensor_zero_module_collapses(skel_a):
     E1 = skel_a.E1
     pres = tensor_presentation(E1, [E1.var("S")], [])
     assert not pres.symbols
-    assert pres.subquotient().dims(6).as_list() == [0] * 7
+    assert list(pres.subquotient().dims(6)) == [0] * 7
 
 
 def test_tensor_fixture_a_presentation(skel_a):
@@ -44,7 +44,7 @@ def test_tensor_square_verifies(skel_a, skel_b):
         M, N = _corner_modules(skel)
         sq, pres = tensor_square(M, N)
         rep = verify_square(sq)
-        assert rep.ok, rep.to_text()
+        assert rep.ok, rep.to_obj()
 
 
 @pytest.mark.parametrize("m_gens, n_gens", [(["x"], ["0", "y"]),
@@ -63,7 +63,7 @@ def test_tensor_square_of_corners_with_zero_generators(m_gens, n_gens):
     sq, pres = tensor_square(corner(m_gens), corner(n_gens))
     assert all(not g.is_zero() for g in pres.m_gens + pres.n_gens)
     rep = verify_square(sq)
-    assert rep.ok, rep.to_text()
+    assert rep.ok, rep.to_obj()
 
 
 def test_tensor_slot_relations_from_syzygies(skel_b):
@@ -87,8 +87,8 @@ def test_tensor_symmetry_of_relations(skel_b):
     direct = tensor_presentation(E1, m_gens, n_gens)
     swapped = tensor_presentation(E1, n_gens, m_gens)
     for d in range(7):
-        assert direct.subquotient().dims(d).dims == \
-            swapped.subquotient().dims(d).dims
+        assert direct.subquotient().dims(d) == \
+            swapped.subquotient().dims(d)
 
 
 def test_tensor_expand_is_bilinear(skel_a):
@@ -159,7 +159,7 @@ def test_assemble_fixture_c_presentation(skel_c):
         assert assembled.square.bnd(rel).is_zero()
     # the square structure on the assembly verifies
     rep = verify_square(assembled.square)
-    assert rep.ok, rep.to_text()
+    assert rep.ok, rep.to_obj()
 
 
 def test_assembled_variant_relations_are_not_boundary_compatible(skel_c):
@@ -172,30 +172,29 @@ def test_assembled_variant_relations_are_not_boundary_compatible(skel_c):
 def test_corner_comparison_tensor(which, D, skel_a, skel_b):
     skel = {"a": skel_a, "b": skel_b}[which]
     rep = compare_corner(skel, D=D)
-    assert rep.ok, rep.to_text()
-    assert all(ok for _, ok, _ in rep.well_defined)
-    assert all(ok for _, ok, _ in rep.surjective)
-    assert rep.hilbert_target.dims == rep.hilbert_moore.dims
+    assert rep["ok"], rep
+    assert all(r["status"] == "pass" for r in rep["well_defined"])
+    assert all(r["status"] == "pass" for r in rep["surjective"])
+    assert rep["hilbert"]["target"] == rep["hilbert"]["moore"]
 
 
 def test_corner_comparison_assembly(skel_c):
     rep = compare_corner(skel_c, D=5)
-    assert rep.ok, rep.to_text()
+    assert rep["ok"], rep
     # the bare-term variant relations do not map to zero: recorded, not hidden
-    assert rep.variant_relations
-    assert not any(ok for _, ok, _ in rep.variant_relations)
+    variant = rep["bare_term_variant_relations"]
+    assert variant
+    assert not any(r["status"] == "pass" for r in variant)
 
 
 def test_corner_comparison_trivial_data():
     data = ConstructionData(QQ, ["x"], [], [])
     rep = compare_corner(build_skeleton(data), D=3)
-    assert rep.ok
-    assert rep.hilbert_target.as_list() == [0, 0, 0, 0]
+    assert rep["ok"]
+    assert rep["hilbert"]["target"] == [0, 0, 0, 0]
 
 
 def test_comparison_report_serialization(skel_a):
-    rep = compare_corner(skel_a, D=4)
-    obj = rep.to_obj()
+    obj = compare_corner(skel_a, D=4)
     assert obj["ok"] is True
     assert obj["hilbert"]["equal"] is True
-    assert "pass" in rep.to_text()
