@@ -12,22 +12,23 @@ from importlib import import_module
 _EXPORTS = {name: module for module, names in (
     ("scalars", "QQ GF field_from_label"),
     ("rings", "PolyRing Polynomial RingHom ParseError"),
-    ("groebner", "Ideal BudgetExceeded NotInIdeal affine_hilbert "
-                 "budget eliminate hom_kernel ideal_equal ideal_intersect "
-                 "ideal_product monomials_leq subquotient_dims syzygies"),
+    ("groebner", "Ideal BudgetExceeded NotInIdeal QuotientRing Subquotient "
+                 "affine_hilbert budget eliminate hom_kernel ideal_equal "
+                 "ideal_intersect ideal_product monomials_leq "
+                 "subquotient_dims syzygies"),
     ("simplicial", "ConstructionData InvalidData MooreData Skeleton2 "
                    "build_skeleton peiffer_P1 peiffer_P2 "
                    "simplicial_identity_report"),
     ("crossed", "CrossedModule CrossedSquare LinearizedCrossedModule "
-                "QuotientRing Subquotient VerifyReport free_crossed_on "
+                "SquaredComplexRep TwoCrossedComplexRep VerifyReport "
+                "build_2crossed build_squared_complex free_crossed_on "
                 "free_precrossed functor_M h_eval ideal_square linearize "
                 "peiffer_quotient verify_square verify_xmod"),
     ("tensor", "AssembledCorner CoproductResult TensorPresentation "
                "assemble_L compare_corner coproduct tensor_presentation "
                "tensor_square"),
-    ("homotopy", "SquaredComplexRep TwoCrossedComplexRep aq_h2 "
-                 "aq_h2_witness build_2crossed build_squared_complex "
-                 "compare_XY homotopy_report pi0 pi1 pi2"),
+    ("homotopy", "aq_h2 aq_h2_witness compare_XY homotopy_report pi0 pi1 "
+                 "pi2"),
 ) for name in names.split()}
 
 __all__ = list(_EXPORTS)

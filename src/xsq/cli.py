@@ -8,15 +8,14 @@ Exit codes: 0 pass, 1 verification failure, 2 invalid input (including a
 power that may expand past ``rings.MAX_POWER_TERMS`` terms, a --max-degree
 above ``MAX_DEGREE``, a --budget below 1, a rational literal whose reduced
 denominator the characteristic divides, a file that is not UTF-8, JSON
-nested too deep to decode and a top-level key other than field, S1, S2 and
-S3), 3 step budget exhausted, an exponent above ``rings.MAX_EXPONENT`` or a
-coefficient to print with more digits than ``sys.get_int_max_str_digits()``.
+nested too deep to decode, a top-level key other than field, S1, S2 and S3
+and an entry key other than name and image), 3 step budget exhausted, an
+exponent above ``rings.MAX_EXPONENT`` or a coefficient to print with more
+digits than ``sys.get_int_max_str_digits()``.
 Identical input and flags produce byte-identical output.  A command builds
 the report it prints as a dict; ``--format json`` dumps it and
 :func:`_render_text`, the one text renderer, writes it out as text.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -25,10 +24,9 @@ import sys
 from .groebner import DEFAULT_BUDGET, BudgetExceeded, budget
 from .simplicial import (ConstructionData, InvalidData, build_skeleton,
                          peiffer_P1)
-from .crossed import functor_M, verify_square, verify_xmod, h_eval
 
-# tensor and homotopy are imported by the two commands that run them, so
-# build and verify start without them
+# each command imports the layers it runs (crossed, homotopy, tensor), so
+# no command compiles a module it does not call
 
 ORDER_TAGS = {"degrevlex": "wdegrevlex", "lex": "lex"}
 # The filtered rows enumerate every monomial up to the bound, so their cost
@@ -45,6 +43,7 @@ def _basis_strs(ideal, order):
 
 
 def cmd_build(data, args):
+    from .crossed import functor_M, h_eval
     order = ORDER_TAGS[args.order]
     skel = build_skeleton(data)
     moore = skel.moore()
@@ -81,6 +80,7 @@ def cmd_build(data, args):
 
 
 def cmd_verify(data, args):
+    from .crossed import functor_M, verify_square, verify_xmod
     reports = []
     skel = found = None
     for level in (0, 1, 2):

@@ -6,72 +6,15 @@ decided by normal forms against the reduced basis of the relation ideal; all
 actions are realized as ambient multiplication through a declared lift of
 the base ring.  Verification reports list one entry per axiom instance with
 the offending generator pair and its nonzero normal form on failure.
+
+The Moore functor reads the square off a skeleton; the squared and
+2-crossed complexes are built on it.  Subquotients are :mod:`groebner`'s.
 """
 
-from __future__ import annotations
-
-from .groebner import (Ideal, ideal_intersect, subquotient_dims,
-                       affine_hilbert)
+from .groebner import (Ideal, QuotientRing, Subquotient, _koszul_vectors,
+                       ideal_intersect)
 from .rings import PolyRing, RingHom
 from .simplicial import peiffer_P1
-
-
-class Subquotient:
-    """Elements of numer/rels, represented by ambient polynomials."""
-
-    def __init__(self, ambient, numer, rels, gens=None, check=True):
-        self.ambient = ambient
-        self.numer = numer
-        self.rels = rels
-        self.gens = tuple(gens) if gens is not None else numer.gens
-        if check:
-            for g in rels.gens:
-                if not numer.member(g):
-                    raise ValueError(
-                        "relation %s is not a member of the numerator" % g)
-
-    def nf(self, p):
-        return self.rels.normal_form(p)
-
-    def contains(self, p):
-        return self.numer.member(p)
-
-    def is_zero_class(self, p):
-        return self.rels.member(p)
-
-    def same_class(self, p, q):
-        return self.rels.member(p - q)
-
-    def dims(self, D):
-        if self.numer.is_zero():
-            return (0,) * (D + 1)
-        return subquotient_dims(self.numer, self.rels, D)
-
-    def __repr__(self):
-        return "Subquotient(gens=%s; rels=%d)" % (
-            [str(g) for g in self.gens], len(self.rels.gens))
-
-
-class QuotientRing:
-    """ring/ideal with its canonical reduced basis."""
-
-    def __init__(self, ring, ideal):
-        self.ring = ring
-        self.ideal = ideal
-        self.basis = ideal.groebner()
-
-    def nf(self, p):
-        return self.ideal.normal_form(p)
-
-    def dims(self, D):
-        return affine_hilbert(self.ideal, D)
-
-    def same_presentation(self, other):
-        return self.ring == other.ring and self.basis == other.basis
-
-    def __repr__(self):
-        return "QuotientRing(%s / (%s))" % (
-            ", ".join(self.ring.vars), ", ".join(str(b) for b in self.basis))
 
 
 class CrossedModule:
@@ -365,19 +308,6 @@ class LinearizedCrossedModule:
         return tuple(vec)
 
 
-def _koszul_vectors(t, R):
-    """The alternating vectors t_i e_j - t_j e_i for i < j over R."""
-    n = len(t)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = [R.zero] * n
-            vec[j] = t[i]
-            vec[i] = -t[j]
-            out.append(tuple(vec))
-    return out
-
-
 def linearize(cm, data):
     t = data.boundary_images
     names = data.s2_names
@@ -436,14 +366,11 @@ def functor_M(skel, n, break_h=False):
     second-order Peiffer ideal.  n=0 and n=1 are made once per skeleton;
     the square is made on every call, so ``break_h`` breaks only its own.
     """
-    data = skel.data
     if n == 0:
-        R = data.base_ring
-        return skel.once("pi0", lambda: QuotientRing(
-            R, Ideal(R, list(data.boundary_images))))
+        return skel.pi0()
     if n == 1:
         return skel.once("xmod", lambda: peiffer_quotient(
-            free_precrossed(data), data))
+            free_precrossed(skel.data), skel.data))
     if n == 2:
         E1, E2 = skel.E1, skel.E2
         moore = skel.moore()
@@ -459,6 +386,59 @@ def functor_M(skel, n, break_h=False):
             label="Moore square of the 2-skeleton")
         return square
     raise ValueError("the functor is computed for n in {0, 1, 2}")
+
+
+# -- the two complexes on the Moore square ---------------------------------
+
+
+class SquaredComplexRep:
+    """A crossed square extended by (here empty) higher free modules over
+    the zeroth homotopy ring."""
+
+    def __init__(self, square, higher_ranks, coefficients):
+        self.square = square
+        self.higher_ranks = higher_ranks
+        # base/(left + right), the module ring above
+        self.coefficients = coefficients
+
+    def boundary_pair(self, l):
+        """Image of a top element in the pair term: (-right, left) slots
+        share one ambient polynomial."""
+        img = self.square.bnd(l)
+        return (-img, img)
+
+
+class TwoCrossedComplexRep:
+    def __init__(self, c0, c1, c2, d1, d2, lifting):
+        self.c0 = c0            # base ring of the bottom term
+        self.c1 = c1
+        self.c2 = c2
+        self.d1 = d1
+        self.d2 = d2
+        self.lifting = lifting  # pairing rule used as the Peiffer lifting
+
+    def composite_vanishes(self):
+        return all(self.d1(self.d2(g)).is_zero() for g in self.c2.gens)
+
+
+def build_squared_complex(skel):
+    square = functor_M(skel, 2)
+    E1 = skel.E1
+    joined = Ideal(E1, list(square.left.numer.gens)
+                   + list(square.right.numer.gens))
+    return SquaredComplexRep(square=square, higher_ranks=(),
+                             coefficients=QuotientRing(E1, joined))
+
+
+def build_2crossed(skel):
+    square = functor_M(skel, 2)
+    rep = TwoCrossedComplexRep(
+        c0=skel.base, c1=square.left, c2=square.top,
+        d1=skel.face[(1, 1)], d2=skel.face[(2, 2)],
+        lifting=square.pair)
+    if not rep.composite_vanishes():
+        raise AssertionError("composite of consecutive boundaries is nonzero")
+    return rep
 
 
 def ideal_square(ring, I, J):

@@ -1,5 +1,7 @@
 """Groebner engine: reduced bases, normal forms, elimination, intersections,
-kernels of ring maps, cofactor lifting, syzygies and affine Hilbert data.
+kernels of ring maps, cofactor lifting, syzygies and affine Hilbert data,
+and the two quotient shapes whose rows are read from them: a subquotient
+numer/rels of ideals and a quotient ring.
 
 Buchberger's algorithm with the Gebauer-Moller pair criteria ("On an
 installation of Buchberger's algorithm", J. Symb. Comp. 1988) and the normal
@@ -34,8 +36,6 @@ exponent above 2^31 - 1 in a product the engine forms raises
 An elimination result (also of :func:`ideal_intersect` and :func:`hom_kernel`)
 carries the reduced basis it was read from, as its generators and cached.
 """
-
-from __future__ import annotations
 
 import heapq
 import math
@@ -684,3 +684,71 @@ def subquotient_dims(numer, rels, D):
     hn = affine_hilbert(numer, D)
     hr = affine_hilbert(rels, D)
     return tuple(r - n for n, r in zip(hn, hr))
+
+
+def _koszul_vectors(t, R):
+    """The alternating vectors t_i e_j - t_j e_i for i < j over R."""
+    n = len(t)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = [R.zero] * n
+            vec[j] = t[i]
+            vec[i] = -t[j]
+            out.append(tuple(vec))
+    return out
+
+
+class Subquotient:
+    """Elements of numer/rels, represented by ambient polynomials."""
+
+    def __init__(self, ambient, numer, rels, gens=None, check=True):
+        self.ambient = ambient
+        self.numer = numer
+        self.rels = rels
+        self.gens = tuple(gens) if gens is not None else numer.gens
+        if check:
+            for g in rels.gens:
+                if not numer.member(g):
+                    raise ValueError(
+                        "relation %s is not a member of the numerator" % g)
+
+    def nf(self, p):
+        return self.rels.normal_form(p)
+
+    def contains(self, p):
+        return self.numer.member(p)
+
+    def is_zero_class(self, p):
+        return self.rels.member(p)
+
+    def same_class(self, p, q):
+        return self.rels.member(p - q)
+
+    def dims(self, D):
+        if self.numer.is_zero():
+            return (0,) * (D + 1)
+        return subquotient_dims(self.numer, self.rels, D)
+
+    def __repr__(self):
+        return "Subquotient(gens=%s; rels=%d)" % (
+            [str(g) for g in self.gens], len(self.rels.gens))
+
+
+class QuotientRing:
+    """ring/ideal with its canonical reduced basis."""
+
+    def __init__(self, ring, ideal):
+        self.ring = ring
+        self.ideal = ideal
+        self.basis = ideal.groebner()
+
+    def dims(self, D):
+        return affine_hilbert(self.ideal, D)
+
+    def same_presentation(self, other):
+        return self.ring == other.ring and self.basis == other.basis
+
+    def __repr__(self):
+        return "QuotientRing(%s / (%s))" % (
+            ", ".join(self.ring.vars), ", ".join(str(b) for b in self.basis))

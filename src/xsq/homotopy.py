@@ -1,7 +1,11 @@
-"""Homotopy of the skeleton: the complexes built from the Moore square,
-their homotopy modules by two independent routes, the second homology of
-the presented quotient algebra, and the split comparison of the two
-complexes carried by the tensor corner.
+"""Homotopy of the skeleton: the homotopy modules of the Moore square by
+two independent routes, the second homology of the presented quotient
+algebra, and the split comparison of the two complexes carried by the
+tensor corner.
+
+The rows are read from the skeleton's Moore kernels and Peiffer ideals, so
+this module loads neither the crossed-module layer nor the tensor
+presentation; :func:`compare_XY` imports the latter when it runs.
 
 Filtered dimensions of ideal subquotients come from leading-term counts;
 the cross-checking routes use exact truncated linear algebra instead, so an
@@ -12,69 +16,15 @@ commands print: lists, strings, bools and None, so they survive a JSON
 round trip unchanged.
 """
 
-from __future__ import annotations
-
-from .groebner import (Ideal, affine_hilbert, ideal_intersect,
-                       hom_kernel, standard_monomials, subquotient_dims,
-                       syzygies)
+from .groebner import (Ideal, Subquotient, _koszul_vectors, affine_hilbert,
+                       hom_kernel, ideal_intersect, standard_monomials,
+                       subquotient_dims, syzygies)
 from .linalg import (FilteredBasis, graded_span, nullity,
                      truncated_ideal_span)
-from .crossed import QuotientRing, Subquotient, _koszul_vectors, functor_M
-from .tensor import kernel_tensor
-
-
-class SquaredComplexRep:
-    """A crossed square extended by (here empty) higher free modules over
-    the zeroth homotopy ring."""
-
-    def __init__(self, square, higher_ranks, coefficients):
-        self.square = square
-        self.higher_ranks = higher_ranks
-        # base/(left + right), the module ring above
-        self.coefficients = coefficients
-
-    def boundary_pair(self, l):
-        """Image of a top element in the pair term: (-right, left) slots
-        share one ambient polynomial."""
-        img = self.square.bnd(l)
-        return (-img, img)
-
-
-class TwoCrossedComplexRep:
-    def __init__(self, c0, c1, c2, d1, d2, lifting):
-        self.c0 = c0            # base ring of the bottom term
-        self.c1 = c1
-        self.c2 = c2
-        self.d1 = d1
-        self.d2 = d2
-        self.lifting = lifting  # pairing rule used as the Peiffer lifting
-
-    def composite_vanishes(self):
-        return all(self.d1(self.d2(g)).is_zero() for g in self.c2.gens)
-
-
-def build_squared_complex(skel):
-    square = functor_M(skel, 2)
-    E1 = skel.E1
-    joined = Ideal(E1, list(square.left.numer.gens)
-                   + list(square.right.numer.gens))
-    return SquaredComplexRep(square=square, higher_ranks=(),
-                             coefficients=QuotientRing(E1, joined))
-
-
-def build_2crossed(skel):
-    square = functor_M(skel, 2)
-    rep = TwoCrossedComplexRep(
-        c0=skel.base, c1=square.left, c2=square.top,
-        d1=skel.face[(1, 1)], d2=skel.face[(2, 2)],
-        lifting=square.pair)
-    if not rep.composite_vanishes():
-        raise AssertionError("composite of consecutive boundaries is nonzero")
-    return rep
 
 
 def pi0(skel):
-    return functor_M(skel, 0)
+    return skel.pi0()
 
 
 def _homotopy_subquotient(skel, k):
@@ -268,6 +218,7 @@ def compare_XY(skel, D=6):
     if data.s3_names:
         raise ValueError("the comparison is defined for data without "
                          "level-2 generators")
+    from .tensor import kernel_tensor
     E1, R = skel.E1, skel.base
     pres = kernel_tensor(skel)
     m_gens, n_gens = pres.m_gens, pres.n_gens

@@ -21,8 +21,6 @@ degree-d piece.  Everything is deterministic (fixed basis order, leftmost
 pivots).
 """
 
-from __future__ import annotations
-
 from bisect import insort
 from heapq import heapify, heappop, heappush
 

@@ -33,8 +33,6 @@ coefficient with more digits than ``str`` writes out for an int raises
 :class:`CoefficientOverflow`, another.
 """
 
-from __future__ import annotations
-
 import re
 import struct
 import sys

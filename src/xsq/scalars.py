@@ -12,12 +12,9 @@ nonzero, or sums exact integers and passes the result through
 :func:`reduced`.  Over Q, ``char`` is 0 and nothing is reduced.
 Coefficients are divided only through ``field.inv``, which is exact: ``/``
 on two ints would give a float.  No floats anywhere; ideal membership has
-to be decidable.
-"""
-
-from __future__ import annotations
-
-from fractions import Fraction
+to be decidable.  ``fractions`` is imported where a ``Fraction`` can first
+appear (a non-``int`` in ``coerce``, ``QQ.inv`` of a non-unit), so input
+with integral coefficients never loads it."""
 
 
 class RationalField:
@@ -31,6 +28,7 @@ class RationalField:
     def coerce(self, value):
         if isinstance(value, int):
             return int(value)  # a bool comes back as 0 or 1
+        from fractions import Fraction
         if isinstance(value, Fraction):
             return value.numerator if value.denominator == 1 else value
         raise TypeError("cannot coerce %r into Q" % (value,))
@@ -40,6 +38,7 @@ class RationalField:
             return int(c)
         if not c:
             raise ZeroDivisionError("division by zero in Q")
+        from fractions import Fraction
         return self.coerce(Fraction(1, c))
 
     def label(self):
@@ -105,6 +104,7 @@ class PrimeField:
     def coerce(self, value):
         if isinstance(value, int):
             return value % self.p  # an int, also for a bool
+        from fractions import Fraction
         if isinstance(value, Fraction):
             return value.numerator * self.inv(value.denominator) % self.p
         raise TypeError("cannot coerce %r into F_%d" % (value, self.p))

@@ -24,14 +24,12 @@ once per skeleton and kept on it.  The Moore kernels keep the reduced bases
 their eliminations return.
 """
 
-from __future__ import annotations
-
 import json
 from itertools import combinations
 
 from .scalars import field_from_label
 from .rings import PolyRing, Polynomial, RingHom
-from .groebner import Ideal, hom_kernel, ideal_intersect
+from .groebner import Ideal, QuotientRing, hom_kernel, ideal_intersect
 
 RESERVED_PREFIXES = ("s0_", "s1_", "s2_", "s1s0_", "s2s0_", "s2s1_")
 
@@ -191,10 +189,13 @@ class ConstructionData:
                 return []
             out = []
             for row in rows:
-                if (not isinstance(row, dict)
-                        or set(row) != {"name", "image"}):
+                if not (isinstance(row, dict)
+                        and row.keys() >= {"name", "image"}):
                     problems.append("%s entries need name and image" % key)
                     continue
+                problems.extend("unknown key %r in an %s entry (the keys "
+                                "are name and image)" % (k, key)
+                                for k in row if k not in ("name", "image"))
                 out.append((row["name"], row["image"]))
             return out
 
@@ -336,6 +337,11 @@ class Skeleton2:
     def p2(self):
         """The second-order Peiffer ideal by the "c_families" route."""
         return self.once("p2", lambda: peiffer_P2(self, "c_families"))
+
+    def pi0(self):
+        """The zeroth homotopy ring: R modulo the boundary images."""
+        return self.once("pi0", lambda: QuotientRing(
+            self.base, Ideal(self.base, list(self.data.boundary_images))))
 
 
 def _copy_name(word, name):

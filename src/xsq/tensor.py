@@ -14,12 +14,10 @@ prints: lists, strings and bools, each check instance one row with its
 status and witness.
 """
 
-from __future__ import annotations
-
-from .groebner import Ideal, syzygies
+from .groebner import Ideal, Subquotient, syzygies
 from .rings import RingHom, fresh_names
-from .crossed import (CrossedModule, CrossedSquare, Subquotient,
-                      free_crossed_on, functor_M, square_pair_rule)
+from .crossed import (CrossedModule, CrossedSquare, free_crossed_on,
+                      functor_M, square_pair_rule)
 
 
 class TensorPresentation:

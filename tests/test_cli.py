@@ -89,6 +89,18 @@ def test_unknown_top_level_key_exits_2(tmp_path):
     assert run_cli("build", str(bad)).returncode == 0
 
 
+@pytest.mark.parametrize("where", ["S2", "S3"])
+def test_unknown_entry_key_is_named(tmp_path, where):
+    obj = {"S1": ["x"], "S2": [{"name": "A", "image": "x^2"}],
+           "S3": [{"name": "T", "image": "x^2*A - A*A"}]}
+    obj[where][0]["w"] = 1
+    out = _run_on(tmp_path, obj, "build")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("error: unknown key 'w' in an %s entry (the keys "
+                          "are name and image)\n" % where)
+
+
 def test_missing_file_exits_2():
     out = run_cli("build", "no_such_file.json")
     assert out.returncode == 2

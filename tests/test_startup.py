@@ -2,6 +2,7 @@
 plain classes that hold reports and presentations."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -12,29 +13,43 @@ import pytest
 import xsq
 from xsq import Ideal, PolyRing, VerifyReport, ideal_square
 
+from .test_golden import EDGE_INPUTS, GOLDEN
+
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURE_A = str(ROOT / "fixtures" / "fixture_a.json")
+FIXTURES = {name: str(ROOT / "fixtures" / ("fixture_%s.json" % name))
+            for name in "abc"}
+FIXTURE_A = FIXTURES["a"]
+COMMANDS = ("build", "verify", "homotopy", "compare")
 
 # pytest itself loads dataclasses and inspect, so each footprint is read in
 # a fresh interpreter, as the modules loaded after its start-up (a site
-# hook may load inspect before any xsq code runs)
+# hook may load inspect before any xsq code runs); the command's stdout
+# follows the line of modules
 RUN_COMMAND = (
-    "import os, sys\n"
+    "import io, sys\n"
     "started = set(sys.modules)\n"
     "import xsq.cli\n"
-    "sys.stdout = open(os.devnull, 'w')\n"
+    "sys.stdout = io.StringIO()\n"
     "code = xsq.cli.main(sys.argv[1:])\n"
-    "sys.stdout = sys.__stdout__\n"
+    "out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
     "print(code, *sorted(set(sys.modules) - started))\n"
+    "sys.stdout.write(out)\n"
 )
 
 
-def _loaded(code, *args):
+def _run(code, *args):
+    """The words of the first line that code prints, and the rest of its
+    stdout."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code, *args],
                          capture_output=True, text=True, env=env, cwd=ROOT)
     assert out.returncode == 0, out.stderr
-    return out.stdout.split()
+    first, _, rest = out.stdout.partition("\n")
+    return first.split(), rest
+
+
+def _loaded(code, *args):
+    return _run(code, *args)[0]
 
 
 @pytest.mark.parametrize("command", ["build", "verify"])
@@ -55,13 +70,44 @@ def test_compare_loads_no_dataclasses():
     assert "dataclasses" not in modules
 
 
+def test_homotopy_loads_no_crossed_module_tensor_or_fractions():
+    code, *modules = _loaded(RUN_COMMAND, "homotopy", FIXTURE_A)
+    assert code == "0"
+    assert {"xsq.scalars", "xsq.rings", "xsq.groebner", "xsq.simplicial",
+            "xsq.linalg", "xsq.homotopy"} <= set(modules)
+    for name in ("xsq.crossed", "xsq.tensor", "fractions", "decimal"):
+        assert name not in modules
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_integral_input_loads_no_fractions(command, fixture):
+    code, *modules = _loaded(RUN_COMMAND, command, FIXTURES[fixture])
+    assert code == "0"
+    assert "fractions" not in modules
+
+
 def test_parsing_input_loads_no_crossed_module():
     modules = _loaded("import sys\n"
                       "started = set(sys.modules)\n"
                       "from xsq.simplicial import ConstructionData\n"
-                      "print(*sorted(set(sys.modules) - started))\n")
+                      "for name in sys.argv[1:]:\n"
+                      "    with open(name) as fh:\n"
+                      "        ConstructionData.from_json(fh.read())\n"
+                      "print(*sorted(set(sys.modules) - started))\n",
+                      *FIXTURES.values())
     assert "xsq.simplicial" in modules
-    assert "xsq.crossed" not in modules
+    assert "xsq.crossed" not in modules and "fractions" not in modules
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_rational_literal_loads_fractions(tmp_path, command):
+    path = tmp_path / "q_fractions.json"
+    path.write_text(json.dumps(EDGE_INPUTS["q_fractions"]))
+    (code, *modules), out = _run(RUN_COMMAND, command, str(path))
+    assert code == "0" and "fractions" in modules
+    golden = GOLDEN / ("%s_q_fractions.txt" % command)
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_every_export_is_the_submodule_object():
