@@ -22,8 +22,8 @@ _EXPORTS = {name: module for module, names in (
     ("crossed", "CrossedModule CrossedSquare LinearizedCrossedModule "
                 "SquaredComplexRep TwoCrossedComplexRep VerifyReport "
                 "build_2crossed build_squared_complex free_crossed_on "
-                "free_precrossed functor_M h_eval ideal_square linearize "
-                "peiffer_quotient verify_square verify_xmod"),
+                "functor_M h_eval ideal_square linearize verify_square "
+                "verify_xmod"),
     ("tensor", "AssembledCorner CoproductResult TensorPresentation "
                "assemble_L compare_corner coproduct tensor_presentation "
                "tensor_square"),

@@ -7,14 +7,21 @@ actions are realized as ambient multiplication through a declared lift of
 the base ring.  Verification reports list one entry per axiom instance with
 the offending generator pair and its nonzero normal form on failure.
 
-The Moore functor reads the square off a skeleton; the squared and
-2-crossed complexes are built on it.  Subquotients are :mod:`groebner`'s.
+The free crossed module on named generators with given boundary images
+has one constructor, :func:`free_crossed_on`; its relations are the Peiffer
+defects of :func:`xsq.simplicial.peiffer_defects`.  The Moore functor at
+level 1 is the one on the level-1 data, and the reconstruction of the top
+corner uses the one on the level-2 data.  The constructor checks no axiom:
+:func:`verify_xmod` reports both, so a failure of the second is a report
+row, not an exception.  The Moore functor reads the square off a skeleton;
+the squared and 2-crossed complexes are built on it.  Subquotients are
+:mod:`groebner`'s.
 """
 
 from .groebner import (Ideal, QuotientRing, Subquotient, _koszul_vectors,
                        ideal_intersect)
 from .rings import PolyRing, RingHom
-from .simplicial import peiffer_P1
+from .simplicial import _weight_of, peiffer_defects
 
 
 class CrossedModule:
@@ -246,36 +253,6 @@ def verify_square(square):
 # -- constructions ---------------------------------------------------------
 
 
-def free_precrossed(data):
-    """The free pre-crossed module of the level-1 data: the augmentation
-    ideal of R[S2] with the boundary sending each generator to its image."""
-    E1 = data.ring1
-    R = data.base_ring
-    numer = Ideal(E1, [E1.var(n) for n in data.s2_names])
-    top = Subquotient(E1, numer, Ideal(E1, []),
-                      gens=[E1.var(n) for n in data.s2_names])
-    return CrossedModule(top=top, base=R, bnd=data.level1_boundary(),
-                         embed=RingHom.from_map(R, E1, {}),
-                         label="free pre-crossed module")
-
-
-def peiffer_quotient(pre, data):
-    """Quotient of the free pre-crossed module by its Peiffer ideal; the
-    second axiom is verified on generators and a failure raises."""
-    P1 = peiffer_P1(data)
-    top = Subquotient(pre.top.ambient, pre.top.numer, P1, gens=pre.top.gens)
-    cm = CrossedModule(top=top, base=pre.base, bnd=pre.bnd, embed=pre.embed,
-                       label="free crossed module")
-    for c in top.gens:
-        for c2 in top.gens:
-            residue = top.nf(cm.embed(cm.bnd(c)) * c2 - c * c2)
-            if not residue.is_zero():
-                raise AssertionError(
-                    "second axiom fails after the Peiffer quotient: %s"
-                    % residue)
-    return cm
-
-
 class LinearizedCrossedModule:
     """Rank-n description of the free crossed module: relation vectors
     t_i e_j - t_j e_i over the base and the boundary (t_1, ..., t_n)."""
@@ -329,17 +306,12 @@ def free_crossed_on(base, names, images, label="free crossed module"):
     with prescribed boundary images: adjoin the names, divide by the
     defects y_i y_j - boundary(y_i) y_j."""
     images = tuple(images)
-    weights = tuple(max(1, img.wdeg()) for img in images)
-    A = base.extend(names, weights)
+    A = base.extend(names, map(_weight_of, images))
     emb = RingHom.from_map(base, A, {})
     gens = [A.var(n) for n in names]
-    rels = []
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            rels.append(gi * gj - emb(images[i]) * gj)
-    numer = Ideal(A, gens)
-    top = Subquotient(A, numer, Ideal(A, rels), gens=gens)
-    bnd = RingHom.from_map(A, base, {n: img for n, img in zip(names, images)})
+    rels = peiffer_defects(gens, [emb(t) for t in images])
+    top = Subquotient(A, Ideal(A, gens), Ideal(A, rels), gens=gens)
+    bnd = RingHom.from_map(A, base, dict(zip(names, images)))
     return CrossedModule(top=top, base=base, bnd=bnd, embed=emb, label=label)
 
 
@@ -369,8 +341,9 @@ def functor_M(skel, n, break_h=False):
     if n == 0:
         return skel.pi0()
     if n == 1:
-        return skel.once("xmod", lambda: peiffer_quotient(
-            free_precrossed(skel.data), skel.data))
+        data = skel.data
+        return skel.once("xmod", lambda: free_crossed_on(
+            data.base_ring, data.s2_names, data.boundary_images))
     if n == 2:
         E1, E2 = skel.E1, skel.E2
         moore = skel.moore()

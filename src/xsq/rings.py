@@ -42,6 +42,9 @@ from operator import add, mul, or_
 
 from .scalars import QQ, reduced
 
+# a variable name: a letter or underscore, then letters, digits, underscores
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 
 class ParseError(ValueError):
     """Malformed polynomial text; carries the offending position."""
@@ -225,7 +228,7 @@ class PolyRing:
         if len(set(vars)) != len(vars):
             raise ValueError("duplicate variable names in %r" % (vars,))
         for v in vars:
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", v):
+            if not NAME.fullmatch(v):
                 raise ValueError("invalid variable name %r" % (v,))
         self.vars = vars
         self.field = field
@@ -319,7 +322,7 @@ class PolyRing:
         return _parse(text, self)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|(%s)|([-+*^()/]))" % NAME.pattern)
 
 
 def _tokenize(text):

@@ -28,7 +28,7 @@ import json
 from itertools import combinations
 
 from .scalars import field_from_label
-from .rings import PolyRing, Polynomial, RingHom
+from .rings import NAME, PolyRing, Polynomial, RingHom
 from .groebner import Ideal, QuotientRing, hom_kernel, ideal_intersect
 
 RESERVED_PREFIXES = ("s0_", "s1_", "s2_", "s1s0_", "s2s0_", "s2s1_")
@@ -72,61 +72,50 @@ class ConstructionData:
         except ValueError as e:
             raise InvalidData(["S1: %s" % e])
 
-        parsed2 = []
-        for name, image in s2:
-            if not isinstance(name, str):
-                problems.append("S2 name %r is not a string" % (name,))
-                continue
-            if name in seen or name.startswith(RESERVED_PREFIXES):
-                problems.append("S2 name %r duplicates another name or uses "
-                                "a reserved prefix" % name)
-                continue
-            seen.add(name)
-            if isinstance(image, str):
-                try:
-                    image = self.base_ring.parse(image)
-                except ValueError as e:
-                    problems.append("S2 image for %r: %s" % (name, e))
+        for key, rows, where in (("S2", s2, "the base ring"),
+                                 ("S3", s3, "R[S2]")):
+            ring = self.base_ring if key == "S2" else self.ring1
+            parsed = []
+            for name, image in rows:
+                if not isinstance(name, str):
+                    problems.append("%s name %r is not a string" % (key, name))
                     continue
-            if not isinstance(image, Polynomial) or image.ring != self.base_ring:
-                problems.append("S2 image for %r is not in the base ring" % name)
-                continue
-            parsed2.append((name, image))
-        self.s2 = tuple(parsed2)
-
-        self.ring1 = self.base_ring.extend(
-            [n for n, _ in self.s2], [_weight_of(img) for _, img in self.s2])
-
-        parsed3 = []
-        for name, image in s3:
-            if not isinstance(name, str):
-                problems.append("S3 name %r is not a string" % (name,))
-                continue
-            if name in seen or name.startswith(RESERVED_PREFIXES):
-                problems.append("S3 name %r duplicates another name or uses "
-                                "a reserved prefix" % name)
-                continue
-            seen.add(name)
-            if isinstance(image, str):
-                try:
-                    image = self.ring1.parse(image)
-                except ValueError as e:
-                    problems.append("S3 image for %r: %s" % (name, e))
+                if not NAME.fullmatch(name):
+                    problems.append("%s name %r is not a variable name (a "
+                                    "letter or _, then letters, digits or _)"
+                                    % (key, name))
                     continue
-            if not isinstance(image, Polynomial) or image.ring != self.ring1:
-                problems.append("S3 image for %r is not in R[S2]" % name)
-                continue
-            if not self._in_augmentation(image):
-                problems.append(
-                    "S3 image for %r is not in the augmentation ideal (S2)"
-                    % name)
-            boundary = self.level1_boundary()(image)
-            if not boundary.is_zero():
-                problems.append(
-                    "S3 image %s for %r has nonzero boundary %s"
-                    % (image, name, boundary))
-            parsed3.append((name, image))
-        self.s3 = tuple(parsed3)
+                if name in seen or name.startswith(RESERVED_PREFIXES):
+                    problems.append("%s name %r duplicates another name or "
+                                    "uses a reserved prefix" % (key, name))
+                    continue
+                seen.add(name)
+                if isinstance(image, str):
+                    try:
+                        image = ring.parse(image)
+                    except ValueError as e:
+                        problems.append("%s image for %r: %s" % (key, name, e))
+                        continue
+                if not isinstance(image, Polynomial) or image.ring != ring:
+                    problems.append("%s image for %r is not in %s"
+                                    % (key, name, where))
+                    continue
+                if key == "S3":
+                    if not self._in_augmentation(image):
+                        problems.append("S3 image for %r is not in the "
+                                        "augmentation ideal (S2)" % name)
+                    boundary = self.level1_boundary()(image)
+                    if not boundary.is_zero():
+                        problems.append(
+                            "S3 image %s for %r has nonzero boundary %s"
+                            % (image, name, boundary))
+                parsed.append((name, image))
+            if key == "S2":
+                self.s2 = tuple(parsed)
+                self.ring1 = self.base_ring.extend(
+                    self.s2_names, map(_weight_of, self.boundary_images))
+            else:
+                self.s3 = tuple(parsed)
         if problems:
             raise InvalidData(problems)
 
@@ -411,18 +400,21 @@ def simplicial_identity_report(skel):
     return out
 
 
+def peiffer_defects(gens, images):
+    """The defects y_i y_j - t_i y_j of the second crossed-module axiom
+    over all ordered pairs of generators y_i with boundary images t_i,
+    both given in one ring."""
+    return [gi * gj - ti * gj for gi, ti in zip(gens, images) for gj in gens]
+
+
 def peiffer_P1(data):
     """Ideal of E1 generated by X_i X_j - t_i X_j over all ordered pairs:
     the defects of the second crossed-module axiom for the free pre-crossed
     module."""
     E1 = data.ring1
-    t = {n: img for n, img in data.s2}
-    gens = []
-    for ni, _ in data.s2:
-        for nj, _ in data.s2:
-            gens.append(E1.var(ni) * E1.var(nj)
-                        - _lift(t[ni], E1) * E1.var(nj))
-    return Ideal(E1, gens)
+    lift = RingHom.from_map(data.base_ring, E1, {})
+    return Ideal(E1, peiffer_defects([E1.var(n) for n in data.s2_names],
+                                     [lift(t) for t in data.boundary_images]))
 
 
 def _c_instances(skel):

@@ -5,7 +5,12 @@ certifies the reconstruction against the Moore square at desk scale.
 The tensor of two ideal corners is presented on one symbol per generator
 pair: scalar slides hold by construction, the bilinear relations come from
 the syzygies of each generator list, and the multiplicative relations come
-from cofactor lifts of generator products.  A certified comparison checks
+from cofactor lifts of generator products.  Every symbol sum
+sum a_p b_q (m_p (x) n_q) over two coefficient tuples, whether the class of
+m (x) n, a relation of the tensor or an interchange relation of the
+assembled corner, is written by :meth:`TensorPresentation.combination`.  The
+coproduct renames the clashing symbols of both summands by one rule.
+A certified comparison checks
 well-definedness (every relation maps to normal form zero), surjectivity
 (every Moore generator lifts through the image ideal) and equality of the
 affine Hilbert rows of both presentations up to a degree bound.
@@ -16,8 +21,14 @@ status and witness.
 
 from .groebner import Ideal, Subquotient, syzygies
 from .rings import RingHom, fresh_names
+from .simplicial import _weight_of
 from .crossed import (CrossedModule, CrossedSquare, free_crossed_on,
                       functor_M, square_pair_rule)
+
+
+def _unit(ring, k, size):
+    """The coefficient tuple with one in place k and zero elsewhere."""
+    return tuple(ring.one if i == k else ring.zero for i in range(size))
 
 
 class TensorPresentation:
@@ -42,23 +53,25 @@ class TensorPresentation:
         return tuple(self.ring.var(name)
                      for row in self.symbol_grid for name in row)
 
-    def expand(self, m, n):
-        """The class of m (x) n as a symbol combination, via cofactor lifts
-        of both arguments through the generator lists."""
-        if m.is_zero() or n.is_zero():
-            return self.ring.zero
-        a = self.m_ideal.lift(m)
-        b = self.n_ideal.lift(n)
+    def combination(self, a, b):
+        """The symbol sum of a_p b_q (m_p (x) n_q) over all p and q, for
+        coefficient tuples a and b over the base."""
         out = self.ring.zero
         for p, ap in enumerate(a):
             if ap.is_zero():
                 continue
             for q, bq in enumerate(b):
-                if bq.is_zero():
-                    continue
-                out = out + self.embed(ap * bq) * self.ring.var(
-                    self.symbol_grid[p][q])
+                if not bq.is_zero():
+                    out = out + self.embed(ap * bq) * self.ring.var(
+                        self.symbol_grid[p][q])
         return out
+
+    def expand(self, m, n):
+        """The class of m (x) n as a symbol combination, via cofactor lifts
+        of both arguments through the generator lists."""
+        if m.is_zero() or n.is_zero():
+            return self.ring.zero
+        return self.combination(self.m_ideal.lift(m), self.n_ideal.lift(n))
 
     def subquotient(self):
         return Subquotient(self.ring, self.numer, self.relations,
@@ -89,61 +102,37 @@ def tensor_presentation(base, m_gens, n_gens):
             n_gens=n_gens, relations=zero, numer=zero,
             lam=RingHom.identity(base), embed=RingHom.identity(base),
             m_ideal=m_ideal, n_ideal=n_ideal)
-    names, weights = [], []
-    for p, mp in enumerate(m_gens):
-        for q, nq in enumerate(n_gens):
-            names.append("g%d_%d" % (p, q))
-            weights.append(max(1, mp.wdeg()) + max(1, nq.wdeg()))
-    names = fresh_names(names, base.vars)
-    ring = base.extend(names, weights)
+    flat = [(p, q) for p in range(len(m_gens)) for q in range(len(n_gens))]
+    names = fresh_names(["g%d_%d" % pq for pq in flat], base.vars)
+    ring = base.extend(names, [_weight_of(m_gens[p]) + _weight_of(n_gens[q])
+                               for p, q in flat])
     grid = tuple(tuple(names[p * len(n_gens) + q]
                        for q in range(len(n_gens)))
                  for p in range(len(m_gens)))
-    embed = RingHom.from_map(base, ring, {})
+    lam = RingHom.from_map(
+        ring, base, {grid[p][q]: m_gens[p] * n_gens[q] for p, q in flat})
+    pres = TensorPresentation(
+        base=base, ring=ring, symbol_grid=grid, m_gens=m_gens,
+        n_gens=n_gens, relations=None,  # written below by combination
+        numer=Ideal(ring, [ring.var(name) for name in names]), lam=lam,
+        embed=RingHom.from_map(base, ring, {}), m_ideal=m_ideal,
+        n_ideal=n_ideal)
     sym = lambda p, q: ring.var(grid[p][q])
 
-    rels = []
-    # bilinearity in the first slot: syzygies of the left generators
-    for v in syzygies(m_gens, ring=base):
-        for q in range(len(n_gens)):
-            r = ring.zero
-            for p, vp in enumerate(v):
-                if not vp.is_zero():
-                    r = r + embed(vp) * sym(p, q)
-            if not r.is_zero():
-                rels.append(r)
-    # and in the second slot
-    for w in syzygies(n_gens, ring=base):
-        for p in range(len(m_gens)):
-            r = ring.zero
-            for q, wq in enumerate(w):
-                if not wq.is_zero():
-                    r = r + embed(wq) * sym(p, q)
-            if not r.is_zero():
-                rels.append(r)
+    # bilinearity in each slot: syzygies of either generator list
+    rels = [pres.combination(v, _unit(base, q, len(n_gens)))
+            for v in syzygies(m_gens, ring=base) for q in range(len(n_gens))]
+    rels += [pres.combination(_unit(base, p, len(m_gens)), w)
+             for w in syzygies(n_gens, ring=base) for p in range(len(m_gens))]
+    rels = [r for r in rels if not r.is_zero()]
     # multiplicativity: products of symbols rewrite through cofactor lifts
-    flat = [(p, q) for p in range(len(m_gens)) for q in range(len(n_gens))]
     for i, (p, q) in enumerate(flat):
         for (p2, q2) in flat[i:]:
-            prod_m = m_ideal.lift(m_gens[p] * m_gens[p2])
-            prod_n = n_ideal.lift(n_gens[q] * n_gens[q2])
-            r = sym(p, q) * sym(p2, q2)
-            for u, cu in enumerate(prod_m):
-                if cu.is_zero():
-                    continue
-                for v, ev in enumerate(prod_n):
-                    if not ev.is_zero():
-                        r = r - embed(cu * ev) * sym(u, v)
-            rels.append(r)
-    lam = RingHom.from_map(
-        ring, base,
-        {grid[p][q]: m_gens[p] * n_gens[q]
-         for p in range(len(m_gens)) for q in range(len(n_gens))})
-    return TensorPresentation(
-        base=base, ring=ring, symbol_grid=grid, m_gens=m_gens,
-        n_gens=n_gens, relations=Ideal(ring, rels),
-        numer=Ideal(ring, [sym(p, q) for p, q in flat]),
-        lam=lam, embed=embed, m_ideal=m_ideal, n_ideal=n_ideal)
+            rels.append(sym(p, q) * sym(p2, q2) - pres.combination(
+                m_ideal.lift(m_gens[p] * m_gens[p2]),
+                n_ideal.lift(n_gens[q] * n_gens[q2])))
+    pres.relations = Ideal(ring, rels)
+    return pres
 
 
 def kernel_tensor(skel):
@@ -208,21 +197,21 @@ def coproduct(Mcm, Ncm):
     ext_n, w_n = _symbol_block(Ncm)
     # suffix clashing symbol names per side, as copies _a and _b
     taken = set(base.vars)
-    ren_m, ren_n = {}, {}
-    for v in ext_m:
-        new = v if (v not in taken and v not in ext_n) else v + "_a"
-        while new in taken:
-            new = new + "_"
-        ren_m[v] = new
-        taken.add(new)
-    for v in ext_n:
-        new = v if (v not in taken and v not in ext_m) else v + "_b"
-        while new in taken:
-            new = new + "_"
-        ren_n[v] = new
-        taken.add(new)
-    merged = base.extend([ren_m[v] for v in ext_m] + [ren_n[v] for v in ext_n],
-                         w_m + w_n)
+
+    def rename(ext, other, suffix):
+        ren = {}
+        for v in ext:
+            new = v if (v not in taken and v not in other) else v + suffix
+            while new in taken:
+                new = new + "_"
+            ren[v] = new
+            taken.add(new)
+        return ren
+
+    ren_m = rename(ext_m, ext_n, "_a")
+    ren_n = rename(ext_n, ext_m, "_b")
+    names = list(ren_m.values()) + list(ren_n.values())
+    merged = base.extend(names, w_m + w_n)
     i_hom = RingHom.from_map(Mcm.top.ambient, merged,
                              {v: merged.var(ren_m[v]) for v in ext_m})
     j_hom = RingHom.from_map(Ncm.top.ambient, merged,
@@ -247,8 +236,7 @@ def coproduct(Mcm, Ncm):
         merged, base,
         {ren_m[v]: Mcm.bnd(Mcm.top.ambient.var(v)) for v in ext_m}
         | {ren_n[w]: Ncm.bnd(Ncm.top.ambient.var(w)) for w in ext_n})
-    gens = [merged.var(ren_m[v]) for v in ext_m] \
-        + [merged.var(ren_n[w]) for w in ext_n]
+    gens = [merged.var(n) for n in names]
     top = Subquotient(merged, Ideal(merged, gens), Ideal(merged, rels),
                       gens=gens)
     cm = CrossedModule(top=top, base=base, bnd=bnd, embed=embed,
@@ -296,9 +284,6 @@ def assemble_L(skel):
     merged = cop.cm.top.ambient
     emb = RingHom.from_map(E1, merged, {})
 
-    def G(p, q):
-        return cop.i_hom(pres.ring.var(pres.symbol_grid[p][q]))
-
     extra, variant = [], []
     for name in data.s3_names:
         cj = cop.j_hom(C.top.ambient.var(name))
@@ -306,17 +291,11 @@ def assemble_L(skel):
         a = pres.m_ideal.lift(img)
         b = pres.n_ideal.lift(img)
         for q, nq in enumerate(n_gens):
-            lhs = merged.zero
-            for p, ap in enumerate(a):
-                if not ap.is_zero():
-                    lhs = lhs + emb(ap) * G(p, q)
+            lhs = cop.i_hom(pres.combination(a, _unit(E1, q, len(n_gens))))
             extra.append(lhs - emb(nq) * cj)
             variant.append(lhs - cj + emb(nq) * cj)
         for p, mp in enumerate(m_gens):
-            lhs = merged.zero
-            for q, bq in enumerate(b):
-                if not bq.is_zero():
-                    lhs = lhs + emb(bq) * G(p, q)
+            lhs = cop.i_hom(pres.combination(_unit(E1, p, len(m_gens)), b))
             extra.append(lhs - emb(mp) * cj)
             variant.append(lhs - emb(mp) * cj + cj)
     rels = cop.cm.top.rels + Ideal(merged, extra)

@@ -216,6 +216,21 @@ def test_non_string_name_exits_2(tmp_path, where):
     assert where in out.stderr and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("name", ["a b", "", "9T"])
+@pytest.mark.parametrize("where", ["S2", "S3"])
+def test_name_that_is_not_a_variable_exits_2(tmp_path, where, name):
+    obj = {"S1": ["x"], "S2": [{"name": "A", "image": "x^2"}], "S3": []}
+    obj[where].append({"name": name,
+                       "image": "x" if where == "S2" else "x^2*A - A*A"})
+    for command in ("build", "verify", "homotopy", "compare"):
+        out = _run_on(tmp_path, obj, command)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == ("error: %s name %r is not a variable name (a "
+                              "letter or _, then letters, digits or _)\n"
+                              % (where, name))
+
+
 def test_deep_parentheses_exit_2(tmp_path):
     image = "(" * 3000 + "x^2" + ")" * 3000
     out = _run_on(tmp_path, {"field": "Q", "S1": ["x"],

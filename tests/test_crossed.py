@@ -1,49 +1,65 @@
 import pytest
 
-from xsq import (ConstructionData, Ideal, PolyRing, QQ, RingHom, Subquotient,
-                 build_skeleton, free_crossed_on, free_precrossed, functor_M,
-                 h_eval, ideal_square, linearize, peiffer_quotient,
-                 verify_square, verify_xmod)
+from xsq import (GF, ConstructionData, Ideal, PolyRing, QQ, RingHom,
+                 Subquotient, build_skeleton, free_crossed_on, functor_M,
+                 h_eval, ideal_square, linearize, peiffer_P1, verify_square,
+                 verify_xmod)
 from xsq.crossed import CrossedModule
 
 
-def test_free_precrossed_boundary(data_a, data_b):
-    pre = free_precrossed(data_a)
-    assert pre.bnd(pre.top.ambient.var("S")) == data_a.base_ring.parse("x^2")
-    preb = free_precrossed(data_b)
-    assert preb.bnd(preb.top.ambient.var("S1")) == data_b.base_ring.parse("x^2")
-    assert preb.bnd(preb.top.ambient.var("S2")) == data_b.base_ring.parse("x*y")
-    empty = free_precrossed(ConstructionData(QQ, ["x"], [], []))
+def free_xmod(data):
+    """The free crossed module of the level-1 data."""
+    return free_crossed_on(data.base_ring, data.s2_names,
+                           data.boundary_images)
+
+
+def test_free_crossed_module_boundary(data_a, data_b):
+    cm = free_xmod(data_a)
+    assert cm.bnd(cm.top.ambient.var("S")) == data_a.base_ring.parse("x^2")
+    cmb = free_xmod(data_b)
+    assert cmb.bnd(cmb.top.ambient.var("S1")) == data_b.base_ring.parse("x^2")
+    assert cmb.bnd(cmb.top.ambient.var("S2")) == data_b.base_ring.parse("x*y")
+    empty = free_xmod(ConstructionData(QQ, ["x"], [], []))
     assert not empty.top.gens
 
 
 def test_precrossed_fails_cm2_before_quotient(data_b):
-    pre = free_precrossed(data_b)
+    # the free pre-crossed module: the ring, generators and maps of the
+    # free crossed module with no relations
+    cm = free_xmod(data_b)
+    amb = cm.top.ambient
+    pre = CrossedModule(
+        top=Subquotient(amb, cm.top.numer, Ideal(amb, []), gens=cm.top.gens),
+        base=cm.base, bnd=cm.bnd, embed=cm.embed,
+        label="free pre-crossed module")
     rep = verify_xmod(pre)
     failed = [i for i in rep.failures() if i.check == "CM2"]
     assert failed  # S1*S2 - x^2*S2 has nonzero normal form mod (0)
+    # the same rows pass after the Peiffer quotient
+    assert [i for i in verify_xmod(cm).items if i.check == "CM2"]
+    assert not verify_xmod(cm).failures()
 
 
-def test_peiffer_quotient_examples(data_a, data_b):
-    cm = peiffer_quotient(free_precrossed(data_a), data_a)
+def test_free_crossed_module_examples(data_a, data_b):
+    cm = free_xmod(data_a)
     E1 = cm.top.ambient
     assert cm.top.nf(E1.parse("S^2 - x^2*S")).is_zero()
     assert verify_xmod(cm).ok
-    cmb = peiffer_quotient(free_precrossed(data_b), data_b)
+    cmb = free_xmod(data_b)
     E1b = cmb.top.ambient
     assert cmb.top.same_class(E1b.parse("S1*S2"), E1b.parse("x^2*S2"))
     assert verify_xmod(cmb).ok
 
 
 def test_linearize_examples(data_a, data_b):
-    cma = peiffer_quotient(free_precrossed(data_a), data_a)
+    cma = free_xmod(data_a)
     lina = linearize(cma, data_a)
     assert lina.rank == 1 and lina.relations == ()
     assert [str(t) for t in lina.boundary] == ["x^2"]
     E1 = cma.top.ambient
     assert [str(v) for v in lina.to_vector(E1.parse("S^2"))] == ["x^2"]
 
-    cmb = peiffer_quotient(free_precrossed(data_b), data_b)
+    cmb = free_xmod(data_b)
     linb = linearize(cmb, data_b)
     assert linb.rank == 2 and len(linb.relations) == 1
     rel = linb.relations[0]
@@ -61,12 +77,10 @@ def test_linearize_examples(data_a, data_b):
 
 def test_free_crossed_on_consistency(data_b, data_c):
     # over the base ring on the level-1 names, the general construction
-    # reproduces the quotient of the free pre-crossed module
-    R = data_b.base_ring
-    cm = free_crossed_on(R, data_b.s2_names, data_b.boundary_images)
-    reference = peiffer_quotient(free_precrossed(data_b), data_b)
-    assert cm.top.ambient.vars == reference.top.ambient.vars
-    assert cm.top.rels.groebner() == reference.top.rels.groebner()
+    # is the level-1 ring divided by the Peiffer ideal P1
+    cm = free_xmod(data_b)
+    assert cm.top.ambient == data_b.ring1
+    assert cm.top.rels.groebner() == peiffer_P1(data_b).groebner()
     # the level-2 construction data as a crossed module over R[S2]
     E1 = data_c.ring1
     f3 = {n: img for n, img in data_c.s3}
@@ -75,6 +89,30 @@ def test_free_crossed_on_consistency(data_b, data_c):
     assert verify_xmod(C).ok
     empty = free_crossed_on(E1, (), ())
     assert not empty.top.gens
+
+
+F32003 = GF(32003)
+LEVEL1_INPUTS = {
+    "f1": (F32003, ["x", "y", "z"], [("A", "x*y"), ("B", "y*z")],
+           [("T", "z*A - x*B")]),
+    "f2": (F32003, ["x", "y", "z"], [("A", "x*y"), ("B", "y*z")], []),
+}
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c", "f1", "f2"])
+def test_level1_functor_relations_are_p1_in_order(which, data_a, data_b,
+                                                 data_c):
+    data = {"a": data_a, "b": data_b, "c": data_c}.get(which)
+    if data is None:
+        data = ConstructionData(*LEVEL1_INPUTS[which])
+    cm = functor_M(build_skeleton(data), 1)
+    assert cm.top.ambient == data.ring1
+    assert cm.top.rels.gens == peiffer_P1(data).gens
+    for name, image in data.s2:
+        assert cm.bnd(data.ring1.var(name)) == image
+    for v in data.s1_names:
+        assert cm.embed(data.base_ring.var(v)) == data.ring1.var(v)
+    assert cm.label == "free crossed module"
 
 
 def test_zero_multiplication_module_is_crossed():

@@ -82,7 +82,7 @@ def test_verify_builds_one_skeleton_per_distinct_truncation(monkeypatch,
                   lambda skel, *args: skels.append(skel))
     _record_calls(monkeypatch, simplicial, "peiffer_P2",
                   lambda ideal, *args: p2_calls.append(args))
-    _record_calls(monkeypatch, crossed, "peiffer_quotient",
+    _record_calls(monkeypatch, crossed, "free_crossed_on",
                   lambda cm, *args: xmods.append(cm))
     assert _run("verify", "fixture_b") == 0
     capsys.readouterr()

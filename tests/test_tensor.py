@@ -1,11 +1,20 @@
+import random
+
 import pytest
 
-from xsq import (ConstructionData, Ideal, PolyRing, QQ, RingHom, Subquotient,
-                 assemble_L, build_skeleton, compare_corner, coproduct,
-                 free_crossed_on, free_precrossed, functor_M, ideal_equal,
-                 peiffer_quotient, tensor_presentation, tensor_square,
-                 verify_square, verify_xmod)
+from xsq import (GF, ConstructionData, Ideal, PolyRing, QQ, RingHom,
+                 Subquotient, assemble_L, build_skeleton, compare_corner,
+                 coproduct, free_crossed_on, functor_M, ideal_equal,
+                 tensor_presentation, tensor_square, verify_square,
+                 verify_xmod)
 from xsq.crossed import CrossedModule
+from xsq.tensor import kernel_tensor
+
+
+def free_xmod(data):
+    """The free crossed module of the level-1 data."""
+    return free_crossed_on(data.base_ring, data.s2_names,
+                           data.boundary_images)
 
 
 def _corner_modules(skel):
@@ -101,8 +110,65 @@ def test_tensor_expand_is_bilinear(skel_a):
     assert pres.relations.member(lhs - rhs)
 
 
+def test_combination_of_unit_tuples_is_the_symbol(skel_b):
+    pres = kernel_tensor(skel_b)
+    E1 = skel_b.E1
+    for p in range(len(pres.m_gens)):
+        for q in range(len(pres.n_gens)):
+            a = [E1.one if i == p else E1.zero
+                 for i in range(len(pres.m_gens))]
+            b = [E1.one if i == q else E1.zero
+                 for i in range(len(pres.n_gens))]
+            assert pres.combination(a, b) \
+                == pres.ring.var(pres.symbol_grid[p][q])
+
+
+def _random_coefficients(rng, ring, count):
+    """count random polynomials of degree at most one over ring."""
+    return [sum((ring.var(v) * rng.randint(-3, 3) for v in ring.vars),
+                ring.const(rng.randint(-3, 3))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_expand_is_bilinear_on_random_coefficients(field, seed):
+    data = ConstructionData(field, ["x", "y"],
+                            [("S1", "x^2"), ("S2", "x*y")], [])
+    skel = build_skeleton(data)
+    pres = kernel_tensor(skel)
+    E1, rels = skel.E1, pres.relations
+    rng = random.Random(seed)
+
+    def element(gens, coeffs):
+        return sum((c * g for c, g in zip(coeffs, gens)), E1.zero)
+
+    a, a2 = (_random_coefficients(rng, E1, len(pres.m_gens))
+             for _ in range(2))
+    b, b2 = (_random_coefficients(rng, E1, len(pres.n_gens))
+             for _ in range(2))
+    m, m2 = element(pres.m_gens, a), element(pres.m_gens, a2)
+    n, n2 = element(pres.n_gens, b), element(pres.n_gens, b2)
+    c = _random_coefficients(rng, E1, 1)[0]
+    # the structure map sends the symbol sum of m (x) n to m*n, and every
+    # relation to zero
+    assert pres.lam(pres.combination(a, b)) == m * n
+    assert pres.lam(pres.expand(m, n)) == m * n
+    assert all(pres.lam(r).is_zero() for r in rels.gens)
+    # m (x) n is the symbol sum of its coefficient tuples
+    assert rels.member(pres.expand(m, n) - pres.combination(a, b))
+    # additive in each slot, and base elements slide through either slot
+    assert rels.member(pres.expand(m + m2, n) - pres.expand(m, n)
+                       - pres.expand(m2, n))
+    assert rels.member(pres.expand(m, n + n2) - pres.expand(m, n)
+                       - pres.expand(m, n2))
+    assert rels.member(pres.expand(c * m, n) - pres.embed(c)
+                       * pres.expand(m, n))
+    assert rels.member(pres.expand(m, c * n) - pres.embed(c)
+                       * pres.expand(m, n))
+
+
 def test_coproduct_with_zero_module(data_a):
-    cm = peiffer_quotient(free_precrossed(data_a), data_a)
+    cm = free_xmod(data_a)
     zero = free_crossed_on(cm.base, (), ())
     result = coproduct(cm, zero)
     assert result.cm is cm
@@ -113,7 +179,7 @@ def test_coproduct_of_two_copies(data_a):
     # both inputs the free crossed module of the one-generator data: the
     # merged presentation carries copies S_a, S_b and the cross Peiffer
     # generator x^2*S_a - x^2*S_b
-    cm = peiffer_quotient(free_precrossed(data_a), data_a)
+    cm = free_xmod(data_a)
     result = coproduct(cm, cm)
     merged = result.cm.top.ambient
     assert "S_a" in merged.vars and "S_b" in merged.vars
@@ -132,7 +198,7 @@ def test_coproduct_of_two_copies(data_a):
 
 
 def test_coproduct_satisfies_cm2(data_b):
-    cm = peiffer_quotient(free_precrossed(data_b), data_b)
+    cm = free_xmod(data_b)
     result = coproduct(cm, cm)
     assert verify_xmod(result.cm).ok
 
