@@ -17,12 +17,12 @@ data_c = ConstructionData(QQ, ["x", "y"],
 print("== two relations, nothing above ==")
 skel_b = build_skeleton(data_b)
 # the report is the dict that `xsq homotopy` prints
-print("\n".join(_render_text(homotopy_report(skel_b, D=6, D_h2=8))))
+print("\n".join(_render_text(homotopy_report(skel_b, D=6))))
 
 print()
 print("== the same relations with the syzygy class killed ==")
 skel_c = build_skeleton(data_c)
-print("\n".join(_render_text(homotopy_report(skel_c, D=6, D_h2=8))))
+print("\n".join(_render_text(homotopy_report(skel_c, D=6))))
 print("the first homotopy row drops to zero: the adjoined generator")
 print("kills the class that the second homology detects, while the")
 print("homology of the presented quotient itself is unchanged.")

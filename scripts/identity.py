@@ -10,14 +10,15 @@ whose stdout, stderr or exit code differs between the two sides, then one
 summary line per part of the grid with the exit codes seen, and exits 1
 when any run differs.
 
-The grid (339 runs a side):
+The grid (371 runs a side):
 
 - the four commands on the benchmark's workload inputs (fixtures a-c, f1
   and f2) at seeds 0 and 7, on fixtures/d3.json and fixtures/d4f.json
   (the one checked-in input with two level-2 generators), and on the golden
-  inputs q_fractions, fp7_nonunit_image (GF(7)) and fixture_c_gf_m61
-  (GF(2^61 - 1)), each with the default flags, --format json, --order lex
-  and --max-degree 9;
+  inputs q_fractions, fp7_nonunit_image (GF(7)), fixture_c_gf_m61
+  (GF(2^61 - 1)), zero_image (a zero boundary image) and repeated_image
+  (two generators with one boundary image), each with the default flags,
+  --format json, --order lex and --max-degree 9;
 - the --budget grid: the four commands on fixtures a-c at eight budgets
   from 20 to 5000 (96 runs), where a change in the steps a command spends
   in all would move an exit code between 0 and 3;
@@ -50,7 +51,8 @@ RUN_CAP_S = 600
 JOBS = 2  # runs at a time; the outputs compared do not depend on timing
 FLAGS = ((), ("--format", "json"), ("--order", "lex"), ("--max-degree", "9"))
 BUDGETS = (20, 50, 100, 200, 500, 1000, 2000, 5000)
-GOLDEN_INPUTS = ("q_fractions", "fp7_nonunit_image", "fixture_c_gf_m61")
+GOLDEN_INPUTS = ("q_fractions", "fp7_nonunit_image", "fixture_c_gf_m61",
+                 "zero_image", "repeated_image")
 
 
 def write_inputs(folder):

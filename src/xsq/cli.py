@@ -115,7 +115,7 @@ def cmd_homotopy(data, args):
     from .homotopy import homotopy_report
     D = args.max_degree
     skel = build_skeleton(data)
-    report = homotopy_report(skel, D=D, D_h2=D + 2)
+    report = homotopy_report(skel, D=D)
     return {**report, "command": "homotopy"}, 0
 
 

@@ -36,48 +36,36 @@ class CrossedModule:
         self.label = label
 
 
-class CheckResult:
-    def __init__(self, check, instance, ok, witness, informational=False):
-        self.check = check
-        self.instance = instance
-        self.ok = ok
-        self.witness = witness
-        self.informational = informational
-
-    def to_obj(self):
-        return {"check": self.check, "instance": self.instance,
-                "status": "pass" if self.ok else "fail",
-                "witness": self.witness,
-                "informational": self.informational}
-
-
 class VerifyReport:
+    """One row per axiom instance, each the dict the CLI prints: check,
+    instance, status ("pass" or "fail"), witness ("0" or the nonzero
+    residue) and informational (a row that never counts as a failure)."""
+
     def __init__(self, label, items=None):
         self.label = label
         self.items = [] if items is None else items
 
     def add(self, check, instance, residue, informational=False):
         ok = residue.is_zero()
-        self.items.append(CheckResult(check, instance, ok,
-                                      "0" if ok else str(residue),
-                                      informational))
+        self.add_bool(check, instance, ok, "0" if ok else str(residue),
+                      informational)
 
     def add_bool(self, check, instance, ok, witness="", informational=False):
-        self.items.append(CheckResult(check, instance, ok,
-                                      witness if not ok else "0",
-                                      informational))
+        self.items.append({"check": check, "instance": instance,
+                           "status": "pass" if ok else "fail",
+                           "witness": witness if not ok else "0",
+                           "informational": informational})
 
     @property
     def ok(self):
-        return all(i.ok for i in self.items if not i.informational)
+        return not self.failures()
 
     def failures(self):
-        return [i for i in self.items if not i.ok and not i.informational]
+        return [i for i in self.items
+                if i["status"] == "fail" and not i["informational"]]
 
     def to_obj(self):
-        return {"label": self.label,
-                "ok": self.ok,
-                "items": [i.to_obj() for i in self.items]}
+        return {"label": self.label, "ok": self.ok, "items": self.items}
 
 
 def verify_xmod(cm):

@@ -18,7 +18,9 @@ so far like an S-polynomial, so a redundant generator never becomes a basis
 element or forms pairs.  The reduced basis is the same for any insertion
 order.  The cofactor rows that :meth:`Ideal.lift` and :func:`syzygies` read
 are not unique, and printed relations depend on them, so the tracked path
-keeps every generator as a basis element from the start.
+keeps every generator as a basis element from the start (a zero one keeps
+an empty column).  One routine, ``_combine``, writes every cofactor row:
+of a basis element, of a syzygy and of a lift.
 
 The engine works on the packed monomials that polynomials store
 (:class:`rings.Packing`): a product is one int sum, a quotient one
@@ -104,10 +106,6 @@ def _dividend(terms):
     return ({k: c for _, k, c in terms}, {k: m for m, k, _ in terms})
 
 
-def _negated(q):
-    return {m: -c for m, c in q.items()}
-
-
 def _add_multiple(h, monos, terms, t, kt, f, guards):
     """h += f * x^t * terms on a dividend: terms are packed (M, key, c)
     triples and the key of each product is key(t) + key(M).  A product
@@ -190,25 +188,41 @@ def _spoly(f, a, g, b, packing):
     return h, monos
 
 
-def _row_add(acc, q, row, guards):
-    """acc += q * row for cofactor rows, which are lists of {packed
-    monomial: coefficient} dicts; q is one such dict.  Coefficients are
-    summed exactly; the caller reduces the finished row."""
-    for out, p in zip(acc, row):
-        for qm, qc in q.items():
-            for pm, pc in p.items():
-                n = qm + pm
-                if n & guards:
-                    raise ExponentOverflow()
-                v = out.get(n)
-                if v is None:
-                    out[n] = qc * pc
-                else:
-                    v = v + qc * pc
-                    if v:
-                        out[n] = v
+def _unit_row(k, j, c):
+    """The cofactor row c * e_j of width k."""
+    return tuple({0: c} if i == j else {} for i in range(k))
+
+
+def _scaled_row(row, u, char):
+    """u * row with every coefficient reduced."""
+    return tuple(reduced({m: c * u for m, c in p.items()}, char) for p in row)
+
+
+def _combine(k, parts, quots, rows, guards):
+    """The cofactor row sum(q * row for q, row in parts) minus
+    sum(quots[t] * rows[t]) of width k.  Rows are tuples of {packed
+    monomial: coefficient} dicts and each q is one such dict.  Coefficients
+    are summed exactly; the caller reduces the finished row."""
+    acc = [{} for _ in range(k)]
+    parts = list(parts) + [({m: -c for m, c in q.items()}, row)
+                           for q, row in zip(quots, rows) if q]
+    for q, row in parts:
+        for out, p in zip(acc, row):
+            for qm, qc in q.items():
+                for pm, pc in p.items():
+                    n = qm + pm
+                    if n & guards:
+                        raise ExponentOverflow()
+                    v = out.get(n)
+                    if v is None:
+                        out[n] = qc * pc
                     else:
-                        del out[n]
+                        v = v + qc * pc
+                        if v:
+                            out[n] = v
+                        else:
+                            del out[n]
+    return acc
 
 
 def _buchberger(gens, ring, track=False):
@@ -226,7 +240,8 @@ def _buchberger(gens, ring, track=False):
     generator is queued under its leading monomial (before the pairs with
     that lcm) and joins the basis only if its remainder on popping is
     nonzero.  Tracked, every generator joins up front.  Every element stays
-    in the reducer list, so the cofactor rows index all of them.
+    in the reducer list, so the cofactor rows index all of them.  A zero
+    generator is an empty term tuple and never joins.
     """
     k = len(gens)
     one, inv, char = ring.field.one, ring.field.inv, ring.field.char
@@ -242,7 +257,7 @@ def _buchberger(gens, ring, track=False):
             heapq.heappush(heap, (g[0][1], -1, i))
             continue
         u = inv(g[0][2])
-        rows.append(tuple({0: u} if j == i else {} for j in range(k)))
+        rows.append(_unit_row(k, i, u))
         G.append(g if u == one else _scaled(g, u, char))
         lms.append(g[0][0])
         _update(len(G) - 1, lms, active, pairs, heap, packing)
@@ -263,14 +278,9 @@ def _buchberger(gens, ring, track=False):
             continue
         u = inv(rem[0][2])
         if track:
-            srow = [{} for _ in range(k)]
-            _row_add(srow, {a: one}, rows[i], guards)
-            _row_add(srow, {b: -one}, rows[j], guards)
-            for t, q in enumerate(quots):
-                if q:
-                    _row_add(srow, _negated(q), rows[t], guards)
-            rows.append(tuple(reduced({m: c * u for m, c in p.items()}, char)
-                              for p in srow))
+            rows.append(_scaled_row(_combine(
+                k, [({a: one}, rows[i]), ({b: -one}, rows[j])], quots, rows,
+                guards), u, char))
         G.append(_scaled(rem, u, char))
         lms.append(rem[0][0])
         _update(len(G) - 1, lms, active, pairs, heap, packing)
@@ -320,7 +330,7 @@ def _update(n, lms, active, pairs, heap, packing):
 
 def _reduce_basis(G, rows, ring):
     """Minimalize and tail-reduce; canonical output order."""
-    inv, char = ring.field.inv, ring.field.char
+    one, inv, char = ring.field.one, ring.field.inv, ring.field.char
     guards = ring.packing.guards
     track = rows is not None
     keep = []
@@ -339,12 +349,9 @@ def _reduce_basis(G, rows, ring):
             continue
         u = inv(rem[0][2])
         if track:
-            row = [dict(p) for p in brows[idx]]
-            for q, other in zip(quots, brows[:idx] + brows[idx + 1:]):
-                if q:
-                    _row_add(row, _negated(q), other, guards)
-            out_rows.append(tuple(
-                reduced({m: c * u for m, c in p.items()}, char) for p in row))
+            row = _combine(len(brows[idx]), [({0: one}, brows[idx])], quots,
+                           brows[:idx] + brows[idx + 1:], guards)
+            out_rows.append(_scaled_row(row, u, char))
         out.append(_scaled(rem, u, char))
     ranks = sorted(range(len(out)), key=lambda i: out[i][0][1])
     return ([out[i] for i in ranks],
@@ -406,33 +413,35 @@ class Ideal:
         basis = self._computed(order)[1]
         return tuple(_reringed(b, self.ring) for b in basis)
 
-    def normal_form(self, p, order=None):
+    def _divided(self, p, track):
+        """(rows, quotients, remainder) of p divided by the cached basis in
+        the ring's order: the basis's cofactor rows and the quotients as
+        packed dicts, both None unless track is set, and the remainder as a
+        polynomial of the work ring."""
         if p.ring != self.ring:
             raise ValueError("polynomial not in the ideal's ring")
-        work, _, _, basis, lms = self._computed(order)
-        _, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
-                         work.packing.guards, work.field.char,
-                         want_quotients=False, lms=lms)
-        return _reringed(_polynomial(work, rem), self.ring)
+        work, _, rows, basis, lms = self._computed(track=track)
+        quots, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
+                             work.packing.guards, work.field.char,
+                             want_quotients=track, lms=lms)
+        return rows, quots, _polynomial(work, rem)
 
-    def member(self, p, order=None):
-        return self.normal_form(p, order).is_zero()
+    def normal_form(self, p):
+        return _reringed(self._divided(p, False)[2], self.ring)
+
+    def member(self, p):
+        return self.normal_form(p).is_zero()
 
     def lift(self, p):
         """Cofactors against the original generators; exact identity
         sum(c_i * gens_i) == p, or :class:`NotInIdeal`."""
-        work, _, rows, basis, lms = self._computed(track=True)
-        guards, char = work.packing.guards, work.field.char
-        quots, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
-                             guards, char, lms=lms)
-        if rem:
-            raise NotInIdeal("polynomial is not a member: residue %s"
-                             % _polynomial(work, rem))
-        cof = [{} for _ in self.gens]
-        for q, row in zip(quots, rows):
-            if q:
-                _row_add(cof, q, row, guards)
-        cof = tuple(Polynomial(work, reduced(c, char)) for c in cof)
+        rows, quots, rem = self._divided(p, True)
+        if not rem.is_zero():
+            raise NotInIdeal("polynomial is not a member: residue %s" % rem)
+        work = rem.ring
+        cof = _combine(len(self.gens), zip(quots, rows), (), (),
+                       work.packing.guards)
+        cof = tuple(Polynomial(work, reduced(c, work.field.char)) for c in cof)
         check = self.ring.zero
         for c, g in zip(cof, self.gens):
             check = check + c * g
@@ -531,14 +540,13 @@ def hom_kernel(h):
 
 
 def syzygies(gens, ring=None):
-    """Generating set of {v : sum(v_i * g_i) = 0} as tuples of polynomials.
+    """Generating set of {v : sum(v_i * g_i) = 0} for a tuple of generators,
+    as tuples of polynomials; ring is needed only when the tuple is empty.
 
-    Schreyer-style: the syzygies of the reduced basis coming from all
-    S-pair reductions, pulled back through the two conversion matrices,
-    plus the identity-defect rows."""
-    if isinstance(gens, Ideal):
-        ring = gens.ring
-        gens = gens.gens
+    Schreyer-style: the e_i of the zero generators, the syzygies of the
+    reduced basis coming from all S-pair reductions, pulled back through
+    the cofactor rows, and the identity defects of the nonzero
+    generators."""
     gens = tuple(gens)
     if ring is None:
         if not gens:
@@ -550,23 +558,9 @@ def syzygies(gens, ring=None):
     one, char = ring.field.one, ring.field.char
     packing = ring.packing
     guards = packing.guards
-    nonzero = [(i, _terms(_reringed(g, ring)))
-               for i, g in enumerate(gens) if not g.is_zero()]
-    basis, rows = _buchberger([g for _, g in nonzero], ring, track=True)
-
-    def widen(v):
-        out = [{} for _ in range(k)]
-        for (orig, _), p in zip(nonzero, v):
-            out[orig] = p
-        return out
-
-    rows = [widen(r) for r in rows]
-    syz = []
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            e = [{} for _ in range(k)]
-            e[i] = {0: one}
-            syz.append(e)
+    terms = [_terms(_reringed(g, ring)) for g in gens]
+    basis, rows = _buchberger(terms, ring, track=True)
+    syz = [_unit_row(k, i, one) for i, g in enumerate(terms) if not g]
     m = len(basis)
     # S-pair syzygies of the reduced basis; no pair is skipped here
     for i in range(m):
@@ -578,24 +572,17 @@ def syzygies(gens, ring=None):
                                  basis, guards, char)
             if rem:
                 raise AssertionError("S-polynomial of a basis did not vanish")
-            v = [{} for _ in range(k)]
-            _row_add(v, {a: one}, rows[i], guards)
-            _row_add(v, {b: -one}, rows[j], guards)
-            for t, q in enumerate(quots):
-                if q:
-                    _row_add(v, _negated(q), rows[t], guards)
-            syz.append(v)
+            syz.append(_combine(k, [({a: one}, rows[i]), ({b: -one}, rows[j])],
+                                quots, rows, guards))
     # identity defects: e_j minus the expansion of g_j through the basis
-    for j, g in nonzero:
+    for j, g in enumerate(terms):
+        if not g:
+            continue
         quots, rem = _divide(*_dividend(g), basis, guards, char)
         if rem:
             raise AssertionError("generator did not reduce to zero")
-        v = [{} for _ in range(k)]
-        v[j] = {0: one}
-        for t, q in enumerate(quots):
-            if q:
-                _row_add(v, _negated(q), rows[t], guards)
-        syz.append(v)
+        syz.append(_combine(k, [({0: one}, _unit_row(k, j, one))], quots,
+                            rows, guards))
     out = []
     for v in syz:
         v = tuple(Polynomial(ring, reduced(p, char)) for p in v)

@@ -169,10 +169,11 @@ def _vec_str(v):
     return str(v)
 
 
-def homotopy_report(skel, D=6, D_h2=8):
+def homotopy_report(skel, D=6):
     """What the ``homotopy`` command prints: the rows pi0 to pi2 (pi1 by
-    both routes) and the second homology by both routes, as a dict of
-    lists and strings."""
+    both routes) to degree D and the second homology by both routes to
+    degree D + 2, as a dict of lists and strings."""
+    D_h2 = D + 2
     p0 = pi0(skel)
     pi0_row = {"relations": [str(b) for b in p0.basis],
                "dims": list(p0.dims(D))}

@@ -212,13 +212,12 @@ class ConstructionData:
 
 
 class MooreData:
-    """Moore kernels at levels 1 and 2 plus the degenerate ideal at 3."""
+    """Moore kernels at levels 1 and 2."""
 
-    def __init__(self, ne1, kbar, ne2, degenerate3):
+    def __init__(self, ne1, kbar, ne2):
         self.ne1 = ne1                  # Ker d_0^1
         self.kbar = kbar                # Ker d_1^1
         self.ne2 = ne2                  # Ker d_0^2 cap Ker d_1^2
-        self.degenerate3 = degenerate3
 
 
 class Skeleton2:
@@ -304,7 +303,7 @@ class Skeleton2:
         return self.once("moore", self._make_moore)
 
     def _make_moore(self):
-        E2, E3 = self.E2, self.E3
+        E2 = self.E2
         s2n = self.data.s2_names
         s3 = [E2.var(n) for n in self.data.s3_names]
         closed = {(1, 0): self.corner_gens[0], (1, 1): self.corner_gens[1],
@@ -317,11 +316,8 @@ class Skeleton2:
             if K.groebner() != Ideal(K.ring, gens).groebner():
                 raise AssertionError("Ker d_%d^%d disagrees with its closed "
                                      "form" % key[::-1])
-        deg3 = Ideal(E3, [E3.var(v) for v in E3.vars
-                          if v not in self.data.s1_names])
         return MooreData(ne1=ker[(1, 0)], kbar=ker[(1, 1)],
-                         ne2=ideal_intersect(ker[(2, 0)], ker[(2, 1)]),
-                         degenerate3=deg3)
+                         ne2=ideal_intersect(ker[(2, 0)], ker[(2, 1)]))
 
     def p2(self):
         """The second-order Peiffer ideal by the "c_families" route."""

@@ -63,13 +63,13 @@ def test_criterion_2_axiom_suites(data_a, data_b, data_c):
             rep1 = verify_xmod(functor_M(skel, 1))
             rep2 = verify_square(functor_M(skel, 2))
             ok = ok and rep1.ok and rep2.ok
-            ok = ok and all(i.witness == "0" for i in rep1.items)
-            ok = ok and all(i.witness == "0" for i in rep2.items
-                            if not i.informational)
+            ok = ok and all(i["witness"] == "0" for i in rep1.items)
+            ok = ok and all(i["witness"] == "0" for i in rep2.items
+                            if not i["informational"])
     # negative control: zeroing the top pairing fails exactly axiom 5
     skel = build_skeleton(data_a)
     broken = verify_square(functor_M(skel, 2, break_h=True))
-    checks = {i.check for i in broken.failures()}
+    checks = {i["check"] for i in broken.failures()}
     ok = ok and not broken.ok and checks == {"ax5-top-pairing"}
     report(2, "axiom suites + control", ok)
 

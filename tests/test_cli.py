@@ -326,7 +326,7 @@ def test_reports_are_the_plain_data_the_cli_prints(fixture):
                      compare_corner, homotopy_report)
     path = FIXTURES / ("%s.json" % fixture)
     skel = build_skeleton(ConstructionData.from_json(path.read_text()))
-    homotopy = homotopy_report(skel, D=4, D_h2=6)
+    homotopy = homotopy_report(skel, D=4)
     corner = compare_corner(skel, D=4)
     if fixture == "fixture_b":
         split = compare_XY(skel, D=4)

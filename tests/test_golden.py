@@ -4,8 +4,8 @@ files under tests/golden/.
 Recorded cases: every command on fixtures a-c with the default flags;
 homotopy and compare on fixtures a and b at --max-degree 9 and on fixture b
 over GF(32003) at --max-degree 9, where truncated linear algebra dominates;
-every command on three edge inputs (no level-1 generators, no variables, a
-zero boundary image), on an input over GF(7) whose boundary images are
+every command on four edge inputs (no level-1 generators, no variables, a
+zero boundary image, two generators with the same boundary image), on an input over GF(7) whose boundary images are
 monomials with coefficients other than one, on its analogue over Q
 with the non-integral coefficient 3/2, whose output prints 2/3 and 3/2,
 on f1, the three-variable input over GF(32003) of the benchmark's
@@ -49,6 +49,9 @@ EDGE_INPUTS = {
     "zero_image": {"field": "Q", "S1": ["x"],
                    "S2": [{"name": "S", "image": "0"},
                           {"name": "T", "image": "x^2"}], "S3": []},
+    "repeated_image": {"S1": ["x", "y"],
+                       "S2": [{"name": "A", "image": "x*y"},
+                              {"name": "B", "image": "x*y"}]},
     "fp7_nonunit_image": {"field": {"Fp": 7}, "S1": ["x", "y"],
                           "S2": [{"name": "S1", "image": "3*x^2"},
                                  {"name": "S2", "image": "-x*y"}],

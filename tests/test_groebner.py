@@ -5,9 +5,10 @@ from unittest import mock
 import pytest
 
 from xsq import cli, groebner
-from xsq import (BudgetExceeded, Ideal, NotInIdeal, PolyRing, RingHom,
-                 affine_hilbert, budget, eliminate, hom_kernel, ideal_equal,
-                 ideal_intersect, ideal_product, monomials_leq, syzygies)
+from xsq import (GF, QQ, BudgetExceeded, Ideal, NotInIdeal, PolyRing,
+                 RingHom, affine_hilbert, budget, eliminate, hom_kernel,
+                 ideal_equal, ideal_intersect, ideal_product, monomials_leq,
+                 syzygies)
 
 from .oracle import MacaulayNF, truncated_module_kernel, vector_to_coords
 
@@ -71,6 +72,19 @@ def test_lift_cofactor_examples(R):
     assert cofs[0] * I.gens[0] + cofs[1] * I.gens[1] == p
     with pytest.raises(NotInIdeal):
         I.lift(R.parse("y"))
+
+
+@pytest.mark.parametrize("other,text", [
+    (PolyRing(["x", "y"], order="lex"), "x*y"),
+    (PolyRing(["x", "y", "z"]), "x*y"),
+    (PolyRing(["x"]), "x^2")], ids=["lex", "extra-variable", "x-only"])
+def test_lift_and_normal_form_refuse_another_ring(R, other, text):
+    I = Ideal(R, ["x"])
+    p = other.parse(text)
+    with pytest.raises(ValueError):
+        I.lift(p)
+    with pytest.raises(ValueError):
+        I.normal_form(p)
 
 
 def test_membership_lift_consistency(R):
@@ -137,6 +151,26 @@ def test_syzygies_examples(R):
     double = syzygies((R.var("x"), R.var("x")))
     assert len(double) == 1
     assert [str(p) for p in double[0]] in (["-1", "1"], ["1", "-1"])
+
+
+@pytest.mark.parametrize("field,expected", [
+    (QQ, [("1", "0", "0", "0", "0", "0"),
+          ("0", "0", "0", "0", "1", "0"),
+          ("0", "y^2 - x", "0", "0", "0", "-x"),
+          ("0", "-1", "1", "0", "0", "0"),
+          ("0", "-y", "0", "1", "0", "0")]),
+    (GF(32003), [("1", "0", "0", "0", "0", "0"),
+                 ("0", "0", "0", "0", "1", "0"),
+                 ("0", "y^2 + 32002*x", "0", "0", "0", "32002*x"),
+                 ("0", "32002", "1", "0", "0", "0"),
+                 ("0", "32002*y", "0", "1", "0", "0")]),
+], ids=["Q", "GF32003"])
+def test_syzygies_of_zero_and_repeated_generators_in_order(field, expected):
+    # the e_i of the zero generators first, then the S-pair syzygies, then
+    # the identity defects of the nonzero generators
+    S = PolyRing(["x", "y"], field)
+    gens = tuple(S.parse(t) for t in ("0", "x", "x", "x*y", "0", "y^2 - x"))
+    assert [tuple(str(p) for p in v) for v in syzygies(gens)] == expected
 
 
 def test_syzygy_soundness_and_truncated_completeness(R):

@@ -154,7 +154,7 @@ def test_two_crossed_complex(skel_a, skel_c):
 
 
 def test_homotopy_report_bundle(skel_b):
-    obj = homotopy_report(skel_b, D=4, D_h2=6)
+    obj = homotopy_report(skel_b, D=4)
     assert obj["pi1"]["routes_agree"] is True
     assert obj["aq_h2"]["routes_agree"] is True
     assert obj["aq_h2"]["witness"] in ("(y, -x)", "(-y, x)")

@@ -18,8 +18,8 @@ def test_identity_grid_builds_and_its_inputs_parse(monkeypatch, tmp_path):
     spec.loader.exec_module(identity)
     paths = identity.write_inputs(tmp_path)
     runs = identity.grid(paths)
-    assert len(runs) == 339
-    assert Counter(part for part, _ in runs) == {"flags": 240, "budget": 96,
+    assert len(runs) == 371
+    assert Counter(part for part, _ in runs) == {"flags": 272, "budget": 96,
                                                  "break-h": 3}
     assert {args[1] for _, args in runs} == set(paths.values())
     for path in paths.values():
