@@ -4,11 +4,15 @@
 
 PARENT and CHANGE are checkouts of the repository.  Every run of the grid
 is ``python -m xsq.cli ...`` in a fresh interpreter with the checkout's
-``src`` on PYTHONPATH; the inputs are written once to a temporary
+``src`` on PYTHONPATH, each checkout path resolved first, so a relative
+one names the same checkout; a checkout without ``src/xsq/cli.py`` is
+refused with exit 2.  The inputs are written once to a temporary
 directory, so both sides read the same paths.  The script prints every run
 whose stdout, stderr or exit code differs between the two sides, then one
-summary line per part of the grid with the exit codes seen, and exits 1
-when any run differs.
+summary line per part of the grid with the exit codes seen.  It exits 1
+when any run differs, and also when any run of the flags part fails on the
+parent side: each of them exits 0 on working code, so a side that cannot
+run at all does not read as identity.
 
 The grid (371 runs a side):
 
@@ -83,7 +87,8 @@ def grid(paths):
 
 
 def run(checkout, args):
-    env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+    checkout = Path(checkout).resolve()
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     try:
         out = subprocess.run([sys.executable, "-m", "xsq.cli", *args],
                              cwd=checkout, env=env, capture_output=True,
@@ -98,6 +103,11 @@ def main(argv=None):
     parser.add_argument("parent")
     parser.add_argument("change")
     args = parser.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        if not (Path(checkout) / "src" / "xsq" / "cli.py").is_file():
+            print("error: %s holds no xsq sources (src/xsq/cli.py)"
+                  % checkout, file=sys.stderr)
+            return 2
     with tempfile.TemporaryDirectory() as folder:
         runs = grid(write_inputs(folder))
         with ThreadPoolExecutor(JOBS) as pool:
@@ -122,7 +132,10 @@ def main(argv=None):
               % (part, sum(old.values()), dict(sorted(old.items(), key=str)),
                  dict(sorted(new.items(), key=str))))
     print("%d of %d runs differ" % (differ, len(runs)))
-    return 1 if differ else 0
+    failed = sum(n for code, n in codes["flags"][0].items() if code != 0)
+    if failed:
+        print("%d flags runs fail on the parent side" % failed)
+    return 1 if differ or failed else 0
 
 
 if __name__ == "__main__":

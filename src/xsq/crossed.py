@@ -20,7 +20,7 @@ the squared and 2-crossed complexes are built on it.  Subquotients are
 
 from .groebner import (Ideal, QuotientRing, Subquotient, _koszul_vectors,
                        ideal_intersect)
-from .rings import PolyRing, RingHom
+from .rings import PolyRing, RingHom, reringed
 from .simplicial import _weight_of, peiffer_defects
 
 
@@ -246,13 +246,12 @@ class LinearizedCrossedModule:
     t_i e_j - t_j e_i over the base and the boundary (t_1, ..., t_n)."""
 
     def __init__(self, rank, names, boundary, relations, _work=None,
-                 _emb=None, _base=None):
+                 _base=None):
         self.rank = rank
         self.names = names
         self.boundary = boundary        # images t_i in the base ring
         self.relations = relations      # tuples over the base ring
         self._work = _work      # relation ideal in the elimination order
-        self._emb = _emb
         self._base = _base
 
     def to_vector(self, p):
@@ -261,7 +260,7 @@ class LinearizedCrossedModule:
         The normal form against the relation ideal in a block order with
         the adjoined generators leading rewrites every monomial of higher
         generator degree down to a linear form."""
-        nf = self._work.normal_form(self._emb(p))
+        nf = self._work.normal_form(reringed(p, self._work.ring))
         vec = [self._base.zero] * self.rank
         for mono, coeff in nf.exponent_terms().items():
             head = mono[:self.rank]
@@ -282,11 +281,10 @@ def linearize(cm, data):
                      tuple(data.ring1.weights[data.ring1._index[v]]
                            for v in names) + R.weights,
                      ("block", n))
-    emb = RingHom.from_map(data.ring1, block, {})
-    work = Ideal(block, [emb(g) for g in cm.top.rels.gens])
+    work = Ideal(block, [reringed(g, block) for g in cm.top.rels.gens])
     return LinearizedCrossedModule(rank=n, names=names, boundary=t,
                                    relations=tuple(_koszul_vectors(t, R)),
-                                   _work=work, _emb=emb, _base=R)
+                                   _work=work, _base=R)
 
 
 def free_crossed_on(base, names, images, label="free crossed module"):

@@ -28,15 +28,18 @@ difference, a divisibility test one subtraction and a mask, and the order
 key is an int linear in the monomial.  A reducer is a tuple of (monomial,
 key, coefficient) terms with the leading term first, and ``Ideal._cache``
 keeps each reduced basis in that form, with its leading monomials, beside
-its polynomials.  Division
-reduces a dividend keyed by order key in place and gives each new term the
-key key(t) + key(m).  A polynomial moves to a ring with another order, or
-to a ring on fewer variables, by a linear map of packed monomials.  An
-exponent above 2^31 - 1 in a product the engine forms raises
-:class:`ExponentOverflow`, a :class:`BudgetExceeded`.
+its polynomials.  Division reduces a dividend keyed by order key in place
+and gives each new term the key key(t) + key(m).  A polynomial moves to
+the work ring of another order or to an elimination ring by
+:func:`rings.reringed`.  An exponent above 2^31 - 1 in a product the
+engine forms raises :class:`ExponentOverflow`, a :class:`BudgetExceeded`.
 
 An elimination result (also of :func:`ideal_intersect` and :func:`hom_kernel`)
 carries the reduced basis it was read from, as its generators and cached.
+Only :func:`eliminate` builds the block-order ring; the other two write
+their generators in the ring extended by the variables to eliminate.  The
+monomials of weighted degree <= D are listed by one packed recursion
+(``_monomials``), for Hilbert counts and :class:`linalg.FilteredBasis`.
 """
 
 import heapq
@@ -46,7 +49,7 @@ from itertools import accumulate, islice
 from operator import itemgetter
 
 from .rings import (BudgetExceeded, ExponentOverflow, Polynomial, PolyRing,
-                    RingHom, fresh_names)
+                    RingHom, fresh_names, reringed)
 from .scalars import reduced
 
 DEFAULT_BUDGET = 10**6
@@ -358,21 +361,6 @@ def _reduce_basis(G, rows, ring):
             [out_rows[i] for i in ranks] if track else None)
 
 
-def _reringed(p, ring):
-    """p in a ring on its variables or on a subset that covers its
-    support, repacked by the linear map between the two packings."""
-    if p.ring == ring:
-        return p
-    src, index, units = p.ring, ring._index, ring.packing.units
-    dropped = src.packing.mask(i for i, v in enumerate(src.vars)
-                               if v not in index)
-    if any(M & dropped for M in p.terms):
-        raise ValueError("polynomial %s uses dropped variables" % p)
-    to = src.packing.mapping([units[index[v]] if v in index else 0
-                              for v in src.vars])
-    return Polynomial(ring, {to(M): c for M, c in p.terms.items()})
-
-
 class Ideal:
     """Generator list with cached reduced bases, one per monomial order."""
 
@@ -401,7 +389,7 @@ class Ideal:
         hit = self._cache.get(tag)
         if hit is None or (track and hit[2] is None):
             work = self.ring if tag == self.ring.order else self.ring.with_order(tag)
-            gens = [_terms(_reringed(g, work)) for g in self.gens]
+            gens = [_terms(reringed(g, work)) for g in self.gens]
             basis, rows = _buchberger(gens, work, track=track)
             self._cache[tag] = (work, tuple(_polynomial(work, b)
                                             for b in basis), rows, basis,
@@ -411,7 +399,7 @@ class Ideal:
     def groebner(self, order=None):
         """Reduced basis, unique for (ideal, order), as ring elements."""
         basis = self._computed(order)[1]
-        return tuple(_reringed(b, self.ring) for b in basis)
+        return tuple(reringed(b, self.ring) for b in basis)
 
     def _divided(self, p, track):
         """(rows, quotients, remainder) of p divided by the cached basis in
@@ -421,13 +409,13 @@ class Ideal:
         if p.ring != self.ring:
             raise ValueError("polynomial not in the ideal's ring")
         work, _, rows, basis, lms = self._computed(track=track)
-        quots, rem = _divide(*_dividend(_terms(_reringed(p, work))), basis,
+        quots, rem = _divide(*_dividend(_terms(reringed(p, work))), basis,
                              work.packing.guards, work.field.char,
                              want_quotients=track, lms=lms)
         return rows, quots, _polynomial(work, rem)
 
     def normal_form(self, p):
-        return _reringed(self._divided(p, False)[2], self.ring)
+        return reringed(self._divided(p, False)[2], self.ring)
 
     def member(self, p):
         return self.normal_form(p).is_zero()
@@ -483,18 +471,17 @@ def eliminate(I, drop):
     keep = [v for v in ring.vars if v not in dropset]
     target = ring.drop_to(keep)
     if not drop:
-        return Ideal(target, [_reringed(g, target) for g in I.gens])
+        return Ideal(target, [reringed(g, target) for g in I.gens])
     if I.is_zero():
         return Ideal(target, [])
     weights = tuple(ring.weights[ring._index[v]] for v in drop + keep)
     work = PolyRing(tuple(drop + keep), ring.field, weights,
                     ("block", len(drop)))
-    to_work = RingHom.from_map(ring, work, {})
-    basis = Ideal(work, [to_work(g) for g in I.gens]).groebner()
+    basis = Ideal(work, [reringed(g, work) for g in I.gens]).groebner()
     # the elements with leading monomial free of the block lie in the subring
     # and are its reduced basis for the inner order, the target's order
     block = work.packing.mask(range(len(drop)))
-    kept = tuple(_reringed(b, target) for b in basis
+    kept = tuple(reringed(b, target) for b in basis
                  if not b.leading()[0] & block)
     K = Ideal(target, kept)
     reducers = tuple(_terms(b) for b in kept)
@@ -511,16 +498,14 @@ def ideal_intersect(I, J):
     if I.is_zero() or J.is_zero():
         return Ideal(ring, [])
     tag = fresh_names(["t__"], ring.vars)[0]
-    work = PolyRing((tag,) + ring.vars, ring.field, (1,) + ring.weights,
-                    ("block", 1))
-    emb = RingHom.from_map(ring, work, {})
-    t = work.var(tag)
-    gens = [t * emb(g) for g in I.gens]
-    gens += [(work.one - t) * emb(h) for h in J.gens]
-    K = eliminate(Ideal(work, gens), [tag])
+    ext = ring.extend((tag,), (1,))
+    t = ext.var(tag)
+    gens = [t * reringed(g, ext) for g in I.gens]
+    gens += [(ext.one - t) * reringed(h, ext) for h in J.gens]
+    K = eliminate(Ideal(ext, gens), [tag])
     if K.ring == ring:  # every wdegrevlex ring: K and its seeded basis
         return K
-    return Ideal(ring, [_reringed(g, ring) for g in K.gens])
+    return Ideal(ring, [reringed(g, ring) for g in K.gens])
 
 
 def hom_kernel(h):
@@ -528,15 +513,13 @@ def hom_kernel(h):
     and elimination of (tagged copies of) the codomain variables."""
     dom, cod = h.domain, h.codomain
     tags = fresh_names(["k__" + v for v in cod.vars], dom.vars)
-    work = PolyRing(tuple(tags) + dom.vars, dom.field,
-                    cod.weights + dom.weights, ("block", len(tags)))
-    cod_emb = RingHom(cod, work, tuple(work.var(t) for t in tags))
-    dom_emb = RingHom.from_map(dom, work, {})
-    graph = [dom_emb(dom.var(v)) - cod_emb(h(dom.var(v))) for v in dom.vars]
-    K = eliminate(Ideal(work, graph), tags)
+    ext = dom.extend(tags, cod.weights)
+    cod_emb = RingHom(cod, ext, tuple(ext.var(t) for t in tags))
+    graph = [ext.var(v) - cod_emb(h(dom.var(v))) for v in dom.vars]
+    K = eliminate(Ideal(ext, graph), tags)
     if K.ring == dom:  # every wdegrevlex ring: K and its seeded basis
         return K
-    return Ideal(dom, [_reringed(g, dom) for g in K.gens])
+    return Ideal(dom, [reringed(g, dom) for g in K.gens])
 
 
 def syzygies(gens, ring=None):
@@ -558,7 +541,7 @@ def syzygies(gens, ring=None):
     one, char = ring.field.one, ring.field.char
     packing = ring.packing
     guards = packing.guards
-    terms = [_terms(_reringed(g, ring)) for g in gens]
+    terms = [_terms(reringed(g, ring)) for g in gens]
     basis, rows = _buchberger(terms, ring, track=True)
     syz = [_unit_row(k, i, one) for i, g in enumerate(terms) if not g]
     m = len(basis)
@@ -598,49 +581,28 @@ def syzygies(gens, ring=None):
     return tuple(out)
 
 
-def monomials_leq(ring, D):
-    """All exponent tuples of weighted degree <= D, descending ring order."""
-    n = len(ring.vars)
-    out = []
+def _monomials(ring, D, lms=()):
+    """The (packed monomial, weighted degree) pairs of the monomials of
+    weighted degree <= D that no packed monomial in lms divides, in
+    descending order of the ring.
 
-    def rec(i, left, acc):
-        if i == n:
-            out.append(tuple(acc))
-            return
-        w = ring.weights[i]
-        for e in range(left // w + 1):
-            acc.append(e)
-            rec(i + 1, left - e * w, acc)
-            acc.pop()
-
-    rec(0, D, [])
-    out.sort(key=ring.mono_key, reverse=True)
-    return out
-
-
-def standard_monomials(I, D):
-    """(work, standard): the wdegrevlex ring on the variables of I, and the
-    (packed monomial, weighted degree) pairs of the monomials of weighted
-    degree <= D that no leading monomial of its reduced basis of I divides.
-
-    The monomials are built one variable at a time.  A leading monomial is
+    The monomials are built one variable at a time.  A monomial of lms is
     tested when its last variable is set; once it divides, the higher powers
     of that variable, and every monomial above them, are skipped."""
-    work, _, _, _, lms = I._computed("wdegrevlex")
-    packing = work.packing
-    guards, units, weights = packing.guards, packing.units, work.weights
+    packing = ring.packing
+    guards, units, weights = packing.guards, packing.units, ring.weights
     n = len(units)
     by_last = [[] for _ in range(n)]
     for lm in lms:
         used = [i for i, e in enumerate(packing.unpack(lm)) if e]
         if not used:
-            return work, []  # the unit ideal
+            return []  # the unit ideal
         by_last[used[-1]].append(lm)
-    standard = []
+    out = []
 
     def rec(i, left, M):
         if i == n:
-            standard.append((M, D - left))
+            out.append((M, D - left))
             return
         lts, unit, w = by_last[i], units[i], weights[i]
         while True:
@@ -650,8 +612,26 @@ def standard_monomials(I, D):
             if left < 0 or any(not (M - lt) & guards for lt in lts):
                 return
 
-    rec(0, D, 0)
-    return work, standard
+    if D >= 0:
+        rec(0, D, 0)
+    key = packing.key
+    out.sort(key=lambda s: key(s[0]), reverse=True)
+    return out
+
+
+def monomials_leq(ring, D):
+    """All exponent tuples of weighted degree <= D, descending ring order."""
+    unpack = ring.packing.unpack
+    return [unpack(M) for M, _ in _monomials(ring, D)]
+
+
+def standard_monomials(I, D):
+    """(work, standard): the wdegrevlex ring on the variables of I, and the
+    (packed monomial, weighted degree) pairs of the monomials of weighted
+    degree <= D that no leading monomial of its reduced basis of I divides,
+    in descending order."""
+    work, _, _, _, lms = I._computed("wdegrevlex")
+    return work, _monomials(work, D, lms)
 
 
 def affine_hilbert(I, D):

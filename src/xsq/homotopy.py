@@ -21,6 +21,7 @@ from .groebner import (Ideal, Subquotient, _koszul_vectors, affine_hilbert,
                        subquotient_dims, syzygies)
 from .linalg import (FilteredBasis, graded_span, nullity,
                      truncated_ideal_span)
+from .rings import Polynomial
 
 
 def pi0(skel):
@@ -299,15 +300,12 @@ def _tensor_kernel_dims(pres, D):
         zeros = (0,) * (D + 1)
         return zeros, zeros
     work, standard = standard_monomials(pres.relations, D)
-    key, unpack = work.packing.key, work.packing.unpack
-    sym_index = [ring._index[str(g)] for g in pres.symbols]
+    symbols = work.packing.mask(work._index[str(g)] for g in pres.symbols)
+    one = work.field.one
     out_fb = FilteredBasis(pres.base, D)
     size = len(out_fb)
-    images = []
-    for M, deg in sorted(standard, key=lambda s: key(s[0]), reverse=True):
-        m = unpack(M)
-        if any(m[i] for i in sym_index):
-            images.append((deg, out_fb.coords((pres.lam(ring.monomial(m)),))))
+    images = [(deg, out_fb.coords((pres.lam(Polynomial(work, {M: one})),)))
+              for M, deg in standard if M & symbols]
     wide, narrow = [], []
     for d in range(D + 1):
         rows = [v for deg, v in images if deg <= d]

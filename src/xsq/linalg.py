@@ -1,17 +1,15 @@
 """Exact sparse linear algebra over the ground field, for degree-truncated
 computations: ranks, kernels and normal forms of filtered pieces.
 
-Vectors are coordinates against an explicit basis of packed monomials,
-given dense (a list) or sparse (a dict column -> value).  ``Echelon``
-keeps a sparse semi-echelon form: a pivot row is a list of (column, value)
-pairs right of its pivot, normalised to pivot 1, and the pivot columns
-stay in a sorted list.  A new row is reduced against the earlier ones,
-which are never back-substituted; ``reduce`` still clears every pivot
-column, in ascending order, so it returns the unique normal form of a
-vector modulo the span.
-``rref`` runs the same elimination on dense or sparse rows and
-back-substitutes once at the end; ``nullity`` is the number of rows minus
-their rank.
+Vectors are sparse coordinates against an explicit basis of packed
+monomials: a dict column -> value.  ``Echelon`` keeps a sparse
+semi-echelon form: a pivot row is a list of (column, value) pairs right of
+its pivot, normalised to pivot 1, and the pivot columns stay in a sorted
+list.  A new row is reduced against the earlier ones, which are never
+back-substituted; ``reduce`` still clears every pivot column, in ascending
+order, so it returns the unique normal form of a vector modulo the span.
+``rref`` runs the same elimination and back-substitutes once at the end;
+``nullity`` is the number of rows minus their rank.
 
 A filtered row d = 0..D is one graded sweep: ``graded_span`` adds the
 multiples m * v with wdeg m + wdeg v <= D to one echelon in degree order
@@ -24,21 +22,15 @@ pivots).
 from bisect import insort
 from heapq import heapify, heappop, heappush
 
-from .groebner import monomials_leq
+from .groebner import _monomials
 from .scalars import reduced
-
-
-def _sparse(vec):
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {c: x for c, x in items if x}
 
 
 class Echelon:
     """Incrementally built sparse semi-echelon span with membership
     reduction."""
 
-    def __init__(self, width, field):
-        self.width = width
+    def __init__(self, field):
         self.field = field
         self.pivots = []    # sorted pivot columns
         self.rows = {}      # pivot column -> [(column, value)] right of it
@@ -52,8 +44,9 @@ class Echelon:
         """Normal form of vec modulo the span, as a dict of its nonzero
         entries; no entry lies in a pivot column.  Over F_p the entries
         sum exact integers until they are read: an entry is reduced when
-        its pivot column is cleared, and the normal form at the end."""
-        v = _sparse(vec)
+        its pivot column is cleared, and the normal form at the end.  A zero
+        entry of vec is dropped: it must not become a pivot."""
+        v = {c: x for c, x in vec.items() if x}
         rows, char = self.rows, self.field.char
         todo = [c for c in v if c in rows]
         heapify(todo)
@@ -104,19 +97,14 @@ class Echelon:
 
 
 def rref(rows, field):
-    """Reduced row echelon form; returns (pivot column list, reduced rows).
-    Input rows are dense lists of field elements or sparse dicts, and the
-    reduced rows take the same form; zero rows are dropped."""
-    width = len(rows[0]) if rows else 0
-    ech = Echelon(width, field)
+    """Reduced row echelon form of sparse rows; returns (pivot column list,
+    reduced sparse rows), zero rows dropped."""
+    ech = Echelon(field)
     for r in rows:
         ech.add(r)
-    reduced = [{col: field.one, **ech.reduce(dict(ech.rows[col]))}
-               for col in ech.pivots]
-    if rows and not isinstance(rows[0], dict):
-        zero = field.zero
-        reduced = [[r.get(c, zero) for c in range(width)] for r in reduced]
-    return list(ech.pivots), reduced
+    return list(ech.pivots), [
+        {col: field.one, **ech.reduce(dict(ech.rows[col]))}
+        for col in ech.pivots]
 
 
 def nullity(rows, field):
@@ -131,27 +119,13 @@ class FilteredBasis:
     def __init__(self, ring, D):
         self.ring = ring
         self.D = D
-        monos = monomials_leq(ring, D)
-        self.degrees = [ring.wdeg(m) for m in monos]
-        self.monos = [ring.packing.pack(m) for m in monos]
+        monos = _monomials(ring, D)
+        self.monos = [M for M, _ in monos]
+        self.degrees = [d for _, d in monos]
         self.index = {M: i for i, M in enumerate(self.monos)}
 
     def __len__(self):
         return len(self.monos)
-
-    def _check(self, p):
-        if p.ring != self.ring:
-            raise ValueError("polynomial not in the basis ring")
-
-    def to_vec(self, p):
-        self._check(p)
-        v = [self.ring.field.zero] * len(self.monos)
-        for m, c in p.terms.items():
-            i = self.index.get(m)
-            if i is None:
-                raise ValueError("degree of %s exceeds the truncation" % p)
-            v[i] = c
-        return v
 
     def coords(self, vec, shift=0):
         """Sparse coordinates of shift * vec, for a module vector vec (a
@@ -160,7 +134,8 @@ class FilteredBasis:
         size, index = len(self.monos), self.index
         out = {}
         for k, p in enumerate(vec):
-            self._check(p)
+            if p.ring != self.ring:
+                raise ValueError("polynomial not in the basis ring")
             base = k * size
             for t, c in p.terms.items():
                 out[base + index[t + shift]] = c
@@ -177,9 +152,8 @@ def graded_span(vecs, fbasis, top=None):
     the rank of the degree-d piece.  top(v) is the largest weighted degree
     of an entry of v (the box filtration), or the given top for every
     nonzero v."""
-    ring, D = fbasis.ring, fbasis.D
-    slots = max((len(v) for v in vecs), default=1)
-    ech = Echelon(slots * len(fbasis), ring.field)
+    D = fbasis.D
+    ech = Echelon(fbasis.ring.field)
     by_top = [[] for _ in range(D + 1)]
     for v in vecs:
         t = _top(v)

@@ -20,11 +20,15 @@ The text grammar understood by :func:`PolyRing.parse`:
 Implicit multiplication is rejected, exponents must be non-negative, and
 over F_p a literal INT/INT whose reduced denominator p divides is rejected.
 
-A ring map (:class:`RingHom`) is applied term by term into one
-accumulator.  The image of a monomial is computed once per map and kept: a
-zero image drops the term, each one-term image adds its packed monomial
-scaled by the exponent (and its coefficient, unless one), and only the
-powers of several-term images are multiplied out.
+A polynomial moves to a ring over the same field on the same variable
+names (in another order, with another monomial order, with more variables,
+or with fewer that cover its support) by :func:`reringed`, one linear map
+of packed monomials.  A ring map (:class:`RingHom`) over one field is
+applied term by term into one accumulator.  The image of a monomial is
+computed once per map and kept: a zero image drops the term, each one-term
+image adds its packed monomial scaled by the exponent (and its coefficient,
+unless one), and only the powers of several-term images are multiplied
+out.
 
 An exponent above MAX_EXPONENT = 2^31 - 1, in a monomial that is packed or
 parsed, and an exponent past it in a product, raise
@@ -652,7 +656,7 @@ class RingHom:
     """Algebra map determined by one image polynomial per domain variable."""
 
     __slots__ = ("domain", "codomain", "images", "_monos", "_zero",
-                 "_scaled", "_several", "_scale", "_coerce", "_memo")
+                 "_scaled", "_several", "_scale", "_memo")
 
     def __init__(self, domain, codomain, images):
         images = tuple(images)
@@ -662,7 +666,7 @@ class RingHom:
         for img in images:
             if img.ring != codomain:
                 raise ValueError("image %r not in the codomain" % (img,))
-        if domain.field.char and codomain.field != domain.field:
+        if codomain.field != domain.field:
             raise ValueError("no ring map from %r to %r"
                              % (domain.field, codomain.field))
         self.domain = domain
@@ -689,8 +693,6 @@ class RingHom:
         # an image exponent passes the limit only if a domain exponent
         # times the largest column sum does
         self._scale = max(columns, default=0)
-        self._coerce = (None if codomain.field == domain.field
-                        else codomain.field.coerce)
         self._memo = {}  # packed monomial -> the terms of its image
 
     @classmethod
@@ -716,15 +718,12 @@ class RingHom:
         image of each monomial is computed once per map."""
         if p.ring != self.domain:
             raise ValueError("argument not in the domain ring")
-        memo, coerce = self._memo, self._coerce
-        char = self.codomain.field.char
+        memo, char = self._memo, self.codomain.field.char
         out = {}
         for M, c in p.terms.items():
             image = memo.get(M)
             if image is None:
                 image = memo[M] = self._monomial(M)
-            if coerce is not None:
-                c = coerce(c)
             for N, f in image:
                 _accumulate(out, N, c if f is None else c * f, char)
         return Polynomial(self.codomain, out)
@@ -773,6 +772,24 @@ class RingHom:
         pairs = ", ".join("%s->%s" % (v, img)
                           for v, img in zip(self.domain.vars, self.images))
         return "RingHom(%s)" % pairs
+
+
+def reringed(p, ring):
+    """p in a ring over its field on its variable names: the same, more,
+    or a subset that covers its support, in any order.  Repacked by the
+    linear map between the two packings."""
+    if p.ring == ring:
+        return p
+    src, index, units = p.ring, ring._index, ring.packing.units
+    if src.field != ring.field:
+        raise ValueError("no move from %r to %r" % (src.field, ring.field))
+    dropped = src.packing.mask(i for i, v in enumerate(src.vars)
+                               if v not in index)
+    if any(M & dropped for M in p.terms):
+        raise ValueError("polynomial %s uses dropped variables" % p)
+    to = src.packing.mapping([units[index[v]] if v in index else 0
+                              for v in src.vars])
+    return Polynomial(ring, {to(M): c for M, c in p.terms.items()})
 
 
 def fresh_names(candidates, taken):

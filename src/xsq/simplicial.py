@@ -28,7 +28,7 @@ import json
 from itertools import combinations
 
 from .scalars import field_from_label
-from .rings import NAME, PolyRing, Polynomial, RingHom
+from .rings import NAME, PolyRing, Polynomial, RingHom, reringed
 from .groebner import Ideal, QuotientRing, hom_kernel, ideal_intersect
 
 RESERVED_PREFIXES = ("s0_", "s1_", "s2_", "s1s0_", "s2s0_", "s2s1_")
@@ -254,7 +254,7 @@ class Skeleton2:
         # and n_i = S_i - t_i spans Ker d_1
         E1 = E[1]
         self.corner_gens = (tuple(E1.var(n) for n in data.s2_names),
-                            tuple(E1.var(n) - _lift(t, E1)
+                            tuple(E1.var(n) - reringed(t, E1)
                                   for n, t in data.s2))
         self._memo = {}
 
@@ -342,12 +342,6 @@ def _degenerate(j, word):
             + tuple(k for k in word if k < j))
 
 
-def _lift(p, ring):
-    """Reinterpret a polynomial in a ring containing the same variables."""
-    hom = RingHom.from_map(p.ring, ring, {})
-    return hom(p)
-
-
 def build_skeleton(data, level=2):
     """Skeleton of the (possibly truncated) construction data."""
     return Skeleton2(data.truncate(level))
@@ -408,9 +402,9 @@ def peiffer_P1(data):
     the defects of the second crossed-module axiom for the free pre-crossed
     module."""
     E1 = data.ring1
-    lift = RingHom.from_map(data.base_ring, E1, {})
-    return Ideal(E1, peiffer_defects([E1.var(n) for n in data.s2_names],
-                                     [lift(t) for t in data.boundary_images]))
+    return Ideal(E1, peiffer_defects(
+        [E1.var(n) for n in data.s2_names],
+        [reringed(t, E1) for t in data.boundary_images]))
 
 
 def _c_instances(skel):
@@ -482,7 +476,7 @@ def peiffer_P2(skel, route="c_families", s3_free_only=False):
         t = skel.boundary_images()
         gens = []
         for n in skel.data.s2_names:
-            Sn = _lift(t[n], E2)          # s1 s0 d1 of the generator
+            Sn = reringed(t[n], E2)       # s1 s0 d1 of the generator
             s0n, s1n = E2.var("s0_" + n), E2.var("s1_" + n)
             for m in skel.data.s3_names:
                 T = E2.var(m)

@@ -182,21 +182,21 @@ def test_syzygy_soundness_and_truncated_completeness(R):
             total = total + p * g
         assert total.is_zero()
     # in each degree <= 6 the span of the basis equals the oracle kernel
-    from xsq.linalg import Echelon, FilteredBasis
+    from xsq.linalg import Echelon
     from xsq.groebner import monomials_leq as monos
     for d in range(7):
         kern_rows, fb = truncated_module_kernel(list(gens), R, d)
-        span = Echelon(len(gens) * len(fb), R.field)
+        span = Echelon(R.field)
         for v in basis:
             top = max((p.wdeg() for p in v if not p.is_zero()), default=0)
             if top > d:
                 continue
             for m in monos(R, d - top):
                 shifted = tuple(p * R.monomial(m) for p in v)
-                span.add(vector_to_coords(shifted, fb))
-        rank_kernel = Echelon(len(gens) * len(fb), R.field)
+                span.add(dict(enumerate(vector_to_coords(shifted, fb))))
+        rank_kernel = Echelon(R.field)
         for row in kern_rows:
-            rank_kernel.add(row)
+            rank_kernel.add(dict(enumerate(row)))
         assert span.rank == rank_kernel.rank
 
 

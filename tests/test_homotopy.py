@@ -8,7 +8,6 @@ from xsq import (GF, ConstructionData, QQ, aq_h2, aq_h2_witness,
                  compare_XY, homotopy_report, peiffer_P2, pi0, pi1, pi2,
                  tensor_presentation)
 from xsq import cli
-from xsq.simplicial import _lift
 
 from .oracle import face_kernel_dims
 

@@ -1,5 +1,7 @@
-"""scripts/identity.py builds its grid of runs on inputs that parse; no
-run is made."""
+"""scripts/identity.py builds its grid of runs on inputs that parse, runs a
+checkout given by a relative path as the same checkout given by an absolute
+one, and refuses what cannot be an identity: a checkout without sources, or
+a parent side whose flags runs fail."""
 
 import importlib.util
 import sys
@@ -8,14 +10,20 @@ from pathlib import Path
 
 from xsq import ConstructionData
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "identity.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "identity.py"
 
 
-def test_identity_grid_builds_and_its_inputs_parse(monkeypatch, tmp_path):
+def load(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
     spec = importlib.util.spec_from_file_location("identity", SCRIPT)
     identity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(identity)
+    return identity
+
+
+def test_identity_grid_builds_and_its_inputs_parse(monkeypatch, tmp_path):
+    identity = load(monkeypatch)
     paths = identity.write_inputs(tmp_path)
     runs = identity.grid(paths)
     assert len(runs) == 371
@@ -25,3 +33,24 @@ def test_identity_grid_builds_and_its_inputs_parse(monkeypatch, tmp_path):
     for path in paths.values():
         assert isinstance(ConstructionData.from_json(Path(path).read_text()),
                           ConstructionData)
+
+
+def test_a_relative_checkout_runs_as_the_absolute_one(monkeypatch, tmp_path):
+    identity = load(monkeypatch)
+    fixture = identity.write_inputs(tmp_path)["a_seed0"]
+    monkeypatch.chdir(ROOT.parent)
+    absolute = identity.run(str(ROOT), ["build", fixture])
+    assert absolute[0] == 0 and absolute[1]
+    assert identity.run(ROOT.name, ["build", fixture]) == absolute
+
+
+def test_no_sources_or_a_failing_parent_is_not_identity(monkeypatch,
+                                                         tmp_path, capsys):
+    identity = load(monkeypatch)
+    assert identity.main([str(tmp_path), str(ROOT)]) == 2
+    # both sides fail alike in every run: no run differs, yet exit 1
+    monkeypatch.setattr(identity, "run", lambda checkout, args: (1, b"", b""))
+    assert identity.main([str(ROOT), str(ROOT)]) == 1
+    out = capsys.readouterr().out
+    assert "0 of 371 runs differ" in out
+    assert "272 flags runs fail on the parent side" in out

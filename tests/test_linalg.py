@@ -1,6 +1,8 @@
 """Sparse semi-echelon linear algebra against a naive dense Gauss-Jordan
 elimination, on derandomized sparse matrices over Q and GF(32003), and the
-graded sweeps against a per-degree rebuild of every filtered row."""
+graded sweeps against a per-degree rebuild of every filtered row.  The
+engine takes rows as dicts; a row here keeps its zero entries, which the
+engine must drop."""
 
 import sys
 from fractions import Fraction
@@ -14,10 +16,23 @@ from xsq.groebner import hom_kernel, monomials_leq
 from xsq.homotopy import _koszul_vectors
 from xsq.linalg import (Echelon, FilteredBasis, graded_span, nullity, rref,
                         truncated_ideal_span)
-from xsq.simplicial import _lift
+from xsq.rings import reringed
 from xsq.tensor import tensor_presentation
 
 FIELDS = (QQ, GF(32003))
+
+
+def row(vec):
+    """A dense vector as a sparse row that keeps its zero entries."""
+    return dict(enumerate(vec))
+
+
+def nonzero(vec):
+    return {c: x for c, x in enumerate(vec) if x}
+
+
+def dense(rows, width, field):
+    return [[r.get(c, field.zero) for c in range(width)] for r in rows]
 
 
 def naive_rref(rows, field):
@@ -90,19 +105,22 @@ SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 @given(matrices())
 def test_rref_equals_dense_gauss_jordan(case):
     field, _, rows, _ = case
-    assert rref(rows, field) == naive_rref(rows, field)
+    pivots, reduced = naive_rref(rows, field)
+    assert rref(list(map(row, rows)), field) == (pivots,
+                                                 list(map(nonzero, reduced)))
 
 
 @SETTINGS
 @given(matrices())
 def test_echelon_rank_and_contains(case):
     field, width, rows, probe = case
-    ech = Echelon(width, field)
-    grew = [ech.add(r) for r in rows]
+    ech = Echelon(field)
+    grew = [ech.add(row(r)) for r in rows]
     rank = naive_rank(rows, field)
     assert ech.rank == sum(grew) == rank
-    assert all(ech.contains(r) for r in rows)
-    assert ech.contains(probe) == (naive_rank(rows + [probe], field) == rank)
+    assert all(ech.contains(row(r)) for r in rows)
+    assert ech.contains(row(probe)) == (
+        naive_rank(rows + [probe], field) == rank)
 
 
 @SETTINGS
@@ -113,12 +131,11 @@ def test_reduce_is_the_normal_form_for_any_insertion_order(case, rnd):
     rnd.shuffle(shuffled)
     forms = []
     for order in (rows, shuffled):
-        ech = Echelon(width, field)
+        ech = Echelon(field)
         for r in order:
-            ech.add(r)
-        forms.append(ech.reduce(probe))
-        sparse = {c: x for c, x in enumerate(probe) if x}
-        assert ech.reduce(sparse) == forms[-1]
+            ech.add(row(r))
+        forms.append(ech.reduce(row(probe)))
+        assert ech.reduce(nonzero(probe)) == forms[-1]
     assert forms[0] == forms[1] == naive_nf(probe, rows, field)
 
 
@@ -126,18 +143,19 @@ def test_reduce_is_the_normal_form_for_any_insertion_order(case, rnd):
 @given(matrices())
 def test_nullity_is_rows_minus_rank(case):
     field, _, rows, _ = case
-    assert nullity(rows, field) == len(rows) - naive_rank(rows, field)
+    assert nullity(list(map(row, rows)), field) == (
+        len(rows) - naive_rank(rows, field))
 
 
 def test_empty_and_zero_width():
     for field in FIELDS:
         assert rref([], field) == ([], [])
-        assert rref([[], []], field) == ([], [])
+        assert rref([{}, {}], field) == ([], [])
         assert nullity([], field) == 0
-        assert nullity([[], [], []], field) == 3
-        assert nullity([[field.zero] * 3] * 2, field) == 2
-        ech = Echelon(0, field)
-        assert not ech.add([]) and ech.contains([]) and ech.rank == 0
+        assert nullity([{}, {}, {}], field) == 3
+        assert nullity([row([field.zero] * 3)] * 2, field) == 2
+        ech = Echelon(field)
+        assert not ech.add({}) and ech.contains({}) and ech.rank == 0
         assert ech.reduce({}) == {}
 
 
@@ -150,6 +168,7 @@ def rebuild_ranks(vecs, ring, D, top=None):
     ranks = []
     for d in range(D + 1):
         fb = FilteredBasis(ring, d)
+        width = len(fb) * max(map(len, vecs), default=0)
         rows = []
         for v in vecs:
             t = max(p.wdeg() for p in v)
@@ -158,8 +177,8 @@ def rebuild_ranks(vecs, ring, D, top=None):
             t = t if top is None else top
             for m in (monomials_leq(ring, d - t) if t <= d else []):
                 shifted = [p * ring.monomial(m) for p in v]
-                rows.append([x for p in shifted for x in fb.to_vec(p)])
-        ranks.append(naive_rank(rows, ring.field))
+                rows.append(fb.coords(shifted))
+        ranks.append(naive_rank(dense(rows, width, ring.field), ring.field))
     return ranks
 
 
@@ -172,7 +191,7 @@ def sweep_cases(skel, D):
     left, right = moore.ne1.groebner(), moore.kbar.groebner()
     t = skel.boundary_images()
     m_gens = [E1.var(v) for v in data.s2_names]
-    n_gens = [E1.var(v) - _lift(t[v], E1) for v in data.s2_names]
+    n_gens = [E1.var(v) - reringed(t[v], E1) for v in data.s2_names]
     pres = tensor_presentation(E1, m_gens, n_gens)
     M = Ideal(E1, m_gens).groebner()
     N = Ideal(E1, n_gens).groebner()

@@ -1,10 +1,11 @@
 """Differential tests of the packed polynomial representation against a
 small reference on exponent tuples written here: sums, products, powers,
-ring maps, repacking into rings with another order or fewer variables, and
-the printed form, over Q and GF(32003) in wdegrevlex, lex and ("block", k)
-rings.  The reference shares no code with xsq beyond the coefficient
-fields, and reduces its GF(p) coefficients mod p itself (char is the
-characteristic, 0 over Q).  A negative control perturbs one image of a
+ring maps, repacking into rings with another order, with more or fewer
+variables or with the variables permuted, its refusal over another field,
+and the printed form, over Q and GF(32003) in wdegrevlex, lex and
+("block", k) rings.  The reference shares no code with xsq beyond the
+coefficient fields, and reduces its GF(p) coefficients mod p itself (char
+is the characteristic, 0 over Q).  A negative control perturbs one image of a
 ring map and requires the comparison to report it."""
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xsq import GF, QQ, PolyRing, RingHom
-from xsq.groebner import _reringed
+from xsq.rings import reringed
 
 FIELDS = (QQ, GF(32003))
 NAMES = ("x", "y", "z", "w")
@@ -225,16 +226,33 @@ def test_repacking_keeps_the_exponents(data):
     P = packed(ring, p)
     for order in orders(len(ring.vars)):
         other = ring.with_order(order)
-        Q = _reringed(P, other)
+        Q = reringed(P, other)
         assert Q.ring == other and Q.exponent_terms() == p
         assert str(Q) == ref_str(p, ring.vars, ring.weights, order)
-        assert _reringed(Q, ring) == P
+        assert reringed(Q, ring) == P
     # onto the ring of the variables p uses, and refused onto fewer
     used = [v for i, v in enumerate(ring.vars) if any(m[i] for m in p)]
     sub = ring.drop_to(used)
     keep = [ring.vars.index(v) for v in used]
-    assert _reringed(P, sub).exponent_terms() == {
+    assert reringed(P, sub).exponent_terms() == {
         tuple(m[i] for i in keep): c for m, c in p.items()}
     if used:
         with pytest.raises(ValueError):
-            _reringed(P, ring.drop_to(used[1:]))
+            reringed(P, ring.drop_to(used[1:]))
+    # onto one more variable, as the map that fixes every variable
+    wide = ring.extend(("v",), (1,))
+    assert reringed(P, wide) == RingHom.from_map(ring, wide, {})(P)
+    assert reringed(P, wide).exponent_terms() == {
+        m + (0,): c for m, c in p.items()}
+    # onto a permutation of the variables, and back
+    perm = data.draw(st.permutations(range(len(ring.vars))))
+    shuffled = PolyRing([ring.vars[i] for i in perm], ring.field,
+                        [ring.weights[i] for i in perm], ring.order)
+    Q = reringed(P, shuffled)
+    assert Q.exponent_terms() == {tuple(m[i] for i in perm): c
+                                  for m, c in p.items()}
+    assert reringed(Q, ring) == P
+    # refused onto the same variables over another field
+    field = GF(32003) if ring.field == QQ else QQ
+    with pytest.raises(ValueError):
+        reringed(P, PolyRing(ring.vars, field, ring.weights, ring.order))

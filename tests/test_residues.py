@@ -3,8 +3,8 @@ computes coefficients must leave them reduced, for p = 7, 32003 and
 2^61 - 1, where residues and their products pass 64 bits.  Checked after
 polynomial arithmetic, ring maps, Groebner bases, normal forms, cofactor
 lifts and syzygies, and on the rows of echelon forms and of rref, among
-them the negated rows that compare_XY builds.  Rings over different prime
-fields refuse to mix."""
+them the negated rows that compare_XY builds.  Rings over different fields
+refuse to mix, and no ring map changes the field."""
 
 from unittest import mock
 
@@ -122,19 +122,20 @@ def matrices(draw):
 def test_echelon_and_rref_rows_are_residues(case):
     field, width, rows, probe = case
     char = field.char
-    ech = Echelon(width, field)
-    for r in rows:
+    sparse = [dict(enumerate(r)) for r in rows]  # zero entries kept
+    ech = Echelon(field)
+    for r in sparse:
         ech.add(r)
     stored = [x for row in ech.rows.values() for _, x in row]
     assert bad_entries(stored, char) == []
-    assert bad_entries(ech.reduce(probe).values(), char) == []
+    assert bad_entries(ech.reduce(dict(enumerate(probe))).values(),
+                       char) == []
     basis = [x for v in ech.basis() for x in v.values()]
     assert bad_entries(basis, char) == []
     negated = [{c: -x for c, x in enumerate(r) if x} for r in rows]
-    for given_rows in (rows, negated):
+    for given_rows in (sparse, negated):
         _, reduced = rref(given_rows, field)
-        values = [x for r in reduced
-                  for x in (r.values() if isinstance(r, dict) else r)]
+        values = [x for r in reduced for x in r.values()]
         assert bad_entries(values, char, zeros=True) == []
 
 
@@ -154,9 +155,9 @@ def test_compare_rows_are_residues(field):
         compare_XY(build_skeleton(data), 4)
     char = field.char
     assert any(x % char == char - 1 for rows in seen for r in rows
-               if isinstance(r, dict) for x in r.values())  # a negated unit
+               for x in r.values())  # a negated unit
     reduced = [x for rows in seen for r in rref(rows, field)[1]
-               for x in (r.values() if isinstance(r, dict) else r)]
+               for x in r.values()]
     assert reduced and bad_entries(reduced, char, zeros=True) == []
 
 
@@ -174,3 +175,6 @@ def test_prime_fields_refuse_to_mix():
         Ideal(R7, [a]).normal_form(b)
     with pytest.raises(ValueError):
         RingHom(R7, R11, R11.gens())
+    RQ, R32003 = PolyRing(("x", "y")), PolyRing(("x", "y"), GF(32003))
+    with pytest.raises(ValueError):
+        RingHom(RQ, R32003, R32003.gens())
