@@ -14,15 +14,19 @@ when any run differs, and also when any run of the flags part fails on the
 parent side: each of them exits 0 on working code, so a side that cannot
 run at all does not read as identity.
 
-The grid (371 runs a side):
+The grid (389 runs a side):
 
 - the four commands on the benchmark's workload inputs (fixtures a-c, f1
   and f2) at seeds 0 and 7, on fixtures/d3.json and fixtures/d4f.json
   (the one checked-in input with two level-2 generators), and on the golden
   inputs q_fractions, fp7_nonunit_image (GF(7)), fixture_c_gf_m61
-  (GF(2^61 - 1)), zero_image (a zero boundary image) and repeated_image
-  (two generators with one boundary image), each with the default flags,
-  --format json, --order lex and --max-degree 9;
+  (GF(2^61 - 1)), zero_image (a zero boundary image), repeated_image
+  (two generators with one boundary image) and mixed_degrees (boundary
+  images of degrees 2 and 3), each with the default flags, --format json,
+  --order lex and --max-degree 9 (288 runs);
+- the scale part: homotopy and compare on fixtures/d5.json with the
+  default flags, the one checked-in input whose filtered rows sweep
+  thousands of vectors;
 - the --budget grid: the four commands on fixtures a-c at eight budgets
   from 20 to 5000 (96 runs), where a change in the steps a command spends
   in all would move an exit code between 0 and 3;
@@ -56,14 +60,15 @@ JOBS = 2  # runs at a time; the outputs compared do not depend on timing
 FLAGS = ((), ("--format", "json"), ("--order", "lex"), ("--max-degree", "9"))
 BUDGETS = (20, 50, 100, 200, 500, 1000, 2000, 5000)
 GOLDEN_INPUTS = ("q_fractions", "fp7_nonunit_image", "fixture_c_gf_m61",
-                 "zero_image", "repeated_image")
+                 "zero_image", "repeated_image", "mixed_degrees")
+SCALE_INPUTS = ("d5",)
 
 
 def write_inputs(folder):
     """{name: path} of every input of the grid, written under folder."""
     objs = {"%s_seed%d" % (base, seed): make_input(base, seed)
             for seed in (0, 7) for base in ("a", "b", "c", "f1", "f2")}
-    for name in ("d3", "d4f"):
+    for name in ("d3", "d4f", *SCALE_INPUTS):
         objs[name] = json.loads((ROOT / "fixtures" / ("%s.json" % name))
                                 .read_text())
     objs.update((name, EDGE_INPUTS[name]) for name in GOLDEN_INPUTS)
@@ -77,8 +82,10 @@ def write_inputs(folder):
 
 def grid(paths):
     """(part, argument list) for every run."""
-    runs = [("flags", [c, path, *flags]) for path in paths.values()
-            for c in COMMANDS for flags in FLAGS]
+    runs = [("flags", [c, path, *flags]) for name, path in paths.items()
+            if name not in SCALE_INPUTS for c in COMMANDS for flags in FLAGS]
+    runs += [("scale", [c, paths[name]]) for name in SCALE_INPUTS
+             for c in ("homotopy", "compare")]
     fixtures = [paths["%s_seed0" % b] for b in ("a", "b", "c")]
     runs += [("budget", [c, path, "--budget", str(n)]) for path in fixtures
              for c in COMMANDS for n in BUDGETS]

@@ -380,7 +380,7 @@ class Ideal:
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
 
-    def _computed(self, order=None, track=False):
+    def _computed(self, order=None, *, track=False):
         """(work ring, basis, rows, reducers, lms) for the requested order:
         the basis as polynomials of the work ring, as reducers and as their
         leading monomials, and the cofactor rows of packed dicts only when

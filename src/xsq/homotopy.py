@@ -19,7 +19,7 @@ round trip unchanged.
 from .groebner import (Ideal, Subquotient, _koszul_vectors, affine_hilbert,
                        hom_kernel, ideal_intersect, standard_monomials,
                        subquotient_dims, syzygies)
-from .linalg import (FilteredBasis, graded_span, nullity,
+from .linalg import (Echelon, FilteredBasis, graded_span, nullity,
                      truncated_ideal_span)
 from .rings import Polynomial
 
@@ -55,11 +55,10 @@ def _witness(sq):
     return None
 
 
-def _pair_dims(left, right, image, ring, D):
+def _pair_dims(left, right, image, fb):
     """dim (L cap R)_d - dim I_d for d = 0..D, where L, R and I are the
-    truncated spans of the given generators: the intersection of the two
-    spans has dimension rank L + rank R - rank (L + R)."""
-    fb = FilteredBasis(ring, D)
+    spans of the given generators in the filtered basis fb: the
+    intersection of L and R has dimension rank L + rank R - rank (L + R)."""
     rows = [truncated_ideal_span(gens, fb).ranks
             for gens in (left, right, left + right, image)]
     return tuple(l + r - both - im for l, r, both, im in zip(*rows))
@@ -73,7 +72,7 @@ def _pair_kernel_dims(skel, D):
     moore = skel.moore()
     image = _homotopy_subquotient(skel, 1).rels
     return _pair_dims(moore.ne1.groebner(), moore.kbar.groebner(),
-                      image.groebner(), skel.E1, D)
+                      image.groebner(), FilteredBasis(skel.E1, D))
 
 
 def pi1(skel, D, route="ideal"):
@@ -118,23 +117,20 @@ def aq_h2(data, route="syzygy", D=8):
     """
     R = data.base_ring
     t = list(data.boundary_images)
-    n = len(t)
-    if n == 0:
+    if not t:
         return (0,) * (D + 1)
     fb = FilteredBasis(R, D)
     if route == "syzygy":
         syz = syzygies(tuple(t), ring=R)
         num = graded_span(syz, fb).ranks
     elif route == "kernel":
-        # the relations among the rows m * t_i with wdeg m <= d: the rows
-        # minus their rank, swept in degree order under the common top
-        # degree of the images (zero images have degree -1)
-        top = max(0, *(p.wdeg() for p in t))
-        ranks = graded_span([(p,) for p in t], FilteredBasis(R, D + top),
-                            top=top).ranks
-        degs = fb.degrees
-        num = [n * sum(1 for e in degs if e <= d) - ranks[top + d]
-               for d in range(D + 1)]
+        # the relations among the rows m * t_i with wdeg m <= d, swept by
+        # the degree of m in a basis that holds every product (zero images
+        # have degree -1: they count as relations and add no rank)
+        prods = FilteredBasis(R, D + max(0, *(p.wdeg() for p in t)))
+        num = Echelon(R.field).sweep(
+            [prods.coords((p,), m) for p in t for m in fb.by_degree[d]]
+            for d in range(D + 1))
     else:
         raise ValueError("unknown route %r" % (route,))
     den = graded_span(_koszul_vectors(t, R), fb).ranks
@@ -207,10 +203,11 @@ def compare_XY(skel, D=6):
     spot, so its filtered homology vanishes; the homotopy rows of the two
     complexes coincide.
 
-    The middle kernel row is zero by construction: its rows are the echelon
-    basis of the kernel pairs' span, which has no relations.  It is
-    structural, not an independent check; only the bottom row compares
-    two spans.
+    Both kernel rows are zero by construction, not independent checks:
+    the middle row's rows are the echelon basis of the kernel pairs' span,
+    and the bottom row compares two spans of one basis, since the skeleton
+    refuses a kernel whose basis differs from that of its closed form,
+    which generates the right corner.
 
     Returns what the ``compare`` command prints under "split": ok, the
     checks with their witnesses, the two kernel rows and the wide and
@@ -257,7 +254,7 @@ def compare_XY(skel, D=6):
     # the kernel of the bottom projection; both homology rows must vanish
     n_basis = pres.n_ideal.groebner()
     kernel_rows = skel.moore().kbar.groebner()
-    fb = FilteredBasis(E1, D)
+    fb = FilteredBasis(E1, D)  # for every filtered row of E1 below
     span_n = truncated_ideal_span(n_basis, fb)
     span_ker = truncated_ideal_span(kernel_rows, fb)
     # middle: kernel of the boundary restricted to the kernel pairs, which
@@ -277,8 +274,8 @@ def compare_XY(skel, D=6):
         pi1_narrow = subquotient_dims(inter, lam_ideal, D)
         # wide route by linear algebra on the pair term
         pi1_wide = _pair_dims(M_ideal.groebner(), n_basis,
-                              lam_ideal.groebner(), E1, D)
-    pi2_wide, pi2_narrow = _tensor_kernel_dims(pres, D)
+                              lam_ideal.groebner(), fb)
+    pi2_wide, pi2_narrow = _tensor_kernel_dims(pres, fb)
     rows = {"pi0": (pi0_wide, pi0_narrow), "pi1": (pi1_wide, pi1_narrow),
             "pi2": (pi2_wide, pi2_narrow)}
     ok = (all(c["status"] == "pass" for c in checks)
@@ -291,26 +288,25 @@ def compare_XY(skel, D=6):
                for name, (wide, narrow) in rows.items()}}
 
 
-def _tensor_kernel_dims(pres, D):
+def _tensor_kernel_dims(pres, fb):
     """Filtered dimensions of the kernel of the top boundary on the tensor
     presentation, with values in the pair term (both slots) and in the
-    single corner."""
-    ring = pres.ring
+    single corner, read in the filtered basis fb of the base."""
+    D = fb.D
     if not pres.symbol_grid:
         zeros = (0,) * (D + 1)
         return zeros, zeros
     work, standard = standard_monomials(pres.relations, D)
     symbols = work.packing.mask(work._index[str(g)] for g in pres.symbols)
     one = work.field.one
-    out_fb = FilteredBasis(pres.base, D)
-    size = len(out_fb)
-    images = [(deg, out_fb.coords((pres.lam(Polynomial(work, {M: one})),)))
-              for M, deg in standard if M & symbols]
-    wide, narrow = [], []
-    for d in range(D + 1):
-        rows = [v for deg, v in images if deg <= d]
-        doubled = [{**{c: -x for c, x in v.items()},
-                    **{size + c: x for c, x in v.items()}} for v in rows]
-        wide.append(nullity(doubled, ring.field))
-        narrow.append(nullity(rows, ring.field))
-    return tuple(wide), tuple(narrow)
+    images = [[] for _ in range(D + 1)]  # of the symbol monomials, by degree
+    for M, deg in standard:
+        if M & symbols:
+            lam = pres.lam(Polynomial(work, {M: one}))
+            images[deg].append(fb.coords((lam,)))
+    size, field = len(fb), pres.ring.field
+    doubled = ([{**{c: -x for c, x in v.items()},
+                 **{size + c: x for c, x in v.items()}} for v in piece]
+               for piece in images)
+    return (tuple(Echelon(field).sweep(doubled)),
+            tuple(Echelon(field).sweep(images)))

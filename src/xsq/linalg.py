@@ -11,9 +11,10 @@ order, so it returns the unique normal form of a vector modulo the span.
 ``rref`` runs the same elimination and back-substitutes once at the end;
 ``nullity`` is the number of rows minus their rank.
 
-A filtered row d = 0..D is one graded sweep: ``graded_span`` adds the
-multiples m * v with wdeg m + wdeg v <= D to one echelon in degree order
-and records the rank at each degree boundary.  Rows are never modified
+A filtered rank or nullity row d = 0..D is one graded sweep:
+``Echelon.sweep`` adds the vectors of each degree piece in turn and reads
+the rank and the nullity at each degree boundary; ``graded_span`` sweeps
+the multiples m * v with wdeg m + wdeg v <= D.  Rows are never modified
 after insertion, so the first ``ranks[d]`` rows are a basis of the
 degree-d piece.  Everything is deterministic (fixed basis order, leftmost
 pivots).
@@ -88,6 +89,19 @@ class Echelon:
     def contains(self, vec):
         return not self.reduce(vec)
 
+    def sweep(self, pieces):
+        """Add the vectors of each piece in turn, d = 0..D, appending the
+        rank after each piece to ranks; returns the nullity row: the number
+        of vectors added up to piece d minus the rank there."""
+        added, row = 0, []
+        for piece in pieces:
+            for vec in piece:
+                self.add(vec)
+                added += 1
+            self.ranks.append(self.rank)
+            row.append(added - self.rank)
+        return row
+
     def basis(self, count=None):
         """The first count inserted rows (all by default) as sparse
         vectors."""
@@ -114,14 +128,17 @@ def nullity(rows, field):
 
 class FilteredBasis:
     """Basis of {p in ring : wdeg p <= D}: the packed monomials in
-    descending order, with their weighted degrees and coordinate maps."""
+    descending order, the ones of each weighted degree d in basis order as
+    by_degree[d], and coordinate maps."""
 
     def __init__(self, ring, D):
         self.ring = ring
         self.D = D
         monos = _monomials(ring, D)
         self.monos = [M for M, _ in monos]
-        self.degrees = [d for _, d in monos]
+        self.by_degree = [[] for _ in range(D + 1)]
+        for M, d in monos:
+            self.by_degree[d].append(M)
         self.index = {M: i for i, M in enumerate(self.monos)}
 
     def __len__(self):
@@ -142,34 +159,20 @@ class FilteredBasis:
         return out
 
 
-def _top(vec):
-    return max((p.wdeg() for p in vec), default=-1)
-
-
-def graded_span(vecs, fbasis, top=None):
+def graded_span(vecs, fbasis):
     """Echelon span of the multiples m * v of module vectors with
     wdeg m + top(v) <= D, added in degree order by one sweep; ranks[d] is
     the rank of the degree-d piece.  top(v) is the largest weighted degree
-    of an entry of v (the box filtration), or the given top for every
-    nonzero v."""
-    D = fbasis.D
-    ech = Echelon(fbasis.ring.field)
+    of an entry of v (the box filtration)."""
+    D, by_degree = fbasis.D, fbasis.by_degree
     by_top = [[] for _ in range(D + 1)]
     for v in vecs:
-        t = _top(v)
-        if 0 <= t and top is not None:
-            t = top
+        t = max((p.wdeg() for p in v), default=-1)
         if 0 <= t <= D:
             by_top[t].append(v)
-    shifts = [[] for _ in range(D + 1)]
-    for M, d in zip(fbasis.monos, fbasis.degrees):
-        shifts[d].append(M)
-    for d in range(D + 1):
-        for t in range(d + 1):
-            for v in by_top[t]:
-                for m in shifts[d - t]:
-                    ech.add(fbasis.coords(v, m))
-        ech.ranks.append(ech.rank)
+    ech = Echelon(fbasis.ring.field)
+    ech.sweep([fbasis.coords(v, m) for t in range(d + 1) for v in by_top[t]
+               for m in by_degree[d - t]] for d in range(D + 1))
     return ech
 
 

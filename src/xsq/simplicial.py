@@ -441,7 +441,7 @@ def _c_instances(skel):
     return out
 
 
-def peiffer_P2(skel, route="c_families", s3_free_only=False):
+def peiffer_P2(skel, route="c_families"):
     """Second-order Peiffer ideal of E2: the image under the last face of
     the degenerate part of the level-3 Moore kernel.
 
@@ -455,9 +455,7 @@ def peiffer_P2(skel, route="c_families", s3_free_only=False):
     if route == "c_families":
         d = {i: skel.face[(3, i)] for i in range(4)}
         gens = []
-        for _, z, uses_s3 in _c_instances(skel):
-            if s3_free_only and uses_s3:
-                continue
+        for _, z, _ in _c_instances(skel):
             for i in (0, 1, 2):
                 img = d[i](z)
                 if not img.is_zero():

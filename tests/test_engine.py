@@ -3,7 +3,7 @@ oracle, on small weight-homogeneous ideals over Q and GF(32003); of the
 bases that elimination results carry against bases computed afresh; of the
 lazily inserted generators against the eager tracked path; and of division
 against a plain reference division.  Products past the exponent limit must
-raise."""
+raise, and the tracked path is asked for by keyword only."""
 
 from unittest import mock
 
@@ -368,3 +368,12 @@ def test_products_past_the_exponent_limit_raise():
             Ideal(ring, [x - big, x * y])._computed(track=track)
         assert isinstance(e.value, BudgetExceeded)
         assert "limit of %d" % MAX_EXPONENT in str(e.value)
+
+
+def test_track_is_keyword_only():
+    # a wrapper of _computed reads track from the keywords, so a positional
+    # track must not reach the engine
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    with pytest.raises(TypeError):
+        Ideal(ring, [x * y, x ** 2 - y])._computed("wdegrevlex", True)

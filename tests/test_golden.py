@@ -4,8 +4,9 @@ files under tests/golden/.
 Recorded cases: every command on fixtures a-c with the default flags;
 homotopy and compare on fixtures a and b at --max-degree 9 and on fixture b
 over GF(32003) at --max-degree 9, where truncated linear algebra dominates;
-every command on four edge inputs (no level-1 generators, no variables, a
-zero boundary image, two generators with the same boundary image), on an input over GF(7) whose boundary images are
+every command on five edge inputs (no level-1 generators, no variables, a
+zero boundary image, two generators with the same boundary image, boundary
+images of degrees 2 and 3), on an input over GF(7) whose boundary images are
 monomials with coefficients other than one, on its analogue over Q
 with the non-integral coefficient 3/2, whose output prints 2/3 and 3/2,
 on f1, the three-variable input over GF(32003) of the benchmark's
@@ -68,6 +69,10 @@ EDGE_INPUTS = {
                          "S2": [{"name": "S1", "image": "x^2"},
                                 {"name": "S2", "image": "x*y"}],
                          "S3": [{"name": "T", "image": "y*S1 - x*S2"}]},
+    "mixed_degrees": {"field": "Q", "S1": ["x", "y"],
+                      "S2": [{"name": "A", "image": "x*y"},
+                             {"name": "B", "image": "x^2*y + y^3"}],
+                      "S3": []},
 }
 
 

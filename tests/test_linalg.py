@@ -139,6 +139,31 @@ def test_reduce_is_the_normal_form_for_any_insertion_order(case, rnd):
     assert forms[0] == forms[1] == naive_nf(probe, rows, field)
 
 
+@st.composite
+def swept_pieces(draw):
+    """(field, pieces): the rows of a matrix with a zero row and a repeated
+    row put in, shuffled and cut into consecutive pieces, some empty."""
+    field, width, rows, _ = draw(matrices())
+    rows.append([field.zero] * width)
+    rows.append(draw(st.sampled_from(rows)))
+    rows = draw(st.permutations(rows))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    ends = [0, *cuts, len(rows)]
+    return field, [rows[a:b] for a, b in zip(ends, ends[1:])]
+
+
+@SETTINGS
+@given(swept_pieces())
+def test_sweep_equals_per_degree_rebuild(case):
+    field, pieces = case
+    ech = Echelon(field)
+    nullities = ech.sweep([map(row, piece) for piece in pieces])
+    upto = [[row(r) for piece in pieces[:d + 1] for r in piece]
+            for d in range(len(pieces))]
+    assert nullities == [nullity(rows, field) for rows in upto]
+    assert ech.ranks == [len(rref(rows, field)[0]) for rows in upto]
+
+
 @SETTINGS
 @given(matrices())
 def test_nullity_is_rows_minus_rank(case):
@@ -215,9 +240,11 @@ def test_graded_sweeps_equal_per_degree_rebuild(skel_a, skel_b):
     D = 6
     for skel in (skel_a, skel_b):
         for name, vecs, ring, bound, top in sweep_cases(skel, D):
-            swept = graded_span(vecs, FilteredBasis(ring, bound), top=top)
-            assert swept.ranks == rebuild_ranks(vecs, ring, bound, top), name
-            if top is None and all(len(v) == 1 for v in vecs):
+            if top is not None:
+                continue  # the kernel rows: aq_h2's route, pinned below
+            swept = graded_span(vecs, FilteredBasis(ring, bound))
+            assert swept.ranks == rebuild_ranks(vecs, ring, bound), name
+            if all(len(v) == 1 for v in vecs):
                 gens = [v[0] for v in vecs]
                 span = truncated_ideal_span(gens, FilteredBasis(ring, bound))
                 assert span.ranks == swept.ranks, name

@@ -3,6 +3,7 @@ import pytest
 from xsq import (ConstructionData, Ideal, InvalidData, QQ, build_skeleton,
                  hom_kernel, ideal_equal, ideal_intersect, peiffer_P1,
                  peiffer_P2, simplicial_identity_report)
+from xsq.simplicial import _c_instances
 
 
 def test_ring_towers(skel_a, skel_c):
@@ -104,7 +105,9 @@ def test_peiffer_route_equality_fixture_c(skel_c):
     # level-2 generators, give the same ideal as the full instantiation
     full = peiffer_P2(skel_c, "c_families")
     explicit = peiffer_P2(skel_c, "explicit_list")
-    s3_free = peiffer_P2(skel_c, "c_families", s3_free_only=True)
+    d3 = skel_c.face[(3, 3)]
+    s3_free = Ideal(skel_c.E2, [d3(z) for _, z, u in _c_instances(skel_c)
+                                if not u])
     assert ideal_equal(full, explicit + s3_free)
 
 
