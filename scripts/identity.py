@@ -14,22 +14,24 @@ when any run differs, and also when any run of the flags part fails on the
 parent side: each of them exits 0 on working code, so a side that cannot
 run at all does not read as identity.
 
-The grid (389 runs a side):
+The grid (485 runs a side):
 
 - the four commands on the benchmark's workload inputs (fixtures a-c, f1
   and f2) at seeds 0 and 7, on fixtures/d3.json and fixtures/d4f.json
   (the one checked-in input with two level-2 generators), and on the golden
   inputs q_fractions, fp7_nonunit_image (GF(7)), fixture_c_gf_m61
   (GF(2^61 - 1)), zero_image (a zero boundary image), repeated_image
-  (two generators with one boundary image) and mixed_degrees (boundary
-  images of degrees 2 and 3), each with the default flags, --format json,
-  --order lex and --max-degree 9 (288 runs);
+  (two generators with one boundary image), mixed_degrees (boundary
+  images of degrees 2 and 3), empty_s2 (no level-1 generators) and
+  empty_s1 (no variables), each with the default flags, --format json,
+  --order lex and --max-degree 9 (320 runs);
 - the scale part: homotopy and compare on fixtures/d5.json with the
   default flags, the one checked-in input whose filtered rows sweep
   thousands of vectors;
-- the --budget grid: the four commands on fixtures a-c at eight budgets
-  from 20 to 5000 (96 runs), where a change in the steps a command spends
-  in all would move an exit code between 0 and 3;
+- the --budget grid: the four commands on fixtures a-c, empty_s2 and
+  empty_s1 at eight budgets from 20 to 5000 (160 runs), where a change in
+  the steps a command spends in all would move an exit code between 0 and
+  3;
 - verify --break-h on fixtures a-c, which must fail (exit 1) on both sides.
 
 The inputs come from this script's own checkout: xsqbench/workloads.py and
@@ -60,7 +62,8 @@ JOBS = 2  # runs at a time; the outputs compared do not depend on timing
 FLAGS = ((), ("--format", "json"), ("--order", "lex"), ("--max-degree", "9"))
 BUDGETS = (20, 50, 100, 200, 500, 1000, 2000, 5000)
 GOLDEN_INPUTS = ("q_fractions", "fp7_nonunit_image", "fixture_c_gf_m61",
-                 "zero_image", "repeated_image", "mixed_degrees")
+                 "zero_image", "repeated_image", "mixed_degrees",
+                 "empty_s2", "empty_s1")
 SCALE_INPUTS = ("d5",)
 
 
@@ -87,7 +90,8 @@ def grid(paths):
     runs += [("scale", [c, paths[name]]) for name in SCALE_INPUTS
              for c in ("homotopy", "compare")]
     fixtures = [paths["%s_seed0" % b] for b in ("a", "b", "c")]
-    runs += [("budget", [c, path, "--budget", str(n)]) for path in fixtures
+    budgeted = fixtures + [paths["empty_s2"], paths["empty_s1"]]
+    runs += [("budget", [c, path, "--budget", str(n)]) for path in budgeted
              for c in COMMANDS for n in BUDGETS]
     runs += [("break-h", ["verify", path, "--break-h"]) for path in fixtures]
     return runs

@@ -6,6 +6,9 @@ decided by normal forms against the reduced basis of the relation ideal; all
 actions are realized as ambient multiplication through a declared lift of
 the base ring.  Verification reports list one entry per axiom instance with
 the offending generator pair and its nonzero normal form on failure.
+A row whose residue must vanish passes, with witness "0", if and only if
+the residue is zero, and otherwise fails with the residue's text as its
+witness; :func:`outcome` writes that rule once for ``verify`` and ``compare``.
 
 The free crossed module on named generators with given boundary images
 has one constructor, :func:`free_crossed_on`; its relations are the Peiffer
@@ -36,6 +39,13 @@ class CrossedModule:
         self.label = label
 
 
+def outcome(residue):
+    """The status and witness of a check row whose residue must vanish."""
+    ok = residue.is_zero()
+    return {"status": "pass" if ok else "fail",
+            "witness": "0" if ok else str(residue)}
+
+
 class VerifyReport:
     """One row per axiom instance, each the dict the CLI prints: check,
     instance, status ("pass" or "fail"), witness ("0" or the nonzero
@@ -46,9 +56,8 @@ class VerifyReport:
         self.items = [] if items is None else items
 
     def add(self, check, instance, residue, informational=False):
-        ok = residue.is_zero()
-        self.add_bool(check, instance, ok, "0" if ok else str(residue),
-                      informational)
+        self.items.append({"check": check, "instance": instance,
+                           **outcome(residue), "informational": informational})
 
     def add_bool(self, check, instance, ok, witness="", informational=False):
         self.items.append({"check": check, "instance": instance,

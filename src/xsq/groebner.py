@@ -472,8 +472,6 @@ def eliminate(I, drop):
     target = ring.drop_to(keep)
     if not drop:
         return Ideal(target, [reringed(g, target) for g in I.gens])
-    if I.is_zero():
-        return Ideal(target, [])
     weights = tuple(ring.weights[ring._index[v]] for v in drop + keep)
     work = PolyRing(tuple(drop + keep), ring.field, weights,
                     ("block", len(drop)))
@@ -536,8 +534,6 @@ def syzygies(gens, ring=None):
             raise ValueError("need a ring for an empty generator tuple")
         ring = gens[0].ring
     k = len(gens)
-    if k == 0:
-        return ()
     one, char = ring.field.one, ring.field.char
     packing = ring.packing
     guards = packing.guards
@@ -693,8 +689,6 @@ class Subquotient:
         return self.rels.member(p - q)
 
     def dims(self, D):
-        if self.numer.is_zero():
-            return (0,) * (D + 1)
         return subquotient_dims(self.numer, self.rels, D)
 
     def __repr__(self):

@@ -117,8 +117,6 @@ def aq_h2(data, route="syzygy", D=8):
     """
     R = data.base_ring
     t = list(data.boundary_images)
-    if not t:
-        return (0,) * (D + 1)
     fb = FilteredBasis(R, D)
     if route == "syzygy":
         syz = syzygies(tuple(t), ring=R)
@@ -127,7 +125,7 @@ def aq_h2(data, route="syzygy", D=8):
         # the relations among the rows m * t_i with wdeg m <= d, swept by
         # the degree of m in a basis that holds every product (zero images
         # have degree -1: they count as relations and add no rank)
-        prods = FilteredBasis(R, D + max(0, *(p.wdeg() for p in t)))
+        prods = FilteredBasis(R, D + max([0] + [p.wdeg() for p in t]))
         num = Echelon(R.field).sweep(
             [prods.coords((p,), m) for p in t for m in fb.by_degree[d]]
             for d in range(D + 1))
@@ -141,9 +139,6 @@ def aq_h2_witness(data, D=8):
     """Lowest-degree syzygy class outside the alternating span."""
     R = data.base_ring
     t = list(data.boundary_images)
-    n = len(t)
-    if n == 0:
-        return None
     koszul = _koszul_vectors(t, R)
     syz = sorted(syzygies(tuple(t), ring=R),
                  key=lambda v: max((p.wdeg() for p in v if not p.is_zero()),
@@ -217,6 +212,7 @@ def compare_XY(skel, D=6):
     if data.s3_names:
         raise ValueError("the comparison is defined for data without "
                          "level-2 generators")
+    from .crossed import outcome
     from .tensor import kernel_tensor
     E1, R = skel.E1, skel.base
     pres = kernel_tensor(skel)
@@ -227,9 +223,7 @@ def compare_XY(skel, D=6):
     checks = []
 
     def add(name, residue):
-        ok = residue.is_zero()
-        checks.append({"name": name, "status": "pass" if ok else "fail",
-                       "witness": "0" if ok else str(residue)})
+        checks.append({"name": name, **outcome(residue)})
 
     # projection after section is the identity on the bottom level; on the
     # pair level the projection keeps the left slot of (m, -(m - s0 d1 m)),
@@ -266,15 +260,12 @@ def compare_XY(skel, D=6):
     M_ideal, N_ideal = pres.m_ideal, pres.n_ideal
     lam_ideal = Ideal(E1, [pres.lam(g) for g in pres.symbols])
     pi0_wide = affine_hilbert(M_ideal + N_ideal, D)
-    pi0_narrow = affine_hilbert(Ideal(R, list(data.boundary_images)), D)
-    inter = ideal_intersect(M_ideal, N_ideal)
-    if inter.is_zero():
-        pi1_wide = pi1_narrow = (0,) * (D + 1)
-    else:
-        pi1_narrow = subquotient_dims(inter, lam_ideal, D)
-        # wide route by linear algebra on the pair term
-        pi1_wide = _pair_dims(M_ideal.groebner(), n_basis,
-                              lam_ideal.groebner(), fb)
+    pi0_narrow = skel.pi0().dims(D)
+    pi1_narrow = subquotient_dims(ideal_intersect(M_ideal, N_ideal),
+                                  lam_ideal, D)
+    # wide route by linear algebra on the pair term
+    pi1_wide = _pair_dims(M_ideal.groebner(), n_basis, lam_ideal.groebner(),
+                          fb)
     pi2_wide, pi2_narrow = _tensor_kernel_dims(pres, fb)
     rows = {"pi0": (pi0_wide, pi0_narrow), "pi1": (pi1_wide, pi1_narrow),
             "pi2": (pi2_wide, pi2_narrow)}
@@ -293,11 +284,9 @@ def _tensor_kernel_dims(pres, fb):
     presentation, with values in the pair term (both slots) and in the
     single corner, read in the filtered basis fb of the base."""
     D = fb.D
-    if not pres.symbol_grid:
-        zeros = (0,) * (D + 1)
-        return zeros, zeros
     work, standard = standard_monomials(pres.relations, D)
-    symbols = work.packing.mask(work._index[str(g)] for g in pres.symbols)
+    symbols = work.packing.mask(work._index[name]
+                                for row in pres.symbol_grid for name in row)
     one = work.field.one
     images = [[] for _ in range(D + 1)]  # of the symbol monomials, by degree
     for M, deg in standard:

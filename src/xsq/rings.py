@@ -699,15 +699,9 @@ class RingHom:
     def from_map(cls, domain, codomain, mapping):
         """Build from a name -> image dict; unmapped variables go to the
         codomain variable of the same name."""
-        images = []
-        for v in domain.vars:
-            img = mapping.get(v)
-            if img is None:
-                img = codomain.var(v)
-            elif isinstance(img, str):
-                img = codomain.parse(img)
-            images.append(img)
-        return cls(domain, codomain, images)
+        return cls(domain, codomain,
+                   [mapping[v] if v in mapping else codomain.var(v)
+                    for v in domain.vars])
 
     @classmethod
     def identity(cls, ring):

@@ -466,8 +466,6 @@ def peiffer_P2(skel, route="c_families"):
                 gens.append(img)
         return Ideal(E2, gens)
     if route == "explicit_list":
-        if not skel.data.s3_names:
-            return Ideal(E2, [])
         s0 = skel.degen[(1, 0)]
         s1 = skel.degen[(1, 1)]
         d2 = skel.face[(2, 2)]

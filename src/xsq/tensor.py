@@ -23,7 +23,7 @@ from .groebner import Ideal, Subquotient, syzygies
 from .rings import RingHom, fresh_names
 from .simplicial import _weight_of
 from .crossed import (CrossedModule, CrossedSquare, free_crossed_on,
-                      functor_M, square_pair_rule)
+                      functor_M, outcome, square_pair_rule)
 
 
 def _unit(ring, k, size):
@@ -69,8 +69,6 @@ class TensorPresentation:
     def expand(self, m, n):
         """The class of m (x) n as a symbol combination, via cofactor lifts
         of both arguments through the generator lists."""
-        if m.is_zero() or n.is_zero():
-            return self.ring.zero
         return self.combination(self.m_ideal.lift(m), self.n_ideal.lift(n))
 
     def subquotient(self):
@@ -95,13 +93,6 @@ def tensor_presentation(base, m_gens, n_gens):
     cofactor lifts and the symbol grid agree."""
     m_ideal, n_ideal = Ideal(base, m_gens), Ideal(base, n_gens)
     m_gens, n_gens = m_ideal.gens, n_ideal.gens
-    if not m_gens or not n_gens:
-        zero = Ideal(base, [])
-        return TensorPresentation(
-            base=base, ring=base, symbol_grid=(), m_gens=m_gens,
-            n_gens=n_gens, relations=zero, numer=zero,
-            lam=RingHom.identity(base), embed=RingHom.identity(base),
-            m_ideal=m_ideal, n_ideal=n_ideal)
     flat = [(p, q) for p in range(len(m_gens)) for q in range(len(n_gens))]
     names = fresh_names(["g%d_%d" % pq for pq in flat], base.vars)
     ring = base.extend(names, [_weight_of(m_gens[p]) + _weight_of(n_gens[q])
@@ -182,6 +173,7 @@ def coproduct(Mcm, Ncm):
     base = Mcm.base
     if Ncm.base != base:
         raise ValueError("coproduct needs a common base")
+    # an empty summand gives the other itself, whose cached bases are shared
     if not Ncm.top.gens:
         return CoproductResult(cm=Mcm, i_hom=RingHom.identity(Mcm.top.ambient),
                                j_hom=RingHom.from_map(Ncm.top.ambient,
@@ -349,9 +341,7 @@ def compare_corner(skel, D=6):
                   tuple(images[v] for v in merged.vars))
 
     def row(instance, residue):
-        ok = residue.is_zero()
-        return {"instance": instance, "status": "pass" if ok else "fail",
-                "witness": "0" if ok else str(residue)}
+        return {"instance": instance, **outcome(residue)}
 
     P2 = live.top.rels
     well_defined = [row(str(r), P2.normal_form(phi(r)))

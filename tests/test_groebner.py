@@ -6,9 +6,9 @@ import pytest
 
 from xsq import cli, groebner
 from xsq import (GF, QQ, BudgetExceeded, Ideal, NotInIdeal, PolyRing,
-                 RingHom, affine_hilbert, budget, eliminate, hom_kernel,
-                 ideal_equal, ideal_intersect, ideal_product, monomials_leq,
-                 syzygies)
+                 RingHom, Subquotient, affine_hilbert, budget, eliminate,
+                 hom_kernel, ideal_equal, ideal_intersect, ideal_product,
+                 monomials_leq, syzygies)
 
 from .oracle import MacaulayNF, truncated_module_kernel, vector_to_coords
 
@@ -171,6 +171,19 @@ def test_syzygies_of_zero_and_repeated_generators_in_order(field, expected):
     S = PolyRing(["x", "y"], field)
     gens = tuple(S.parse(t) for t in ("0", "x", "x", "x*y", "0", "y^2 - x"))
     assert [tuple(str(p) for p in v) for v in syzygies(gens)] == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
+def test_empty_generator_lists_take_the_general_path(field):
+    # no generators: no syzygies, a zero ideal under elimination and a zero
+    # row for a zero numerator, with no separate branch for any of them
+    S = PolyRing(["x", "y"], field)
+    zero = Ideal(S, [])
+    assert syzygies((), ring=S) == ()
+    K = eliminate(zero, ["x"])
+    assert K.ring == PolyRing(["y"], field)
+    assert K.is_zero() and K.groebner() == ()
+    assert Subquotient(S, zero, zero).dims(5) == (0,) * 6
 
 
 def test_syzygy_soundness_and_truncated_completeness(R):

@@ -103,6 +103,22 @@ def test_h2_of_zero_images_is_the_free_module(field, s1, expected):
     assert [str(p) for p in aq_h2_witness(data, 4)] == ["1"] + ["0"] * (n - 1)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
+def test_data_without_level1_generators_takes_the_general_path(field):
+    # no boundary images: both routes of H2 and every homotopy row of the
+    # split comparison vanish, and H2 has no witness
+    data = ConstructionData(field, ["x", "y"], [], [])
+    for route in ("syzygy", "kernel"):
+        assert aq_h2(data, route, 8) == (0,) * 9
+    assert aq_h2_witness(data, 8) is None
+    split = compare_XY(build_skeleton(data), D=6)
+    zeros = [0] * 7
+    assert split["ok"]
+    assert split["pi0"]["narrow"] == [1, 3, 6, 10, 15, 21, 28]
+    for row in ("pi1", "pi2"):
+        assert split[row] == {"wide": zeros, "narrow": zeros, "equal": True}
+
+
 def test_h2_routes_agree_on_every_fixture(data_a, data_b, data_c):
     for data in (data_a, data_b, data_c):
         assert aq_h2(data, "syzygy", 8) == aq_h2(data, "kernel", 8)

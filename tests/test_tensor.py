@@ -8,6 +8,8 @@ from xsq import (GF, ConstructionData, Ideal, PolyRing, QQ, RingHom,
                  tensor_presentation, tensor_square, verify_square,
                  verify_xmod)
 from xsq.crossed import CrossedModule
+from xsq.homotopy import _tensor_kernel_dims
+from xsq.linalg import FilteredBasis
 from xsq.tensor import kernel_tensor
 
 
@@ -31,6 +33,32 @@ def test_tensor_zero_module_collapses(skel_a):
     pres = tensor_presentation(E1, [E1.var("S")], [])
     assert not pres.symbols
     assert list(pres.subquotient().dims(6)) == [0] * 7
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
+@pytest.mark.parametrize("m_gens", [[], ["x"]], ids=["empty", "one-sided"])
+def test_tensor_with_an_empty_corner_is_zero(field, m_gens):
+    # the general construction on an empty list: no symbols, so the ring is
+    # the base, the relations and the numerator are zero and so are the
+    # kernel rows; the structure maps are the identity
+    R = PolyRing(("x", "y"), field)
+    pres = tensor_presentation(R, [R.parse(g) for g in m_gens], [])
+    assert pres.ring == R and not pres.symbols
+    assert pres.relations.is_zero() and pres.numer.is_zero()
+    assert pres.lam(R.var("x")) == pres.embed(R.var("x")) == R.var("x")
+    zeros = (0,) * 5
+    assert _tensor_kernel_dims(pres, FilteredBasis(R, 4)) == (zeros, zeros)
+    m = pres.m_gens[0] if pres.m_gens else R.zero
+    assert pres.expand(m, R.zero).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
+def test_tensor_class_with_a_zero_argument_is_zero(field):
+    R = PolyRing(("x", "y"), field)
+    pres = tensor_presentation(R, [R.var("x")], [R.var("y")])
+    assert len(pres.symbols) == 1
+    assert pres.expand(R.zero, R.var("y")).is_zero()
+    assert pres.expand(R.parse("x^2"), R.zero).is_zero()
 
 
 def test_tensor_fixture_a_presentation(skel_a):
