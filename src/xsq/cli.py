@@ -1,12 +1,22 @@
 """Command-line front end.
 
-Commands: build, verify, homotopy, compare.  Input is a JSON object
+    xsq COMMAND INPUT [--max-degree N] [--budget N] [--order degrevlex|lex]
+                      [--format text|json] [--break-h]
+
+Commands: build, verify, homotopy, compare.  Options come in any order
+after COMMAND, as ``--opt value`` or ``--opt=value``; the token after an
+option that takes a value is that value, even when it starts with ``-``,
+and the last of a repeated option wins.  ``-h``/``--help`` prints
+:data:`USAGE` (which leaves out ``--break-h``, the sabotage of the
+negative control of verify) and exits 0.  INPUT is a JSON object
 {"field": "Q" | {"Fp": p}, "S1": [names], "S2": [{"name","image"}],
 "S3": [{"name","image"}]} with images in the polynomial grammar.
 
-Exit codes: 0 pass, 1 verification failure, 2 invalid input (including a
-power that may expand past ``rings.MAX_POWER_TERMS`` terms, a --max-degree
-above ``MAX_DEGREE``, a --budget below 1, a rational literal whose reduced
+Exit codes: 0 pass, 1 verification failure or stdout closed by its reader
+(a broken pipe, with no traceback), 2 a malformed command line (one
+``error:`` line naming it) or invalid input (including a power that may
+expand past ``rings.MAX_POWER_TERMS`` terms, a --max-degree above
+``MAX_DEGREE``, a --budget below 1, a rational literal whose reduced
 denominator the characteristic divides, a file that is not UTF-8, JSON
 nested too deep to decode, a top-level key other than field, S1, S2 and S3
 and an entry key other than name and image), 3 step budget exhausted, an
@@ -15,11 +25,19 @@ digits than ``sys.get_int_max_str_digits()``.
 Identical input and flags produce byte-identical output.  A command builds
 the report it prints as a dict; ``--format json`` dumps it and
 :func:`_render_text`, the one text renderer, writes it out as text.
+
+:func:`main` is the in-process call.  :func:`entry`, the process entry,
+runs it and then freezes the heap with ``gc.freeze()``: the collections
+the interpreter runs at exit then skip every object of the run, whose
+memory the OS reclaims anyway.  At desk scale those collections took
+about a tenth of a command's wall time.
 """
 
-import argparse
+import gc
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 from .groebner import DEFAULT_BUDGET, BudgetExceeded, budget
 from .simplicial import (ConstructionData, InvalidData, build_skeleton,
@@ -120,7 +138,6 @@ def cmd_homotopy(data, args):
 
 
 def cmd_compare(data, args):
-    from .homotopy import compare_XY
     from .tensor import compare_corner
     D = args.max_degree
     skel = build_skeleton(data)
@@ -132,6 +149,7 @@ def cmd_compare(data, args):
             "skipped": "the split comparison needs data without level-2 "
                        "generators"}
     else:
+        from .homotopy import compare_XY
         split = compare_XY(skel, D=D)
         obj["split"] = split
         ok = ok and split["ok"]
@@ -162,29 +180,102 @@ def _render_text(obj, indent=0):
     return lines
 
 
-def make_parser():
-    parser = argparse.ArgumentParser(
-        prog="xsq",
-        description="Free crossed squares of commutative algebras from "
-                    "2-dimensional construction data.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("build", "construct the skeleton, kernels and the square"),
-            ("verify", "run the axiom suites"),
-            ("homotopy", "homotopy modules and the second homology"),
-            ("compare", "reconstruction and split comparisons")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="construction data (JSON file)")
-        p.add_argument("--max-degree", type=int, default=6,
-                       help="degree bound for filtered dimensions")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="reduction step budget for the whole command")
-        p.add_argument("--order", choices=sorted(ORDER_TAGS),
-                       default="degrevlex", help="monomial order for bases")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--break-h", action="store_true",
-                       help=argparse.SUPPRESS)
-    return parser
+USAGE = """\
+usage: xsq COMMAND INPUT [--max-degree N] [--budget N]
+           [--order degrevlex|lex] [--format text|json]
+
+Free crossed squares of commutative algebras from 2-dimensional
+construction data.
+
+commands:
+  build           construct the skeleton, kernels and the square
+  verify          run the axiom suites
+  homotopy        homotopy modules and the second homology
+  compare         reconstruction and split comparisons
+
+INPUT is the construction data, a JSON file.  Options come in any order
+after COMMAND, as --opt value or --opt=value; the last of a repeated
+option wins.
+
+options:
+  --max-degree N  degree bound for filtered dimensions (0-%d, default 6)
+  --budget N      reduction step budget for the whole command
+                  (default %d)
+  --order ORDER   monomial order for reported bases: degrevlex (default)
+                  or lex
+  --format FMT    text (default) or json
+  -h, --help      print this message and exit
+""" % (MAX_DEGREE, DEFAULT_BUDGET)
+
+
+class UsageError(Exception):
+    """A malformed command line; main prints it as one error line."""
+
+
+# each option that takes a value, with the type or the choices of its
+# value; --break-h, which sabotages the pairing for the negative control of
+# verify, is left out of the usage
+VALUE_OPTIONS = {
+    "--max-degree": int,
+    "--budget": int,
+    "--order": tuple(sorted(ORDER_TAGS)),
+    "--format": ("text", "json"),
+}
+FLAGS = ("-h", "--help", "--break-h")
+
+
+def parse_args(argv):
+    """The command line ``COMMAND INPUT [options]`` as a namespace, or None
+    when it asks for help; raises :class:`UsageError` when it is
+    malformed."""
+    names = "the commands are %s" % ", ".join(COMMANDS)
+    if not argv:
+        raise UsageError("no command (%s)" % names)
+    if argv[0] in ("-h", "--help"):
+        return None
+    if argv[0] not in COMMANDS:
+        raise UsageError("%r is not a command (%s)" % (argv[0], names))
+    args = SimpleNamespace(command=argv[0], max_degree=6,
+                           budget=DEFAULT_BUDGET, order="degrevlex",
+                           format="text", break_h=False)
+    inputs = []
+    rest = iter(argv[1:])
+    for token in rest:
+        if not token.startswith("-"):
+            inputs.append(token)
+            continue
+        opt, eq, value = token.partition("=")
+        if opt in FLAGS:
+            if eq:
+                raise UsageError("%s takes no value" % opt)
+            if opt != "--break-h":
+                return None
+            args.break_h = True
+        elif opt in VALUE_OPTIONS:
+            if not eq:
+                value = next(rest, None)
+                if value is None:
+                    raise UsageError("%s needs a value" % opt)
+            kind = VALUE_OPTIONS[opt]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError("%s needs an integer, not %r"
+                                     % (opt, value))
+            elif value not in kind:
+                raise UsageError("%s must be %s, not %r"
+                                 % (opt, " or ".join(kind), value))
+            setattr(args, opt[2:].replace("-", "_"), value)
+        else:
+            raise UsageError("unknown option %r" % opt)
+    if not inputs:
+        raise UsageError("no INPUT file after %s" % args.command)
+    if len(inputs) > 1:
+        raise UsageError("one INPUT file expected, got %s"
+                         % ", ".join(map(repr, inputs)))
+    args.input = inputs[0]
+    return args
 
 
 COMMANDS = {
@@ -196,7 +287,14 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
+    if args is None:
+        sys.stdout.write(USAGE)
+        return 0
     if not 0 <= args.max_degree <= MAX_DEGREE:
         print("error: --max-degree must be between 0 and %d" % MAX_DEGREE,
               file=sys.stderr)
@@ -228,5 +326,21 @@ def main(argv=None):
     return code
 
 
+def entry():
+    """The process entry of ``python -m xsq.cli`` and the ``xsq`` script:
+    :func:`main` on ``sys.argv``, its output flushed, then the heap frozen
+    so that the collections at interpreter exit skip it."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush
+        # at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -170,7 +171,8 @@ def test_degenerate_degree_bound():
     assert len(obj["pi0"]["dims"]) == 1
 
 
-@pytest.mark.parametrize("degree, code", [("32", 0), ("33", 2)])
+@pytest.mark.parametrize("degree, code", [("32", 0), ("33", 2),
+                                          ("-1", 2)])
 def test_degree_bound_is_limited(degree, code):
     # build reads no filtered rows, so the limit itself costs nothing
     out = run_cli("build", str(FIXTURES / "fixture_a.json"),
@@ -369,3 +371,105 @@ def test_coefficient_past_the_digit_limit_exits_3(tmp_path):
     assert out.stdout == ""
     assert out.stderr == ("error: coefficient above the limit of %d digits\n"
                           % sys.get_int_max_str_digits())
+
+
+FIXTURE_A = str(FIXTURES / "fixture_a.json")
+COMMAND_NAMES = "the commands are build, verify, homotopy, compare"
+
+# each malformed command line, with the one error line it must print
+MALFORMED = {
+    "no command": ([], "no command (%s)" % COMMAND_NAMES),
+    "unknown command": (["foo", FIXTURE_A],
+                        "'foo' is not a command (%s)" % COMMAND_NAMES),
+    "option before the command": (
+        ["--format", "json", "build", FIXTURE_A],
+        "'--format' is not a command (%s)" % COMMAND_NAMES),
+    "no input": (["build", "--format", "json"], "no INPUT file after build"),
+    "two inputs": (["build", FIXTURE_A, "other.json"],
+                   "one INPUT file expected, got %r, 'other.json'"
+                   % FIXTURE_A),
+    "unknown option": (["build", FIXTURE_A, "--verbose"],
+                       "unknown option '--verbose'"),
+    "option prefix": (["build", FIXTURE_A, "--max", "9"],
+                      "unknown option '--max'"),
+    "missing value": (["build", FIXTURE_A, "--budget"],
+                      "--budget needs a value"),
+    # the token after an option that takes a value is its value
+    "option as a value": (
+        ["build", FIXTURE_A, "--budget", "--format", "json"],
+        "--budget needs an integer, not '--format'"),
+    "non-integer degree": (["build", FIXTURE_A, "--max-degree", "x"],
+                           "--max-degree needs an integer, not 'x'"),
+    "empty degree": (["build", FIXTURE_A, "--max-degree="],
+                     "--max-degree needs an integer, not ''"),
+    "unknown order": (["build", FIXTURE_A, "--order", "foo"],
+                      "--order must be degrevlex or lex, not 'foo'"),
+    "unknown format": (["build", FIXTURE_A, "--format=xml"],
+                       "--format must be text or json, not 'xml'"),
+    "flag with a value": (["verify", FIXTURE_A, "--break-h=1"],
+                          "--break-h takes no value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_command_line_exits_2(case):
+    argv, message = MALFORMED[case]
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: %s\n" % message
+
+
+SAME_COMMAND_LINE = [
+    ["build", FIXTURE_A, "--format", "json", "--order", "lex"],
+    ["build", FIXTURE_A, "--format=json", "--order=lex"],
+    ["build", "--format", "json", "--order=lex", FIXTURE_A],
+    ["build", "--order", "degrevlex", FIXTURE_A, "--format", "text",
+     "--order", "lex", "--format=json"],
+]
+
+
+def test_option_spellings_and_places_parse_alike():
+    from xsq import cli
+    first, *rest = [vars(cli.parse_args(argv)) for argv in SAME_COMMAND_LINE]
+    assert first == {"command": "build", "input": FIXTURE_A,
+                     "max_degree": 6, "budget": 10**6, "order": "lex",
+                     "format": "json", "break_h": False}
+    assert all(args == first for args in rest)
+    repeated = cli.parse_args(["homotopy", FIXTURE_A, "--max-degree", "3",
+                               "--budget=7", "--max-degree=4", "--break-h",
+                               "--budget", "9"])
+    assert (repeated.max_degree, repeated.budget, repeated.break_h) == \
+        (4, 9, True)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["build", "-h"],
+                                  ["compare", FIXTURE_A, "--help"]])
+def test_help_prints_the_usage(argv):
+    from xsq import cli
+    out = run_cli(*argv)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    assert out.stdout == cli.USAGE
+    assert out.stdout.startswith("usage: xsq COMMAND INPUT ")
+    for name in ("build", "verify", "homotopy", "compare", "--max-degree",
+                 "--budget", "--order", "--format"):
+        assert name in out.stdout
+    assert "--break-h" not in out.stdout
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_closed_stdout_exits_1_without_traceback(command):
+    # build's report fits the stdout buffer and fails at the final flush;
+    # verify's is larger and fails inside main's write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "xsq.cli", command, FIXTURE_A,
+             "--format", "json"],
+            stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert out.returncode == 1
+    assert out.stderr == ""

@@ -1,6 +1,8 @@
-"""What a command imports, the lazily resolved package surface, and the
-plain classes that hold reports and presentations."""
+"""What a command imports, what its process entry adds to main, the
+lazily resolved package surface, and the plain classes that hold reports
+and presentations."""
 
+import gc
 import importlib
 import json
 import os
@@ -85,6 +87,68 @@ def test_integral_input_loads_no_fractions(command, fixture):
     code, *modules = _loaded(RUN_COMMAND, command, FIXTURES[fixture])
     assert code == "0"
     assert "fractions" not in modules
+
+
+def test_compare_with_level2_generators_loads_no_split_layer():
+    # fixture c has a level-2 generator, so compare skips the split
+    # comparison and never calls homotopy or linalg
+    code, *modules = _loaded(RUN_COMMAND, "compare", FIXTURES["c"])
+    assert code == "0"
+    assert "xsq.tensor" in modules
+    assert "xsq.homotopy" not in modules and "xsq.linalg" not in modules
+
+
+def _process_imports(*argv):
+    """The modules a ``python -m xsq.cli`` process imports, from its
+    ``-X importtime`` lines (interpreter start-up included)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "xsq.cli", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=env, cwd=ROOT)
+    assert out.returncode == 0, out.stderr
+    return {line.rpartition("|")[2].strip()
+            for line in out.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_argparse_gettext_or_locale(command, fixture):
+    modules = _process_imports(command, FIXTURES[fixture])
+    assert "xsq.groebner" in modules
+    assert not {"argparse", "gettext", "locale"} & modules
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys):
+    from xsq import cli
+    assert cli.main(["build", FIXTURE_A]) == 0
+    assert capsys.readouterr().err == ""
+    assert gc.get_freeze_count() == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import gc, sys\n"
+         "import xsq.cli\n"
+         "sys.argv = ['xsq', 'build', sys.argv[1]]\n"
+         "code = xsq.cli.entry()\n"
+         "sys.stderr.write('%d %d' % (code, gc.get_freeze_count() > 0))\n",
+         FIXTURE_A], capture_output=True, text=True, env=env, cwd=ROOT)
+    assert out.stderr == "0 1"
+    assert out.stdout.startswith("command: build\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_successful_run_writes_nothing_to_stderr_in_dev_mode(command):
+    # dev mode shows the warnings that are hidden by default, so one raised
+    # on the way out (an unclosed file, a failed flush) would reach stderr
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "xsq.cli", command, FIXTURE_A],
+        capture_output=True, text=True, env=env, cwd=ROOT)
+    assert out.returncode == 0
+    assert "command: %s\n" % command in out.stdout
+    assert out.stderr == ""
 
 
 def test_parsing_input_loads_no_crossed_module():
