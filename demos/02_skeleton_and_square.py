@@ -36,7 +36,7 @@ print("level-2 Moore kernel:", [str(g) for g in moore.ne2.gens])
 print()
 print("first Peiffer ideal:",
       [str(g) for g in peiffer_P1(data).groebner()])
-p2 = peiffer_P2(skel, "c_families")
+p2 = peiffer_P2(skel)
 print("second-order Peiffer ideal: %d reduced generators, e.g. %s"
       % (len(p2.groebner()), p2.groebner()[0]))
 

@@ -19,11 +19,8 @@ _EXPORTS = {name: module for module, names in (
     ("simplicial", "ConstructionData InvalidData MooreData Skeleton2 "
                    "build_skeleton peiffer_P1 peiffer_P2 "
                    "simplicial_identity_report"),
-    ("crossed", "CrossedModule CrossedSquare LinearizedCrossedModule "
-                "SquaredComplexRep TwoCrossedComplexRep VerifyReport "
-                "build_2crossed build_squared_complex free_crossed_on "
-                "functor_M h_eval ideal_square linearize verify_square "
-                "verify_xmod"),
+    ("crossed", "CrossedModule CrossedSquare VerifyReport free_crossed_on "
+                "functor_M h_eval ideal_square verify_square verify_xmod"),
     ("tensor", "AssembledCorner CoproductResult TensorPresentation "
                "assemble_L compare_corner coproduct tensor_presentation "
                "tensor_square"),

@@ -16,14 +16,13 @@ defects of :func:`xsq.simplicial.peiffer_defects`.  The Moore functor at
 level 1 is the one on the level-1 data, and the reconstruction of the top
 corner uses the one on the level-2 data.  The constructor checks no axiom:
 :func:`verify_xmod` reports both, so a failure of the second is a report
-row, not an exception.  The Moore functor reads the square off a skeleton;
-the squared and 2-crossed complexes are built on it.  Subquotients are
-:mod:`groebner`'s.
+row, not an exception.  The Moore functor reads the square off a skeleton,
+and :func:`ideal_square` is the square of a pair of ideals.  Subquotients
+are :mod:`groebner`'s.
 """
 
-from .groebner import (Ideal, QuotientRing, Subquotient, _koszul_vectors,
-                       ideal_intersect)
-from .rings import PolyRing, RingHom, reringed
+from .groebner import Ideal, Subquotient, ideal_intersect
+from .rings import RingHom
 from .simplicial import _weight_of, peiffer_defects
 
 
@@ -250,52 +249,6 @@ def verify_square(square):
 # -- constructions ---------------------------------------------------------
 
 
-class LinearizedCrossedModule:
-    """Rank-n description of the free crossed module: relation vectors
-    t_i e_j - t_j e_i over the base and the boundary (t_1, ..., t_n)."""
-
-    def __init__(self, rank, names, boundary, relations, _work=None,
-                 _base=None):
-        self.rank = rank
-        self.names = names
-        self.boundary = boundary        # images t_i in the base ring
-        self.relations = relations      # tuples over the base ring
-        self._work = _work      # relation ideal in the elimination order
-        self._base = _base
-
-    def to_vector(self, p):
-        """Linear representative of a class of the free crossed module.
-
-        The normal form against the relation ideal in a block order with
-        the adjoined generators leading rewrites every monomial of higher
-        generator degree down to a linear form."""
-        nf = self._work.normal_form(reringed(p, self._work.ring))
-        vec = [self._base.zero] * self.rank
-        for mono, coeff in nf.exponent_terms().items():
-            head = mono[:self.rank]
-            if sum(head) != 1:
-                raise ValueError("representative %s is not linear" % nf)
-            slot = head.index(1)
-            tail = mono[self.rank:]
-            vec[slot] = vec[slot] + self._base.monomial(tail, coeff)
-        return tuple(vec)
-
-
-def linearize(cm, data):
-    t = data.boundary_images
-    names = data.s2_names
-    n = len(names)
-    R = data.base_ring
-    block = PolyRing(tuple(names) + data.s1_names, data.field,
-                     tuple(data.ring1.weights[data.ring1._index[v]]
-                           for v in names) + R.weights,
-                     ("block", n))
-    work = Ideal(block, [reringed(g, block) for g in cm.top.rels.gens])
-    return LinearizedCrossedModule(rank=n, names=names, boundary=t,
-                                   relations=tuple(_koszul_vectors(t, R)),
-                                   _work=work, _base=R)
-
-
 def free_crossed_on(base, names, images, label="free crossed module"):
     """Free crossed module over an arbitrary base ring on named generators
     with prescribed boundary images: adjoin the names, divide by the
@@ -354,59 +307,6 @@ def functor_M(skel, n, break_h=False):
             label="Moore square of the 2-skeleton")
         return square
     raise ValueError("the functor is computed for n in {0, 1, 2}")
-
-
-# -- the two complexes on the Moore square ---------------------------------
-
-
-class SquaredComplexRep:
-    """A crossed square extended by (here empty) higher free modules over
-    the zeroth homotopy ring."""
-
-    def __init__(self, square, higher_ranks, coefficients):
-        self.square = square
-        self.higher_ranks = higher_ranks
-        # base/(left + right), the module ring above
-        self.coefficients = coefficients
-
-    def boundary_pair(self, l):
-        """Image of a top element in the pair term: (-right, left) slots
-        share one ambient polynomial."""
-        img = self.square.bnd(l)
-        return (-img, img)
-
-
-class TwoCrossedComplexRep:
-    def __init__(self, c0, c1, c2, d1, d2, lifting):
-        self.c0 = c0            # base ring of the bottom term
-        self.c1 = c1
-        self.c2 = c2
-        self.d1 = d1
-        self.d2 = d2
-        self.lifting = lifting  # pairing rule used as the Peiffer lifting
-
-    def composite_vanishes(self):
-        return all(self.d1(self.d2(g)).is_zero() for g in self.c2.gens)
-
-
-def build_squared_complex(skel):
-    square = functor_M(skel, 2)
-    E1 = skel.E1
-    joined = Ideal(E1, list(square.left.numer.gens)
-                   + list(square.right.numer.gens))
-    return SquaredComplexRep(square=square, higher_ranks=(),
-                             coefficients=QuotientRing(E1, joined))
-
-
-def build_2crossed(skel):
-    square = functor_M(skel, 2)
-    rep = TwoCrossedComplexRep(
-        c0=skel.base, c1=square.left, c2=square.top,
-        d1=skel.face[(1, 1)], d2=skel.face[(2, 2)],
-        lifting=square.pair)
-    if not rep.composite_vanishes():
-        raise AssertionError("composite of consecutive boundaries is nonzero")
-    return rep
 
 
 def ideal_square(ring, I, J):

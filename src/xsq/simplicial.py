@@ -17,11 +17,14 @@ s_i s_k = s_(k+1) s_i for i <= k; a face peels off the outer degeneracy
 by the identities d_i s_j = s_(j-1) d_i (i < j), id (i = j, j + 1) and
 s_j d_(i-1) (i > j + 1) down to the free-construction rule.
 
-The ideals derived from a skeleton (the Moore kernels, the second-order
-Peiffer ideal, the homotopy subquotients and the tensor presentation of the
-two level-1 corners) and the Moore functor at levels 0 and 1 are computed
-once per skeleton and kept on it.  The Moore kernels keep the reduced bases
-their eliminations return.
+The second-order Peiffer ideal has one route: the six quadratic families
+inside level 3, instantiated on the Moore generators and pushed down along
+the last face (:func:`peiffer_P2`).  The ideals derived from a skeleton (the
+Moore kernels, the second-order Peiffer ideal, the homotopy subquotients and
+the tensor presentation of the two level-1 corners) and the Moore functor at
+levels 0 and 1 are computed once per skeleton and kept on it.  The Moore
+kernels keep the reduced bases their eliminations return.  A lower skeleton
+is the skeleton of truncated data, ``build_skeleton(data.truncate(level))``.
 """
 
 import json
@@ -288,9 +291,6 @@ class Skeleton2:
     def E3(self):
         return self.rings[3]
 
-    def boundary_images(self):
-        return {n: img for n, img in self.data.s2}
-
     def once(self, key, make):
         """The value stored under key, made by make() on the first call."""
         if key not in self._memo:
@@ -320,8 +320,8 @@ class Skeleton2:
                          ne2=ideal_intersect(ker[(2, 0)], ker[(2, 1)]))
 
     def p2(self):
-        """The second-order Peiffer ideal by the "c_families" route."""
-        return self.once("p2", lambda: peiffer_P2(self, "c_families"))
+        """The second-order Peiffer ideal, made once per skeleton."""
+        return self.once("p2", lambda: peiffer_P2(self))
 
     def pi0(self):
         """The zeroth homotopy ring: R modulo the boundary images."""
@@ -342,9 +342,10 @@ def _degenerate(j, word):
             + tuple(k for k in word if k < j))
 
 
-def build_skeleton(data, level=2):
-    """Skeleton of the (possibly truncated) construction data."""
-    return Skeleton2(data.truncate(level))
+def build_skeleton(data):
+    """Skeleton of the construction data; a lower skeleton is the one of
+    ``data.truncate(level)``."""
+    return Skeleton2(data)
 
 
 def simplicial_identity_report(skel):
@@ -420,74 +421,44 @@ def _c_instances(skel):
     s21 = skel.degen[(1, 1)].then(skel.degen[(2, 2)])
     s3vars = set(skel.data.s3_names)
 
-    def touches(*args):
-        return any(v in s3vars for p in args for v in p.support_vars())
-
-    xs1 = moore.ne1.gens
-    ys = moore.ne2.gens
+    # each Moore generator goes through each degeneracy once, not once
+    # per pair it takes part in
+    xs = [(s10(x) - s20(x), s20(x) - s21(x), s21(x)) for x in moore.ne1.gens]
+    ys = [(s0(y), s1(y), s2(y), any(v in s3vars for v in y.support_vars()))
+          for y in moore.ne2.gens]
     out = []
-    for x in xs1:
-        for y in ys:
-            u = touches(y)
-            out.append(("C_(1,0)(2)", (s10(x) - s20(x)) * s2(y), u))
-            out.append(("C_(2,0)(1)", (s20(x) - s21(x)) * (s1(y) - s2(y)), u))
-            out.append(("C_(2,1)(0)", s21(x) * (s0(y) - s1(y) + s2(y)), u))
-    for x in ys:
-        for y in ys:
-            u = touches(x, y)
-            out.append(("C_(1)(0)", s1(x) * (s0(y) - s1(y)) + s2(x * y), u))
-            out.append(("C_(2)(0)", s2(x) * s0(y), u))
-            out.append(("C_(2)(1)", s2(x) * (s1(y) - s2(y)), u))
+    for x10, x20, x21 in xs:
+        for y0, y1, y2, u in ys:
+            out.append(("C_(1,0)(2)", x10 * y2, u))
+            out.append(("C_(2,0)(1)", x20 * (y1 - y2), u))
+            out.append(("C_(2,1)(0)", x21 * (y0 - y1 + y2), u))
+    for _, x1, x2, ux in ys:
+        for y0, y1, y2, uy in ys:
+            u = ux or uy
+            out.append(("C_(1)(0)", x1 * (y0 - y1) + x2 * y2, u))
+            out.append(("C_(2)(0)", x2 * y0, u))
+            out.append(("C_(2)(1)", x2 * (y1 - y2), u))
     return out
 
 
-def peiffer_P2(skel, route="c_families"):
+def peiffer_P2(skel):
     """Second-order Peiffer ideal of E2: the image under the last face of
     the degenerate part of the level-3 Moore kernel.
 
-    route "c_families": instantiate the six quadratic families on Moore
-    generators inside E3 and push down along d_3 (works with or without
-    level-2 construction generators).  route "explicit_list": the six
-    generator families written directly in E2, one per pair of adjoined
-    generators; empty when S3 is empty.
+    The six quadratic families of :func:`_c_instances` are instantiated on
+    Moore generators inside E3 and pushed down along d_3; this works with
+    or without level-2 construction generators.  Every family element must
+    have its faces d_0, d_1 and d_2 zero.
     """
-    E2 = skel.E2
-    if route == "c_families":
-        d = {i: skel.face[(3, i)] for i in range(4)}
-        gens = []
-        for _, z, _ in _c_instances(skel):
-            for i in (0, 1, 2):
-                img = d[i](z)
-                if not img.is_zero():
-                    raise AssertionError(
-                        "family element has nonzero face %d: %s" % (i, img))
-            img = d[3](z)
+    d = {i: skel.face[(3, i)] for i in range(4)}
+    gens = []
+    for _, z, _ in _c_instances(skel):
+        for i in (0, 1, 2):
+            img = d[i](z)
             if not img.is_zero():
-                gens.append(img)
-        return Ideal(E2, gens)
-    if route == "explicit_list":
-        s0 = skel.degen[(1, 0)]
-        s1 = skel.degen[(1, 1)]
-        d2 = skel.face[(2, 2)]
-        t = skel.boundary_images()
-        gens = []
-        for n in skel.data.s2_names:
-            Sn = reringed(t[n], E2)       # s1 s0 d1 of the generator
-            s0n, s1n = E2.var("s0_" + n), E2.var("s1_" + n)
-            for m in skel.data.s3_names:
-                T = E2.var(m)
-                u0, u1 = s0(d2(T)), s1(d2(T))
-                gens.append((Sn - s0n) * T)
-                gens.append((s0n - s1n) * (u1 - T))
-                gens.append(s1n * (u0 - u1 + T))
-        for mi in skel.data.s3_names:
-            Ti = E2.var(mi)
-            v0i, v1i = s0(d2(Ti)), s1(d2(Ti))
-            for mj in skel.data.s3_names:
-                Tj = E2.var(mj)
-                v0j, v1j = s0(d2(Tj)), s1(d2(Tj))
-                gens.append(Ti * (v1j - Tj))
-                gens.append(Ti * (Tj + v0j - v1j))
-                gens.append((v0i - v1i + Ti) * (v1j - Tj))
-        return Ideal(E2, gens)
-    raise ValueError("unknown route %r" % (route,))
+                raise AssertionError(
+                    "family element has nonzero face %d: %s" % (i, img))
+        img = d[3](z)
+        if not img.is_zero():
+            gens.append(img)
+    return Ideal(skel.E2, gens)

@@ -9,7 +9,8 @@ from cofactor lifts of generator products.  Every symbol sum
 sum a_p b_q (m_p (x) n_q) over two coefficient tuples, whether the class of
 m (x) n, a relation of the tensor or an interchange relation of the
 assembled corner, is written by :meth:`TensorPresentation.combination`.  The
-coproduct renames the clashing symbols of both summands by one rule.
+coproduct renames the clashing symbols of both summands by one rule and
+keeps the renaming, one dict per summand, for the maps out of it.
 A certified comparison checks
 well-definedness (every relation maps to normal form zero), surjectivity
 (every Moore generator lifts through the image ideal) and equality of the
@@ -146,24 +147,31 @@ def tensor_square(Mcm, Ncm):
     return pres.square(Mcm.top, Ncm.top), pres
 
 
+def _extras(cm):
+    """Names of the variables of the module's ambient beyond its base."""
+    return [v for v in cm.top.ambient.vars if v not in cm.base.vars]
+
+
 def _symbol_block(cm):
     """(extra variable names, their weights) of a symbol-presented module:
     the ambient is the base plus fresh variables generating the numerator."""
-    base, amb = cm.base, cm.top.ambient
-    extras = [v for v in amb.vars if v not in base.vars]
-    gen_vars = {str(g) for g in cm.top.gens}
-    if set(extras) != gen_vars or len(extras) != len(cm.top.gens):
+    amb, extras = cm.top.ambient, _extras(cm)
+    if (len(extras) != len(cm.top.gens)
+            or set(cm.top.gens) != {amb.var(v) for v in extras}):
         raise ValueError("module is not symbol-presented over its base")
     return extras, [amb.weights[amb._index[v]] for v in extras]
 
 
 class CoproductResult:
-    def __init__(self, cm, i_hom, j_hom, cross_relations):
+    def __init__(self, cm, i_hom, j_hom, cross_relations, i_names, j_names):
         self.cm = cm
         self.i_hom = i_hom      # first summand's ambient into the merged ring
         self.j_hom = j_hom
         # the Peiffer generators of the quotient
         self.cross_relations = cross_relations
+        # each summand's symbol names -> their names in the merged ring
+        self.i_names = i_names
+        self.j_names = j_names
 
 
 def coproduct(Mcm, Ncm):
@@ -173,18 +181,16 @@ def coproduct(Mcm, Ncm):
     base = Mcm.base
     if Ncm.base != base:
         raise ValueError("coproduct needs a common base")
-    # an empty summand gives the other itself, whose cached bases are shared
-    if not Ncm.top.gens:
-        return CoproductResult(cm=Mcm, i_hom=RingHom.identity(Mcm.top.ambient),
-                               j_hom=RingHom.from_map(Ncm.top.ambient,
-                                                      Mcm.top.ambient, {}),
-                               cross_relations=())
-    if not Mcm.top.gens:
-        return CoproductResult(cm=Ncm,
-                               i_hom=RingHom.from_map(Mcm.top.ambient,
-                                                      Ncm.top.ambient, {}),
-                               j_hom=RingHom.identity(Ncm.top.ambient),
-                               cross_relations=())
+    # an empty summand gives the other itself, whose cached bases are
+    # shared, and keeps every name
+    if not Ncm.top.gens or not Mcm.top.gens:
+        cm = Ncm if Ncm.top.gens else Mcm
+        amb = cm.top.ambient
+        return CoproductResult(
+            cm=cm, i_hom=RingHom.from_map(Mcm.top.ambient, amb, {}),
+            j_hom=RingHom.from_map(Ncm.top.ambient, amb, {}),
+            cross_relations=(), i_names={v: v for v in _extras(Mcm)},
+            j_names={v: v for v in _extras(Ncm)})
     ext_m, w_m = _symbol_block(Mcm)
     ext_n, w_n = _symbol_block(Ncm)
     # suffix clashing symbol names per side, as copies _a and _b
@@ -234,7 +240,8 @@ def coproduct(Mcm, Ncm):
     cm = CrossedModule(top=top, base=base, bnd=bnd, embed=embed,
                        label="coproduct")
     return CoproductResult(cm=cm, i_hom=i_hom, j_hom=j_hom,
-                           cross_relations=tuple(cross))
+                           cross_relations=tuple(cross), i_names=ren_m,
+                           j_names=ren_n)
 
 
 class AssembledCorner:
@@ -325,18 +332,16 @@ def compare_corner(skel, D=6):
     s1 = skel.degen[(1, 1)]
     pres = assembled.tensor
 
+    i_names, j_names = assembled.coprod.i_names, assembled.coprod.j_names
     images = {}
     for v in skel.E1.vars:
         images[v] = s1(skel.E1.var(v))
     for p in range(len(pres.m_gens)):
         for q in range(len(pres.n_gens)):
-            name = pres.symbol_grid[p][q]
-            merged_name = str(assembled.coprod.i_hom(pres.ring.var(name)))
-            images[merged_name] = pair_live(pres.m_gens[p], pres.n_gens[q])
+            images[i_names[pres.symbol_grid[p][q]]] = pair_live(
+                pres.m_gens[p], pres.n_gens[q])
     for name in assembled.c_names:
-        dom = assembled.coprod.j_hom.domain
-        merged_name = str(assembled.coprod.j_hom(dom.var(name)))
-        images[merged_name] = E2.var(name)
+        images[j_names[name]] = E2.var(name)
     phi = RingHom(merged, E2,
                   tuple(images[v] for v in merged.vars))
 

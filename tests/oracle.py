@@ -9,7 +9,13 @@ weighted-homogeneous generators that matrix spans the ideal's filtered
 piece exactly, so the reduced vector is the unique normal form.  Over
 GF(p) every entry they compute is reduced mod p explicitly; the field
 supplies only its inverse.
+
+:func:`explicit_p2` is no elimination: it writes the generator families of
+the second-order Peiffer ideal in closed form, for comparison with the
+family instances that ``peiffer_P2`` pushes down from level 3.
 """
+
+from xsq.rings import reringed
 
 
 def is_whomogeneous(p):
@@ -193,3 +199,33 @@ def face_kernel_dims(skel, D, rels_gens):
         span = [fb.to_vec(p) for p in multiples(rels_gens, E2, d)]
         dims.append(rank(span + kern, field) - rank(span, field))
     return dims
+
+
+def explicit_p2(skel):
+    """Generators of the second-order Peiffer ideal written directly in E2:
+    three families per pair of a level-1 and a level-2 construction
+    generator and three per ordered pair of level-2 ones, so none without
+    level-2 generators.  With the family instances that avoid the level-2
+    generators they generate the ideal of ``peiffer_P2``."""
+    E2 = skel.E2
+    s0 = skel.degen[(1, 0)]
+    s1 = skel.degen[(1, 1)]
+    d2 = skel.face[(2, 2)]
+    s3 = [E2.var(m) for m in skel.data.s3_names]
+    gens = []
+    for n, t in skel.data.s2:
+        Sn = reringed(t, E2)       # s1 s0 d1 of the generator
+        s0n, s1n = E2.var("s0_" + n), E2.var("s1_" + n)
+        for T in s3:
+            u0, u1 = s0(d2(T)), s1(d2(T))
+            gens.append((Sn - s0n) * T)
+            gens.append((s0n - s1n) * (u1 - T))
+            gens.append(s1n * (u0 - u1 + T))
+    for Ti in s3:
+        v0i, v1i = s0(d2(Ti)), s1(d2(Ti))
+        for Tj in s3:
+            v0j, v1j = s0(d2(Tj)), s1(d2(Tj))
+            gens.append(Ti * (v1j - Tj))
+            gens.append(Ti * (Tj + v0j - v1j))
+            gens.append((v0i - v1i + Ti) * (v1j - Tj))
+    return gens

@@ -19,7 +19,7 @@ from xsq import (Ideal, aq_h2, build_skeleton, compare_XY, compare_corner,
                  peiffer_P2, pi1, pi2, verify_square, verify_xmod)
 from xsq.simplicial import _c_instances
 
-from .oracle import MacaulayNF, face_kernel_dims
+from .oracle import MacaulayNF, explicit_p2, face_kernel_dims
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -46,7 +46,7 @@ def test_criterion_1_gb_soundness(data_a, data_b, data_c,
         ideals = [
             (peiffer_P1(data), data.ring1),
             (moore.ne2, skel.E2),
-            (peiffer_P2(skel, "c_families"), skel.E2),
+            (peiffer_P2(skel), skel.E2),
         ]
         for ideal, ring in ideals:
             start = time.monotonic()
@@ -60,7 +60,7 @@ def test_criterion_2_axiom_suites(data_a, data_b, data_c):
     ok = True
     for data in (data_a, data_b, data_c):
         for level in (0, 1, 2):
-            skel = build_skeleton(data, level=level)
+            skel = build_skeleton(data.truncate(level))
             rep1 = verify_xmod(functor_M(skel, 1))
             rep2 = verify_square(functor_M(skel, 2))
             ok = ok and rep1.ok and rep2.ok
@@ -112,18 +112,16 @@ def test_criterion_6_homotopy_cross_routes(skel_a, skel_b, skel_c):
     ok = True
     for skel in (skel_a, skel_b, skel_c):
         ok = ok and pi1(skel, 6, "ideal") == pi1(skel, 6, "pair")
-    oracle = face_kernel_dims(skel_c, 5, peiffer_P2(skel_c, "c_families").gens)
+    oracle = face_kernel_dims(skel_c, 5, peiffer_P2(skel_c).gens)
     ok = ok and list(pi2(skel_c, 5)) == oracle
     report(6, "homotopy route agreement", ok)
 
 
 def test_criterion_7_peiffer_route_equality(skel_c):
-    full = peiffer_P2(skel_c, "c_families")
-    explicit = peiffer_P2(skel_c, "explicit_list")
+    full = peiffer_P2(skel_c)
     d3 = skel_c.face[(3, 3)]
-    s3_free = Ideal(skel_c.E2, [d3(z) for _, z, u in _c_instances(skel_c)
-                                if not u])
-    ok = ideal_equal(full, explicit + s3_free)
+    s3_free = [d3(z) for _, z, u in _c_instances(skel_c) if not u]
+    ok = ideal_equal(full, Ideal(skel_c.E2, explicit_p2(skel_c) + s3_free))
     report(7, "level-2 ideal route equality", ok)
 
 
@@ -146,9 +144,9 @@ def test_criterion_9_stability(data_c):
     added generators, so independently built skeletons must yield equal
     presentations; the pair (0,1) also crosses the level where the
     level-2 generators enter."""
-    sk1 = build_skeleton(data_c, level=1)
-    sk2 = build_skeleton(data_c, level=2)
-    sk2_again = build_skeleton(data_c, level=2)  # stands in for level 3
+    sk1 = build_skeleton(data_c.truncate(1))
+    sk2 = build_skeleton(data_c)
+    sk2_again = build_skeleton(data_c)  # stands in for level 3
     ok = functor_M(sk1, 0).same_presentation(functor_M(sk2, 0))
     ok = ok and functor_M(sk2, 0).same_presentation(functor_M(sk2_again, 0))
 

@@ -2,8 +2,8 @@ import pytest
 
 from xsq import (GF, ConstructionData, Ideal, PolyRing, QQ, RingHom,
                  Subquotient, build_skeleton, free_crossed_on, functor_M,
-                 h_eval, ideal_square, linearize, peiffer_P1, verify_square,
-                 verify_xmod)
+                 h_eval, ideal_square, peiffer_P1, tensor_presentation,
+                 verify_square, verify_xmod)
 from xsq.crossed import CrossedModule
 
 
@@ -44,35 +44,12 @@ def test_free_crossed_module_examples(data_a, data_b):
     cm = free_xmod(data_a)
     E1 = cm.top.ambient
     assert cm.top.nf(E1.parse("S^2 - x^2*S")).is_zero()
+    assert cm.top.same_class(E1.parse("S^2"), E1.parse("x^2*S"))
     assert verify_xmod(cm).ok
     cmb = free_xmod(data_b)
     E1b = cmb.top.ambient
     assert cmb.top.same_class(E1b.parse("S1*S2"), E1b.parse("x^2*S2"))
     assert verify_xmod(cmb).ok
-
-
-def test_linearize_examples(data_a, data_b):
-    cma = free_xmod(data_a)
-    lina = linearize(cma, data_a)
-    assert lina.rank == 1 and lina.relations == ()
-    assert [str(t) for t in lina.boundary] == ["x^2"]
-    E1 = cma.top.ambient
-    assert [str(v) for v in lina.to_vector(E1.parse("S^2"))] == ["x^2"]
-
-    cmb = free_xmod(data_b)
-    linb = linearize(cmb, data_b)
-    assert linb.rank == 2 and len(linb.relations) == 1
-    rel = linb.relations[0]
-    R = data_b.base_ring
-    assert (rel[0], rel[1]) in (
-        (-R.parse("x*y"), R.parse("x^2")),
-        (R.parse("x*y"), -R.parse("x^2")),
-    )
-    # relation vectors annihilate under the boundary
-    total = R.zero
-    for c, t in zip(rel, linb.boundary):
-        total = total + c * t
-    assert total.is_zero()
 
 
 def test_free_crossed_on_consistency(data_b, data_c):
@@ -143,7 +120,7 @@ def test_ideal_inclusion_is_crossed():
 def test_square_axioms_all_fixtures_and_levels(which, level, data_a, data_b,
                                                data_c):
     data = {"a": data_a, "b": data_b, "c": data_c}[which]
-    skel = build_skeleton(data, level=level)
+    skel = build_skeleton(data.truncate(level))
     rep = verify_square(functor_M(skel, 2))
     assert rep.ok, rep.to_obj()
     for item in rep.items:
@@ -154,7 +131,7 @@ def test_square_axioms_all_fixtures_and_levels(which, level, data_a, data_b,
 
 
 def test_functor_level0_skeleton_gives_trivial_square(data_c):
-    skel = build_skeleton(data_c, level=0)
+    skel = build_skeleton(data_c.truncate(0))
     sq = functor_M(skel, 2)
     assert not sq.top.gens and not sq.left.gens and not sq.right.gens
     assert sq.base.vars == ("x", "y")
@@ -170,8 +147,8 @@ def test_functor_pi0(skel_a, skel_b):
 
 def test_functor_stability_under_skeleton_growth(data_c):
     # adding the level-2 generators does not change the objects at n <= 1
-    sk1 = build_skeleton(data_c, level=1)
-    sk2 = build_skeleton(data_c, level=2)
+    sk1 = build_skeleton(data_c.truncate(1))
+    sk2 = build_skeleton(data_c)
     assert functor_M(sk1, 0).same_presentation(functor_M(sk2, 0))
     cm1, cm2 = functor_M(sk1, 1), functor_M(sk2, 1)
     assert cm1.top.ambient == cm2.top.ambient
@@ -180,10 +157,17 @@ def test_functor_stability_under_skeleton_growth(data_c):
         [cm2.bnd(g) for g in cm2.top.gens]
 
 
-def test_square_corner_identifications(skel_a):
+def test_square_corner_identifications(skel_a, skel_c):
     sq = functor_M(skel_a, 2)
     assert [str(g) for g in sq.left.gens] == ["S"]
     assert [str(g) for g in sq.right.gens] == ["-x^2 + S"]
+    # without level-2 generators the top corner is the tensor of the two
+    # corners up to filtered dimensions
+    E1 = skel_a.E1
+    pres = tensor_presentation(E1, [E1.var("S")], [E1.parse("S - x^2")])
+    assert sq.top.dims(6) == pres.subquotient().dims(6)
+    # a level-2 generator is a generator of the top corner
+    assert skel_c.E2.var("T") in functor_M(skel_c, 2).top.gens
 
 
 def test_h_eval_examples(skel_a):

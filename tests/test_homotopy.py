@@ -3,20 +3,23 @@ from pathlib import Path
 
 import pytest
 
-from xsq import (GF, ConstructionData, QQ, aq_h2, aq_h2_witness,
-                 build_2crossed, build_skeleton, build_squared_complex,
-                 compare_XY, homotopy_report, peiffer_P2, pi0, pi1, pi2,
-                 tensor_presentation)
+from xsq import (GF, ConstructionData, Ideal, QQ, affine_hilbert, aq_h2,
+                 aq_h2_witness, build_skeleton, compare_XY, homotopy_report,
+                 peiffer_P2, pi0, pi1, pi2)
 from xsq import cli
 
 from .oracle import face_kernel_dims
 
 
-def test_pi0_rows(skel_a, skel_b):
+def test_pi0_rows(skel_a, skel_b, skel_c):
     q = pi0(skel_a)
     assert list(q.dims(6)) == [1, 2, 2, 2, 2, 2, 2]
     qb = pi0(skel_b)
     assert set(str(b) for b in qb.basis) == {"x^2", "x*y"}
+    # the level-1 ring modulo both corner ideals presents pi0 as well
+    m = skel_c.moore()
+    corners = Ideal(skel_c.E1, list(m.ne1.gens) + list(m.kbar.gens))
+    assert affine_hilbert(corners, 4) == pi0(skel_c).dims(4)
     empty = build_skeleton(ConstructionData(QQ, ["x"], [], []))
     assert pi0(empty).ideal.is_zero()
 
@@ -47,7 +50,7 @@ def test_pi1_fixture_c_dominated_by_b(skel_b, skel_c):
 
 
 def test_pi2_zero_skeleton(data_c):
-    skel = build_skeleton(data_c, level=0)
+    skel = build_skeleton(data_c.truncate(0))
     assert list(pi2(skel, 4)) == [0] * 5
 
 
@@ -56,7 +59,7 @@ def test_pi2_against_truncated_kernel_oracle(skel_a, skel_c):
     # of the top corner killed by the boundary are exactly the classes of
     # elements annihilated by every face, as filtered dimensions
     for skel, D in ((skel_a, 6), (skel_c, 5)):
-        P2 = peiffer_P2(skel, "c_families")
+        P2 = peiffer_P2(skel)
         oracle = face_kernel_dims(skel, D, P2.gens)
         assert list(pi2(skel, D)) == oracle
 
@@ -139,33 +142,6 @@ def test_pi_invariance_under_renaming(data_c):
     assert pi1(sk1, 5, "ideal") == pi1(sk2, 5, "ideal")
     assert pi2(sk1, 5) == pi2(sk2, 5)
     assert pi0(sk1).dims(5) == pi0(sk2).dims(5)
-
-
-def test_squared_complex(skel_a, skel_c):
-    sc = build_squared_complex(skel_c)
-    assert sc.higher_ranks == ()
-    # coefficients: the base modulo both corner ideals presents pi0
-    assert sc.coefficients.dims(4) == pi0(skel_c).dims(4)
-    # the composite of the two boundaries vanishes on generators
-    for l in sc.square.top.gens:
-        m_slot, n_slot = sc.boundary_pair(l)
-        assert (m_slot + n_slot).is_zero()
-    sca = build_squared_complex(skel_a)
-    assert sca.square.top.gens
-
-
-def test_two_crossed_complex(skel_a, skel_c):
-    tc = build_2crossed(skel_a)
-    assert tc.composite_vanishes()
-    # the top term of the complex is the tensor corner up to filtered
-    # dimensions (no level-2 generators in this data)
-    E1 = skel_a.E1
-    pres = tensor_presentation(
-        E1, [E1.var("S")], [E1.parse("S - x^2")])
-    assert tc.c2.dims(6) == pres.subquotient().dims(6)
-    tcc = build_2crossed(skel_c)
-    assert tcc.composite_vanishes()
-    assert "T" in [str(g) for g in tcc.c2.gens]
 
 
 def test_homotopy_report_bundle(skel_b):

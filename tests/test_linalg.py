@@ -214,7 +214,7 @@ def sweep_cases(skel, D):
     moore = skel.moore()
     image = Ideal(E1, [skel.face[(2, 2)](g) for g in moore.ne2.gens])
     left, right = moore.ne1.groebner(), moore.kbar.groebner()
-    t = skel.boundary_images()
+    t = dict(skel.data.s2)
     m_gens = [E1.var(v) for v in data.s2_names]
     n_gens = [E1.var(v) - reringed(t[v], E1) for v in data.s2_names]
     pres = tensor_presentation(E1, m_gens, n_gens)

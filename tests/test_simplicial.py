@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import pytest
 
-from xsq import (ConstructionData, Ideal, InvalidData, QQ, build_skeleton,
+from xsq import (GF, ConstructionData, Ideal, InvalidData, QQ, build_skeleton,
                  hom_kernel, ideal_equal, ideal_intersect, peiffer_P1,
                  peiffer_P2, simplicial_identity_report)
 from xsq.simplicial import _c_instances
+
+from .oracle import explicit_p2
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_ring_towers(skel_a, skel_c):
@@ -84,31 +90,37 @@ def test_peiffer_level2_fixture_a(skel_a):
 
 def test_peiffer_level2_explicit_family_member(skel_c):
     # the generator (t_1 - s0_S1) * T appears in the explicit list
-    P2e = peiffer_P2(skel_c, "explicit_list")
     E2 = skel_c.E2
-    assert P2e.member(E2.parse("(x^2 - s0_S1)*T"))
+    assert Ideal(E2, explicit_p2(skel_c)).member(E2.parse("(x^2 - s0_S1)*T"))
 
 
 def test_peiffer_level2_explicit_empty_without_s3(skel_b):
-    assert peiffer_P2(skel_b, "explicit_list").is_zero()
+    assert explicit_p2(skel_b) == []
 
 
 def test_peiffer_level2_trivial_for_empty_data():
     data = ConstructionData(QQ, ["x"], [], [])
     sk = build_skeleton(data)
-    assert peiffer_P2(sk, "c_families").is_zero()
-    assert peiffer_P2(sk, "explicit_list").is_zero()
+    assert peiffer_P2(sk).is_zero()
+    assert explicit_p2(sk) == []
 
 
-def test_peiffer_route_equality_fixture_c(skel_c):
+@pytest.mark.parametrize("which", ["c", "d3", "d4f", "f1"])
+def test_peiffer_route_equality(which, data_c, skel_d4f):
     # the explicit families, extended by the instances that avoid the
-    # level-2 generators, give the same ideal as the full instantiation
-    full = peiffer_P2(skel_c, "c_families")
-    explicit = peiffer_P2(skel_c, "explicit_list")
-    d3 = skel_c.face[(3, 3)]
-    s3_free = Ideal(skel_c.E2, [d3(z) for _, z, u in _c_instances(skel_c)
-                                if not u])
-    assert ideal_equal(full, explicit + s3_free)
+    # level-2 generators, give the same ideal as the full instantiation;
+    # d4f has two level-2 generators, so the families on pairs of them
+    # count, and f1 is over GF(32003)
+    data = {"c": data_c, "d3": ConstructionData.from_json(
+                (FIXTURES / "d3.json").read_text()),
+            "f1": ConstructionData(GF(32003), ["x", "y", "z"],
+                                   [("A", "x*y"), ("B", "y*z")],
+                                   [("T", "z*A - x*B")])}
+    skel = skel_d4f if which == "d4f" else build_skeleton(data[which])
+    d3 = skel.face[(3, 3)]
+    s3_free = [d3(z) for _, z, u in _c_instances(skel) if not u]
+    assert ideal_equal(peiffer_P2(skel),
+                       Ideal(skel.E2, explicit_p2(skel) + s3_free))
 
 
 @pytest.mark.parametrize("which", ["a", "b", "c"])
@@ -125,7 +137,7 @@ def test_peiffer_level2_matches_level3_kernel(which, skel_a, skel_b, skel_c):
     for g in ne3.gens:
         assert deg3.member(g)
     direct = Ideal(skel.E2, [skel.face[(3, 3)](g) for g in ne3.gens])
-    assert ideal_equal(direct, peiffer_P2(skel, "c_families"))
+    assert ideal_equal(direct, peiffer_P2(skel))
 
 
 def test_p1_and_p2_sit_inside_the_moore_kernels(skel_b):

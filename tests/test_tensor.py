@@ -200,6 +200,8 @@ def test_coproduct_with_zero_module(data_a):
     zero = free_crossed_on(cm.base, (), ())
     result = coproduct(cm, zero)
     assert result.cm is cm
+    assert result.i_names == {"S": "S"} and result.j_names == {}
+    assert coproduct(zero, cm).j_names == {"S": "S"}
     assert result.cm.top.rels.groebner() == cm.top.rels.groebner()
 
 
@@ -211,6 +213,7 @@ def test_coproduct_of_two_copies(data_a):
     result = coproduct(cm, cm)
     merged = result.cm.top.ambient
     assert "S_a" in merged.vars and "S_b" in merged.vars
+    assert result.i_names == {"S": "S_a"} and result.j_names == {"S": "S_b"}
     assert len(result.cross_relations) == 1
     cross = result.cross_relations[0]
     assert cross == merged.parse("x^2*S_a - x^2*S_b") \
