@@ -3,18 +3,18 @@
     python3 scripts/identity.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of the repository.  Every run of the grid
-is ``python -m xsq.cli ...`` in a fresh interpreter with the checkout's
-``src`` on PYTHONPATH, each checkout path resolved first, so a relative
-one names the same checkout; a checkout without ``src/xsq/cli.py`` is
-refused with exit 2.  The inputs are written once to a temporary
-directory, so both sides read the same paths.  The script prints every run
-whose stdout, stderr or exit code differs between the two sides, then one
-summary line per part of the grid with the exit codes seen.  It exits 1
-when any run differs, and also when any run of the flags part fails on the
-parent side: each of them exits 0 on working code, so a side that cannot
-run at all does not read as identity.
+is ``python -m xsq.cli ...`` or ``python demos/<demo>.py`` in a fresh
+interpreter with the checkout's ``src`` on PYTHONPATH, each checkout path
+resolved first, so a relative one names the same checkout; a checkout
+without ``src/xsq/cli.py`` is refused with exit 2.  The inputs are
+written once to a temporary directory, so both sides read the same paths.
+The script prints every run whose stdout, stderr or exit code differs
+between the two sides, then one summary line per part of the grid with the
+exit codes seen.  It exits 1 when any run differs, and also when any run of
+the flags part fails on the parent side: each of them exits 0 on working
+code, so a side that cannot run at all does not read as identity.
 
-The grid (485 runs a side):
+The grid (489 runs a side):
 
 - the four commands on the benchmark's workload inputs (fixtures a-c, f1
   and f2) at seeds 0 and 7, on fixtures/d3.json and fixtures/d4f.json
@@ -32,10 +32,14 @@ The grid (485 runs a side):
   empty_s1 at eight budgets from 20 to 5000 (160 runs), where a change in
   the steps a command spends in all would move an exit code between 0 and
   3;
-- verify --break-h on fixtures a-c, which must fail (exit 1) on both sides.
+- verify --break-h on fixtures a-c, which must fail (exit 1) on both sides;
+- the four demos, the only callers of public names that no command reaches
+  (``assemble_L(...).extra_relations``, the pi1 routes,
+  ``simplicial_identity_report`` and more).
 
-The inputs come from this script's own checkout: xsqbench/workloads.py and
-the golden cases of tests/test_golden.py.
+The inputs and the demos come from this script's own checkout:
+xsqbench/workloads.py, the golden cases of tests/test_golden.py and
+demos/*.py.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ GOLDEN_INPUTS = ("q_fractions", "fp7_nonunit_image", "fixture_c_gf_m61",
                  "zero_image", "repeated_image", "mixed_degrees",
                  "empty_s2", "empty_s1")
 SCALE_INPUTS = ("d5",)
+DEMOS = sorted(str(p) for p in (ROOT / "demos").glob("*.py"))
 
 
 def write_inputs(folder):
@@ -94,14 +99,18 @@ def grid(paths):
     runs += [("budget", [c, path, "--budget", str(n)]) for path in budgeted
              for c in COMMANDS for n in BUDGETS]
     runs += [("break-h", ["verify", path, "--break-h"]) for path in fixtures]
+    runs += [("demos", [demo]) for demo in DEMOS]
     return runs
 
 
 def run(checkout, args):
+    """(exit code, stdout, stderr) of the CLI on args, or of the demo
+    when args is one demo's path."""
     checkout = Path(checkout).resolve()
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    command = args if args[0] in DEMOS else ["-m", "xsq.cli", *args]
     try:
-        out = subprocess.run([sys.executable, "-m", "xsq.cli", *args],
+        out = subprocess.run([sys.executable, *command],
                              cwd=checkout, env=env, capture_output=True,
                              timeout=RUN_CAP_S)
     except subprocess.TimeoutExpired:
@@ -136,8 +145,9 @@ def main(argv=None):
                 differ += 1
                 what = [name for name, a, b in zip(
                     ("exit code", "stdout", "stderr"), old, new) if a != b]
-                print("DIFFERS (%s): xsq %s" % (", ".join(what),
-                                               " ".join(argv_)))
+                print("DIFFERS (%s): %s %s" % (
+                    ", ".join(what), "python" if part == "demos" else "xsq",
+                    " ".join(argv_)))
     for part, (old, new) in codes.items():
         print("%s: %d runs, exit codes parent %s, change %s"
               % (part, sum(old.values()), dict(sorted(old.items(), key=str)),

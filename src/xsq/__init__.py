@@ -12,18 +12,16 @@ from importlib import import_module
 _EXPORTS = {name: module for module, names in (
     ("scalars", "QQ GF field_from_label"),
     ("rings", "PolyRing Polynomial RingHom ParseError"),
-    ("groebner", "Ideal BudgetExceeded NotInIdeal QuotientRing Subquotient "
-                 "affine_hilbert budget eliminate hom_kernel ideal_equal "
-                 "ideal_intersect ideal_product monomials_leq "
-                 "subquotient_dims syzygies"),
+    ("groebner", "Ideal BudgetExceeded NotInIdeal Subquotient affine_hilbert "
+                 "budget eliminate hom_kernel ideal_equal ideal_intersect "
+                 "monomials_leq subquotient_dims syzygies"),
     ("simplicial", "ConstructionData InvalidData MooreData Skeleton2 "
                    "build_skeleton peiffer_P1 peiffer_P2 "
                    "simplicial_identity_report"),
     ("crossed", "CrossedModule CrossedSquare VerifyReport free_crossed_on "
-                "functor_M h_eval ideal_square verify_square verify_xmod"),
+                "functor_M h_eval verify_square verify_xmod"),
     ("tensor", "AssembledCorner CoproductResult TensorPresentation "
-               "assemble_L compare_corner coproduct tensor_presentation "
-               "tensor_square"),
+               "assemble_L compare_corner coproduct tensor_presentation"),
     ("homotopy", "aq_h2 aq_h2_witness compare_XY homotopy_report pi0 pi1 "
                  "pi2"),
 ) for name in names.split()}

@@ -109,7 +109,7 @@ def cmd_verify(data, args):
         if skel is None or skel.data is not truncated:
             skel, found = build_skeleton(truncated), None
         if found is None or break_h:
-            basis = ", ".join(str(b) for b in functor_M(skel, 0).basis)
+            basis = ", ".join(str(b) for b in functor_M(skel, 0).groebner())
             found = (
                 {"ok": True,
                  "items": [{"check": "presentation",
@@ -120,10 +120,10 @@ def cmd_verify(data, args):
                 verify_square(functor_M(skel, 2, break_h=break_h)).to_obj())
         pi0, xmod, square = found
         reports.append({"object": "pi0 at skeleton level %d" % level, **pi0})
-        reports.append(dict(xmod, label="crossed module at skeleton level %d"
-                            % level))
-        reports.append(dict(square, label="crossed square at skeleton "
-                            "level %d" % level))
+        reports.append({"label": "crossed module at skeleton level %d"
+                        % level, **xmod})
+        reports.append({"label": "crossed square at skeleton level %d"
+                        % level, **square})
     all_ok = all(r["ok"] for r in reports)
     return {"command": "verify", "ok": all_ok, "reports": reports}, \
         (0 if all_ok else 1)

@@ -16,12 +16,12 @@ defects of :func:`xsq.simplicial.peiffer_defects`.  The Moore functor at
 level 1 is the one on the level-1 data, and the reconstruction of the top
 corner uses the one on the level-2 data.  The constructor checks no axiom:
 :func:`verify_xmod` reports both, so a failure of the second is a report
-row, not an exception.  The Moore functor reads the square off a skeleton,
-and :func:`ideal_square` is the square of a pair of ideals.  Subquotients
-are :mod:`groebner`'s.
+row, not an exception.  The Moore functor reads the square off a skeleton;
+at level 0 it is pi0, the ideal of the boundary images in the base ring.
+Subquotients are :mod:`groebner`'s.
 """
 
-from .groebner import Ideal, Subquotient, ideal_intersect
+from .groebner import Ideal, Subquotient
 from .rings import RingHom
 from .simplicial import _weight_of, peiffer_defects
 
@@ -30,12 +30,11 @@ class CrossedModule:
     """Boundary top -> base with the action given by multiplication through
     the declared embedding of the base into the top's ambient ring."""
 
-    def __init__(self, top, base, bnd, embed, label=""):
+    def __init__(self, top, base, bnd, embed):
         self.top = top
         self.base = base
         self.bnd = bnd          # top.ambient -> base
         self.embed = embed      # base -> top.ambient
-        self.label = label
 
 
 def outcome(residue):
@@ -50,8 +49,7 @@ class VerifyReport:
     instance, status ("pass" or "fail"), witness ("0" or the nonzero
     residue) and informational (a row that never counts as a failure)."""
 
-    def __init__(self, label, items=None):
-        self.label = label
+    def __init__(self, items=None):
         self.items = [] if items is None else items
 
     def add(self, check, instance, residue, informational=False):
@@ -73,12 +71,12 @@ class VerifyReport:
                 if i["status"] == "fail" and not i["informational"]]
 
     def to_obj(self):
-        return {"label": self.label, "ok": self.ok, "items": self.items}
+        return {"ok": self.ok, "items": self.items}
 
 
 def verify_xmod(cm):
     """First and second crossed-module axioms on generators."""
-    rep = VerifyReport(cm.label or "crossed module")
+    rep = VerifyReport()
     base_vars = [cm.base.var(v) for v in cm.base.vars]
     for g in cm.top.rels.gens:
         rep.add("boundary-kills-relations", str(g), cm.bnd(g))
@@ -102,7 +100,7 @@ class CrossedSquare:
     negative control replaces it)."""
 
     def __init__(self, top, left, right, base, bnd, lift, pair,
-                 top_mul=None, label=""):
+                 top_mul=None):
         if left.ambient != base or right.ambient != base:
             raise ValueError("corner ideals must live in the base ring")
         self.top = top
@@ -113,7 +111,6 @@ class CrossedSquare:
         self.lift = lift
         self.pair = pair
         self.top_mul = (lambda a, b: a * b) if top_mul is None else top_mul
-        self.label = label
 
 
 def h_eval(square, m, nbar):
@@ -132,7 +129,7 @@ def verify_square(square):
     The associativity variant that repeats the middle argument is
     evaluated as well and reported informationally, never as a failure.
     """
-    rep = VerifyReport(square.label or "crossed square")
+    rep = VerifyReport()
     L, M, N = square.top, square.left, square.right
     bnd, lft = square.bnd, square.lift
     pairs = {}  # (m, n) -> h(m, n); the axioms share argument pairs
@@ -225,7 +222,6 @@ def verify_square(square):
     # with a repeated middle argument is evaluated separately as evidence
     for m in mgens:
         for n in ngens:
-            base_val = None
             for c in mgens:
                 e1 = lft(c) * pair(m, n)
                 e2 = lft(m) * pair(c, n)
@@ -249,7 +245,7 @@ def verify_square(square):
 # -- constructions ---------------------------------------------------------
 
 
-def free_crossed_on(base, names, images, label="free crossed module"):
+def free_crossed_on(base, names, images):
     """Free crossed module over an arbitrary base ring on named generators
     with prescribed boundary images: adjoin the names, divide by the
     defects y_i y_j - boundary(y_i) y_j."""
@@ -260,7 +256,7 @@ def free_crossed_on(base, names, images, label="free crossed module"):
     rels = peiffer_defects(gens, [emb(t) for t in images])
     top = Subquotient(A, Ideal(A, gens), Ideal(A, rels), gens=gens)
     bnd = RingHom.from_map(A, base, dict(zip(names, images)))
-    return CrossedModule(top=top, base=base, bnd=bnd, embed=emb, label=label)
+    return CrossedModule(top=top, base=base, bnd=bnd, embed=emb)
 
 
 def square_pair_rule(skel):
@@ -281,10 +277,11 @@ def square_pair_rule(skel):
 def functor_M(skel, n, break_h=False):
     """The Moore functor at levels 0, 1, 2 of the skeleton.
 
-    n=0: the zeroth homotopy ring.  n=1: the free crossed module of the
-    level-1 data.  n=2: the square on the level-2 Moore kernel modulo the
-    second-order Peiffer ideal.  n=0 and n=1 are made once per skeleton;
-    the square is made on every call, so ``break_h`` breaks only its own.
+    n=0: pi0, presented by the ideal of the boundary images.  n=1: the
+    free crossed module of the level-1 data.  n=2: the square on the
+    level-2 Moore kernel modulo the second-order Peiffer ideal.  n=0 and
+    n=1 are made once per skeleton; the square is made on every call, so
+    ``break_h`` breaks only its own.
     """
     if n == 0:
         return skel.pi0()
@@ -299,26 +296,9 @@ def functor_M(skel, n, break_h=False):
         m_gens, n_gens = skel.corner_gens
         left = Subquotient(E1, moore.ne1, Ideal(E1, []), gens=m_gens)
         right = Subquotient(E1, moore.kbar, Ideal(E1, []), gens=n_gens)
-        square = CrossedSquare(
+        return CrossedSquare(
             top=top, left=left, right=right, base=E1,
             bnd=skel.face[(2, 2)], lift=skel.degen[(1, 1)],
             pair=square_pair_rule(skel),
-            top_mul=(lambda a, b: E2.zero) if break_h else None,
-            label="Moore square of the 2-skeleton")
-        return square
+            top_mul=(lambda a, b: E2.zero) if break_h else None)
     raise ValueError("the functor is computed for n in {0, 1, 2}")
-
-
-def ideal_square(ring, I, J):
-    """The square of a pair of ideals: intersections, inclusions and the
-    product pairing."""
-    inter = ideal_intersect(I, J)
-    top = Subquotient(ring, inter, Ideal(ring, []), gens=inter.groebner())
-    ident = RingHom.identity(ring)
-    return CrossedSquare(
-        top=top,
-        left=Subquotient(ring, I, Ideal(ring, []), gens=I.gens),
-        right=Subquotient(ring, J, Ideal(ring, []), gens=J.gens),
-        base=ring, bnd=ident, lift=ident,
-        pair=lambda a, b: a * b,
-        label="square of two ideals")

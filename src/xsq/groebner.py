@@ -1,7 +1,6 @@
 """Groebner engine: reduced bases, normal forms, elimination, intersections,
 kernels of ring maps, cofactor lifting, syzygies and affine Hilbert data,
-and the two quotient shapes whose rows are read from them: a subquotient
-numer/rels of ideals and a quotient ring.
+and the subquotient numer/rels of two ideals whose rows are read from them.
 
 Buchberger's algorithm with the Gebauer-Moller pair criteria ("On an
 installation of Buchberger's algorithm", J. Symb. Comp. 1988) and the normal
@@ -454,10 +453,6 @@ def ideal_equal(I, J):
     return I.groebner() == J.groebner()
 
 
-def ideal_product(I, J):
-    return Ideal(I.ring, [a * b for a in I.gens for b in J.gens])
-
-
 def eliminate(I, drop):
     """I intersected with the subring on the retained variables, via a
     block order with the dropped variables in the leading block."""
@@ -649,19 +644,6 @@ def subquotient_dims(numer, rels, D):
     return tuple(r - n for n, r in zip(hn, hr))
 
 
-def _koszul_vectors(t, R):
-    """The alternating vectors t_i e_j - t_j e_i for i < j over R."""
-    n = len(t)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = [R.zero] * n
-            vec[j] = t[i]
-            vec[i] = -t[j]
-            out.append(tuple(vec))
-    return out
-
-
 class Subquotient:
     """Elements of numer/rels, represented by ambient polynomials."""
 
@@ -682,34 +664,9 @@ class Subquotient:
     def contains(self, p):
         return self.numer.member(p)
 
-    def is_zero_class(self, p):
-        return self.rels.member(p)
-
-    def same_class(self, p, q):
-        return self.rels.member(p - q)
-
     def dims(self, D):
         return subquotient_dims(self.numer, self.rels, D)
 
     def __repr__(self):
         return "Subquotient(gens=%s; rels=%d)" % (
             [str(g) for g in self.gens], len(self.rels.gens))
-
-
-class QuotientRing:
-    """ring/ideal with its canonical reduced basis."""
-
-    def __init__(self, ring, ideal):
-        self.ring = ring
-        self.ideal = ideal
-        self.basis = ideal.groebner()
-
-    def dims(self, D):
-        return affine_hilbert(self.ideal, D)
-
-    def same_presentation(self, other):
-        return self.ring == other.ring and self.basis == other.basis
-
-    def __repr__(self):
-        return "QuotientRing(%s / (%s))" % (
-            ", ".join(self.ring.vars), ", ".join(str(b) for b in self.basis))

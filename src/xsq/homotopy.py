@@ -16,9 +16,9 @@ commands print: lists, strings, bools and None, so they survive a JSON
 round trip unchanged.
 """
 
-from .groebner import (Ideal, Subquotient, _koszul_vectors, affine_hilbert,
-                       hom_kernel, ideal_intersect, standard_monomials,
-                       subquotient_dims, syzygies)
+from .groebner import (Ideal, Subquotient, affine_hilbert, hom_kernel,
+                       ideal_intersect, standard_monomials, subquotient_dims,
+                       syzygies)
 from .linalg import (Echelon, FilteredBasis, graded_span, nullity,
                      truncated_ideal_span)
 from .rings import Polynomial
@@ -50,7 +50,7 @@ def _witness(sq):
     """A lowest-degree basis element of the numerator whose class is
     nonzero, if any."""
     for g in sorted(sq.numer.groebner(), key=lambda p: p.wdeg()):
-        if not sq.is_zero_class(g):
+        if not sq.rels.member(g):
             return g
     return None
 
@@ -103,6 +103,19 @@ def pi2(skel, D):
 
 def pi2_witness(skel):
     return _witness(_homotopy_subquotient(skel, 2))
+
+
+def _koszul_vectors(t, R):
+    """The alternating vectors t_i e_j - t_j e_i for i < j over R."""
+    n = len(t)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = [R.zero] * n
+            vec[j] = t[i]
+            vec[i] = -t[j]
+            out.append(tuple(vec))
+    return out
 
 
 def aq_h2(data, route="syzygy", D=8):
@@ -167,8 +180,8 @@ def homotopy_report(skel, D=6):
     degree D + 2, as a dict of lists and strings."""
     D_h2 = D + 2
     p0 = pi0(skel)
-    pi0_row = {"relations": [str(b) for b in p0.basis],
-               "dims": list(p0.dims(D))}
+    pi0_row = {"relations": [str(b) for b in p0.groebner()],
+               "dims": list(affine_hilbert(p0, D))}
     ideal_route, pair_route = pi1(skel, D, "ideal"), pi1(skel, D, "pair")
     pi1_row = {"dims": list(ideal_route),
                "dims_pair_route": list(pair_route),
@@ -260,7 +273,7 @@ def compare_XY(skel, D=6):
     M_ideal, N_ideal = pres.m_ideal, pres.n_ideal
     lam_ideal = Ideal(E1, [pres.lam(g) for g in pres.symbols])
     pi0_wide = affine_hilbert(M_ideal + N_ideal, D)
-    pi0_narrow = skel.pi0().dims(D)
+    pi0_narrow = affine_hilbert(skel.pi0(), D)
     pi1_narrow = subquotient_dims(ideal_intersect(M_ideal, N_ideal),
                                   lam_ideal, D)
     # wide route by linear algebra on the pair term

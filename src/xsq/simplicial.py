@@ -32,7 +32,7 @@ from itertools import combinations
 
 from .scalars import field_from_label
 from .rings import NAME, PolyRing, Polynomial, RingHom, reringed
-from .groebner import Ideal, QuotientRing, hom_kernel, ideal_intersect
+from .groebner import Ideal, hom_kernel, ideal_intersect
 
 RESERVED_PREFIXES = ("s0_", "s1_", "s2_", "s1s0_", "s2s0_", "s2s1_")
 
@@ -324,9 +324,10 @@ class Skeleton2:
         return self.once("p2", lambda: peiffer_P2(self))
 
     def pi0(self):
-        """The zeroth homotopy ring: R modulo the boundary images."""
-        return self.once("pi0", lambda: QuotientRing(
-            self.base, Ideal(self.base, list(self.data.boundary_images))))
+        """The ideal of the boundary images in R, which presents the
+        zeroth homotopy ring R/I, made once per skeleton."""
+        return self.once("pi0", lambda: Ideal(
+            self.base, self.data.boundary_images))
 
 
 def _copy_name(word, name):

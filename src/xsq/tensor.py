@@ -8,8 +8,11 @@ the syzygies of each generator list, and the multiplicative relations come
 from cofactor lifts of generator products.  Every symbol sum
 sum a_p b_q (m_p (x) n_q) over two coefficient tuples, whether the class of
 m (x) n, a relation of the tensor or an interchange relation of the
-assembled corner, is written by :meth:`TensorPresentation.combination`.  The
-coproduct renames the clashing symbols of both summands by one rule and
+assembled corner, is written by :meth:`TensorPresentation.combination`.  A
+presentation is the top of the square of its two ideal corners:
+:meth:`TensorPresentation.subquotient` the top, ``lam`` both boundaries,
+``embed`` the base action and :meth:`TensorPresentation.expand` the pairing.
+The coproduct renames the clashing symbols of both summands by one rule and
 keeps the renaming, one dict per summand, for the maps out of it.
 A certified comparison checks
 well-definedness (every relation maps to normal form zero), surjectivity
@@ -76,15 +79,9 @@ class TensorPresentation:
         return Subquotient(self.ring, self.numer, self.relations,
                            gens=self.symbols)
 
-    def crossed_module(self, label="tensor corner"):
+    def crossed_module(self):
         return CrossedModule(top=self.subquotient(), base=self.base,
-                             bnd=self.lam, embed=self.embed, label=label)
-
-    def square(self, left, right, label="tensor square"):
-        return CrossedSquare(
-            top=self.subquotient(), left=left, right=right, base=self.base,
-            bnd=self.lam, lift=self.embed,
-            pair=self.expand, label=label)
+                             bnd=self.lam, embed=self.embed)
 
 
 def tensor_presentation(base, m_gens, n_gens):
@@ -132,19 +129,6 @@ def kernel_tensor(skel):
     skeleton, built once per skeleton."""
     return skel.once("kernel tensor", lambda: tensor_presentation(
         skel.E1, *skel.corner_gens))
-
-
-def tensor_square(Mcm, Ncm):
-    """The square completing the corner of two crossed ideals: tensor on
-    top, the ideals on the sides."""
-    base = Mcm.base
-    if Ncm.base != base:
-        raise ValueError("tensor needs a common base")
-    for cm in (Mcm, Ncm):
-        if cm.top.ambient != base or cm.top.rels.gens:
-            raise ValueError("tensor corners must be ideals of the base")
-    pres = tensor_presentation(base, Mcm.top.gens, Ncm.top.gens)
-    return pres.square(Mcm.top, Ncm.top), pres
 
 
 def _extras(cm):
@@ -237,8 +221,7 @@ def coproduct(Mcm, Ncm):
     gens = [merged.var(n) for n in names]
     top = Subquotient(merged, Ideal(merged, gens), Ideal(merged, rels),
                       gens=gens)
-    cm = CrossedModule(top=top, base=base, bnd=bnd, embed=embed,
-                       label="coproduct")
+    cm = CrossedModule(top=top, base=base, bnd=bnd, embed=embed)
     return CoproductResult(cm=cm, i_hom=i_hom, j_hom=j_hom,
                            cross_relations=tuple(cross), i_names=ren_m,
                            j_names=ren_n)
@@ -250,13 +233,12 @@ class AssembledCorner:
     interchange relations."""
 
     def __init__(self, square, tensor, coprod, extra_relations,
-                 variant_relations, c_names):
+                 variant_relations):
         self.square = square
         self.tensor = tensor
         self.coprod = coprod
         self.extra_relations = extra_relations
         self.variant_relations = variant_relations
-        self.c_names = c_names
 
     @property
     def top(self):
@@ -276,9 +258,7 @@ def assemble_L(skel):
     pres = kernel_tensor(skel)
     m_gens, n_gens = pres.m_gens, pres.n_gens
     f3 = {n: img for n, img in data.s3}
-    C = free_crossed_on(E1, data.s3_names,
-                        [f3[n] for n in data.s3_names],
-                        label="free crossed module on the level-2 data")
+    C = free_crossed_on(E1, data.s3_names, [f3[n] for n in data.s3_names])
     cop = coproduct(pres.crossed_module(), C)
     merged = cop.cm.top.ambient
     emb = RingHom.from_map(E1, merged, {})
@@ -306,12 +286,10 @@ def assemble_L(skel):
         return cop.i_hom(pres.expand(m, n))
 
     square = CrossedSquare(top=top, left=left, right=right, base=E1,
-                           bnd=cop.cm.bnd, lift=emb, pair=pair,
-                           label="assembled top corner")
+                           bnd=cop.cm.bnd, lift=emb, pair=pair)
     return AssembledCorner(square=square, tensor=pres, coprod=cop,
                            extra_relations=tuple(extra),
-                           variant_relations=tuple(variant),
-                           c_names=data.s3_names)
+                           variant_relations=tuple(variant))
 
 
 def compare_corner(skel, D=6):
@@ -340,7 +318,7 @@ def compare_corner(skel, D=6):
         for q in range(len(pres.n_gens)):
             images[i_names[pres.symbol_grid[p][q]]] = pair_live(
                 pres.m_gens[p], pres.n_gens[q])
-    for name in assembled.c_names:
+    for name in data.s3_names:
         images[j_names[name]] = E2.var(name)
     phi = RingHom(merged, E2,
                   tuple(images[v] for v in merged.vars))

@@ -147,8 +147,8 @@ def test_criterion_9_stability(data_c):
     sk1 = build_skeleton(data_c.truncate(1))
     sk2 = build_skeleton(data_c)
     sk2_again = build_skeleton(data_c)  # stands in for level 3
-    ok = functor_M(sk1, 0).same_presentation(functor_M(sk2, 0))
-    ok = ok and functor_M(sk2, 0).same_presentation(functor_M(sk2_again, 0))
+    ok = ideal_equal(functor_M(sk1, 0), functor_M(sk2, 0))
+    ok = ok and ideal_equal(functor_M(sk2, 0), functor_M(sk2_again, 0))
 
     def xmod_presentation(cm):
         return (cm.top.ambient.vars,

@@ -26,10 +26,14 @@ def test_identity_grid_builds_and_its_inputs_parse(monkeypatch, tmp_path):
     identity = load(monkeypatch)
     paths = identity.write_inputs(tmp_path)
     runs = identity.grid(paths)
-    assert len(runs) == 485
+    assert len(runs) == 489
     assert Counter(part for part, _ in runs) == {"flags": 320, "scale": 2,
-                                                 "budget": 160, "break-h": 3}
-    assert {args[1] for _, args in runs} == set(paths.values())
+                                                 "budget": 160, "break-h": 3,
+                                                 "demos": 4}
+    assert {args[1] for part, args in runs
+            if part != "demos"} == set(paths.values())
+    assert [args for part, args in runs if part == "demos"] == [
+        [str(p)] for p in sorted((ROOT / "demos").glob("*.py"))]
     for path in paths.values():
         assert isinstance(ConstructionData.from_json(Path(path).read_text()),
                           ConstructionData)
@@ -52,5 +56,5 @@ def test_no_sources_or_a_failing_parent_is_not_identity(monkeypatch,
     monkeypatch.setattr(identity, "run", lambda checkout, args: (1, b"", b""))
     assert identity.main([str(ROOT), str(ROOT)]) == 1
     out = capsys.readouterr().out
-    assert "0 of 485 runs differ" in out
+    assert "0 of 489 runs differ" in out
     assert "320 flags runs fail on the parent side" in out

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import xsq
-from xsq import Ideal, PolyRing, VerifyReport, ideal_square
+from xsq import VerifyReport, functor_M
 
 from .test_golden import EDGE_INPUTS, GOLDEN
 
@@ -196,13 +196,12 @@ def test_unknown_names_are_refused():
 
 
 def test_report_lists_are_not_shared():
-    first, second = VerifyReport("a"), VerifyReport("b")
+    first, second = VerifyReport(), VerifyReport()
     first.add_bool("check", "instance", True)
     assert second.items == []
 
 
-def test_square_without_top_mul_multiplies_in_the_ambient_ring():
-    R = PolyRing(["x", "y"])
-    square = ideal_square(R, Ideal(R, ["x"]), Ideal(R, ["y"]))
-    a, b = R.parse("x*y"), R.parse("x^2*y + y")
+def test_square_without_top_mul_multiplies_in_the_ambient_ring(skel_a):
+    square = functor_M(skel_a, 2)
+    a, b = skel_a.E2.parse("x*s1_S"), skel_a.E2.parse("s0_S^2 + s1_S")
     assert square.top_mul(a, b) == a * b

@@ -2,12 +2,10 @@ import random
 
 import pytest
 
-from xsq import (GF, ConstructionData, Ideal, PolyRing, QQ, RingHom,
+from xsq import (GF, ConstructionData, CrossedSquare, Ideal, PolyRing, QQ,
                  Subquotient, assemble_L, build_skeleton, compare_corner,
                  coproduct, free_crossed_on, functor_M, ideal_equal,
-                 tensor_presentation, tensor_square, verify_square,
-                 verify_xmod)
-from xsq.crossed import CrossedModule
+                 tensor_presentation, verify_square, verify_xmod)
 from xsq.homotopy import _tensor_kernel_dims
 from xsq.linalg import FilteredBasis
 from xsq.tensor import kernel_tensor
@@ -19,13 +17,15 @@ def free_xmod(data):
                            data.boundary_images)
 
 
-def _corner_modules(skel):
-    sq = functor_M(skel, 2)
-    base = skel.E1
-    ident = RingHom.identity(base)
-    M = CrossedModule(top=sq.left, base=base, bnd=ident, embed=ident)
-    N = CrossedModule(top=sq.right, base=base, bnd=ident, embed=ident)
-    return M, N
+def tensor_square(left, right):
+    """The square of two ideal corners of one base ring with the tensor
+    presentation that ``compare`` runs on top, and that presentation."""
+    base = left.ambient
+    pres = tensor_presentation(base, left.gens, right.gens)
+    square = CrossedSquare(top=pres.subquotient(), left=left, right=right,
+                           base=base, bnd=pres.lam, lift=pres.embed,
+                           pair=pres.expand)
+    return square, pres
 
 
 def test_tensor_zero_module_collapses(skel_a):
@@ -78,8 +78,8 @@ def test_tensor_fixture_a_presentation(skel_a):
 
 def test_tensor_square_verifies(skel_a, skel_b):
     for skel in (skel_a, skel_b):
-        M, N = _corner_modules(skel)
-        sq, pres = tensor_square(M, N)
+        corners = functor_M(skel, 2)
+        sq, pres = tensor_square(corners.left, corners.right)
         rep = verify_square(sq)
         assert rep.ok, rep.to_obj()
 
@@ -90,12 +90,10 @@ def test_tensor_square_of_corners_with_zero_generators(m_gens, n_gens):
     # the ideals drop the zero generators; the symbols must be indexed by
     # the same lists as the cofactor lifts
     R = PolyRing(("x", "y"), QQ)
-    ident = RingHom.identity(R)
 
     def corner(gens):
         gens = [R.parse(g) for g in gens]
-        top = Subquotient(R, Ideal(R, gens), Ideal(R, []), gens=gens)
-        return CrossedModule(top=top, base=R, bnd=ident, embed=ident)
+        return Subquotient(R, Ideal(R, gens), Ideal(R, []), gens=gens)
 
     sq, pres = tensor_square(corner(m_gens), corner(n_gens))
     assert all(not g.is_zero() for g in pres.m_gens + pres.n_gens)
