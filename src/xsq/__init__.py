@@ -13,8 +13,8 @@ _EXPORTS = {name: module for module, names in (
     ("scalars", "QQ GF field_from_label"),
     ("rings", "PolyRing Polynomial RingHom ParseError"),
     ("groebner", "Ideal BudgetExceeded NotInIdeal Subquotient affine_hilbert "
-                 "budget eliminate hom_kernel ideal_equal ideal_intersect "
-                 "monomials_leq subquotient_dims syzygies"),
+                 "budget eliminate hom_kernel ideal_intersect "
+                 "subquotient_dims syzygies"),
     ("simplicial", "ConstructionData InvalidData MooreData Skeleton2 "
                    "build_skeleton peiffer_P1 peiffer_P2 "
                    "simplicial_identity_report"),

@@ -1,10 +1,11 @@
 """Crossed modules and crossed squares presented on polynomial subquotients.
 
-A corner of a square is an ideal of the base ring; the top object is a
-subquotient I/P of a possibly larger ambient ring.  Equality of elements is
-decided by normal forms against the reduced basis of the relation ideal; all
-actions are realized as ambient multiplication through a declared lift of
-the base ring.  Verification reports list one entry per axiom instance with
+The two corners of a square are ideals of one ring, the base, and a corner
+holds an element when the ideal does (:meth:`groebner.Ideal.member`); the
+top object is a subquotient I/P of two ideals of a possibly larger ambient
+ring.  Equality of elements is decided by normal forms against the reduced
+basis of the relation ideal; all actions are realized as ambient
+multiplication through a declared lift of the base ring.  Verification reports list one entry per axiom instance with
 the offending generator pair and its nonzero normal form on failure.
 A row whose residue must vanish passes, with witness "0", if and only if
 the residue is zero, and otherwise fails with the residue's text as its
@@ -16,9 +17,10 @@ defects of :func:`xsq.simplicial.peiffer_defects`.  The Moore functor at
 level 1 is the one on the level-1 data, and the reconstruction of the top
 corner uses the one on the level-2 data.  The constructor checks no axiom:
 :func:`verify_xmod` reports both, so a failure of the second is a report
-row, not an exception.  The Moore functor reads the square off a skeleton;
-at level 0 it is pi0, the ideal of the boundary images in the base ring.
-Subquotients are :mod:`groebner`'s.
+row, not an exception.  The Moore functor reads the square off a skeleton:
+its corners are the skeleton's two closed-form corner ideals, and at level 0
+it is pi0, the ideal of the boundary images in the base ring.  Subquotients
+are :mod:`groebner`'s.
 """
 
 from .groebner import Ideal, Subquotient
@@ -49,8 +51,8 @@ class VerifyReport:
     instance, status ("pass" or "fail"), witness ("0" or the nonzero
     residue) and informational (a row that never counts as a failure)."""
 
-    def __init__(self, items=None):
-        self.items = [] if items is None else items
+    def __init__(self):
+        self.items = []
 
     def add(self, check, instance, residue, informational=False):
         self.items.append({"check": check, "instance": instance,
@@ -93,20 +95,18 @@ def verify_xmod(cm):
 
 class CrossedSquare:
     """Corners: top L (subquotient), left M and right N (ideals of the
-    base), the base ring itself.  Both boundary maps of the top corner are
-    realized by the single ambient map ``bnd``; ``lift`` realizes the base
-    action on the top; ``pair`` is the connecting bilinear rule M x N -> L;
-    ``top_mul`` is the same-corner pairing on L (ambient product unless a
-    negative control replaces it)."""
+    base ring, which is their common ring).  Both boundary maps of the top
+    corner are realized by the single ambient map ``bnd``; ``lift``
+    realizes the base action on the top; ``pair`` is the connecting
+    bilinear rule M x N -> L; ``top_mul`` is the same-corner pairing on L
+    (ambient product unless a negative control replaces it)."""
 
-    def __init__(self, top, left, right, base, bnd, lift, pair,
-                 top_mul=None):
-        if left.ambient != base or right.ambient != base:
-            raise ValueError("corner ideals must live in the base ring")
+    def __init__(self, top, left, right, bnd, lift, pair, top_mul=None):
+        if left.ring != right.ring:
+            raise ValueError("corner ideals must live in one base ring")
         self.top = top
         self.left = left
         self.right = right
-        self.base = base
         self.bnd = bnd
         self.lift = lift
         self.pair = pair
@@ -116,9 +116,9 @@ class CrossedSquare:
 def h_eval(square, m, nbar):
     """Class of h(m, nbar) in the top corner; arguments are checked for
     membership in their corners."""
-    if not square.left.contains(m):
+    if not square.left.member(m):
         raise ValueError("first argument %s is not in the left corner" % m)
-    if not square.right.contains(nbar):
+    if not square.right.member(nbar):
         raise ValueError("second argument %s is not in the right corner" % nbar)
     return square.top.nf(square.pair(m, nbar))
 
@@ -141,7 +141,7 @@ def verify_square(square):
         return h
 
     mgens, ngens, lgens = M.gens, N.gens, L.gens
-    zero = square.base.zero
+    zero = M.ring.zero
 
     # axiom 1: maps indexed off a corner's support act as the identity;
     # this holds by construction of the representation
@@ -150,9 +150,9 @@ def verify_square(square):
     # axiom 2: the square commutes and boundaries land where they must
     for l in lgens:
         img = bnd(l)
-        rep.add_bool("ax2-boundary-into-left", str(l), M.contains(img),
+        rep.add_bool("ax2-boundary-into-left", str(l), M.member(img),
                      witness=str(img))
-        rep.add_bool("ax2-boundary-into-right", str(l), N.contains(img),
+        rep.add_bool("ax2-boundary-into-right", str(l), N.member(img),
                      witness=str(img))
     for g in L.rels.gens:
         rep.add("ax2-boundary-kills-relations", str(g), bnd(g))
@@ -254,7 +254,7 @@ def free_crossed_on(base, names, images):
     emb = RingHom.from_map(base, A, {})
     gens = [A.var(n) for n in names]
     rels = peiffer_defects(gens, [emb(t) for t in images])
-    top = Subquotient(A, Ideal(A, gens), Ideal(A, rels), gens=gens)
+    top = Subquotient(Ideal(A, gens), Ideal(A, rels))
     bnd = RingHom.from_map(A, base, dict(zip(names, images)))
     return CrossedModule(top=top, base=base, bnd=bnd, embed=emb)
 
@@ -279,7 +279,8 @@ def functor_M(skel, n, break_h=False):
 
     n=0: pi0, presented by the ideal of the boundary images.  n=1: the
     free crossed module of the level-1 data.  n=2: the square on the
-    level-2 Moore kernel modulo the second-order Peiffer ideal.  n=0 and
+    level-2 Moore kernel modulo the second-order Peiffer ideal, with the
+    skeleton's corner ideals ``skel.corners`` as its corners.  n=0 and
     n=1 are made once per skeleton; the square is made on every call, so
     ``break_h`` breaks only its own.
     """
@@ -290,15 +291,11 @@ def functor_M(skel, n, break_h=False):
         return skel.once("xmod", lambda: free_crossed_on(
             data.base_ring, data.s2_names, data.boundary_images))
     if n == 2:
-        E1, E2 = skel.E1, skel.E2
-        moore = skel.moore()
-        top = Subquotient(E2, moore.ne2, skel.p2(), gens=moore.ne2.gens)
-        m_gens, n_gens = skel.corner_gens
-        left = Subquotient(E1, moore.ne1, Ideal(E1, []), gens=m_gens)
-        right = Subquotient(E1, moore.kbar, Ideal(E1, []), gens=n_gens)
+        top = Subquotient(skel.moore().ne2, skel.p2())
+        left, right = skel.corners
         return CrossedSquare(
-            top=top, left=left, right=right, base=E1,
+            top=top, left=left, right=right,
             bnd=skel.face[(2, 2)], lift=skel.degen[(1, 1)],
             pair=square_pair_rule(skel),
-            top_mul=(lambda a, b: E2.zero) if break_h else None)
+            top_mul=(lambda a, b: skel.E2.zero) if break_h else None)
     raise ValueError("the functor is computed for n in {0, 1, 2}")

@@ -1,6 +1,9 @@
 """Groebner engine: reduced bases, normal forms, elimination, intersections,
 kernels of ring maps, cofactor lifting, syzygies and affine Hilbert data,
-and the subquotient numer/rels of two ideals whose rows are read from them.
+and the subquotient numer/rels of two ideals of one ring, whose rows are
+read from them.  A subquotient is given by its two ideals alone: its ring
+and generators are the numerator's, and it refuses a relation outside the
+numerator.
 
 Buchberger's algorithm with the Gebauer-Moller pair criteria ("On an
 installation of Buchberger's algorithm", J. Symb. Comp. 1988) and the normal
@@ -447,12 +450,6 @@ class Ideal:
         return Ideal(self.ring, self.gens + other.gens)
 
 
-def ideal_equal(I, J):
-    if I.ring != J.ring:
-        raise ValueError("ideal comparison needs a common ring")
-    return I.groebner() == J.groebner()
-
-
 def eliminate(I, drop):
     """I intersected with the subring on the retained variables, via a
     block order with the dropped variables in the leading block."""
@@ -610,12 +607,6 @@ def _monomials(ring, D, lms=()):
     return out
 
 
-def monomials_leq(ring, D):
-    """All exponent tuples of weighted degree <= D, descending ring order."""
-    unpack = ring.packing.unpack
-    return [unpack(M) for M, _ in _monomials(ring, D)]
-
-
 def standard_monomials(I, D):
     """(work, standard): the wdegrevlex ring on the variables of I, and the
     (packed monomial, weighted degree) pairs of the monomials of weighted
@@ -645,24 +636,29 @@ def subquotient_dims(numer, rels, D):
 
 
 class Subquotient:
-    """Elements of numer/rels, represented by ambient polynomials."""
+    """Elements of numer/rels for two ideals of one ring, represented by
+    the ring's polynomials; every relation must lie in the numerator."""
 
-    def __init__(self, ambient, numer, rels, gens=None, check=True):
-        self.ambient = ambient
+    def __init__(self, numer, rels):
+        if rels.ring != numer.ring:
+            raise ValueError("numerator and relations need a common ring")
+        for g in rels.gens:
+            if not numer.member(g):
+                raise ValueError(
+                    "relation %s is not a member of the numerator" % g)
         self.numer = numer
         self.rels = rels
-        self.gens = tuple(gens) if gens is not None else numer.gens
-        if check:
-            for g in rels.gens:
-                if not numer.member(g):
-                    raise ValueError(
-                        "relation %s is not a member of the numerator" % g)
+
+    @property
+    def ambient(self):
+        return self.numer.ring
+
+    @property
+    def gens(self):
+        return self.numer.gens
 
     def nf(self, p):
         return self.rels.normal_form(p)
-
-    def contains(self, p):
-        return self.numer.member(p)
 
     def dims(self, D):
         return subquotient_dims(self.numer, self.rels, D)

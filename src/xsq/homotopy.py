@@ -7,6 +7,11 @@ The rows are read from the skeleton's Moore kernels and Peiffer ideals, so
 this module loads neither the crossed-module layer nor the tensor
 presentation; :func:`compare_XY` imports the latter when it runs.
 
+pi1 and pi2 are the filtered dimensions of numer/rels for two ideals made
+once per skeleton.  rels lies in numer by construction, so the pair is kept
+as it is: a :class:`groebner.Subquotient` would test every relation for
+membership.
+
 Filtered dimensions of ideal subquotients come from leading-term counts;
 the cross-checking routes use exact truncated linear algebra instead, so an
 agreement genuinely certifies both implementations.  A row of filtered
@@ -16,9 +21,8 @@ commands print: lists, strings, bools and None, so they survive a JSON
 round trip unchanged.
 """
 
-from .groebner import (Ideal, Subquotient, affine_hilbert, hom_kernel,
-                       ideal_intersect, standard_monomials, subquotient_dims,
-                       syzygies)
+from .groebner import (Ideal, affine_hilbert, hom_kernel, ideal_intersect,
+                       standard_monomials, subquotient_dims, syzygies)
 from .linalg import (Echelon, FilteredBasis, graded_span, nullity,
                      truncated_ideal_span)
 from .rings import Polynomial
@@ -28,29 +32,27 @@ def pi0(skel):
     return skel.pi0()
 
 
-def _homotopy_subquotient(skel, k):
-    """The subquotient whose filtered dimensions are pi_k, k = 1, 2, built
-    once per skeleton.  k = 1: the intersection of the two level-1 kernels
-    over the pushed-down level-2 kernel.  k = 2: the part of the level-2
-    Moore kernel killed by the last face over the second-order Peiffer
-    ideal."""
+def _homotopy_pair(skel, k):
+    """The ideals (numer, rels) whose quotient has the filtered dimensions
+    pi_k, k = 1, 2, made once per skeleton.  k = 1: the intersection of the
+    two level-1 kernels over the pushed-down level-2 kernel.  k = 2: the
+    part of the level-2 Moore kernel killed by the last face over the
+    second-order Peiffer ideal."""
     def make():
         moore = skel.moore()
         d2 = skel.face[(2, 2)]
         if k == 1:
-            numer = ideal_intersect(moore.ne1, moore.kbar)
-            rels = Ideal(skel.E1, [d2(g) for g in moore.ne2.gens])
-            return Subquotient(skel.E1, numer, rels, check=False)
-        numer = ideal_intersect(moore.ne2, hom_kernel(d2))
-        return Subquotient(skel.E2, numer, skel.p2(), check=False)
+            return (ideal_intersect(moore.ne1, moore.kbar),
+                    Ideal(skel.E1, [d2(g) for g in moore.ne2.gens]))
+        return ideal_intersect(moore.ne2, hom_kernel(d2)), skel.p2()
     return skel.once(("pi", k), make)
 
 
-def _witness(sq):
-    """A lowest-degree basis element of the numerator whose class is
+def _witness(numer, rels):
+    """A lowest-degree basis element of numer whose class modulo rels is
     nonzero, if any."""
-    for g in sorted(sq.numer.groebner(), key=lambda p: p.wdeg()):
-        if not sq.rels.member(g):
+    for g in sorted(numer.groebner(), key=lambda p: p.wdeg()):
+        if not rels.member(g):
             return g
     return None
 
@@ -70,7 +72,7 @@ def _pair_kernel_dims(skel, D):
     pair in the intersection of the two corner spans, and the boundary
     image is the span of the pushed-down top generators."""
     moore = skel.moore()
-    image = _homotopy_subquotient(skel, 1).rels
+    image = _homotopy_pair(skel, 1)[1]
     return _pair_dims(moore.ne1.groebner(), moore.kbar.groebner(),
                       image.groebner(), FilteredBasis(skel.E1, D))
 
@@ -87,22 +89,22 @@ def pi1(skel, D, route="ideal"):
         return _pair_kernel_dims(skel, D)
     if route != "ideal":
         raise ValueError("unknown route %r" % (route,))
-    return _homotopy_subquotient(skel, 1).dims(D)
+    return subquotient_dims(*_homotopy_pair(skel, 1), D)
 
 
 def pi1_witness(skel):
     """A generator of the intersection whose class is nonzero, if any."""
-    return _witness(_homotopy_subquotient(skel, 1))
+    return _witness(*_homotopy_pair(skel, 1))
 
 
 def pi2(skel, D):
     """Second homotopy module: the part of the level-2 Moore kernel killed
     by the last face, modulo the second-order Peiffer ideal."""
-    return _homotopy_subquotient(skel, 2).dims(D)
+    return subquotient_dims(*_homotopy_pair(skel, 2), D)
 
 
 def pi2_witness(skel):
-    return _witness(_homotopy_subquotient(skel, 2))
+    return _witness(*_homotopy_pair(skel, 2))
 
 
 def _koszul_vectors(t, R):

@@ -262,12 +262,7 @@ class PolyRing:
     def __repr__(self):
         return "PolyRing(%s over %r)" % (", ".join(self.vars), self.field)
 
-    # -- monomial order -------------------------------------------------
-
-    def mono_key(self, exps):
-        """Sort key; larger key = larger monomial in the ring's order."""
-        packing = self.packing
-        return packing.key(packing.pack(exps))
+    # -- weighted degree ------------------------------------------------
 
     def wdeg(self, exps):
         return sum(e * w for e, w in zip(exps, self.weights))

@@ -20,10 +20,13 @@ s_j d_(i-1) (i > j + 1) down to the free-construction rule.
 The second-order Peiffer ideal has one route: the six quadratic families
 inside level 3, instantiated on the Moore generators and pushed down along
 the last face (:func:`peiffer_P2`).  The ideals derived from a skeleton (the
-Moore kernels, the second-order Peiffer ideal, the homotopy subquotients and
-the tensor presentation of the two level-1 corners) and the Moore functor at
-levels 0 and 1 are computed once per skeleton and kept on it.  The Moore
-kernels keep the reduced bases their eliminations return.  A lower skeleton
+Moore kernels, the second-order Peiffer ideal, the ideal pairs of the
+homotopy rows and the tensor presentation of the two level-1 corners) and
+the Moore functor at levels 0 and 1 are computed once per skeleton and kept
+on it.  The Moore kernels keep the reduced bases their eliminations return.
+The two level-1 corners are ideals in closed form, ``Skeleton2.corners``:
+the level-1 Moore kernels are checked against them, and the bases compared
+stay cached on them for the membership tests of the square.  A lower skeleton
 is the skeleton of truncated data, ``build_skeleton(data.truncate(level))``.
 """
 
@@ -253,12 +256,12 @@ class Skeleton2:
                 self.face[(n, i)] = RingHom.from_map(E[n], E[n - 1], {
                     _copy_name(w, x): self._face_image(n, i, w, x, img)
                     for w, x, img in copies[n]})
-        # generators of the two level-1 corners: m_i = S_i spans Ker d_0
-        # and n_i = S_i - t_i spans Ker d_1
+        # the two level-1 corner ideals in closed form: the m_i = S_i
+        # generate Ker d_0 and the n_i = S_i - t_i generate Ker d_1
         E1 = E[1]
-        self.corner_gens = (tuple(E1.var(n) for n in data.s2_names),
-                            tuple(E1.var(n) - reringed(t, E1)
-                                  for n, t in data.s2))
+        self.corners = (Ideal(E1, [E1.var(n) for n in data.s2_names]),
+                        Ideal(E1, [E1.var(n) - reringed(t, E1)
+                                   for n, t in data.s2]))
         self._memo = {}
 
     def _face_image(self, n, i, word, name, image):
@@ -299,21 +302,22 @@ class Skeleton2:
 
     def moore(self):
         """Moore kernels via hom kernels and an ideal intersection,
-        cross-checked against their closed forms."""
+        cross-checked against their closed forms; those of level 1 are the
+        corner ideals, which keep the bases compared."""
         return self.once("moore", self._make_moore)
 
     def _make_moore(self):
         E2 = self.E2
         s2n = self.data.s2_names
         s3 = [E2.var(n) for n in self.data.s3_names]
-        closed = {(1, 0): self.corner_gens[0], (1, 1): self.corner_gens[1],
-                  (2, 0): [E2.var("s1_" + n) for n in s2n] + s3,
-                  (2, 1): [E2.var("s0_" + n) - E2.var("s1_" + n)
-                           for n in s2n] + s3}
+        closed = {(1, 0): self.corners[0], (1, 1): self.corners[1],
+                  (2, 0): Ideal(E2, [E2.var("s1_" + n) for n in s2n] + s3),
+                  (2, 1): Ideal(E2, [E2.var("s0_" + n) - E2.var("s1_" + n)
+                                     for n in s2n] + s3)}
         ker = {}
-        for key, gens in closed.items():  # key = (level, face index)
+        for key, ideal in closed.items():  # key = (level, face index)
             K = ker[key] = hom_kernel(self.face[key])
-            if K.groebner() != Ideal(K.ring, gens).groebner():
+            if K.groebner() != ideal.groebner():
                 raise AssertionError("Ker d_%d^%d disagrees with its closed "
                                      "form" % key[::-1])
         return MooreData(ne1=ker[(1, 0)], kbar=ker[(1, 1)],

@@ -9,9 +9,10 @@ from cofactor lifts of generator products.  Every symbol sum
 sum a_p b_q (m_p (x) n_q) over two coefficient tuples, whether the class of
 m (x) n, a relation of the tensor or an interchange relation of the
 assembled corner, is written by :meth:`TensorPresentation.combination`.  A
-presentation is the top of the square of its two ideal corners:
-:meth:`TensorPresentation.subquotient` the top, ``lam`` both boundaries,
-``embed`` the base action and :meth:`TensorPresentation.expand` the pairing.
+presentation is the top of the square of its two ideal corners ``m_ideal``
+and ``n_ideal``: :meth:`TensorPresentation.subquotient` the top, ``lam``
+both boundaries, ``embed`` the base action and
+:meth:`TensorPresentation.expand` the pairing.
 The coproduct renames the clashing symbols of both summands by one rule and
 keeps the renaming, one dict per summand, for the maps out of it.
 A certified comparison checks
@@ -27,7 +28,7 @@ from .groebner import Ideal, Subquotient, syzygies
 from .rings import RingHom, fresh_names
 from .simplicial import _weight_of
 from .crossed import (CrossedModule, CrossedSquare, free_crossed_on,
-                      functor_M, outcome, square_pair_rule)
+                      functor_M, outcome)
 
 
 def _unit(ring, k, size):
@@ -76,8 +77,7 @@ class TensorPresentation:
         return self.combination(self.m_ideal.lift(m), self.n_ideal.lift(n))
 
     def subquotient(self):
-        return Subquotient(self.ring, self.numer, self.relations,
-                           gens=self.symbols)
+        return Subquotient(self.numer, self.relations)
 
     def crossed_module(self):
         return CrossedModule(top=self.subquotient(), base=self.base,
@@ -128,7 +128,7 @@ def kernel_tensor(skel):
     """The tensor presentation of the two level-1 kernel corners of the
     skeleton, built once per skeleton."""
     return skel.once("kernel tensor", lambda: tensor_presentation(
-        skel.E1, *skel.corner_gens))
+        skel.E1, *(corner.gens for corner in skel.corners)))
 
 
 def _extras(cm):
@@ -147,12 +147,10 @@ def _symbol_block(cm):
 
 
 class CoproductResult:
-    def __init__(self, cm, i_hom, j_hom, cross_relations, i_names, j_names):
+    def __init__(self, cm, i_hom, j_hom, i_names, j_names):
         self.cm = cm
         self.i_hom = i_hom      # first summand's ambient into the merged ring
         self.j_hom = j_hom
-        # the Peiffer generators of the quotient
-        self.cross_relations = cross_relations
         # each summand's symbol names -> their names in the merged ring
         self.i_names = i_names
         self.j_names = j_names
@@ -173,7 +171,7 @@ def coproduct(Mcm, Ncm):
         return CoproductResult(
             cm=cm, i_hom=RingHom.from_map(Mcm.top.ambient, amb, {}),
             j_hom=RingHom.from_map(Ncm.top.ambient, amb, {}),
-            cross_relations=(), i_names={v: v for v in _extras(Mcm)},
+            i_names={v: v for v in _extras(Mcm)},
             j_names={v: v for v in _extras(Ncm)})
     ext_m, w_m = _symbol_block(Mcm)
     ext_n, w_n = _symbol_block(Ncm)
@@ -219,11 +217,9 @@ def coproduct(Mcm, Ncm):
         {ren_m[v]: Mcm.bnd(Mcm.top.ambient.var(v)) for v in ext_m}
         | {ren_n[w]: Ncm.bnd(Ncm.top.ambient.var(w)) for w in ext_n})
     gens = [merged.var(n) for n in names]
-    top = Subquotient(merged, Ideal(merged, gens), Ideal(merged, rels),
-                      gens=gens)
+    top = Subquotient(Ideal(merged, gens), Ideal(merged, rels))
     cm = CrossedModule(top=top, base=base, bnd=bnd, embed=embed)
-    return CoproductResult(cm=cm, i_hom=i_hom, j_hom=j_hom,
-                           cross_relations=tuple(cross), i_names=ren_m,
+    return CoproductResult(cm=cm, i_hom=i_hom, j_hom=j_hom, i_names=ren_m,
                            j_names=ren_n)
 
 
@@ -260,8 +256,7 @@ def assemble_L(skel):
     f3 = {n: img for n, img in data.s3}
     C = free_crossed_on(E1, data.s3_names, [f3[n] for n in data.s3_names])
     cop = coproduct(pres.crossed_module(), C)
-    merged = cop.cm.top.ambient
-    emb = RingHom.from_map(E1, merged, {})
+    merged, emb = cop.cm.top.ambient, cop.cm.embed
 
     extra, variant = [], []
     for name in data.s3_names:
@@ -277,15 +272,13 @@ def assemble_L(skel):
             lhs = cop.i_hom(pres.combination(_unit(E1, p, len(m_gens)), b))
             extra.append(lhs - emb(mp) * cj)
             variant.append(lhs - emb(mp) * cj + cj)
-    rels = cop.cm.top.rels + Ideal(merged, extra)
-    top = Subquotient(merged, cop.cm.top.numer, rels, gens=cop.cm.top.gens)
-    left = Subquotient(E1, pres.m_ideal, Ideal(E1, []), gens=m_gens)
-    right = Subquotient(E1, pres.n_ideal, Ideal(E1, []), gens=n_gens)
+    top = Subquotient(cop.cm.top.numer,
+                      cop.cm.top.rels + Ideal(merged, extra))
 
     def pair(m, n):
         return cop.i_hom(pres.expand(m, n))
 
-    square = CrossedSquare(top=top, left=left, right=right, base=E1,
+    square = CrossedSquare(top=top, left=pres.m_ideal, right=pres.n_ideal,
                            bnd=cop.cm.bnd, lift=emb, pair=pair)
     return AssembledCorner(square=square, tensor=pres, coprod=cop,
                            extra_relations=tuple(extra),
@@ -306,8 +299,7 @@ def compare_corner(skel, D=6):
     assembled = assemble_L(skel)
     merged = assembled.top.ambient
     E2 = skel.E2
-    pair_live = square_pair_rule(skel)
-    s1 = skel.degen[(1, 1)]
+    pair_live, s1 = live.pair, live.lift
     pres = assembled.tensor
 
     i_names, j_names = assembled.coprod.i_names, assembled.coprod.j_names

@@ -13,6 +13,10 @@ supplies only its inverse.
 :func:`explicit_p2` is no elimination: it writes the generator families of
 the second-order Peiffer ideal in closed form, for comparison with the
 family instances that ``peiffer_P2`` pushes down from level 3.
+
+:func:`ideal_equal` and :func:`mono_key` are the two helpers that only the
+tests read: equality of ideals by their reduced bases, and the order key of
+an exponent tuple.
 """
 
 from xsq.rings import reringed
@@ -89,13 +93,21 @@ def kernel_rows(rows, field):
 # -- monomial bases -----------------------------------------------------------
 
 
+def mono_key(ring, exps):
+    """The order key of an exponent tuple: larger key, larger monomial in
+    the ring's order."""
+    packing = ring.packing
+    return packing.key(packing.pack(exps))
+
+
 def monomials_upto(ring, D):
     """Exponent tuples of weighted degree <= D, largest monomial first."""
     monos = [((), 0)]
     for w in ring.weights:
         monos = [(m + (e,), s + e * w) for m, s in monos
                  for e in range((D - s) // w + 1)]
-    return sorted((m for m, _ in monos), key=ring.mono_key, reverse=True)
+    return sorted((m for m, _ in monos), key=lambda m: mono_key(ring, m),
+                  reverse=True)
 
 
 class Basis:
@@ -229,3 +241,13 @@ def explicit_p2(skel):
             gens.append(Ti * (Tj + v0j - v1j))
             gens.append((v0i - v1i + Ti) * (v1j - Tj))
     return gens
+
+
+# -- comparison of engine results ---------------------------------------------
+
+
+def ideal_equal(I, J):
+    """Whether two ideals of one ring have the same reduced basis."""
+    if I.ring != J.ring:
+        raise ValueError("ideal comparison needs a common ring")
+    return I.groebner() == J.groebner()

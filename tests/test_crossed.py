@@ -1,10 +1,12 @@
 import pytest
 
-from xsq import (GF, ConstructionData, Ideal, PolyRing, QQ, RingHom,
-                 Subquotient, affine_hilbert, build_skeleton, free_crossed_on,
-                 functor_M, h_eval, ideal_equal, peiffer_P1,
+from xsq import (GF, ConstructionData, CrossedSquare, Ideal, PolyRing, QQ,
+                 RingHom, Subquotient, affine_hilbert, build_skeleton,
+                 free_crossed_on, functor_M, h_eval, peiffer_P1,
                  tensor_presentation, verify_square, verify_xmod)
 from xsq.crossed import CrossedModule
+
+from .oracle import ideal_equal
 
 
 def free_xmod(data):
@@ -29,7 +31,7 @@ def test_precrossed_fails_cm2_before_quotient(data_b):
     cm = free_xmod(data_b)
     amb = cm.top.ambient
     pre = CrossedModule(
-        top=Subquotient(amb, cm.top.numer, Ideal(amb, []), gens=cm.top.gens),
+        top=Subquotient(cm.top.numer, Ideal(amb, [])),
         base=cm.base, bnd=cm.bnd, embed=cm.embed)
     rep = verify_xmod(pre)
     failed = [i for i in rep.failures() if i["check"] == "CM2"]
@@ -95,7 +97,7 @@ def test_zero_multiplication_module_is_crossed():
     gens = [A.var("m1"), A.var("m2")]
     rels = Ideal(A, [g * h for g in gens for h in gens])
     cm = CrossedModule(
-        top=Subquotient(A, Ideal(A, gens), rels, gens=gens),
+        top=Subquotient(Ideal(A, gens), rels),
         base=R, bnd=RingHom.from_map(A, R, {"m1": R.zero, "m2": R.zero}),
         embed=RingHom.from_map(R, A, {}))
     assert verify_xmod(cm).ok
@@ -105,7 +107,7 @@ def test_ideal_inclusion_is_crossed():
     R = PolyRing(["x", "y"])
     I = Ideal(R, ["x^2", "y"])
     cm = CrossedModule(
-        top=Subquotient(R, I, Ideal(R, []), gens=I.gens),
+        top=Subquotient(I, Ideal(R, [])),
         base=R, bnd=RingHom.identity(R), embed=RingHom.identity(R))
     assert verify_xmod(cm).ok
 
@@ -129,7 +131,7 @@ def test_functor_level0_skeleton_gives_trivial_square(data_c):
     skel = build_skeleton(data_c.truncate(0))
     sq = functor_M(skel, 2)
     assert not sq.top.gens and not sq.left.gens and not sq.right.gens
-    assert sq.base.vars == ("x", "y")
+    assert sq.left.ring.vars == sq.right.ring.vars == ("x", "y")
 
 
 def test_functor_pi0(skel_a, skel_b):
@@ -165,6 +167,26 @@ def test_square_corner_identifications(skel_a, skel_c):
     assert skel_c.E2.var("T") in functor_M(skel_c, 2).top.gens
 
 
+@pytest.mark.parametrize("which", ["a", "b", "c", "d4f"])
+def test_square_corners_are_the_skeleton_corner_ideals(which, skel_a, skel_b,
+                                                       skel_c, skel_d4f):
+    skel = {"a": skel_a, "b": skel_b, "c": skel_c, "d4f": skel_d4f}[which]
+    sq = functor_M(skel, 2)
+    assert sq.left is skel.corners[0] and sq.right is skel.corners[1]
+    # the level-1 Moore kernels have the reduced bases of the corners
+    moore = skel.moore()
+    assert sq.left.groebner() == moore.ne1.groebner()
+    assert sq.right.groebner() == moore.kbar.groebner()
+
+
+def test_square_refuses_corners_in_two_rings(skel_a, skel_b):
+    sq = functor_M(skel_a, 2)
+    with pytest.raises(ValueError, match="one base ring"):
+        CrossedSquare(top=sq.top, left=sq.left,
+                      right=functor_M(skel_b, 2).right, bnd=sq.bnd,
+                      lift=sq.lift, pair=sq.pair)
+
+
 def test_h_eval_examples(skel_a):
     sq = functor_M(skel_a, 2)
     E1 = skel_a.E1
@@ -188,7 +210,7 @@ def test_square_kernel_identification(skel_c):
     sq = functor_M(skel_c, 2)
     for g in sq.top.gens:
         img = sq.bnd(g)
-        assert sq.left.contains(img) and sq.right.contains(img)
+        assert sq.left.member(img) and sq.right.member(img)
 
 
 def test_sabotaged_square_fails_exactly_axiom5(skel_a):

@@ -7,10 +7,10 @@ import pytest
 from xsq import cli, groebner
 from xsq import (GF, QQ, BudgetExceeded, Ideal, NotInIdeal, PolyRing,
                  RingHom, Subquotient, affine_hilbert, budget, eliminate,
-                 hom_kernel, ideal_equal, ideal_intersect, monomials_leq,
-                 syzygies)
+                 hom_kernel, ideal_intersect, syzygies)
 
-from .oracle import MacaulayNF, truncated_module_kernel, vector_to_coords
+from .oracle import (MacaulayNF, ideal_equal, monomials_upto,
+                     truncated_module_kernel, vector_to_coords)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_normal_form_examples(R):
 def test_normal_form_against_macaulay_oracle(R):
     I = Ideal(R, ["x^2 - y^2", "x*y"])
     oracle = MacaulayNF(I.gens, R, 6)
-    for m in monomials_leq(R, 6):
+    for m in monomials_upto(R, 6):
         p = R.monomial(m)
         assert I.normal_form(p) == oracle.nf(p)
 
@@ -184,7 +184,26 @@ def test_empty_generator_lists_take_the_general_path(field):
     K = eliminate(zero, ["x"])
     assert K.ring == PolyRing(["y"], field)
     assert K.is_zero() and K.groebner() == ()
-    assert Subquotient(S, zero, zero).dims(5) == (0,) * 6
+    assert Subquotient(zero, zero).dims(5) == (0,) * 6
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
+def test_subquotient_refuses_a_relation_outside_its_numerator(field):
+    S = PolyRing(["x", "y"], field)
+    numer = Ideal(S, ["x"])
+    sq = Subquotient(numer, Ideal(S, ["x*y", "x^2"]))
+    assert sq.ambient == S and sq.gens == numer.gens
+    with pytest.raises(ValueError, match="not a member of the numerator"):
+        Subquotient(numer, Ideal(S, ["x*y", "y^2"]))
+
+
+def test_subquotient_refuses_relations_in_another_ring():
+    S, T = PolyRing(["x", "y"]), PolyRing(["x", "y", "z"])
+    # an empty relation ideal has no generator to test for membership, so
+    # only the ring check can refuse it
+    for rels in (Ideal(T, ["x*z"]), Ideal(T, [])):
+        with pytest.raises(ValueError, match="common ring"):
+            Subquotient(Ideal(S, ["x"]), rels)
 
 
 def test_syzygy_soundness_and_truncated_completeness(R):
@@ -197,7 +216,6 @@ def test_syzygy_soundness_and_truncated_completeness(R):
         assert total.is_zero()
     # in each degree <= 6 the span of the basis equals the oracle kernel
     from xsq.linalg import Echelon
-    from xsq.groebner import monomials_leq as monos
     for d in range(7):
         kern_rows, fb = truncated_module_kernel(list(gens), R, d)
         span = Echelon(R.field)
@@ -205,7 +223,7 @@ def test_syzygy_soundness_and_truncated_completeness(R):
             top = max((p.wdeg() for p in v if not p.is_zero()), default=0)
             if top > d:
                 continue
-            for m in monos(R, d - top):
+            for m in monomials_upto(R, d - top):
                 shifted = tuple(p * R.monomial(m) for p in v)
                 span.add(dict(enumerate(vector_to_coords(shifted, fb))))
         rank_kernel = Echelon(R.field)

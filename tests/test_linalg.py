@@ -12,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from xsq import (GF, QQ, Ideal, aq_h2, cli, compare_XY, linalg, pi1,
                  syzygies)
-from xsq.groebner import hom_kernel, monomials_leq
+from xsq.groebner import hom_kernel
 from xsq.homotopy import _koszul_vectors
 from xsq.linalg import (Echelon, FilteredBasis, graded_span, nullity, rref,
                         truncated_ideal_span)
 from xsq.rings import reringed
 from xsq.tensor import tensor_presentation
+
+from .oracle import monomials_upto
 
 FIELDS = (QQ, GF(32003))
 
@@ -200,7 +202,7 @@ def rebuild_ranks(vecs, ring, D, top=None):
             if t < 0:
                 continue
             t = t if top is None else top
-            for m in (monomials_leq(ring, d - t) if t <= d else []):
+            for m in (monomials_upto(ring, d - t) if t <= d else []):
                 shifted = [p * ring.monomial(m) for p in v]
                 rows.append(fb.coords(shifted))
         ranks.append(naive_rank(dense(rows, width, ring.field), ring.field))
@@ -272,7 +274,7 @@ def test_filtered_rows_equal_per_degree_rebuild(skel_a, skel_b):
         koszul = ranks["koszul"]
         syz = [a - b for a, b in zip(ranks["syzygies"], koszul)]
         assert list(aq_h2(skel.data, "syzygy", D + 2)) == syz
-        kernel = [n * len(monomials_leq(R, d)) - ranks["kernel rows"][top + d]
+        kernel = [n * len(monomials_upto(R, d)) - ranks["kernel rows"][top + d]
                   - koszul[d] for d in range(D + 3)]
         assert list(aq_h2(skel.data, "kernel", D + 2)) == kernel
 

@@ -3,11 +3,11 @@ from pathlib import Path
 import pytest
 
 from xsq import (GF, ConstructionData, Ideal, InvalidData, QQ, build_skeleton,
-                 hom_kernel, ideal_equal, ideal_intersect, peiffer_P1,
-                 peiffer_P2, simplicial_identity_report)
+                 hom_kernel, ideal_intersect, peiffer_P1, peiffer_P2,
+                 simplicial_identity_report)
 from xsq.simplicial import _c_instances
 
-from .oracle import explicit_p2
+from .oracle import explicit_p2, ideal_equal
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from xsq import (GF, ConstructionData, CrossedSquare, Ideal, PolyRing, QQ,
-                 Subquotient, assemble_L, build_skeleton, compare_corner,
-                 coproduct, free_crossed_on, functor_M, ideal_equal,
-                 tensor_presentation, verify_square, verify_xmod)
+                 assemble_L, build_skeleton, compare_corner, coproduct,
+                 free_crossed_on, functor_M, tensor_presentation,
+                 verify_square, verify_xmod)
 from xsq.homotopy import _tensor_kernel_dims
 from xsq.linalg import FilteredBasis
 from xsq.tensor import kernel_tensor
+
+from .oracle import ideal_equal
 
 
 def free_xmod(data):
@@ -17,13 +19,13 @@ def free_xmod(data):
                            data.boundary_images)
 
 
-def tensor_square(left, right):
-    """The square of two ideal corners of one base ring with the tensor
-    presentation that ``compare`` runs on top, and that presentation."""
-    base = left.ambient
-    pres = tensor_presentation(base, left.gens, right.gens)
-    square = CrossedSquare(top=pres.subquotient(), left=left, right=right,
-                           base=base, bnd=pres.lam, lift=pres.embed,
+def tensor_square(base, m_gens, n_gens):
+    """The square of the two ideal corners of the base ring that m_gens and
+    n_gens generate, with the tensor presentation that ``compare`` runs on
+    top, and that presentation."""
+    pres = tensor_presentation(base, m_gens, n_gens)
+    square = CrossedSquare(top=pres.subquotient(), left=pres.m_ideal,
+                           right=pres.n_ideal, bnd=pres.lam, lift=pres.embed,
                            pair=pres.expand)
     return square, pres
 
@@ -79,7 +81,8 @@ def test_tensor_fixture_a_presentation(skel_a):
 def test_tensor_square_verifies(skel_a, skel_b):
     for skel in (skel_a, skel_b):
         corners = functor_M(skel, 2)
-        sq, pres = tensor_square(corners.left, corners.right)
+        sq, pres = tensor_square(skel.E1, corners.left.gens,
+                                 corners.right.gens)
         rep = verify_square(sq)
         assert rep.ok, rep.to_obj()
 
@@ -90,12 +93,8 @@ def test_tensor_square_of_corners_with_zero_generators(m_gens, n_gens):
     # the ideals drop the zero generators; the symbols must be indexed by
     # the same lists as the cofactor lifts
     R = PolyRing(("x", "y"), QQ)
-
-    def corner(gens):
-        gens = [R.parse(g) for g in gens]
-        return Subquotient(R, Ideal(R, gens), Ideal(R, []), gens=gens)
-
-    sq, pres = tensor_square(corner(m_gens), corner(n_gens))
+    sq, pres = tensor_square(R, [R.parse(g) for g in m_gens],
+                             [R.parse(g) for g in n_gens])
     assert all(not g.is_zero() for g in pres.m_gens + pres.n_gens)
     rep = verify_square(sq)
     assert rep.ok, rep.to_obj()
@@ -212,12 +211,15 @@ def test_coproduct_of_two_copies(data_a):
     merged = result.cm.top.ambient
     assert "S_a" in merged.vars and "S_b" in merged.vars
     assert result.i_names == {"S": "S_a"} and result.j_names == {"S": "S_b"}
-    assert len(result.cross_relations) == 1
-    cross = result.cross_relations[0]
-    assert cross == merged.parse("x^2*S_a - x^2*S_b") \
-        or cross == merged.parse("x^2*S_b - x^2*S_a")
-    # the boundary kills every Peiffer generator
-    for g in result.cross_relations:
+    # the cross Peiffer generators bnd(w).u - bnd(u).w, rebuilt from the
+    # summands' boundaries, are relations of the merged presentation
+    emb, i, j = result.cm.embed, result.i_hom, result.j_hom
+    cross = [emb(cm.bnd(w)) * i(u) - emb(cm.bnd(u)) * j(w)
+             for u in cm.top.gens for w in cm.top.gens]
+    assert cross == [merged.parse("x^2*S_a - x^2*S_b")]
+    for g in cross:
+        assert result.cm.top.rels.member(g)
+        # the boundary kills every Peiffer generator
         assert result.cm.bnd(g).is_zero()
     # injections are algebra maps compatible with the boundaries
     for g in cm.top.gens:
