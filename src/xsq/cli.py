@@ -98,7 +98,7 @@ def cmd_build(data, args):
 
 
 def cmd_verify(data, args):
-    from .crossed import functor_M, verify_square, verify_xmod
+    from .crossed import VerifyReport, functor_M, verify_square, verify_xmod
     reports = []
     skel = found = None
     for level in (0, 1, 2):
@@ -110,12 +110,10 @@ def cmd_verify(data, args):
             skel, found = build_skeleton(truncated), None
         if found is None or break_h:
             basis = ", ".join(str(b) for b in functor_M(skel, 0).groebner())
+            rep = VerifyReport()
+            rep.add_bool("presentation", "reduced basis [%s]" % basis, True)
             found = (
-                {"ok": True,
-                 "items": [{"check": "presentation",
-                            "instance": "reduced basis [%s]" % basis,
-                            "status": "pass", "witness": "0",
-                            "informational": False}]},
+                rep.to_obj(),
                 verify_xmod(functor_M(skel, 1)).to_obj(),
                 verify_square(functor_M(skel, 2, break_h=break_h)).to_obj())
         pi0, xmod, square = found

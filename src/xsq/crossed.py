@@ -58,11 +58,11 @@ class VerifyReport:
         self.items.append({"check": check, "instance": instance,
                            **outcome(residue), "informational": informational})
 
-    def add_bool(self, check, instance, ok, witness="", informational=False):
+    def add_bool(self, check, instance, ok, witness=""):
         self.items.append({"check": check, "instance": instance,
                            "status": "pass" if ok else "fail",
                            "witness": witness if not ok else "0",
-                           "informational": informational})
+                           "informational": False})
 
     @property
     def ok(self):

@@ -36,12 +36,14 @@ the work ring of another order or to an elimination ring by
 :func:`rings.reringed`.  An exponent above 2^31 - 1 in a product the
 engine forms raises :class:`ExponentOverflow`, a :class:`BudgetExceeded`.
 
-An elimination result (also of :func:`ideal_intersect` and :func:`hom_kernel`)
-carries the reduced basis it was read from, as its generators and cached.
-Only :func:`eliminate` builds the block-order ring; the other two write
-their generators in the ring extended by the variables to eliminate.  The
-monomials of weighted degree <= D are listed by one packed recursion
-(``_monomials``), for Hilbert counts and :class:`linalg.FilteredBasis`.
+An elimination result (also of :func:`ideal_intersect` and
+:func:`hom_kernel`) carries the reduced basis it was read from, as its
+generators and cached: the block-order basis elements whose cached leading
+monomials are free of the block.  Only :func:`eliminate` builds the
+block-order ring; the other two write their generators in the ring extended
+by the variables to eliminate.  The monomials of weighted degree <= D are
+listed by one packed recursion (``_monomials``), for Hilbert counts and
+:class:`linalg.FilteredBasis`.
 """
 
 import heapq
@@ -101,8 +103,7 @@ def _terms(p):
 
 def _polynomial(ring, terms):
     """The polynomial of descending (monomial, key, coefficient) terms."""
-    return Polynomial(ring, {M: c for M, _, c in terms},
-                      (terms[0][0], terms[0][2]) if terms else None)
+    return Polynomial(ring, {M: c for M, _, c in terms})
 
 
 def _dividend(terms):
@@ -348,10 +349,9 @@ def _reduce_basis(G, rows, ring):
     brows = [rows[i] for i in keep] if track else None
     out, out_rows = [], ([] if track else None)
     for idx, b in enumerate(basis):
+        # no other kept leading monomial divides lm(b): rem keeps it
         quots, rem = _divide(*_dividend(b), basis[:idx] + basis[idx + 1:],
                              guards, char, want_quotients=track)
-        if not rem:
-            continue
         u = inv(rem[0][2])
         if track:
             row = _combine(len(brows[idx]), [({0: one}, brows[idx])], quots,
@@ -467,12 +467,13 @@ def eliminate(I, drop):
     weights = tuple(ring.weights[ring._index[v]] for v in drop + keep)
     work = PolyRing(tuple(drop + keep), ring.field, weights,
                     ("block", len(drop)))
-    basis = Ideal(work, [reringed(g, work) for g in I.gens]).groebner()
+    elim = Ideal(work, [reringed(g, work) for g in I.gens])
+    _, basis, _, _, lms = elim._computed()
     # the elements with leading monomial free of the block lie in the subring
     # and are its reduced basis for the inner order, the target's order
     block = work.packing.mask(range(len(drop)))
-    kept = tuple(reringed(b, target) for b in basis
-                 if not b.leading()[0] & block)
+    kept = tuple(reringed(b, target) for b, lm in zip(basis, lms)
+                 if not lm & block)
     K = Ideal(target, kept)
     reducers = tuple(_terms(b) for b in kept)
     K._cache[target.order] = (target, kept, None, reducers,

@@ -66,27 +66,22 @@ def _pair_dims(left, right, image, fb):
     return tuple(l + r - both - im for l, r, both, im in zip(*rows))
 
 
-def _pair_kernel_dims(skel, D):
-    """Homotopy in degree one of the squared complex by truncated linear
-    algebra on the pair term: the kernel of (m, n) -> m + n meets the span
-    pair in the intersection of the two corner spans, and the boundary
-    image is the span of the pushed-down top generators."""
-    moore = skel.moore()
-    image = _homotopy_pair(skel, 1)[1]
-    return _pair_dims(moore.ne1.groebner(), moore.kbar.groebner(),
-                      image.groebner(), FilteredBasis(skel.E1, D))
-
-
 def pi1(skel, D, route="ideal"):
     """First homotopy module as filtered dimensions.
 
     route "ideal": the intersection of the two level-1 kernels modulo the
     pushed-down level-2 kernel, by elimination and leading-term counts.
     route "pair": the same module read off the squared complex by
-    truncated linear algebra.
+    truncated linear algebra on the pair term: the kernel of
+    (m, n) -> m + n meets the span pair in the intersection of the two
+    corner spans, and the boundary image is the span of the pushed-down
+    top generators.
     """
     if route == "pair":
-        return _pair_kernel_dims(skel, D)
+        moore = skel.moore()
+        image = _homotopy_pair(skel, 1)[1]
+        return _pair_dims(moore.ne1.groebner(), moore.kbar.groebner(),
+                          image.groebner(), FilteredBasis(skel.E1, D))
     if route != "ideal":
         raise ValueError("unknown route %r" % (route,))
     return subquotient_dims(*_homotopy_pair(skel, 1), D)

@@ -5,10 +5,11 @@ A ring fixes an ordered variable list, a ground field, per-variable weights
 monomial into one int (:class:`Packing`, kept as ``PolyRing.packing``), and
 a polynomial is an immutable dict from packed monomials to nonzero
 coefficients (residues in [0, p) over F_p, see :mod:`xsq.scalars`): a
-monomial product is an int sum, and the order key is an int.  Exponent
-tuples appear only where monomials are read or written: the parser and
-:meth:`PolyRing.monomial` pack them, and ``str()`` and
-:meth:`Polynomial.exponent_terms` unpack them.
+monomial product is an int sum, and the order key is an int.  A polynomial
+keeps no leading term: the Groebner engine keeps the leading monomials of a
+basis beside it.  Exponent tuples appear only where monomials are read or
+written: the parser and :meth:`PolyRing.monomial` pack them, and ``str()``
+and :meth:`Polynomial.exponent_terms` unpack them.
 
 The text grammar understood by :func:`PolyRing.parse`:
 
@@ -262,11 +263,6 @@ class PolyRing:
     def __repr__(self):
         return "PolyRing(%s over %r)" % (", ".join(self.vars), self.field)
 
-    # -- weighted degree ------------------------------------------------
-
-    def wdeg(self, exps):
-        return sum(e * w for e, w in zip(exps, self.weights))
-
     # -- element constructors -------------------------------------------
 
     @property
@@ -472,13 +468,12 @@ class Polynomial:
     """Immutable sparse polynomial: terms maps packed monomials of its
     ring to nonzero coefficients."""
 
-    __slots__ = ("ring", "terms", "_hash", "_lead", "_str")
+    __slots__ = ("ring", "terms", "_hash", "_str")
 
-    def __init__(self, ring, terms, lead=None):
+    def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._hash = None
-        self._lead = lead  # (packed monomial, coefficient), when known
         self._str = None
 
     def exponent_terms(self):
@@ -490,16 +485,6 @@ class Polynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def leading(self):
-        """(packed monomial, coefficient) of the leading term; error on
-        zero."""
-        if self._lead is None:
-            if not self.terms:
-                raise ValueError("zero polynomial has no leading term")
-            M = max(self.terms, key=self.ring.packing.key)
-            self._lead = (M, self.terms[M])
-        return self._lead
 
     def wdeg(self):
         """Weighted total degree; -1 for the zero polynomial."""

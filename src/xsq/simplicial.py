@@ -110,7 +110,7 @@ class ConstructionData:
                     if not self._in_augmentation(image):
                         problems.append("S3 image for %r is not in the "
                                         "augmentation ideal (S2)" % name)
-                    boundary = self.level1_boundary()(image)
+                    boundary = d1(image)
                     if not boundary.is_zero():
                         problems.append(
                             "S3 image %s for %r has nonzero boundary %s"
@@ -120,6 +120,8 @@ class ConstructionData:
                 self.s2 = tuple(parsed)
                 self.ring1 = self.base_ring.extend(
                     self.s2_names, map(_weight_of, self.boundary_images))
+                # the level-1 boundary R[S2] -> R, for the S3 images
+                d1 = RingHom.from_map(self.ring1, self.base_ring, dict(parsed))
             else:
                 self.s3 = tuple(parsed)
         if problems:
@@ -129,12 +131,6 @@ class ConstructionData:
         adjoined = self.ring1.packing.mask(
             range(len(self.s1_names), len(self.ring1.vars)))
         return all(M & adjoined for M in p.terms)
-
-    def level1_boundary(self):
-        """The map R[S2] -> R sending each adjoined generator to its image."""
-        return RingHom.from_map(
-            self.ring1, self.base_ring,
-            {name: image for name, image in self.s2})
 
     @property
     def s2_names(self):

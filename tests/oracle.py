@@ -14,16 +14,25 @@ supplies only its inverse.
 the second-order Peiffer ideal in closed form, for comparison with the
 family instances that ``peiffer_P2`` pushes down from level 3.
 
-:func:`ideal_equal` and :func:`mono_key` are the two helpers that only the
-tests read: equality of ideals by their reduced bases, and the order key of
-an exponent tuple.
+:func:`ideal_equal`, :func:`mono_key` and :func:`wdeg` are helpers that
+only the tests read: equality of ideals by their reduced bases, and the
+order key and the weighted degree of an exponent tuple.
+
+:func:`certify` checks a reduced Groebner basis by Buchberger's criterion
+with its own division on exponent tuples, and checks cofactor rows by
+plain multiplication; it shares no code with the engine's division.
 """
 
 from xsq.rings import reringed
 
 
+def wdeg(ring, exps):
+    """The weighted degree of an exponent tuple of ring."""
+    return sum(e * w for e, w in zip(exps, ring.weights))
+
+
 def is_whomogeneous(p):
-    degs = {p.ring.wdeg(m) for m in p.exponent_terms()}
+    degs = {wdeg(p.ring, m) for m in p.exponent_terms()}
     return len(degs) <= 1
 
 
@@ -251,3 +260,97 @@ def ideal_equal(I, J):
     if I.ring != J.ring:
         raise ValueError("ideal comparison needs a common ring")
     return I.groebner() == J.groebner()
+
+
+# -- basis certificate --------------------------------------------------------
+
+
+def _add_multiple(p, t, c, terms, char):
+    """p += c * x^t * terms on a dict {exponent tuple: coefficient}."""
+    for m, d in terms:
+        n = tuple(map(sum, zip(t, m)))
+        v = p.get(n, 0) + c * d
+        if char:
+            v %= char
+        if v:
+            p[n] = v
+        else:
+            p.pop(n, None)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _remainder(p, basis, ring):
+    """The remainder of the dict p on division by basis, monic term lists
+    with the leading term first: the largest term of p is taken off by the
+    first element whose leading monomial divides it, or moved to the
+    remainder."""
+    char, p, rem = ring.field.char, dict(p), {}
+    while p:
+        m = max(p, key=lambda m: mono_key(ring, m))
+        c = p.pop(m)
+        for b in basis:
+            if _divides(b[0][0], m):
+                t = tuple(x - y for x, y in zip(m, b[0][0]))
+                _add_multiple(p, t, -c, b[1:], char)
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def certify(gens, basis, rows=None):
+    """The ways in which basis, polynomials of one ring, fails to be the
+    reduced Groebner basis of the ideal of gens, by Buchberger's criterion
+    and this module's own division; an empty list certifies it.
+
+    basis must be monic, reduced and ascending by leading monomial, and
+    every generator and every S-pair whose leading monomials are not
+    coprime must reduce to zero by it (a coprime pair always does).  Then
+    basis is the reduced basis of an ideal that contains the generators.
+    That ideal is theirs when basis lies in it, which is checked only when
+    cofactor rows are given: basis[i] must be the sum of rows[i][j] *
+    gens[j] by plain multiplication."""
+    problems = []
+    if rows is not None and (len(rows) != len(basis) or any(
+            sum((c * g for c, g in zip(row, gens)), b.ring.zero) != b
+            for b, row in zip(basis, rows))):
+        problems.append("the rows do not reproduce the basis")
+    if not basis:
+        return problems + ["generator %s does not reduce to zero" % g
+                           for g in gens if not g.is_zero()]
+    ring = basis[0].ring
+    char, one = ring.field.char, ring.field.one
+    terms = [list(b.exponent_terms().items()) for b in basis]
+    lms = [t[0][0] for t in terms]
+    for i, t in enumerate(terms):
+        if t[0][1] != one:
+            problems.append("element %d is not monic" % i)
+        if any(j != i and _divides(lm, m)
+               for m, _ in t for j, lm in enumerate(lms)):
+            problems.append("element %d is not reduced" % i)
+    keys = [mono_key(ring, m) for m in lms]
+    if keys != sorted(keys):
+        problems.append("leading monomials are not ascending")
+    for g in gens:
+        if g.ring != ring:
+            raise ValueError("generator %s not in the basis's ring" % g)
+        if _remainder(g.exponent_terms(), terms, ring):
+            problems.append("generator %s does not reduce to zero" % g)
+    for i in range(len(terms)):
+        for j in range(i + 1, len(terms)):
+            a, b = lms[i], lms[j]
+            if not any(x and y for x, y in zip(a, b)):
+                continue
+            lcm = tuple(map(max, a, b))
+            s = {}
+            _add_multiple(s, tuple(x - y for x, y in zip(lcm, a)), 1,
+                          terms[i], char)
+            _add_multiple(s, tuple(x - y for x, y in zip(lcm, b)), -1,
+                          terms[j], char)
+            if _remainder(s, terms, ring):
+                problems.append("S-pair (%d, %d) does not reduce to zero"
+                                % (i, j))
+    return problems

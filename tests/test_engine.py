@@ -16,7 +16,7 @@ from xsq import (GF, QQ, BudgetExceeded, Ideal, PolyRing, Polynomial,
 from xsq import groebner
 from xsq.rings import MAX_EXPONENT, ExponentOverflow
 
-from .oracle import MacaulayNF, mono_key, monomials_upto
+from .oracle import MacaulayNF, mono_key, monomials_upto, wdeg
 
 FIELDS = (QQ, GF(32003))
 
@@ -47,7 +47,7 @@ def homogeneous_ideals(draw):
     gens, mults = [], []
     for _ in range(draw(st.integers(1, 3))):
         d = draw(st.integers(1, 4))
-        monos = [m for m in monomials_upto(ring, d) if ring.wdeg(m) == d]
+        monos = [m for m in monomials_upto(ring, d) if wdeg(ring, m) == d]
         if not monos:
             continue
         chosen = draw(st.lists(st.sampled_from(monos), min_size=1,
@@ -121,6 +121,31 @@ def test_elimination_results_carry_their_reduced_basis(case):
         assert K.ring.order in K._cache
         fresh = Ideal(K.ring, K.gens).groebner()
         assert K.groebner() == fresh and K.gens == fresh
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("names, gens", [
+    ("t x y", ["t*x", "y - t*y"]),                  # (x) cap (y) by a tag
+    ("t x y", ["x - t^2", "y - 5*t^3"]),            # a parametrized curve
+    ("s t x y z", ["x - s^2", "y - 3*s*t", "z - t^2"]),
+])
+def test_eliminate_seeds_the_basis_a_fresh_ideal_computes(field, names,
+                                                          gens):
+    # the leading block is t, or s and t; its basis has elements with and
+    # without them in the leading monomial, and eliminate must keep
+    # exactly the second kind, by the cached leading monomials
+    ring = PolyRing(names.split(), field)
+    I = Ideal(ring, gens)
+    drop = [v for v in ring.vars if v in "st"]
+    work, _, _, _, lms = I._computed(("block", len(drop)))
+    block = work.packing.mask(range(len(drop)))
+    assert any(lm & block for lm in lms)
+    assert not all(lm & block for lm in lms)
+    K = eliminate(I, drop)
+    _, seeded, _, seeded_reducers, seeded_lms = K._cache[K.ring.order]
+    _, basis, _, reducers, lms = Ideal(K.ring, K.gens)._computed()
+    assert seeded == basis and seeded_lms == lms
+    assert list(seeded_reducers) == list(reducers)
 
 
 @st.composite
@@ -237,7 +262,7 @@ def division_cases(draw):
     divide each other.  The engine divides only by monic reducers."""
     ring = draw(ordered_rings())
     (p,) = _polys(draw, ring, 1, 1, 8, 3)
-    return p, [b * ring.field.inv(b.leading()[1])
+    return p, [b * ring.field.inv(b.terms[max(b.terms, key=ring.packing.key)])
                for b in _polys(draw, ring, 1, 4, 3, 2)]
 
 
