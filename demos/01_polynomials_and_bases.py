@@ -34,7 +34,7 @@ print()
 print("== intersections, syzygies, filtered dimensions ==")
 J = ideal_intersect(Ideal(R, ["x"]), Ideal(R, ["y"]))
 print("(x) intersect (y):", [str(g) for g in J.gens])
-for v in syzygies((R.parse("x^2"), R.parse("x*y"))):
+for v in syzygies((R.parse("x^2"), R.parse("x*y")), ring=R):
     print("syzygy of (x^2, x*y):", tuple(str(p) for p in v))
 print("filtered dimensions of R/(x^2, x*y) up to degree 5:",
       affine_hilbert(Ideal(R, ["x^2", "x*y"]), 5))

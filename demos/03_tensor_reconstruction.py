@@ -4,18 +4,18 @@ coproducts, and certify the reconstruction at desk scale.
 Run:  python3 demos/03_tensor_reconstruction.py
 """
 
-from xsq import (ConstructionData, QQ, assemble_L, build_skeleton,
-                 compare_corner, tensor_presentation)
+from xsq import (ConstructionData, Ideal, QQ, TensorPresentation,
+                 assemble_L, build_skeleton, compare_corner)
 from xsq.cli import _render_text
 
 print("== one-relation presentation: the tensor alone ==")
 data_a = ConstructionData(QQ, ["x"], [("S", "x^2")], [])
 skel_a = build_skeleton(data_a)
 E1 = skel_a.E1
-pres = tensor_presentation(E1, [E1.var("S")], [E1.parse("S - x^2")])
+pres = TensorPresentation(Ideal(E1, ["S"]), Ideal(E1, ["S - x^2"]))
 print("symbols:", [str(g) for g in pres.symbols])
-print("relations:", [str(r) for r in pres.relations.gens])
-print("structure map image of the symbol:", pres.lam(pres.symbols[0]))
+print("relations:", [str(r) for r in pres.top.rels.gens])
+print("structure map image of the symbol:", pres.bnd(pres.symbols[0]))
 
 # the report is the dict that `xsq compare` prints under "corner"
 print("\n".join(_render_text(compare_corner(skel_a, D=6))))

@@ -21,7 +21,7 @@ _EXPORTS = {name: module for module, names in (
     ("crossed", "CrossedModule CrossedSquare VerifyReport free_crossed_on "
                 "functor_M h_eval verify_square verify_xmod"),
     ("tensor", "AssembledCorner CoproductResult TensorPresentation "
-               "assemble_L compare_corner coproduct tensor_presentation"),
+               "assemble_L compare_corner coproduct"),
     ("homotopy", "aq_h2 aq_h2_witness compare_XY homotopy_report pi0 pi1 "
                  "pi2"),
 ) for name in names.split()}

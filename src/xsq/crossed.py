@@ -30,13 +30,13 @@ from .simplicial import _weight_of, peiffer_defects
 
 class CrossedModule:
     """Boundary top -> base with the action given by multiplication through
-    the declared embedding of the base into the top's ambient ring."""
+    the declared lift of the base into the top's ambient ring; the base is
+    the boundary's codomain."""
 
-    def __init__(self, top, base, bnd, embed):
+    def __init__(self, top, bnd, lift):
         self.top = top
-        self.base = base
         self.bnd = bnd          # top.ambient -> base
-        self.embed = embed      # base -> top.ambient
+        self.lift = lift        # base -> top.ambient
 
 
 def outcome(residue):
@@ -79,36 +79,33 @@ class VerifyReport:
 def verify_xmod(cm):
     """First and second crossed-module axioms on generators."""
     rep = VerifyReport()
-    base_vars = [cm.base.var(v) for v in cm.base.vars]
     for g in cm.top.rels.gens:
         rep.add("boundary-kills-relations", str(g), cm.bnd(g))
-    for r in base_vars:
-        defect = cm.bnd(cm.embed(r)) - r
+    for r in cm.bnd.codomain.gens():
+        defect = cm.bnd(cm.lift(r)) - r
         for c in cm.top.gens:
             rep.add("CM1", "r=%s, c=%s" % (r, c), defect * cm.bnd(c))
     for c in cm.top.gens:
         for c2 in cm.top.gens:
-            residue = cm.top.nf(cm.embed(cm.bnd(c)) * c2 - c * c2)
+            residue = cm.top.nf(cm.lift(cm.bnd(c)) * c2 - c * c2)
             rep.add("CM2", "c=%s, c'=%s" % (c, c2), residue)
     return rep
 
 
-class CrossedSquare:
+class CrossedSquare(CrossedModule):
     """Corners: top L (subquotient), left M and right N (ideals of the
     base ring, which is their common ring).  Both boundary maps of the top
-    corner are realized by the single ambient map ``bnd``; ``lift``
-    realizes the base action on the top; ``pair`` is the connecting
+    corner are realized by the single ambient map ``bnd``, so L -> base
+    with ``lift`` is a crossed module; ``pair`` is the connecting
     bilinear rule M x N -> L; ``top_mul`` is the same-corner pairing on L
     (ambient product unless a negative control replaces it)."""
 
     def __init__(self, top, left, right, bnd, lift, pair, top_mul=None):
         if left.ring != right.ring:
             raise ValueError("corner ideals must live in one base ring")
-        self.top = top
+        super().__init__(top, bnd, lift)
         self.left = left
         self.right = right
-        self.bnd = bnd
-        self.lift = lift
         self.pair = pair
         self.top_mul = (lambda a, b: a * b) if top_mul is None else top_mul
 
@@ -256,7 +253,7 @@ def free_crossed_on(base, names, images):
     rels = peiffer_defects(gens, [emb(t) for t in images])
     top = Subquotient(Ideal(A, gens), Ideal(A, rels))
     bnd = RingHom.from_map(A, base, dict(zip(names, images)))
-    return CrossedModule(top=top, base=base, bnd=bnd, embed=emb)
+    return CrossedModule(top=top, bnd=bnd, lift=emb)
 
 
 def square_pair_rule(skel):

@@ -513,19 +513,15 @@ def hom_kernel(h):
     return Ideal(dom, [reringed(g, dom) for g in K.gens])
 
 
-def syzygies(gens, ring=None):
-    """Generating set of {v : sum(v_i * g_i) = 0} for a tuple of generators,
-    as tuples of polynomials; ring is needed only when the tuple is empty.
+def syzygies(gens, ring):
+    """Generating set of {v : sum(v_i * g_i) = 0} for a tuple of generators
+    of ring, as tuples of polynomials.
 
     Schreyer-style: the e_i of the zero generators, the syzygies of the
     reduced basis coming from all S-pair reductions, pulled back through
     the cofactor rows, and the identity defects of the nonzero
     generators."""
     gens = tuple(gens)
-    if ring is None:
-        if not gens:
-            raise ValueError("need a ring for an empty generator tuple")
-        ring = gens[0].ring
     k = len(gens)
     one, char = ring.field.one, ring.field.char
     packing = ring.packing

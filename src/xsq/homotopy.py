@@ -226,7 +226,7 @@ def compare_XY(skel, D=6):
     from .tensor import kernel_tensor
     E1, R = skel.E1, skel.base
     pres = kernel_tensor(skel)
-    m_gens, n_gens = pres.m_gens, pres.n_gens
+    m_gens, n_gens = pres.left.gens, pres.right.gens
     d1 = skel.face[(1, 1)]
     s0 = skel.degen[(0, 0)]
 
@@ -249,14 +249,13 @@ def compare_XY(skel, D=6):
     for n in n_gens:
         add("projection chain square at (0, %s)" % n, d1(n))
     for g in pres.symbols:
-        lam = pres.lam(g)
         # section chain square on top: the right-corner correspondent of
         # the boundary image is that image itself
-        add("top section chain square on %s" % g, s0(d1(lam)))
+        add("top section chain square on %s" % g, s0(d1(pres.bnd(g))))
 
     # kernel complex: pairs with zero left slot map isomorphically onto
     # the kernel of the bottom projection; both homology rows must vanish
-    n_basis = pres.n_ideal.groebner()
+    n_basis = pres.right.groebner()
     kernel_rows = skel.moore().kbar.groebner()
     fb = FilteredBasis(E1, D)  # for every filtered row of E1 below
     span_n = truncated_ideal_span(n_basis, fb)
@@ -267,8 +266,8 @@ def compare_XY(skel, D=6):
     bottom = [k - n for k, n in zip(span_ker.ranks, span_n.ranks)]
 
     # homotopy rows of both complexes
-    M_ideal, N_ideal = pres.m_ideal, pres.n_ideal
-    lam_ideal = Ideal(E1, [pres.lam(g) for g in pres.symbols])
+    M_ideal, N_ideal = pres.left, pres.right
+    lam_ideal = Ideal(E1, [pres.bnd(g) for g in pres.symbols])
     pi0_wide = affine_hilbert(M_ideal + N_ideal, D)
     pi0_narrow = affine_hilbert(skel.pi0(), D)
     pi1_narrow = subquotient_dims(ideal_intersect(M_ideal, N_ideal),
@@ -294,16 +293,16 @@ def _tensor_kernel_dims(pres, fb):
     presentation, with values in the pair term (both slots) and in the
     single corner, read in the filtered basis fb of the base."""
     D = fb.D
-    work, standard = standard_monomials(pres.relations, D)
+    work, standard = standard_monomials(pres.top.rels, D)
     symbols = work.packing.mask(work._index[name]
-                                for row in pres.symbol_grid for name in row)
+                                for row in pres.grid for name in row)
     one = work.field.one
     images = [[] for _ in range(D + 1)]  # of the symbol monomials, by degree
     for M, deg in standard:
         if M & symbols:
-            lam = pres.lam(Polynomial(work, {M: one}))
+            lam = pres.bnd(Polynomial(work, {M: one}))
             images[deg].append(fb.coords((lam,)))
-    size, field = len(fb), pres.ring.field
+    size, field = len(fb), work.field
     doubled = ([{**{c: -x for c, x in v.items()},
                  **{size + c: x for c, x in v.items()}} for v in piece]
                for piece in images)

@@ -490,11 +490,6 @@ class Polynomial:
         """Weighted total degree; -1 for the zero polynomial."""
         return max(map(self.ring.packing.wdeg, self.terms), default=-1)
 
-    def support_vars(self):
-        """Names of variables that actually occur."""
-        used = self.ring.packing.unpack(reduce(or_, self.terms, 0))
-        return tuple(v for v, e in zip(self.ring.vars, used) if e)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):

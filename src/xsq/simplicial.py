@@ -411,8 +411,9 @@ def peiffer_P1(data):
 
 def _c_instances(skel):
     """The six quadratic families inside level 3, instantiated on the
-    generators of the level-1 and level-2 Moore kernels.  Yields
-    (label, element, touches_s3) triples."""
+    generators of the level-1 and level-2 Moore kernels: C_(1,0)(2),
+    C_(2,0)(1) and C_(2,1)(0) on pairs (x, y), then C_(1)(0), C_(2)(0)
+    and C_(2)(1) on pairs (y, y')."""
     moore = skel.moore()
     s0 = skel.degen[(2, 0)]
     s1 = skel.degen[(2, 1)]
@@ -420,26 +421,21 @@ def _c_instances(skel):
     s10 = skel.degen[(1, 0)].then(skel.degen[(2, 1)])
     s20 = skel.degen[(1, 0)].then(skel.degen[(2, 2)])
     s21 = skel.degen[(1, 1)].then(skel.degen[(2, 2)])
-    s3vars = set(skel.data.s3_names)
 
     # each Moore generator goes through each degeneracy once, not once
     # per pair it takes part in
     xs = [(s10(x) - s20(x), s20(x) - s21(x), s21(x)) for x in moore.ne1.gens]
-    ys = [(s0(y), s1(y), s2(y), any(v in s3vars for v in y.support_vars()))
-          for y in moore.ne2.gens]
-    out = []
+    ys = [(s0(y), s1(y), s2(y)) for y in moore.ne2.gens]
     for x10, x20, x21 in xs:
-        for y0, y1, y2, u in ys:
-            out.append(("C_(1,0)(2)", x10 * y2, u))
-            out.append(("C_(2,0)(1)", x20 * (y1 - y2), u))
-            out.append(("C_(2,1)(0)", x21 * (y0 - y1 + y2), u))
-    for _, x1, x2, ux in ys:
-        for y0, y1, y2, uy in ys:
-            u = ux or uy
-            out.append(("C_(1)(0)", x1 * (y0 - y1) + x2 * y2, u))
-            out.append(("C_(2)(0)", x2 * y0, u))
-            out.append(("C_(2)(1)", x2 * (y1 - y2), u))
-    return out
+        for y0, y1, y2 in ys:
+            yield x10 * y2
+            yield x20 * (y1 - y2)
+            yield x21 * (y0 - y1 + y2)
+    for _, x1, x2 in ys:
+        for y0, y1, y2 in ys:
+            yield x1 * (y0 - y1) + x2 * y2
+            yield x2 * y0
+            yield x2 * (y1 - y2)
 
 
 def peiffer_P2(skel):
@@ -453,7 +449,7 @@ def peiffer_P2(skel):
     """
     d = {i: skel.face[(3, i)] for i in range(4)}
     gens = []
-    for _, z, _ in _c_instances(skel):
+    for z in _c_instances(skel):
         for i in (0, 1, 2):
             img = d[i](z)
             if not img.is_zero():

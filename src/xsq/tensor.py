@@ -8,14 +8,14 @@ the syzygies of each generator list, and the multiplicative relations come
 from cofactor lifts of generator products.  Every symbol sum
 sum a_p b_q (m_p (x) n_q) over two coefficient tuples, whether the class of
 m (x) n, a relation of the tensor or an interchange relation of the
-assembled corner, is written by :meth:`TensorPresentation.combination`.  A
-presentation is the top of the square of its two ideal corners ``m_ideal``
-and ``n_ideal``: :meth:`TensorPresentation.subquotient` the top, ``lam``
-both boundaries, ``embed`` the base action and
-:meth:`TensorPresentation.expand` the pairing.
-The coproduct renames the clashing symbols of both summands by one rule and
-keeps the renaming, one dict per summand, for the maps out of it.
-A certified comparison checks
+assembled corner, is written by :meth:`TensorPresentation.combination`.
+Each record of the reconstruction is the object it presents: the tensor
+presentation is the crossed square of its two ideal corners with the tensor
+on top, the coproduct is the merged crossed module, and the assembled corner
+is the square on the tensor's corners whose top is the coproduct divided by
+the interchange relations.  The coproduct renames the clashing symbols of
+both summands by one rule and keeps the renaming, one dict per summand, for
+the maps out of it.  A certified comparison checks
 well-definedness (every relation maps to normal form zero), surjectivity
 (every Moore generator lifts through the image ideal) and equality of the
 affine Hilbert rows of both presentations up to a degree bound.
@@ -36,104 +36,83 @@ def _unit(ring, k, size):
     return tuple(ring.one if i == k else ring.zero for i in range(size))
 
 
-class TensorPresentation:
-    """Presentation of the tensor of two ideal corners of the base ring."""
+class TensorPresentation(CrossedSquare):
+    """The square of two ideal corners of one base ring with their tensor
+    on top, presented on one symbol ``grid[p][q]`` per pair of the ideals'
+    generators (which drop zeros and repeats, as cofactor lifts do): ``bnd``
+    sends a symbol to the product of its pair and ``pair`` is
+    :meth:`expand`."""
 
-    def __init__(self, base, ring, symbol_grid, m_gens, n_gens, relations,
-                 numer, lam, embed, m_ideal, n_ideal):
-        self.base = base
-        self.ring = ring                # base extended by the symbols
-        self.symbol_grid = symbol_grid  # symbol_grid[p][q] = variable name
-        self.m_gens = m_gens
-        self.n_gens = n_gens
-        self.relations = relations
-        self.numer = numer
-        self.lam = lam          # both structure maps share this ambient map
-        self.embed = embed
-        self.m_ideal = m_ideal
-        self.n_ideal = n_ideal
+    def __init__(self, left, right):
+        base, m_gens, n_gens = left.ring, left.gens, right.gens
+        flat = [(p, q) for p in range(len(m_gens)) for q in range(len(n_gens))]
+        names = fresh_names(["g%d_%d" % pq for pq in flat], base.vars)
+        ring = base.extend(names, [_weight_of(m_gens[p])
+                                   + _weight_of(n_gens[q]) for p, q in flat])
+        self.grid = tuple(tuple(names[p * len(n_gens) + q]
+                                for q in range(len(n_gens)))
+                          for p in range(len(m_gens)))
+        # combination reads grid and lift, so both are set before the
+        # relations are written
+        self.lift = RingHom.from_map(base, ring, {})
+        sym = lambda p, q: ring.var(self.grid[p][q])
+
+        # bilinearity in each slot: syzygies of either generator list
+        rels = [self.combination(v, _unit(base, q, len(n_gens)))
+                for v in syzygies(m_gens, ring=base)
+                for q in range(len(n_gens))]
+        rels += [self.combination(_unit(base, p, len(m_gens)), w)
+                 for w in syzygies(n_gens, ring=base)
+                 for p in range(len(m_gens))]
+        rels = [r for r in rels if not r.is_zero()]
+        # multiplicativity: products of symbols rewrite through cofactor lifts
+        for i, (p, q) in enumerate(flat):
+            for (p2, q2) in flat[i:]:
+                rels.append(sym(p, q) * sym(p2, q2) - self.combination(
+                    left.lift(m_gens[p] * m_gens[p2]),
+                    right.lift(n_gens[q] * n_gens[q2])))
+        super().__init__(
+            top=Subquotient(Ideal(ring, [ring.var(n) for n in names]),
+                            Ideal(ring, rels)),
+            left=left, right=right, bnd=RingHom.from_map(
+                ring, base, {self.grid[p][q]: m_gens[p] * n_gens[q]
+                             for p, q in flat}),
+            lift=self.lift, pair=self.expand)
 
     @property
     def symbols(self):
-        return tuple(self.ring.var(name)
-                     for row in self.symbol_grid for name in row)
+        return self.top.gens
 
     def combination(self, a, b):
         """The symbol sum of a_p b_q (m_p (x) n_q) over all p and q, for
         coefficient tuples a and b over the base."""
-        out = self.ring.zero
+        ring = self.lift.codomain
+        out = ring.zero
         for p, ap in enumerate(a):
             if ap.is_zero():
                 continue
             for q, bq in enumerate(b):
                 if not bq.is_zero():
-                    out = out + self.embed(ap * bq) * self.ring.var(
-                        self.symbol_grid[p][q])
+                    out = out + self.lift(ap * bq) * ring.var(self.grid[p][q])
         return out
 
     def expand(self, m, n):
         """The class of m (x) n as a symbol combination, via cofactor lifts
         of both arguments through the generator lists."""
-        return self.combination(self.m_ideal.lift(m), self.n_ideal.lift(n))
-
-    def subquotient(self):
-        return Subquotient(self.numer, self.relations)
-
-    def crossed_module(self):
-        return CrossedModule(top=self.subquotient(), base=self.base,
-                             bnd=self.lam, embed=self.embed)
-
-
-def tensor_presentation(base, m_gens, n_gens):
-    """Build the symbol presentation of the tensor of the ideals generated
-    by m_gens and n_gens inside the base ring.  The symbols are indexed
-    by the ideals' generator lists, which drop zeros and repeats, so that
-    cofactor lifts and the symbol grid agree."""
-    m_ideal, n_ideal = Ideal(base, m_gens), Ideal(base, n_gens)
-    m_gens, n_gens = m_ideal.gens, n_ideal.gens
-    flat = [(p, q) for p in range(len(m_gens)) for q in range(len(n_gens))]
-    names = fresh_names(["g%d_%d" % pq for pq in flat], base.vars)
-    ring = base.extend(names, [_weight_of(m_gens[p]) + _weight_of(n_gens[q])
-                               for p, q in flat])
-    grid = tuple(tuple(names[p * len(n_gens) + q]
-                       for q in range(len(n_gens)))
-                 for p in range(len(m_gens)))
-    lam = RingHom.from_map(
-        ring, base, {grid[p][q]: m_gens[p] * n_gens[q] for p, q in flat})
-    pres = TensorPresentation(
-        base=base, ring=ring, symbol_grid=grid, m_gens=m_gens,
-        n_gens=n_gens, relations=None,  # written below by combination
-        numer=Ideal(ring, [ring.var(name) for name in names]), lam=lam,
-        embed=RingHom.from_map(base, ring, {}), m_ideal=m_ideal,
-        n_ideal=n_ideal)
-    sym = lambda p, q: ring.var(grid[p][q])
-
-    # bilinearity in each slot: syzygies of either generator list
-    rels = [pres.combination(v, _unit(base, q, len(n_gens)))
-            for v in syzygies(m_gens, ring=base) for q in range(len(n_gens))]
-    rels += [pres.combination(_unit(base, p, len(m_gens)), w)
-             for w in syzygies(n_gens, ring=base) for p in range(len(m_gens))]
-    rels = [r for r in rels if not r.is_zero()]
-    # multiplicativity: products of symbols rewrite through cofactor lifts
-    for i, (p, q) in enumerate(flat):
-        for (p2, q2) in flat[i:]:
-            rels.append(sym(p, q) * sym(p2, q2) - pres.combination(
-                m_ideal.lift(m_gens[p] * m_gens[p2]),
-                n_ideal.lift(n_gens[q] * n_gens[q2])))
-    pres.relations = Ideal(ring, rels)
-    return pres
+        return self.combination(self.left.lift(m), self.right.lift(n))
 
 
 def kernel_tensor(skel):
-    """The tensor presentation of the two level-1 kernel corners of the
-    skeleton, built once per skeleton."""
-    return skel.once("kernel tensor", lambda: tensor_presentation(
-        skel.E1, *(corner.gens for corner in skel.corners)))
+    """The tensor presentation of the skeleton's two level-1 corners,
+    built once per skeleton."""
+    return skel.once("kernel tensor",
+                     lambda: TensorPresentation(*skel.corners))
 
 
 def _extras(cm):
     """Names of the variables of the module's ambient beyond its base."""
-    return [v for v in cm.top.ambient.vars if v not in cm.base.vars]
+    base = cm.bnd.codomain.vars
+    return [v for v in cm.top.ambient.vars if v not in base]
 
 
 def _symbol_block(cm):
@@ -146,12 +125,13 @@ def _symbol_block(cm):
     return extras, [amb.weights[amb._index[v]] for v in extras]
 
 
-class CoproductResult:
-    def __init__(self, cm, i_hom, j_hom, i_names, j_names):
-        self.cm = cm
-        self.i_hom = i_hom      # first summand's ambient into the merged ring
-        self.j_hom = j_hom
-        # each summand's symbol names -> their names in the merged ring
+class CoproductResult(CrossedModule):
+    """The merged crossed module, with the first summand's ambient map
+    into it and each summand's symbol names -> their merged names."""
+
+    def __init__(self, top, bnd, lift, i_hom, i_names, j_names):
+        super().__init__(top, bnd, lift)
+        self.i_hom = i_hom
         self.i_names = i_names
         self.j_names = j_names
 
@@ -160,19 +140,17 @@ def coproduct(Mcm, Ncm):
     """Coproduct of two crossed modules presented on symbols over a common
     base: the pair algebra with the twisted product, divided by the ideal
     of cross Peiffer elements."""
-    base = Mcm.base
-    if Ncm.base != base:
+    base = Mcm.bnd.codomain
+    if Ncm.bnd.codomain != base:
         raise ValueError("coproduct needs a common base")
-    # an empty summand gives the other itself, whose cached bases are
+    # an empty summand gives the other's top itself, whose cached bases are
     # shared, and keeps every name
     if not Ncm.top.gens or not Mcm.top.gens:
         cm = Ncm if Ncm.top.gens else Mcm
-        amb = cm.top.ambient
         return CoproductResult(
-            cm=cm, i_hom=RingHom.from_map(Mcm.top.ambient, amb, {}),
-            j_hom=RingHom.from_map(Ncm.top.ambient, amb, {}),
-            i_names={v: v for v in _extras(Mcm)},
-            j_names={v: v for v in _extras(Ncm)})
+            cm.top, cm.bnd, cm.lift,
+            RingHom.from_map(Mcm.top.ambient, cm.top.ambient, {}),
+            {v: v for v in _extras(Mcm)}, {v: v for v in _extras(Ncm)})
     ext_m, w_m = _symbol_block(Mcm)
     ext_n, w_n = _symbol_block(Ncm)
     # suffix clashing symbol names per side, as copies _a and _b
@@ -196,49 +174,45 @@ def coproduct(Mcm, Ncm):
                              {v: merged.var(ren_m[v]) for v in ext_m})
     j_hom = RingHom.from_map(Ncm.top.ambient, merged,
                              {v: merged.var(ren_n[v]) for v in ext_n})
-    embed = RingHom.from_map(base, merged, {})
+    lift = RingHom.from_map(base, merged, {})
+    # merged name -> boundary image in the base
+    images = ({ren_m[v]: Mcm.bnd(Mcm.top.ambient.var(v)) for v in ext_m}
+              | {ren_n[w]: Ncm.bnd(Ncm.top.ambient.var(w)) for w in ext_n})
+    lifted = {name: lift(img) for name, img in images.items()}
 
     rels = [i_hom(g) for g in Mcm.top.rels.gens]
     rels += [j_hom(g) for g in Ncm.top.rels.gens]
     cross = []
-    for v in ext_m:
-        U = merged.var(ren_m[v])
-        du = embed(Mcm.bnd(Mcm.top.ambient.var(v)))
-        for w in ext_n:
-            W = merged.var(ren_n[w])
-            dw = embed(Ncm.bnd(Ncm.top.ambient.var(w)))
+    for u in ren_m.values():
+        U, du = merged.var(u), lifted[u]
+        for w in ren_n.values():
+            W, dw = merged.var(w), lifted[w]
             # the pair product has no mixed monomials: U.W = bnd(U).W
             rels.append(U * W - du * W)
             # cross Peiffer generator (bnd(w).U, -bnd(U).w)
             cross.append(dw * U - du * W)
     rels += cross
-    bnd = RingHom.from_map(
-        merged, base,
-        {ren_m[v]: Mcm.bnd(Mcm.top.ambient.var(v)) for v in ext_m}
-        | {ren_n[w]: Ncm.bnd(Ncm.top.ambient.var(w)) for w in ext_n})
-    gens = [merged.var(n) for n in names]
-    top = Subquotient(Ideal(merged, gens), Ideal(merged, rels))
-    cm = CrossedModule(top=top, base=base, bnd=bnd, embed=embed)
-    return CoproductResult(cm=cm, i_hom=i_hom, j_hom=j_hom, i_names=ren_m,
-                           j_names=ren_n)
+    top = Subquotient(Ideal(merged, [merged.var(n) for n in names]),
+                      Ideal(merged, rels))
+    return CoproductResult(top, RingHom.from_map(merged, base, images), lift,
+                           i_hom, ren_m, ren_n)
 
 
-class AssembledCorner:
+class AssembledCorner(CrossedSquare):
     """Top corner reconstructed as (tensor of the two kernels) joined with
     the free crossed module on the level-2 generators, divided by the
-    interchange relations."""
+    interchange relations: the square on the tensor's two corners."""
 
-    def __init__(self, square, tensor, coprod, extra_relations,
-                 variant_relations):
-        self.square = square
+    def __init__(self, tensor, coprod, extra_relations, variant_relations):
+        top = Subquotient(coprod.top.numer, coprod.top.rels
+                          + Ideal(coprod.top.ambient, extra_relations))
+        super().__init__(top=top, left=tensor.left, right=tensor.right,
+                         bnd=coprod.bnd, lift=coprod.lift,
+                         pair=lambda m, n: coprod.i_hom(tensor.expand(m, n)))
         self.tensor = tensor
         self.coprod = coprod
         self.extra_relations = extra_relations
         self.variant_relations = variant_relations
-
-    @property
-    def top(self):
-        return self.square.top
 
 
 def assemble_L(skel):
@@ -252,18 +226,18 @@ def assemble_L(skel):
     data = skel.data
     E1 = skel.E1
     pres = kernel_tensor(skel)
-    m_gens, n_gens = pres.m_gens, pres.n_gens
+    m_gens, n_gens = pres.left.gens, pres.right.gens
     f3 = {n: img for n, img in data.s3}
     C = free_crossed_on(E1, data.s3_names, [f3[n] for n in data.s3_names])
-    cop = coproduct(pres.crossed_module(), C)
-    merged, emb = cop.cm.top.ambient, cop.cm.embed
+    cop = coproduct(pres, C)
+    merged, emb = cop.top.ambient, cop.lift
 
     extra, variant = [], []
     for name in data.s3_names:
-        cj = cop.j_hom(C.top.ambient.var(name))
+        cj = merged.var(cop.j_names[name])
         img = f3[name]
-        a = pres.m_ideal.lift(img)
-        b = pres.n_ideal.lift(img)
+        a = pres.left.lift(img)
+        b = pres.right.lift(img)
         for q, nq in enumerate(n_gens):
             lhs = cop.i_hom(pres.combination(a, _unit(E1, q, len(n_gens))))
             extra.append(lhs - emb(nq) * cj)
@@ -272,17 +246,7 @@ def assemble_L(skel):
             lhs = cop.i_hom(pres.combination(_unit(E1, p, len(m_gens)), b))
             extra.append(lhs - emb(mp) * cj)
             variant.append(lhs - emb(mp) * cj + cj)
-    top = Subquotient(cop.cm.top.numer,
-                      cop.cm.top.rels + Ideal(merged, extra))
-
-    def pair(m, n):
-        return cop.i_hom(pres.expand(m, n))
-
-    square = CrossedSquare(top=top, left=pres.m_ideal, right=pres.n_ideal,
-                           bnd=cop.cm.bnd, lift=emb, pair=pair)
-    return AssembledCorner(square=square, tensor=pres, coprod=cop,
-                           extra_relations=tuple(extra),
-                           variant_relations=tuple(variant))
+    return AssembledCorner(pres, cop, tuple(extra), tuple(variant))
 
 
 def compare_corner(skel, D=6):
@@ -306,10 +270,9 @@ def compare_corner(skel, D=6):
     images = {}
     for v in skel.E1.vars:
         images[v] = s1(skel.E1.var(v))
-    for p in range(len(pres.m_gens)):
-        for q in range(len(pres.n_gens)):
-            images[i_names[pres.symbol_grid[p][q]]] = pair_live(
-                pres.m_gens[p], pres.n_gens[q])
+    for p, m in enumerate(pres.left.gens):
+        for q, n in enumerate(pres.right.gens):
+            images[i_names[pres.grid[p][q]]] = pair_live(m, n)
     for name in data.s3_names:
         images[j_names[name]] = E2.var(name)
     phi = RingHom(merged, E2,
@@ -329,9 +292,9 @@ def compare_corner(skel, D=6):
                            "status": "pass" if ok else "fail",
                            "witness": "" if ok else "no lift"})
     pairing = [row("m=%s, n=%s" % (m, n),
-                   P2.normal_form(phi(assembled.square.pair(m, n))
+                   P2.normal_form(phi(assembled.pair(m, n))
                                   - pair_live(m, n)))
-               for m in pres.m_gens for n in pres.n_gens]
+               for m in pres.left.gens for n in pres.right.gens]
     target, moore = assembled.top.dims(D), live.top.dims(D)
     variant = [row(str(r), P2.normal_form(phi(r)))
                for r in assembled.variant_relations]

@@ -12,7 +12,9 @@ supplies only its inverse.
 
 :func:`explicit_p2` is no elimination: it writes the generator families of
 the second-order Peiffer ideal in closed form, for comparison with the
-family instances that ``peiffer_P2`` pushes down from level 3.
+family instances that ``peiffer_P2`` pushes down from level 3, of which
+:func:`s3_free_instances` keeps those whose support (:func:`support_vars`)
+avoids the level-2 generators.
 
 :func:`ideal_equal`, :func:`mono_key` and :func:`wdeg` are helpers that
 only the tests read: equality of ideals by their reduced bases, and the
@@ -24,6 +26,7 @@ plain multiplication; it shares no code with the engine's division.
 """
 
 from xsq.rings import reringed
+from xsq.simplicial import _c_instances
 
 
 def wdeg(ring, exps):
@@ -250,6 +253,19 @@ def explicit_p2(skel):
             gens.append(Ti * (Tj + v0j - v1j))
             gens.append((v0i - v1i + Ti) * (v1j - Tj))
     return gens
+
+
+def support_vars(p):
+    """Names of the variables that occur in p."""
+    return {v for exps in p.exponent_terms()
+            for v, e in zip(p.ring.vars, exps) if e}
+
+
+def s3_free_instances(skel):
+    """The level-3 family instances of ``peiffer_P2`` whose support avoids
+    the copies s0_T, s1_T and s2_T of every level-2 generator T."""
+    s3 = {"s%d_%s" % (i, t) for t in skel.data.s3_names for i in range(3)}
+    return [z for z in _c_instances(skel) if not s3 & support_vars(z)]
 
 
 # -- comparison of engine results ---------------------------------------------

@@ -17,10 +17,9 @@ import pytest
 from xsq import (Ideal, aq_h2, build_skeleton, compare_XY, compare_corner,
                  functor_M, peiffer_P1, peiffer_P2, pi1, pi2, verify_square,
                  verify_xmod)
-from xsq.simplicial import _c_instances
 
 from .oracle import (MacaulayNF, explicit_p2, face_kernel_dims, ideal_equal,
-                     monomials_upto)
+                     monomials_upto, s3_free_instances)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -121,7 +120,7 @@ def test_criterion_6_homotopy_cross_routes(skel_a, skel_b, skel_c):
 def test_criterion_7_peiffer_route_equality(skel_c):
     full = peiffer_P2(skel_c)
     d3 = skel_c.face[(3, 3)]
-    s3_free = [d3(z) for _, z, u in _c_instances(skel_c) if not u]
+    s3_free = [d3(z) for z in s3_free_instances(skel_c)]
     ok = ideal_equal(full, Ideal(skel_c.E2, explicit_p2(skel_c) + s3_free))
     report(7, "level-2 ideal route equality", ok)
 

@@ -1,11 +1,11 @@
 """The basis certificate of ``oracle.certify`` on the bases the commands
 reach: every reduced basis that ``Ideal._computed`` returns and every basis
 that ``eliminate`` seeds, while build, verify, homotopy and compare run in
-process on fixtures a-c and d3.  Each basis is certified with the cofactor
-rows of a fresh tracked computation, which must reach the same basis.  The
-certificate must refuse a basis with one element dropped and one with a
-tail coefficient doubled (the inputs are over Q), on every basis of at most
-30 elements."""
+process on fixtures a-c and d3, and, marked slow (``pytest -m slow``), on
+d4f.  Each basis is certified with the cofactor rows of a fresh tracked
+computation, which must reach the same basis.  The certificate must refuse
+a basis with one element dropped and one with a tail coefficient doubled
+(the inputs are over Q), on every basis of at most 30 elements."""
 
 import contextlib
 import io
@@ -23,10 +23,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 INPUTS = ("fixture_a", "fixture_b", "fixture_c", "d3")
 
 
-@pytest.fixture(scope="module")
-def reached():
-    """({(ring, generators): basis} of every basis computed or seeded, and
-    the keys of the seeded ones)."""
+def reach(inputs):
+    """({(ring, generators): basis} of every basis computed or seeded while
+    the four commands run on the inputs, and the keys of the seeded ones)."""
     bases, seeded = {}, set()
     computed, eliminate = Ideal._computed, groebner.eliminate
 
@@ -48,16 +47,20 @@ def reached():
     with mock.patch.object(Ideal, "_computed", recording_computed), \
             mock.patch.object(groebner, "eliminate", recording_eliminate), \
             contextlib.redirect_stdout(io.StringIO()):
-        for name in INPUTS:
+        for name in inputs:
             for command in ("build", "verify", "homotopy", "compare"):
                 path = str(FIXTURES / ("%s.json" % name))
                 assert cli.main([command, path]) == 0
     return bases, seeded
 
 
-def test_every_basis_the_commands_reach_is_certified(reached):
-    bases, seeded = reached
-    assert len(bases) > 100 and len(seeded) > 10
+@pytest.fixture(scope="module")
+def reached():
+    return reach(INPUTS)
+
+
+def certify_all(bases):
+    """Certify every basis with the rows of a fresh tracked computation."""
     for (ring, gens), basis in bases.items():
         I = Ideal(ring, gens)
         work, fresh, rows = I._computed(track=True)[:3]
@@ -66,8 +69,9 @@ def test_every_basis_the_commands_reach_is_certified(reached):
         assert certify(I.gens, basis, rows) == [], (ring, gens)
 
 
-def test_a_dropped_element_or_a_changed_tail_is_refused(reached):
-    bases, _ = reached
+def refuse_all(bases):
+    """Check that the certificate refuses both corruptions of every basis
+    of at most 30 elements; returns how many had a tail to change."""
     refused = 0
     for (ring, gens), basis in bases.items():
         if len(basis) > 30:  # the few larger bases take seconds each
@@ -82,7 +86,26 @@ def test_a_dropped_element_or_a_changed_tail_is_refused(reached):
             assert certify(gens, basis[:tails[0]] + (changed,)
                            + basis[tails[0] + 1:])
             refused += 1
-    assert refused > 50
+    return refused
+
+
+def test_every_basis_the_commands_reach_is_certified(reached):
+    bases, seeded = reached
+    assert len(bases) > 100 and len(seeded) > 10
+    certify_all(bases)
+
+
+def test_a_dropped_element_or_a_changed_tail_is_refused(reached):
+    assert refuse_all(reached[0]) > 50
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["d4f"])
+def test_every_basis_a_scale_input_reaches_is_certified(name):
+    bases, seeded = reach((name,))
+    assert bases and seeded
+    certify_all(bases)
+    assert refuse_all(bases)
 
 
 def test_the_rows_are_what_shows_a_basis_lies_in_the_ideal():

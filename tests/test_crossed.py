@@ -1,10 +1,11 @@
 import pytest
 
 from xsq import (GF, ConstructionData, CrossedSquare, Ideal, PolyRing, QQ,
-                 RingHom, Subquotient, affine_hilbert, build_skeleton,
-                 free_crossed_on, functor_M, h_eval, peiffer_P1,
-                 tensor_presentation, verify_square, verify_xmod)
+                 RingHom, Subquotient, TensorPresentation, affine_hilbert,
+                 build_skeleton, free_crossed_on, functor_M, h_eval,
+                 peiffer_P1, verify_square, verify_xmod)
 from xsq.crossed import CrossedModule
+from xsq.tensor import kernel_tensor
 
 from .oracle import ideal_equal
 
@@ -32,7 +33,7 @@ def test_precrossed_fails_cm2_before_quotient(data_b):
     amb = cm.top.ambient
     pre = CrossedModule(
         top=Subquotient(cm.top.numer, Ideal(amb, [])),
-        base=cm.base, bnd=cm.bnd, embed=cm.embed)
+        bnd=cm.bnd, lift=cm.lift)
     rep = verify_xmod(pre)
     failed = [i for i in rep.failures() if i["check"] == "CM2"]
     assert failed  # S1*S2 - x^2*S2 has nonzero normal form mod (0)
@@ -88,7 +89,7 @@ def test_level1_functor_relations_are_p1_in_order(which, data_a, data_b,
     for name, image in data.s2:
         assert cm.bnd(data.ring1.var(name)) == image
     for v in data.s1_names:
-        assert cm.embed(data.base_ring.var(v)) == data.ring1.var(v)
+        assert cm.lift(data.base_ring.var(v)) == data.ring1.var(v)
 
 
 def test_zero_multiplication_module_is_crossed():
@@ -98,8 +99,8 @@ def test_zero_multiplication_module_is_crossed():
     rels = Ideal(A, [g * h for g in gens for h in gens])
     cm = CrossedModule(
         top=Subquotient(Ideal(A, gens), rels),
-        base=R, bnd=RingHom.from_map(A, R, {"m1": R.zero, "m2": R.zero}),
-        embed=RingHom.from_map(R, A, {}))
+        bnd=RingHom.from_map(A, R, {"m1": R.zero, "m2": R.zero}),
+        lift=RingHom.from_map(R, A, {}))
     assert verify_xmod(cm).ok
 
 
@@ -108,7 +109,7 @@ def test_ideal_inclusion_is_crossed():
     I = Ideal(R, ["x^2", "y"])
     cm = CrossedModule(
         top=Subquotient(I, Ideal(R, [])),
-        base=R, bnd=RingHom.identity(R), embed=RingHom.identity(R))
+        bnd=RingHom.identity(R), lift=RingHom.identity(R))
     assert verify_xmod(cm).ok
 
 
@@ -161,8 +162,8 @@ def test_square_corner_identifications(skel_a, skel_c):
     # without level-2 generators the top corner is the tensor of the two
     # corners up to filtered dimensions
     E1 = skel_a.E1
-    pres = tensor_presentation(E1, [E1.var("S")], [E1.parse("S - x^2")])
-    assert sq.top.dims(6) == pres.subquotient().dims(6)
+    pres = TensorPresentation(Ideal(E1, ["S"]), Ideal(E1, ["S - x^2"]))
+    assert sq.top.dims(6) == pres.top.dims(6)
     # a level-2 generator is a generator of the top corner
     assert skel_c.E2.var("T") in functor_M(skel_c, 2).top.gens
 
@@ -173,6 +174,9 @@ def test_square_corners_are_the_skeleton_corner_ideals(which, skel_a, skel_b,
     skel = {"a": skel_a, "b": skel_b, "c": skel_c, "d4f": skel_d4f}[which]
     sq = functor_M(skel, 2)
     assert sq.left is skel.corners[0] and sq.right is skel.corners[1]
+    # and so are those of the skeleton's tensor presentation
+    pres = kernel_tensor(skel)
+    assert pres.left is skel.corners[0] and pres.right is skel.corners[1]
     # the level-1 Moore kernels have the reduced bases of the corners
     moore = skel.moore()
     assert sq.left.groebner() == moore.ne1.groebner()

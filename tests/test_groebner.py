@@ -144,12 +144,12 @@ def test_moore_intersection_matches_kernel_route(skel_a):
 
 
 def test_syzygies_examples(R):
-    basis = syzygies((R.parse("x^2"), R.parse("x*y")))
+    basis = syzygies((R.parse("x^2"), R.parse("x*y")), ring=R)
     assert len(basis) == 1
     v = basis[0]
     assert v[0] * R.parse("x^2") + v[1] * R.parse("x*y") == R.zero
-    assert syzygies((R.parse("x"),)) == ()
-    double = syzygies((R.var("x"), R.var("x")))
+    assert syzygies((R.parse("x"),), ring=R) == ()
+    double = syzygies((R.var("x"), R.var("x")), ring=R)
     assert len(double) == 1
     assert [str(p) for p in double[0]] in (["-1", "1"], ["1", "-1"])
 
@@ -171,7 +171,8 @@ def test_syzygies_of_zero_and_repeated_generators_in_order(field, expected):
     # the identity defects of the nonzero generators
     S = PolyRing(["x", "y"], field)
     gens = tuple(S.parse(t) for t in ("0", "x", "x", "x*y", "0", "y^2 - x"))
-    assert [tuple(str(p) for p in v) for v in syzygies(gens)] == expected
+    assert [tuple(str(p) for p in v)
+            for v in syzygies(gens, ring=S)] == expected
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
@@ -208,7 +209,7 @@ def test_subquotient_refuses_relations_in_another_ring():
 
 def test_syzygy_soundness_and_truncated_completeness(R):
     gens = (R.parse("x^2"), R.parse("x*y"), R.parse("y^3 - x^2"))
-    basis = syzygies(gens)
+    basis = syzygies(gens, ring=R)
     for v in basis:
         total = R.zero
         for p, g in zip(v, gens):

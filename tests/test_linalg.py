@@ -17,7 +17,7 @@ from xsq.homotopy import _koszul_vectors
 from xsq.linalg import (Echelon, FilteredBasis, graded_span, nullity, rref,
                         truncated_ideal_span)
 from xsq.rings import reringed
-from xsq.tensor import tensor_presentation
+from xsq.tensor import TensorPresentation
 
 from .oracle import monomials_upto
 
@@ -219,10 +219,10 @@ def sweep_cases(skel, D):
     t = dict(skel.data.s2)
     m_gens = [E1.var(v) for v in data.s2_names]
     n_gens = [E1.var(v) - reringed(t[v], E1) for v in data.s2_names]
-    pres = tensor_presentation(E1, m_gens, n_gens)
+    pres = TensorPresentation(Ideal(E1, m_gens), Ideal(E1, n_gens))
     M = Ideal(E1, m_gens).groebner()
     N = Ideal(E1, n_gens).groebner()
-    lam = Ideal(E1, [pres.lam(g) for g in pres.symbols]).groebner()
+    lam = Ideal(E1, [pres.bnd(g) for g in pres.symbols]).groebner()
     ker = hom_kernel(skel.face[(1, 1)]).groebner()
     polys = {"left": left, "right": right, "left+right": left + right,
              "image": image.groebner(), "M": M, "N": N, "M+N": M + N,

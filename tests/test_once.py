@@ -114,7 +114,7 @@ def test_no_basis_is_computed_twice(monkeypatch, capsys, command, fixture):
 
 def test_compare_builds_the_kernel_tensor_once(monkeypatch, capsys):
     calls = []
-    _record_calls(monkeypatch, tensor, "tensor_presentation",
+    _record_calls(monkeypatch, tensor, "TensorPresentation",
                   lambda pres, *args: calls.append(args))
     assert _run("compare", "fixture_b") == 0
     capsys.readouterr()

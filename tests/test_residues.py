@@ -95,7 +95,7 @@ def test_bases_normal_forms_lifts_and_syzygies_leave_residues(case, data):
     probe = data.draw(polys(ring))
     results = list(I.groebner()) + [I.normal_form(probe)]
     results += I.lift(member)
-    results += [p for v in syzygies(I.gens) for p in v]
+    results += [p for v in syzygies(I.gens, ring=ring) for p in v]
     assert [bad_terms(r) for r in results] == [[]] * len(results)
 
 

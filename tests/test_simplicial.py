@@ -7,7 +7,7 @@ from xsq import (GF, ConstructionData, Ideal, InvalidData, QQ, build_skeleton,
                  simplicial_identity_report)
 from xsq.simplicial import _c_instances
 
-from .oracle import explicit_p2, ideal_equal
+from .oracle import explicit_p2, ideal_equal, s3_free_instances
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -118,7 +118,7 @@ def test_peiffer_route_equality(which, data_c, skel_d4f):
                                    [("T", "z*A - x*B")])}
     skel = skel_d4f if which == "d4f" else build_skeleton(data[which])
     d3 = skel.face[(3, 3)]
-    s3_free = [d3(z) for _, z, u in _c_instances(skel) if not u]
+    s3_free = [d3(z) for z in s3_free_instances(skel)]
     assert ideal_equal(peiffer_P2(skel),
                        Ideal(skel.E2, explicit_p2(skel) + s3_free))
 
@@ -156,10 +156,9 @@ def test_boundary_of_level2_kernel_descends(skel_b):
 
 
 def test_level3_families_live_in_the_moore_kernel(skel_c):
-    from xsq.simplicial import _c_instances
-    for label, z, _ in _c_instances(skel_c):
+    for z in _c_instances(skel_c):
         for i in range(3):
-            assert skel_c.face[(3, i)](z).is_zero(), label
+            assert skel_c.face[(3, i)](z).is_zero(), z
 
 
 def test_validation_rejects_nonzero_boundary():
