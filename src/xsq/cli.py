@@ -111,7 +111,8 @@ def cmd_verify(data, args):
         if found is None or break_h:
             basis = ", ".join(str(b) for b in functor_M(skel, 0).groebner())
             rep = VerifyReport()
-            rep.add_bool("presentation", "reduced basis [%s]" % basis, True)
+            rep.add("presentation", "reduced basis [%s]" % basis,
+                    skel.base.zero)
             found = (
                 rep.to_obj(),
                 verify_xmod(functor_M(skel, 1)).to_obj(),

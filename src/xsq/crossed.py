@@ -5,11 +5,12 @@ holds an element when the ideal does (:meth:`groebner.Ideal.member`); the
 top object is a subquotient I/P of two ideals of a possibly larger ambient
 ring.  Equality of elements is decided by normal forms against the reduced
 basis of the relation ideal; all actions are realized as ambient
-multiplication through a declared lift of the base ring.  Verification reports list one entry per axiom instance with
-the offending generator pair and its nonzero normal form on failure.
-A row whose residue must vanish passes, with witness "0", if and only if
-the residue is zero, and otherwise fails with the residue's text as its
-witness; :func:`outcome` writes that rule once for ``verify`` and ``compare``.
+multiplication through a declared lift of the base ring.  Verification
+reports list one entry per axiom instance with the offending generator pair
+and its nonzero normal form on failure.  A row whose residue must vanish
+passes, with witness "0", if and only if the residue is zero, and otherwise
+fails with the residue's text as its witness; :func:`outcome` writes that
+rule once for ``verify`` and ``compare``.
 
 The free crossed module on named generators with given boundary images
 has one constructor, :func:`free_crossed_on`; its relations are the Peiffer
@@ -18,9 +19,9 @@ level 1 is the one on the level-1 data, and the reconstruction of the top
 corner uses the one on the level-2 data.  The constructor checks no axiom:
 :func:`verify_xmod` reports both, so a failure of the second is a report
 row, not an exception.  The Moore functor reads the square off a skeleton:
-its corners are the skeleton's two closed-form corner ideals, and at level 0
-it is pi0, the ideal of the boundary images in the base ring.  Subquotients
-are :mod:`groebner`'s.
+its corners are the skeleton's two closed-form corner ideals, its pairing
+is written in :func:`functor_M`, and at level 0 it is pi0, the ideal of the
+boundary images in the base ring.  Subquotients are :mod:`groebner`'s.
 """
 
 from .groebner import Ideal, Subquotient
@@ -57,12 +58,6 @@ class VerifyReport:
     def add(self, check, instance, residue, informational=False):
         self.items.append({"check": check, "instance": instance,
                            **outcome(residue), "informational": informational})
-
-    def add_bool(self, check, instance, ok, witness=""):
-        self.items.append({"check": check, "instance": instance,
-                           "status": "pass" if ok else "fail",
-                           "witness": witness if not ok else "0",
-                           "informational": False})
 
     @property
     def ok(self):
@@ -147,10 +142,8 @@ def verify_square(square):
     # axiom 2: the square commutes and boundaries land where they must
     for l in lgens:
         img = bnd(l)
-        rep.add_bool("ax2-boundary-into-left", str(l), M.member(img),
-                     witness=str(img))
-        rep.add_bool("ax2-boundary-into-right", str(l), N.member(img),
-                     witness=str(img))
+        rep.add("ax2-boundary-into-left", str(l), M.normal_form(img))
+        rep.add("ax2-boundary-into-right", str(l), N.normal_form(img))
     for g in L.rels.gens:
         rep.add("ax2-boundary-kills-relations", str(g), bnd(g))
 
@@ -256,21 +249,6 @@ def free_crossed_on(base, names, images):
     return CrossedModule(top=top, bnd=bnd, lift=emb)
 
 
-def square_pair_rule(skel):
-    """The connecting rule of the Moore square: (x, ybar) maps to
-    s1(x) * (s1(ybar) - s0(ybar)).  Writing ybar = y - s0(d1(y)) for the
-    kernel correspondent y, the difference s1 - s0 kills the degenerate
-    part, so the rule can be applied to the right-corner representative
-    directly."""
-    s0 = skel.degen[(1, 0)]
-    s1 = skel.degen[(1, 1)]
-
-    def pair(m, nbar):
-        return s1(m) * (s1(nbar) - s0(nbar))
-
-    return pair
-
-
 def functor_M(skel, n, break_h=False):
     """The Moore functor at levels 0, 1, 2 of the skeleton.
 
@@ -290,9 +268,12 @@ def functor_M(skel, n, break_h=False):
     if n == 2:
         top = Subquotient(skel.moore().ne2, skel.p2())
         left, right = skel.corners
+        s0, s1 = skel.degen[(1, 0)], skel.degen[(1, 1)]
+        # (m, nbar) -> s1(m) (s1(nbar) - s0(nbar)): with nbar = y - s0(d1(y))
+        # for its kernel correspondent y, s1 - s0 kills the degenerate part,
+        # so the rule applies to the right-corner representative directly
         return CrossedSquare(
-            top=top, left=left, right=right,
-            bnd=skel.face[(2, 2)], lift=skel.degen[(1, 1)],
-            pair=square_pair_rule(skel),
+            top=top, left=left, right=right, bnd=skel.face[(2, 2)], lift=s1,
+            pair=lambda m, nbar: s1(m) * (s1(nbar) - s0(nbar)),
             top_mul=(lambda a, b: skel.E2.zero) if break_h else None)
     raise ValueError("the functor is computed for n in {0, 1, 2}")

@@ -13,12 +13,13 @@ Each record of the reconstruction is the object it presents: the tensor
 presentation is the crossed square of its two ideal corners with the tensor
 on top, the coproduct is the merged crossed module, and the assembled corner
 is the square on the tensor's corners whose top is the coproduct divided by
-the interchange relations.  The coproduct renames the clashing symbols of
-both summands by one rule and keeps the renaming, one dict per summand, for
-the maps out of it.  A certified comparison checks
-well-definedness (every relation maps to normal form zero), surjectivity
-(every Moore generator lifts through the image ideal) and equality of the
-affine Hilbert rows of both presentations up to a degree bound.
+the interchange relations.  The coproduct reads each summand's symbols off
+its top's generators, renames the clashing ones of both summands by one rule
+and keeps the renaming, one dict per summand, for the maps out of it.  A
+certified comparison checks well-definedness (every relation maps to normal
+form zero), surjectivity (every Moore generator lifts through the image
+ideal) and equality of the affine Hilbert rows of both presentations up to a
+degree bound.
 :func:`compare_corner` returns it as the dict that the ``compare`` command
 prints: lists, strings and bools, each check instance one row with its
 status and witness.
@@ -109,20 +110,16 @@ def kernel_tensor(skel):
                      lambda: TensorPresentation(*skel.corners))
 
 
-def _extras(cm):
-    """Names of the variables of the module's ambient beyond its base."""
+def _symbols(cm):
+    """(names, weights) of the symbols of a module presented on them: its
+    top generators, which are exactly the ambient's variables beyond the
+    base."""
+    names = [str(g) for g in cm.top.gens]
     base = cm.bnd.codomain.vars
-    return [v for v in cm.top.ambient.vars if v not in base]
-
-
-def _symbol_block(cm):
-    """(extra variable names, their weights) of a symbol-presented module:
-    the ambient is the base plus fresh variables generating the numerator."""
-    amb, extras = cm.top.ambient, _extras(cm)
-    if (len(extras) != len(cm.top.gens)
-            or set(cm.top.gens) != {amb.var(v) for v in extras}):
+    if sorted(names) != sorted(v for v in cm.top.ambient.vars
+                               if v not in base):
         raise ValueError("module is not symbol-presented over its base")
-    return extras, [amb.weights[amb._index[v]] for v in extras]
+    return names, [g.wdeg() for g in cm.top.gens]
 
 
 class CoproductResult(CrossedModule):
@@ -150,15 +147,16 @@ def coproduct(Mcm, Ncm):
         return CoproductResult(
             cm.top, cm.bnd, cm.lift,
             RingHom.from_map(Mcm.top.ambient, cm.top.ambient, {}),
-            {v: v for v in _extras(Mcm)}, {v: v for v in _extras(Ncm)})
-    ext_m, w_m = _symbol_block(Mcm)
-    ext_n, w_n = _symbol_block(Ncm)
+            {str(g): str(g) for g in Mcm.top.gens},
+            {str(g): str(g) for g in Ncm.top.gens})
+    sym_m, w_m = _symbols(Mcm)
+    sym_n, w_n = _symbols(Ncm)
     # suffix clashing symbol names per side, as copies _a and _b
     taken = set(base.vars)
 
-    def rename(ext, other, suffix):
+    def rename(sym, other, suffix):
         ren = {}
-        for v in ext:
+        for v in sym:
             new = v if (v not in taken and v not in other) else v + suffix
             while new in taken:
                 new = new + "_"
@@ -166,18 +164,18 @@ def coproduct(Mcm, Ncm):
             taken.add(new)
         return ren
 
-    ren_m = rename(ext_m, ext_n, "_a")
-    ren_n = rename(ext_n, ext_m, "_b")
+    ren_m = rename(sym_m, sym_n, "_a")
+    ren_n = rename(sym_n, sym_m, "_b")
     names = list(ren_m.values()) + list(ren_n.values())
     merged = base.extend(names, w_m + w_n)
     i_hom = RingHom.from_map(Mcm.top.ambient, merged,
-                             {v: merged.var(ren_m[v]) for v in ext_m})
+                             {v: merged.var(ren_m[v]) for v in sym_m})
     j_hom = RingHom.from_map(Ncm.top.ambient, merged,
-                             {v: merged.var(ren_n[v]) for v in ext_n})
+                             {v: merged.var(ren_n[v]) for v in sym_n})
     lift = RingHom.from_map(base, merged, {})
     # merged name -> boundary image in the base
-    images = ({ren_m[v]: Mcm.bnd(Mcm.top.ambient.var(v)) for v in ext_m}
-              | {ren_n[w]: Ncm.bnd(Ncm.top.ambient.var(w)) for w in ext_n})
+    images = ({ren_m[str(g)]: Mcm.bnd(g) for g in Mcm.top.gens}
+              | {ren_n[str(g)]: Ncm.bnd(g) for g in Ncm.top.gens})
     lifted = {name: lift(img) for name, img in images.items()}
 
     rels = [i_hom(g) for g in Mcm.top.rels.gens]
@@ -227,15 +225,13 @@ def assemble_L(skel):
     E1 = skel.E1
     pres = kernel_tensor(skel)
     m_gens, n_gens = pres.left.gens, pres.right.gens
-    f3 = {n: img for n, img in data.s3}
-    C = free_crossed_on(E1, data.s3_names, [f3[n] for n in data.s3_names])
+    C = free_crossed_on(E1, data.s3_names, [img for _, img in data.s3])
     cop = coproduct(pres, C)
     merged, emb = cop.top.ambient, cop.lift
 
     extra, variant = [], []
-    for name in data.s3_names:
+    for name, img in data.s3:
         cj = merged.var(cop.j_names[name])
-        img = f3[name]
         a = pres.left.lift(img)
         b = pres.right.lift(img)
         for q, nq in enumerate(n_gens):
@@ -266,17 +262,15 @@ def compare_corner(skel, D=6):
     pair_live, s1 = live.pair, live.lift
     pres = assembled.tensor
 
+    # the variables of the base ring, left unmapped, map to themselves
     i_names, j_names = assembled.coprod.i_names, assembled.coprod.j_names
-    images = {}
-    for v in skel.E1.vars:
-        images[v] = s1(skel.E1.var(v))
+    images = {v: s1(skel.E1.var(v)) for v in data.s2_names}
     for p, m in enumerate(pres.left.gens):
         for q, n in enumerate(pres.right.gens):
             images[i_names[pres.grid[p][q]]] = pair_live(m, n)
     for name in data.s3_names:
         images[j_names[name]] = E2.var(name)
-    phi = RingHom(merged, E2,
-                  tuple(images[v] for v in merged.vars))
+    phi = RingHom.from_map(merged, E2, images)
 
     def row(instance, residue):
         return {"instance": instance, **outcome(residue)}

@@ -191,6 +191,19 @@ def test_square_refuses_corners_in_two_rings(skel_a, skel_b):
                       lift=sq.lift, pair=sq.pair)
 
 
+def test_ax2_witness_is_the_residue(skel_a):
+    # a left corner (S^2) that misses the boundary x^2*S - S^2 of the top
+    # generator: the failing row's witness is the residue x^2*S, not the
+    # image
+    sq = functor_M(skel_a, 2)
+    narrow = CrossedSquare(top=sq.top, left=Ideal(skel_a.E1, ["S^2"]),
+                           right=sq.right, bnd=sq.bnd, lift=sq.lift,
+                           pair=sq.pair)
+    rows = [i for i in verify_square(narrow).items
+            if i["check"] == "ax2-boundary-into-left"]
+    assert [(i["status"], i["witness"]) for i in rows] == [("fail", "x^2*S")]
+
+
 def test_h_eval_examples(skel_a):
     sq = functor_M(skel_a, 2)
     E1 = skel_a.E1

@@ -11,8 +11,10 @@ monomials with coefficients other than one, on its analogue over Q
 with the non-integral coefficient 3/2, whose output prints 2/3 and 3/2,
 on f1, the three-variable input over GF(32003) of the benchmark's
 fp-3var workload, and on fixture c over GF(2^61 - 1), whose residues and
-their products pass 64 bits; every command on fixture c with --order lex,
-the one order that is not degree-compatible; every command on d3
+their products pass 64 bits; every command on fixture c with its level-2
+generator named g0_0, the tensor's first symbol, so that the coproduct
+renames a symbol of each summand; every command on fixture c with --order
+lex, the one order that is not degree-compatible; every command on d3
 (fixtures/d3.json), the smallest input with three variables, block-order
 eliminations and larger bases; build on d4f (fixtures/d4f.json), the one
 checked-in input with two level-2 generators; and the --format json stdout
@@ -73,6 +75,12 @@ EDGE_INPUTS = {
                       "S2": [{"name": "A", "image": "x*y"},
                              {"name": "B", "image": "x^2*y + y^3"}],
                       "S3": []},
+    # fixture c with its level-2 generator named g0_0, the tensor's first
+    # symbol: the coproduct renames both copies, g0_0_a and g0_0_b
+    "clashing_names": {"field": "Q", "S1": ["x", "y"],
+                       "S2": [{"name": "S1", "image": "x^2"},
+                              {"name": "S2", "image": "x*y"}],
+                       "S3": [{"name": "g0_0", "image": "y*S1 - x*S2"}]},
 }
 
 

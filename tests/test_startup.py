@@ -195,9 +195,9 @@ def test_unknown_names_are_refused():
         exec("from xsq import no_such_name", {})
 
 
-def test_report_lists_are_not_shared():
+def test_report_lists_are_not_shared(skel_a):
     first, second = VerifyReport(), VerifyReport()
-    first.add_bool("check", "instance", True)
+    first.add("check", "instance", skel_a.base.zero)
     assert second.items == []
 
 

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from xsq import (GF, ConstructionData, Ideal, PolyRing, QQ,
+from xsq import (GF, ConstructionData, Ideal, PolyRing, QQ, Subquotient,
                  TensorPresentation, assemble_L, build_skeleton,
                  compare_corner, coproduct, free_crossed_on, functor_M,
                  verify_square, verify_xmod)
+from xsq.crossed import CrossedModule
 from xsq.homotopy import _tensor_kernel_dims
 from xsq.linalg import FilteredBasis
 from xsq.tensor import kernel_tensor
@@ -215,6 +216,19 @@ def test_coproduct_of_two_copies(data_a):
         assert result.bnd(i(g)) == cm.bnd(g)
         assert result.bnd(j(g)) == cm.bnd(g)
     assert verify_xmod(result).ok
+
+
+@pytest.mark.parametrize("gen", ["x*S", "x"])
+def test_coproduct_refuses_a_module_not_presented_on_symbols(data_a, gen):
+    # a top generated by a multiple of the symbol, or by a base variable,
+    # is not the module's symbols
+    cm = free_xmod(data_a)
+    amb = cm.top.ambient
+    odd = CrossedModule(top=Subquotient(Ideal(amb, [gen]), Ideal(amb, [])),
+                        bnd=cm.bnd, lift=cm.lift)
+    for pair in ((odd, cm), (cm, odd)):
+        with pytest.raises(ValueError, match="not symbol-presented"):
+            coproduct(*pair)
 
 
 def test_coproduct_satisfies_cm2(data_b):
