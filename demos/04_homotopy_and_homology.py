@@ -29,10 +29,13 @@ print("homology of the presented quotient itself is unchanged.")
 
 print()
 print("== routes really are independent ==")
-print("pi1 by elimination:      ", pi1(skel_b, 6, "ideal"))
-print("pi1 by linear algebra:   ", pi1(skel_b, 6, "pair"))
-print("H2 by syzygy machinery:  ", aq_h2(data_b, "syzygy", 8))
-print("H2 by direct kernels:    ", aq_h2(data_b, "kernel", 8))
+# one call gives a row by both of its routes
+ideal_route, pair_route = pi1(skel_b, 6)
+print("pi1 by elimination:      ", ideal_route)
+print("pi1 by linear algebra:   ", pair_route)
+syz_route, kernel_route = aq_h2(data_b, 8)
+print("H2 by syzygy machinery:  ", syz_route)
+print("H2 by direct kernels:    ", kernel_route)
 w = aq_h2_witness(data_b)
 print("witness class:            (%s)" % ", ".join(str(p) for p in w))
 

@@ -4,15 +4,17 @@
 
 PARENT and CHANGE are checkouts of the repository.  Every run of the grid
 is ``python -m xsq.cli ...`` or ``python demos/<demo>.py`` in a fresh
-interpreter with the checkout's ``src`` on PYTHONPATH, each checkout path
-resolved first, so a relative one names the same checkout; a checkout
-without ``src/xsq/cli.py`` is refused with exit 2.  The inputs are
-written once to a temporary directory, so both sides read the same paths.
-The script prints every run whose stdout, stderr or exit code differs
-between the two sides, then one summary line per part of the grid with the
-exit codes seen.  It exits 1 when any run differs, and also when any run of
-the flags part fails on the parent side: each of them exits 0 on working
-code, so a side that cannot run at all does not read as identity.
+interpreter in the checkout, with its ``src`` on PYTHONPATH, each checkout
+path resolved first, so a relative one names the same checkout; a checkout
+without ``src/xsq/cli.py`` is refused with exit 2.  A demo run executes
+that side's own copy of the demo, so a demo ported to a changed API is
+compared by what it prints.  The inputs are written once to a temporary
+directory, so both sides read the same paths.  The script prints every run
+whose stdout, stderr or exit code differs between the two sides, then one
+summary line per part of the grid with the exit codes seen.  It exits 1
+when any run differs, and also when any run of the flags part fails on the
+parent side: each of them exits 0 on working code, so a side that cannot
+run at all does not read as identity.
 
 The grid (505 runs a side):
 
@@ -35,10 +37,10 @@ The grid (505 runs a side):
   3;
 - verify --break-h on fixtures a-c, which must fail (exit 1) on both sides;
 - the four demos, the only callers of public names that no command reaches
-  (``assemble_L(...).extra_relations``, the pi1 routes,
-  ``simplicial_identity_report`` and more).
+  (``assemble_L(...).extra_relations``, ``simplicial_identity_report``
+  and more).
 
-The inputs and the demos come from this script's own checkout:
+The inputs and the demo names come from this script's own checkout:
 xsqbench/workloads.py, the golden cases of tests/test_golden.py and
 demos/*.py.
 """
@@ -70,7 +72,7 @@ GOLDEN_INPUTS = ("q_fractions", "fp7_nonunit_image", "fixture_c_gf_m61",
                  "zero_image", "repeated_image", "mixed_degrees",
                  "empty_s2", "empty_s1", "clashing_names")
 SCALE_INPUTS = ("d5",)
-DEMOS = sorted(str(p) for p in (ROOT / "demos").glob("*.py"))
+DEMOS = sorted("demos/" + p.name for p in (ROOT / "demos").glob("*.py"))
 
 
 def write_inputs(folder):
@@ -105,8 +107,8 @@ def grid(paths):
 
 
 def run(checkout, args):
-    """(exit code, stdout, stderr) of the CLI on args, or of the demo
-    when args is one demo's path."""
+    """(exit code, stdout, stderr) of the CLI on args, or of the
+    checkout's own copy of the demo when args is one demo's path."""
     checkout = Path(checkout).resolve()
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     command = args if args[0] in DEMOS else ["-m", "xsq.cli", *args]

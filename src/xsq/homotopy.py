@@ -14,8 +14,10 @@ membership.
 
 Filtered dimensions of ideal subquotients come from leading-term counts;
 the cross-checking routes use exact truncated linear algebra instead, so an
-agreement genuinely certifies both implementations.  A row of filtered
-dimensions is a tuple indexed by degree 0..D.  :func:`homotopy_report` and
+agreement genuinely certifies both implementations.  One call of
+:func:`pi1` or :func:`aq_h2` gives its row by both routes as a pair, and a
+call sweeps each filtered span once.  A row of filtered dimensions is a
+tuple indexed by degree 0..D.  :func:`homotopy_report` and
 :func:`compare_XY` return the dicts that the ``homotopy`` and ``compare``
 commands print: lists, strings, bools and None, so they survive a JSON
 round trip unchanged.
@@ -57,34 +59,35 @@ def _witness(numer, rels):
     return None
 
 
-def _pair_dims(left, right, image, fb):
+def _pair_dims(left, right, right_ranks, image, fb):
     """dim (L cap R)_d - dim I_d for d = 0..D, where L, R and I are the
-    spans of the given generators in the filtered basis fb: the
-    intersection of L and R has dimension rank L + rank R - rank (L + R)."""
+    spans of the given generators in the filtered basis fb, R of rank row
+    right_ranks: dim (L cap R) = rank L + rank R - rank (L + R)."""
     rows = [truncated_ideal_span(gens, fb).ranks
-            for gens in (left, right, left + right, image)]
-    return tuple(l + r - both - im for l, r, both, im in zip(*rows))
+            for gens in (left, left + right, image)]
+    return tuple(l + r - both - im
+                 for l, r, both, im in zip(rows[0], right_ranks, *rows[1:]))
 
 
-def pi1(skel, D, route="ideal"):
-    """First homotopy module as filtered dimensions.
+def pi1(skel, D):
+    """First homotopy module as filtered dimensions by two independent
+    routes: (ideal route, pair route).
 
-    route "ideal": the intersection of the two level-1 kernels modulo the
-    pushed-down level-2 kernel, by elimination and leading-term counts.
-    route "pair": the same module read off the squared complex by
+    The ideal route is the intersection of the two level-1 kernels modulo
+    the pushed-down level-2 kernel, by elimination and leading-term counts.
+    The pair route reads the same module off the squared complex by
     truncated linear algebra on the pair term: the kernel of
     (m, n) -> m + n meets the span pair in the intersection of the two
     corner spans, and the boundary image is the span of the pushed-down
     top generators.
     """
-    if route == "pair":
-        moore = skel.moore()
-        image = _homotopy_pair(skel, 1)[1]
-        return _pair_dims(moore.ne1.groebner(), moore.kbar.groebner(),
-                          image.groebner(), FilteredBasis(skel.E1, D))
-    if route != "ideal":
-        raise ValueError("unknown route %r" % (route,))
-    return subquotient_dims(*_homotopy_pair(skel, 1), D)
+    numer, image = _homotopy_pair(skel, 1)
+    ideal_route = subquotient_dims(numer, image, D)
+    moore, fb = skel.moore(), FilteredBasis(skel.E1, D)
+    kbar = moore.kbar.groebner()
+    return ideal_route, _pair_dims(moore.ne1.groebner(), kbar,
+                                   truncated_ideal_span(kbar, fb).ranks,
+                                   image.groebner(), fb)
 
 
 def pi1_witness(skel):
@@ -115,34 +118,31 @@ def _koszul_vectors(t, R):
     return out
 
 
-def aq_h2(data, route="syzygy", D=8):
-    """Second homology of the presented quotient: relations among the
-    boundary images modulo the alternating ones, as filtered dimensions.
+def aq_h2(data, D=8):
+    """Second homology of the presented quotient, relations among the
+    boundary images modulo the alternating ones, as filtered dimensions by
+    two independent routes: (syzygy route, kernel route).
 
-    route "syzygy" spans the module computed by cofactor-tracked reduction;
-    route "kernel" counts the relations among the multiples of the images
-    degree by degree and never consults the syzygy machinery.  Both
-    quotient by the span of the alternating vectors, and each filtered
-    span is one graded sweep.
+    The syzygy route spans the module computed by cofactor-tracked
+    reduction; the kernel route counts the relations among the multiples
+    of the images degree by degree and never consults the syzygy
+    machinery.  Both quotient by the one span of the alternating vectors,
+    and each filtered span is one graded sweep.
     """
     R = data.base_ring
     t = list(data.boundary_images)
     fb = FilteredBasis(R, D)
-    if route == "syzygy":
-        syz = syzygies(tuple(t), ring=R)
-        num = graded_span(syz, fb).ranks
-    elif route == "kernel":
-        # the relations among the rows m * t_i with wdeg m <= d, swept by
-        # the degree of m in a basis that holds every product (zero images
-        # have degree -1: they count as relations and add no rank)
-        prods = FilteredBasis(R, D + max([0] + [p.wdeg() for p in t]))
-        num = Echelon(R.field).sweep(
-            [prods.coords((p,), m) for p in t for m in fb.by_degree[d]]
-            for d in range(D + 1))
-    else:
-        raise ValueError("unknown route %r" % (route,))
+    syz = graded_span(syzygies(tuple(t), ring=R), fb).ranks
+    # the relations among the rows m * t_i with wdeg m <= d, swept by the
+    # degree of m in a basis that holds every product (zero images have
+    # degree -1: they count as relations and add no rank)
+    prods = FilteredBasis(R, D + max([0] + [p.wdeg() for p in t]))
+    kernel = Echelon(R.field).sweep(
+        [prods.coords((p,), m) for p in t for m in fb.by_degree[d]]
+        for d in range(D + 1))
     den = graded_span(_koszul_vectors(t, R), fb).ranks
-    return tuple(a - b for a, b in zip(num, den))
+    return tuple(tuple(a - b for a, b in zip(num, den))
+                 for num in (syz, kernel))
 
 
 def aq_h2_witness(data, D=8):
@@ -179,15 +179,14 @@ def homotopy_report(skel, D=6):
     p0 = pi0(skel)
     pi0_row = {"relations": [str(b) for b in p0.groebner()],
                "dims": list(affine_hilbert(p0, D))}
-    ideal_route, pair_route = pi1(skel, D, "ideal"), pi1(skel, D, "pair")
+    ideal_route, pair_route = pi1(skel, D)
     pi1_row = {"dims": list(ideal_route),
                "dims_pair_route": list(pair_route),
                "routes_agree": ideal_route == pair_route,
                "witness": _vec_str(pi1_witness(skel))}
     pi2_row = {"dims": list(pi2(skel, D)),
                "witness": _vec_str(pi2_witness(skel))}
-    syz_route = aq_h2(skel.data, "syzygy", D_h2)
-    kernel_route = aq_h2(skel.data, "kernel", D_h2)
+    syz_route, kernel_route = aq_h2(skel.data, D_h2)
     return {"pi0": pi0_row, "pi1": pi1_row, "pi2": pi2_row,
             "aq_h2": {"dims_syzygy_route": list(syz_route),
                       "dims_kernel_route": list(kernel_route),
@@ -210,9 +209,9 @@ def compare_XY(skel, D=6):
 
     Both kernel rows are zero by construction, not independent checks:
     the middle row's rows are the echelon basis of the kernel pairs' span,
-    and the bottom row compares two spans of one basis, since the skeleton
-    refuses a kernel whose basis differs from that of its closed form,
-    which generates the right corner.
+    and the bottom row compares that span with itself: the skeleton
+    refuses a kernel whose basis differs from that of its closed form, the
+    right corner, so one span of it serves both rows and the wide pi1 row.
 
     Returns what the ``compare`` command prints under "split": ok, the
     checks with their witnesses, the two kernel rows and the wide and
@@ -255,15 +254,13 @@ def compare_XY(skel, D=6):
 
     # kernel complex: pairs with zero left slot map isomorphically onto
     # the kernel of the bottom projection; both homology rows must vanish
-    n_basis = pres.right.groebner()
-    kernel_rows = skel.moore().kbar.groebner()
+    kbar = skel.moore().kbar.groebner()  # the right corner's basis
     fb = FilteredBasis(E1, D)  # for every filtered row of E1 below
-    span_n = truncated_ideal_span(n_basis, fb)
-    span_ker = truncated_ideal_span(kernel_rows, fb)
+    span = truncated_ideal_span(kbar, fb)
     # middle: kernel of the boundary restricted to the kernel pairs, which
     # sends (0, n) to n, on the basis of the degree-d piece of the span
-    middle = [nullity(span_n.basis(r), E1.field) for r in span_n.ranks]
-    bottom = [k - n for k, n in zip(span_ker.ranks, span_n.ranks)]
+    middle = [nullity(span.basis(r), E1.field) for r in span.ranks]
+    bottom = [0] * len(span.ranks)
 
     # homotopy rows of both complexes
     M_ideal, N_ideal = pres.left, pres.right
@@ -273,8 +270,8 @@ def compare_XY(skel, D=6):
     pi1_narrow = subquotient_dims(ideal_intersect(M_ideal, N_ideal),
                                   lam_ideal, D)
     # wide route by linear algebra on the pair term
-    pi1_wide = _pair_dims(M_ideal.groebner(), n_basis, lam_ideal.groebner(),
-                          fb)
+    pi1_wide = _pair_dims(M_ideal.groebner(), kbar, span.ranks,
+                          lam_ideal.groebner(), fb)
     pi2_wide, pi2_narrow = _tensor_kernel_dims(pres, fb)
     rows = {"pi0": (pi0_wide, pi0_narrow), "pi1": (pi1_wide, pi1_narrow),
             "pi2": (pi2_wide, pi2_narrow)}

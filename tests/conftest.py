@@ -1,8 +1,12 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from xsq import QQ, ConstructionData, build_skeleton
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -42,5 +46,34 @@ def skel_c(data_c):
 def skel_d4f():
     """fixtures/d4f.json: four variables, four level-1 and two level-2
     generators."""
-    path = Path(__file__).resolve().parent.parent / "fixtures" / "d4f.json"
-    return build_skeleton(ConstructionData.from_json(path.read_text()))
+    return build_skeleton(input_data("d4f"))
+
+
+def input_data(name):
+    """The construction data of a checked-in input, fixtures/<name>.json,
+    or of a benchmark input of xsqbench/workloads.py at seed 0: f1 and f2
+    have three variables over GF(32003)."""
+    path = ROOT / "fixtures" / ("%s.json" % name)
+    if path.is_file():
+        return ConstructionData.from_json(path.read_text())
+    module = sys.modules.get("xsqbench_workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "xsqbench_workloads", ROOT / "xsqbench" / "workloads.py")
+        # registered before it runs: its dataclasses look it up by name
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return ConstructionData.from_dict(module.make_input(name, 0))
+
+
+@pytest.fixture(scope="session")
+def skeleton(skel_a, skel_b, skel_c, skel_d4f):
+    """The skeleton of an input by name, built once a session: fixtures
+    a-c and the inputs that :func:`input_data` reads."""
+    built = {"a": skel_a, "b": skel_b, "c": skel_c, "d4f": skel_d4f}
+
+    def get(name):
+        if name not in built:
+            built[name] = build_skeleton(input_data(name))
+        return built[name]
+    return get

@@ -93,14 +93,12 @@ def test_criterion_4_assembly_reconstruction(skel_c):
 
 
 def test_criterion_5_second_homology(data_a, data_b):
-    rows_a_syz = aq_h2(data_a, "syzygy", 8)
-    rows_a_ker = aq_h2(data_a, "kernel", 8)
+    rows_a_syz, rows_a_ker = aq_h2(data_a, 8)
     # oracle for fixture B: the relation module is free on (y, -x) and the
     # alternating part is x times it, so degree d holds the classes
     # u*(y,-x) with deg(u) <= d-1 and u free of x: dimension d
     expected_b = [d for d in range(9)]
-    rows_b_syz = aq_h2(data_b, "syzygy", 8)
-    rows_b_ker = aq_h2(data_b, "kernel", 8)
+    rows_b_syz, rows_b_ker = aq_h2(data_b, 8)
     ok = (list(rows_a_syz) == [0] * 9
           and rows_a_syz == rows_a_ker
           and list(rows_b_syz) == expected_b
@@ -111,7 +109,8 @@ def test_criterion_5_second_homology(data_a, data_b):
 def test_criterion_6_homotopy_cross_routes(skel_a, skel_b, skel_c):
     ok = True
     for skel in (skel_a, skel_b, skel_c):
-        ok = ok and pi1(skel, 6, "ideal") == pi1(skel, 6, "pair")
+        ideal_route, pair_route = pi1(skel, 6)
+        ok = ok and ideal_route == pair_route
     oracle = face_kernel_dims(skel_c, 5, peiffer_P2(skel_c).gens)
     ok = ok and list(pi2(skel_c, 5)) == oracle
     report(6, "homotopy route agreement", ok)

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from xsq import (GF, ConstructionData, Ideal, QQ, affine_hilbert, aq_h2,
                  aq_h2_witness, build_skeleton, compare_XY, homotopy_report,
                  peiffer_P2, pi0, pi1, pi2)
-from xsq import cli
+from xsq import cli, linalg
 
+from .conftest import input_data
 from .oracle import face_kernel_dims
 
 
@@ -26,25 +28,28 @@ def test_pi0_rows(skel_a, skel_b, skel_c):
 
 FROZEN_PI1 = {
     # computed by the truncated pair-term route and frozen; the ideal
-    # route must reproduce them exactly
+    # route must reproduce them exactly.  f1 and f2 are over GF(32003),
+    # d4f has two level-2 generators
     "a": [0, 0, 0, 0, 0, 0, 0],
     "b": [0, 0, 0, 1, 2, 3, 4],
     "c": [0, 0, 0, 0, 0, 0, 0],
+    "f1": [0, 0, 0, 0, 0, 0, 0],
+    "f2": [0, 0, 0, 1, 3, 6, 10],
+    "d3": [0, 0, 0, 1, 2, 3, 4],
+    "d4f": [0, 0, 0, 2, 6, 12, 20],
 }
 
 
-@pytest.mark.parametrize("which", ["a", "b", "c"])
-def test_pi1_routes_agree(which, skel_a, skel_b, skel_c):
-    skel = {"a": skel_a, "b": skel_b, "c": skel_c}[which]
-    ideal_route = pi1(skel, 6, "ideal")
-    pair_route = pi1(skel, 6, "pair")
+@pytest.mark.parametrize("which", list(FROZEN_PI1))
+def test_pi1_routes_agree(which, skeleton):
+    ideal_route, pair_route = pi1(skeleton(which), 6)
     assert ideal_route == pair_route
     assert list(ideal_route) == FROZEN_PI1[which]
 
 
 def test_pi1_fixture_c_dominated_by_b(skel_b, skel_c):
-    rows_b = pi1(skel_b, 6, "ideal")
-    rows_c = pi1(skel_c, 6, "ideal")
+    rows_b = pi1(skel_b, 6)[0]
+    rows_c = pi1(skel_c, 6)[0]
     assert all(c <= b for b, c in zip(rows_b, rows_c))
     assert rows_c != rows_b  # the adjoined generator kills classes
 
@@ -69,14 +74,12 @@ def test_pi2_fixture_c_frozen(skel_c):
 
 
 def test_h2_fixture_a_zero(data_a):
-    assert list(aq_h2(data_a, "syzygy", 8)) == [0] * 9
-    assert list(aq_h2(data_a, "kernel", 8)) == [0] * 9
+    assert aq_h2(data_a, 8) == ((0,) * 9, (0,) * 9)
     assert aq_h2_witness(data_a) is None
 
 
 def test_h2_fixture_b_routes_and_witness(data_b):
-    syz_route = aq_h2(data_b, "syzygy", 8)
-    ker_route = aq_h2(data_b, "kernel", 8)
+    syz_route, ker_route = aq_h2(data_b, 8)
     assert syz_route == ker_route
     assert list(syz_route) == [0, 1, 2, 3, 4, 5, 6, 7, 8]
     w = aq_h2_witness(data_b)
@@ -87,8 +90,7 @@ def test_h2_fixture_b_routes_and_witness(data_b):
 
 def test_h2_no_relations_is_zero():
     data = ConstructionData(QQ, ["x", "y"], [], [])
-    assert list(aq_h2(data, "syzygy", 6)) == [0] * 7
-    assert list(aq_h2(data, "kernel", 6)) == [0] * 7
+    assert aq_h2(data, 6) == ((0,) * 7, (0,) * 7)
 
 
 @pytest.mark.parametrize("field, s1, expected", [
@@ -101,8 +103,7 @@ def test_h2_of_zero_images_is_the_free_module(field, s1, expected):
     n = len(s1)
     data = ConstructionData(field, s1,
                             [("S%d" % i, "0") for i in range(n)], [])
-    assert list(aq_h2(data, "syzygy", 4)) == expected
-    assert list(aq_h2(data, "kernel", 4)) == expected
+    assert aq_h2(data, 4) == (tuple(expected), tuple(expected))
     assert [str(p) for p in aq_h2_witness(data, 4)] == ["1"] + ["0"] * (n - 1)
 
 
@@ -111,8 +112,7 @@ def test_data_without_level1_generators_takes_the_general_path(field):
     # no boundary images: both routes of H2 and every homotopy row of the
     # split comparison vanish, and H2 has no witness
     data = ConstructionData(field, ["x", "y"], [], [])
-    for route in ("syzygy", "kernel"):
-        assert aq_h2(data, route, 8) == (0,) * 9
+    assert aq_h2(data, 8) == ((0,) * 9, (0,) * 9)
     assert aq_h2_witness(data, 8) is None
     split = compare_XY(build_skeleton(data), D=6)
     zeros = [0] * 7
@@ -122,15 +122,31 @@ def test_data_without_level1_generators_takes_the_general_path(field):
         assert split[row] == {"wide": zeros, "narrow": zeros, "equal": True}
 
 
-def test_h2_routes_agree_on_every_fixture(data_a, data_b, data_c):
-    for data in (data_a, data_b, data_c):
-        assert aq_h2(data, "syzygy", 8) == aq_h2(data, "kernel", 8)
+FROZEN_H2 = {
+    # computed by the syzygy route and frozen; the kernel route must
+    # reproduce them exactly.  The level-2 generators of c, f1, d3 and d4f
+    # leave the presented quotient, and so its homology, as it is
+    "a": [0] * 9,
+    "b": [0, 1, 2, 3, 4, 5, 6, 7, 8],
+    "c": [0, 1, 2, 3, 4, 5, 6, 7, 8],
+    "f1": [0, 1, 3, 6, 10, 15, 21, 28, 36],
+    "f2": [0, 1, 3, 6, 10, 15, 21, 28, 36],
+    "d3": [0, 2, 5, 8, 11, 14, 17, 20, 23],
+    "d4f": [0, 4, 13, 25, 41, 61, 85, 113, 145],
+}
+
+
+def test_h2_routes_agree_on_every_fixture(skeleton):
+    for which, frozen in FROZEN_H2.items():
+        syz_route, ker_route = aq_h2(skeleton(which).data, 8)
+        assert syz_route == ker_route, which
+        assert list(syz_route) == frozen, which
 
 
 def test_h2_invariant_under_renaming_and_shuffles(data_b):
     renamed = ConstructionData(QQ, ["x", "y"],
                                [("U2", "x*y"), ("U1", "x^2")], [])
-    assert aq_h2(renamed, "syzygy", 6) == aq_h2(data_b, "syzygy", 6)
+    assert aq_h2(renamed, 6) == aq_h2(data_b, 6)
 
 
 def test_pi_invariance_under_renaming(data_c):
@@ -139,7 +155,7 @@ def test_pi_invariance_under_renaming(data_c):
                                [("W", "y*A - x*B")])
     sk1 = build_skeleton(data_c)
     sk2 = build_skeleton(renamed)
-    assert pi1(sk1, 5, "ideal") == pi1(sk2, 5, "ideal")
+    assert pi1(sk1, 5) == pi1(sk2, 5)
     assert pi2(sk1, 5) == pi2(sk2, 5)
     assert affine_hilbert(pi0(sk1), 5) == affine_hilbert(pi0(sk2), 5)
 
@@ -199,3 +215,41 @@ def test_rows_agree_over_q_and_a_prime_field(command, tmp_path, capsys):
         rows.append(_rows(json.loads(capsys.readouterr().out)))
     assert sum(isinstance(v, list) for v in rows[0].values()) >= 4
     assert rows[0] == rows[1]
+
+
+def _swept_spans(monkeypatch):
+    """Wrap linalg.graded_span wherever an xsq module holds it; returns the
+    list that records each call as (ring, D, the vectors swept)."""
+    swept = []
+    graded_span = linalg.graded_span
+
+    def recording(vecs, fb):
+        vecs = list(vecs)
+        swept.append((fb.ring, fb.D,
+                      frozenset(tuple(str(p) for p in v) for v in vecs)))
+        return graded_span(vecs, fb)
+    for name, module in list(sys.modules.items()):
+        if name == "xsq" or name.startswith("xsq."):
+            for key, value in list(vars(module).items()):
+                if value is graded_span:
+                    monkeypatch.setattr(module, key, recording)
+    return swept
+
+
+@pytest.mark.parametrize("command, inputs, sweeps", [
+    ("compare", ("a", "b", "f2"), 4),
+    ("homotopy", ("b", "f2"), 7),
+])
+def test_each_filtered_span_is_swept_once(command, inputs, sweeps,
+                                          monkeypatch, tmp_path, capsys):
+    # compare sweeps the right corner's basis once for its kernel rows and
+    # its wide pi1 row, and the two H2 routes share one alternating span
+    swept = _swept_spans(monkeypatch)
+    for which in inputs:
+        path = tmp_path / ("%s.json" % which)
+        path.write_text(json.dumps(input_data(which).to_dict()))
+        del swept[:]
+        assert cli.main([command, str(path)]) == 0
+        assert len(swept) == sweeps, which
+        assert len(set(swept)) == sweeps, which
+    capsys.readouterr()

@@ -1,7 +1,8 @@
 """scripts/identity.py builds its grid of runs on inputs that parse, runs a
 checkout given by a relative path as the same checkout given by an absolute
-one, and refuses what cannot be an identity: a checkout without sources, or
-a parent side whose flags runs fail."""
+one, runs each side's own copy of a demo, and refuses what cannot be an
+identity: a checkout without sources, or a parent side whose flags runs
+fail."""
 
 import importlib.util
 import sys
@@ -33,7 +34,7 @@ def test_identity_grid_builds_and_its_inputs_parse(monkeypatch, tmp_path):
     assert {args[1] for part, args in runs
             if part != "demos"} == set(paths.values())
     assert [args for part, args in runs if part == "demos"] == [
-        [str(p)] for p in sorted((ROOT / "demos").glob("*.py"))]
+        ["demos/" + p.name] for p in sorted((ROOT / "demos").glob("*.py"))]
     for path in paths.values():
         assert isinstance(ConstructionData.from_json(Path(path).read_text()),
                           ConstructionData)
@@ -46,6 +47,15 @@ def test_a_relative_checkout_runs_as_the_absolute_one(monkeypatch, tmp_path):
     absolute = identity.run(str(ROOT), ["build", fixture])
     assert absolute[0] == 0 and absolute[1]
     assert identity.run(ROOT.name, ["build", fixture]) == absolute
+
+
+def test_a_demo_runs_from_its_own_checkout(monkeypatch, tmp_path):
+    identity = load(monkeypatch)
+    demo = identity.DEMOS[0]
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    (tmp_path / demo).parent.mkdir()
+    (tmp_path / demo).write_text("import xsq\nprint('own copy')\n")
+    assert identity.run(str(tmp_path), [demo]) == (0, b"own copy\n", b"")
 
 
 def test_no_sources_or_a_failing_parent_is_not_identity(monkeypatch,
