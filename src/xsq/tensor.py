@@ -279,12 +279,8 @@ def compare_corner(skel, D=6):
     well_defined = [row(str(r), P2.normal_form(phi(r)))
                     for r in assembled.top.rels.gens]
     image_ideal = Ideal(E2, [phi(g) for g in assembled.top.gens]) + P2
-    surjective = []
-    for w in live.top.gens:
-        ok = image_ideal.member(w)
-        surjective.append({"instance": str(w),
-                           "status": "pass" if ok else "fail",
-                           "witness": "" if ok else "no lift"})
+    surjective = [row(str(w), image_ideal.normal_form(w))
+                  for w in live.top.gens]
     pairing = [row("m=%s, n=%s" % (m, n),
                    P2.normal_form(phi(assembled.pair(m, n))
                                   - pair_live(m, n)))

@@ -25,6 +25,8 @@ with its own division on exponent tuples, and checks cofactor rows by
 plain multiplication; it shares no code with the engine's division.
 """
 
+from heapq import heapify, heappop, heappush
+
 from xsq.rings import reringed
 from xsq.simplicial import _c_instances
 
@@ -282,9 +284,12 @@ def ideal_equal(I, J):
 
 
 def _add_multiple(p, t, c, terms, char):
-    """p += c * x^t * terms on a dict {exponent tuple: coefficient}."""
+    """p += c * x^t * terms on a dict {exponent tuple: coefficient};
+    returns the monomials x^t * m that it touched."""
+    touched = []
     for m, d in terms:
         n = tuple(map(sum, zip(t, m)))
+        touched.append(n)
         v = p.get(n, 0) + c * d
         if char:
             v %= char
@@ -292,6 +297,7 @@ def _add_multiple(p, t, c, terms, char):
             p[n] = v
         else:
             p.pop(n, None)
+    return touched
 
 
 def _divides(a, b):
@@ -302,15 +308,23 @@ def _remainder(p, basis, ring):
     """The remainder of the dict p on division by basis, monic term lists
     with the leading term first: the largest term of p is taken off by the
     first element whose leading monomial divides it, or moved to the
-    remainder."""
+    remainder.  The monomials of p wait in a heap by order key; one whose
+    term has cancelled, or that surfaces twice, is skipped.  Every monomial
+    added is below the one taken off, so none comes back once taken."""
     char, p, rem = ring.field.char, dict(p), {}
-    while p:
-        m = max(p, key=lambda m: mono_key(ring, m))
-        c = p.pop(m)
+    heap = [(-mono_key(ring, m), m) for m in p]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        c = p.pop(m, None)
+        if c is None:
+            continue
         for b in basis:
             if _divides(b[0][0], m):
                 t = tuple(x - y for x, y in zip(m, b[0][0]))
-                _add_multiple(p, t, -c, b[1:], char)
+                for n in _add_multiple(p, t, -c, b[1:], char):
+                    if n in p:
+                        heappush(heap, (-mono_key(ring, n), n))
                 break
         else:
             rem[m] = c

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from .test_crossed import PAIRING_FAMILIES
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -144,7 +146,7 @@ def test_exponent_limit_exits_3(monkeypatch, capsys):
     assert out.err == "error: exponent above the limit of 1\n"
 
 
-def test_break_h_fails_exactly_axiom5():
+def test_break_h_fails_exactly_the_pairing_families():
     out = run_cli("verify", str(FIXTURES / "fixture_a.json"),
                   "--break-h", "--format", "json")
     assert out.returncode == 1
@@ -154,7 +156,7 @@ def test_break_h_fails_exactly_axiom5():
         for item in rep["items"]:
             if item["status"] == "fail" and not item["informational"]:
                 failing.add(item["check"])
-    assert failing == {"ax5-top-pairing"}
+    assert failing == PAIRING_FAMILIES
 
 
 def test_verify_clean_exit_0():

@@ -9,6 +9,12 @@ from xsq.tensor import kernel_tensor
 
 from .oracle import ideal_equal
 
+# the check families whose rows read the pairing h: squaring h (--break-h)
+# fails exactly these on fixture a
+PAIRING_FAMILIES = {"ax3", "ax4-left", "ax4-right", "ax5-composite",
+                    "ax7-additive-left", "ax8-additive-right", "ax9-scalar",
+                    "ax9-scalar-right", "ax10"}
+
 
 def free_xmod(data):
     """The free crossed module of the level-1 data."""
@@ -136,10 +142,10 @@ def test_functor_level0_skeleton_gives_trivial_square(data_c):
 
 
 def test_functor_pi0(skel_a, skel_b):
-    q = functor_M(skel_a, 0)
+    q = skel_a.pi0()
     assert [str(b) for b in q.groebner()] == ["x^2"]
     assert affine_hilbert(q, 6) == (1, 2, 2, 2, 2, 2, 2)
-    qb = functor_M(skel_b, 0)
+    qb = skel_b.pi0()
     assert set(str(b) for b in qb.groebner()) == {"x^2", "x*y"}
 
 
@@ -147,7 +153,7 @@ def test_functor_stability_under_skeleton_growth(data_c):
     # adding the level-2 generators does not change the objects at n <= 1
     sk1 = build_skeleton(data_c.truncate(1))
     sk2 = build_skeleton(data_c)
-    assert ideal_equal(functor_M(sk1, 0), functor_M(sk2, 0))
+    assert ideal_equal(sk1.pi0(), sk2.pi0())
     cm1, cm2 = functor_M(sk1, 1), functor_M(sk2, 1)
     assert cm1.top.ambient == cm2.top.ambient
     assert cm1.top.rels.groebner() == cm2.top.rels.groebner()
@@ -230,10 +236,52 @@ def test_square_kernel_identification(skel_c):
         assert sq.left.member(img) and sq.right.member(img)
 
 
-def test_sabotaged_square_fails_exactly_axiom5(skel_a):
+def _failing(rep):
+    return {i["check"] for i in rep.failures()}
+
+
+def test_sabotaged_square_fails_exactly_the_pairing_families(skel_a):
     rep = verify_square(functor_M(skel_a, 2, break_h=True))
     assert not rep.ok
-    assert {i["check"] for i in rep.failures()} == {"ax5-top-pairing"}
+    assert _failing(rep) == PAIRING_FAMILIES
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c"])
+def test_every_printed_check_family_can_fail(which, skel_a, skel_b, skel_c):
+    # negative control: each family of rows that verify prints fails on at
+    # least one square or crossed module sabotaged from the working one
+    skel = {"a": skel_a, "b": skel_b, "c": skel_c}[which]
+    sq, cm = functor_M(skel, 2), functor_M(skel, 1)
+    printed = {i["check"] for rep in (verify_square(sq), verify_xmod(cm))
+               for i in rep.items if not i["informational"]}
+    E1, R = skel.E1, skel.base
+    shift = RingHom.from_map(E1, E1, {v: E1.var(v) + E1.one
+                                      for v in skel.data.s2_names})
+    parts = {"top": sq.top, "left": sq.left, "right": sq.right,
+             "bnd": sq.bnd, "lift": sq.lift, "pair": sq.pair}
+    squares = [
+        # the pairing squared: the families that read h
+        {"pair": lambda m, n: sq.pair(m, n) ** 2},
+        # a boundary off both corners
+        {"bnd": lambda l: shift(sq.bnd(l))},
+        # every generator a relation: its boundary survives
+        {"top": Subquotient(sq.top.numer, sq.top.numer)},
+    ]
+    modules = [
+        CrossedModule(Subquotient(cm.top.numer, cm.top.numer), cm.bnd,
+                      cm.lift),  # every generator a relation
+        # a lift that is not a section of the boundary
+        CrossedModule(cm.top, cm.bnd, RingHom.from_map(
+            R, E1, {v: E1.var(v) * 2 for v in R.vars})),
+        # the free pre-crossed module, without the Peiffer relations
+        CrossedModule(Subquotient(cm.top.numer, Ideal(E1, [])), cm.bnd,
+                      cm.lift),
+    ]
+    failed = set().union(
+        *(_failing(verify_square(CrossedSquare(**{**parts, **sabotage})))
+          for sabotage in squares),
+        *(_failing(verify_xmod(m)) for m in modules))
+    assert printed - failed == set()
 
 
 def test_repeated_middle_variant_differs(skel_a):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import xsq
-from xsq import VerifyReport, functor_M
+from xsq import VerifyReport
 
 from .test_golden import EDGE_INPUTS, GOLDEN
 
@@ -199,9 +199,3 @@ def test_report_lists_are_not_shared(skel_a):
     first, second = VerifyReport(), VerifyReport()
     first.add("check", "instance", skel_a.base.zero)
     assert second.items == []
-
-
-def test_square_without_top_mul_multiplies_in_the_ambient_ring(skel_a):
-    square = functor_M(skel_a, 2)
-    a, b = skel_a.E2.parse("x*s1_S"), skel_a.E2.parse("s0_S^2 + s1_S")
-    assert square.top_mul(a, b) == a * b
