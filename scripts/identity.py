@@ -16,7 +16,7 @@ when any run differs, and also when any run of the flags part fails on the
 parent side: each of them exits 0 on working code, so a side that cannot
 run at all does not read as identity.
 
-The grid (505 runs a side):
+The grid (507 runs a side):
 
 - the four commands on the benchmark's workload inputs (fixtures a-c, f1
   and f2) at seeds 0 and 7, on fixtures/d3.json and fixtures/d4f.json
@@ -28,9 +28,9 @@ The grid (505 runs a side):
   empty_s1 (no variables) and clashing_names (fixture c with its level-2
   generator named g0_0, which the coproduct renames), each with the default
   flags, --format json, --order lex and --max-degree 9 (336 runs);
-- the scale part: homotopy and compare on fixtures/d5.json with the
-  default flags, the one checked-in input whose filtered rows sweep
-  thousands of vectors;
+- the scale part: the four commands on fixtures/d5.json with the default
+  flags, the one checked-in input whose filtered rows sweep thousands of
+  vectors and whose eliminations every command runs;
 - the --budget grid: the four commands on fixtures a-c, empty_s2 and
   empty_s1 at eight budgets from 20 to 5000 (160 runs), where a change in
   the steps a command spends in all would move an exit code between 0 and
@@ -96,7 +96,7 @@ def grid(paths):
     runs = [("flags", [c, path, *flags]) for name, path in paths.items()
             if name not in SCALE_INPUTS for c in COMMANDS for flags in FLAGS]
     runs += [("scale", [c, paths[name]]) for name in SCALE_INPUTS
-             for c in ("homotopy", "compare")]
+             for c in COMMANDS]
     fixtures = [paths["%s_seed0" % b] for b in ("a", "b", "c")]
     budgeted = fixtures + [paths["empty_s2"], paths["empty_s1"]]
     runs += [("budget", [c, path, "--budget", str(n)]) for path in budgeted

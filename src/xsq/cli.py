@@ -8,8 +8,8 @@ after COMMAND, as ``--opt value`` or ``--opt=value``; the token after an
 option that takes a value is that value, even when it starts with ``-``,
 and the last of a repeated option wins.  ``-h``/``--help`` prints
 :data:`USAGE` and exits 0.  USAGE leaves out ``--break-h``, the negative
-control of verify: it squares the pairing h of the level-2 square, so the
-rows that read h fail.  INPUT is a JSON object {"field": "Q" | {"Fp": p},
+control of verify: it squares the pairing h of the square, so the rows
+that read h fail.  INPUT is a JSON object {"field": "Q" | {"Fp": p},
 "S1": [names], "S2": [{"name","image"}], "S3": [{"name","image"}]} with
 images in the polynomial grammar.
 
@@ -24,8 +24,9 @@ and an entry key other than name and image), 3 step budget exhausted, an
 exponent above ``rings.MAX_EXPONENT`` or a coefficient to print with more
 digits than ``sys.get_int_max_str_digits()``.
 Identical input and flags produce byte-identical output.  A command builds
-the report it prints as a dict; ``--format json`` dumps it and
-:func:`_render_text`, the one text renderer, writes it out as text.
+one skeleton of its input, no truncation of it, and the report it prints
+as a dict; ``--format json`` dumps it and :func:`_render_text`, the one
+text renderer, writes it out as text.
 
 :func:`main` is the in-process call.  :func:`entry`, the process entry,
 runs it and then freezes the heap with ``gc.freeze()``: the collections
@@ -100,27 +101,14 @@ def cmd_build(data, args):
 
 def cmd_verify(data, args):
     from .crossed import functor_M, verify_square, verify_xmod
-    reports = []
-    skel = found = None
-    for level in (0, 1, 2):
-        # levels whose truncations drop nothing share one skeleton, and
-        # its reports, unless --break-h changes the square
-        truncated = data.truncate(level)
-        break_h = args.break_h and level == 2
-        if skel is None or skel.data is not truncated:
-            skel, found = build_skeleton(truncated), None
-        if found is None or break_h:
-            found = (
-                verify_xmod(functor_M(skel, 1)).to_obj(),
-                verify_square(functor_M(skel, 2, break_h=break_h)).to_obj())
-        xmod, square = found
-        reports.append({"label": "crossed module at skeleton level %d"
-                        % level, **xmod})
-        reports.append({"label": "crossed square at skeleton level %d"
-                        % level, **square})
-    all_ok = all(r["ok"] for r in reports)
-    return {"command": "verify", "ok": all_ok, "reports": reports}, \
-        (0 if all_ok else 1)
+    skel = build_skeleton(data)
+    xmod = verify_xmod(functor_M(skel, 1))
+    square = verify_square(functor_M(skel, 2, break_h=args.break_h))
+    ok = xmod.ok and square.ok
+    return {"command": "verify", "ok": ok,
+            "reports": [{"label": "crossed module", **xmod.to_obj()},
+                        {"label": "crossed square", **square.to_obj()}]}, \
+        (0 if ok else 1)
 
 
 def cmd_homotopy(data, args):

@@ -235,19 +235,19 @@ def free_crossed_on(base, names, images):
 
 
 def functor_M(skel, n, break_h=False):
-    """The Moore functor at levels 1 and 2 of the skeleton; level 0, pi0,
-    is :meth:`Skeleton2.pi0`.
+    """The Moore functor at levels 1 and 2 of the skeleton, made on every
+    call; level 0, pi0, is :meth:`Skeleton2.pi0`.
 
-    n=1: the free crossed module of the level-1 data, made once per
-    skeleton.  n=2: the square on the level-2 Moore kernel modulo the
-    second-order Peiffer ideal, with the skeleton's corner ideals
-    ``skel.corners`` as its corners, made on every call.  ``break_h``, the
-    negative control of ``verify``, pairs by h(m, n)^2 in place of h.
+    n=1: the free crossed module of the level-1 data.  n=2: the square on
+    the level-2 Moore kernel modulo the second-order Peiffer ideal, with
+    the skeleton's corner ideals ``skel.corners`` as its corners.
+    ``break_h``, the negative control of ``verify``, pairs by h(m, n)^2 in
+    place of h.
     """
     if n == 1:
         data = skel.data
-        return skel.once("xmod", lambda: free_crossed_on(
-            data.base_ring, data.s2_names, data.boundary_images))
+        return free_crossed_on(data.base_ring, data.s2_names,
+                               data.boundary_images)
     if n == 2:
         top = Subquotient(skel.moore().ne2, skel.p2())
         left, right = skel.corners

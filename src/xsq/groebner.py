@@ -335,7 +335,8 @@ def _update(n, lms, active, pairs, heap, packing):
 
 
 def _reduce_basis(G, rows, ring):
-    """Minimalize and tail-reduce; canonical output order."""
+    """Minimalize and tail-reduce.  The kept elements ascend by order key,
+    and tail reduction keeps each leading term, so the output does too."""
     one, inv, char = ring.field.one, ring.field.inv, ring.field.char
     guards = ring.packing.guards
     track = rows is not None
@@ -358,9 +359,7 @@ def _reduce_basis(G, rows, ring):
                            brows[:idx] + brows[idx + 1:], guards)
             out_rows.append(_scaled_row(row, u, char))
         out.append(_scaled(rem, u, char))
-    ranks = sorted(range(len(out)), key=lambda i: out[i][0][1])
-    return ([out[i] for i in ranks],
-            [out_rows[i] for i in ranks] if track else None)
+    return out, out_rows
 
 
 class Ideal:

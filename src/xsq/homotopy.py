@@ -207,51 +207,26 @@ def compare_XY(skel, D=6):
     spot, so its filtered homology vanishes; the homotopy rows of the two
     complexes coincide.
 
-    The kernel complex's homology in the bottom spot compares the span of
-    the kernel pairs with itself: the skeleton refuses a kernel whose
-    basis differs from that of its closed form, the right corner, so it
-    has no row.  The middle row is zero by construction too, since its
-    rows are the echelon basis of that span; one span serves it and the
-    wide pi1 row.
+    The chain maps have no rows.  The section lands in the pair term and
+    splits the projection because d_1 s_0 is the identity of R: both are
+    ring maps that fix R's variables.  The right corner, which the
+    skeleton checks against Ker d_1 (``skel.moore()``), dies under the
+    last face, and so does the boundary m n of every tensor symbol.  For
+    the same reason the kernel complex's homology in the bottom spot has
+    no row.  The middle row is zero by construction too, since its rows
+    are the echelon basis of that span; one span serves it and the wide
+    pi1 row.
 
     Returns what the ``compare`` command prints under "split": ok, the
-    checks with their witnesses, the middle kernel row and the wide and
-    narrow homotopy rows, as a dict of lists and strings.
+    middle kernel row and the wide and narrow homotopy rows, as a dict of
+    lists and strings.
     """
-    data = skel.data
-    if data.s3_names:
+    if skel.data.s3_names:
         raise ValueError("the comparison is defined for data without "
                          "level-2 generators")
-    from .crossed import outcome
     from .tensor import kernel_tensor
-    E1, R = skel.E1, skel.base
+    E1 = skel.E1
     pres = kernel_tensor(skel)
-    m_gens, n_gens = pres.left.gens, pres.right.gens
-    d1 = skel.face[(1, 1)]
-    s0 = skel.degen[(0, 0)]
-
-    checks = []
-
-    def add(name, residue):
-        checks.append({"name": name, **outcome(residue)})
-
-    # projection after section is the identity on the bottom level; on the
-    # pair level the projection keeps the left slot of (m, -(m - s0 d1 m)),
-    # so the composite is the identity by construction
-    for v in R.vars:
-        add("bottom projection()section on %s" % v,
-            d1(s0(R.var(v))) - R.var(v))
-    for m in m_gens:
-        # the section's second slot must land in the right corner
-        add("section lands in the pair term at %s" % m, d1(m - s0(d1(m))))
-        # boundary compatibility of the projection on the pair generators
-        # with zero left slot: the right corner dies under the last face
-    for n in n_gens:
-        add("projection chain square at (0, %s)" % n, d1(n))
-    for g in pres.symbols:
-        # section chain square on top: the right-corner correspondent of
-        # the boundary image is that image itself
-        add("top section chain square on %s" % g, s0(d1(pres.bnd(g))))
 
     # kernel complex: pairs with zero left slot map isomorphically onto
     # the kernel of the bottom projection; its homology must vanish
@@ -275,11 +250,9 @@ def compare_XY(skel, D=6):
     pi2_wide, pi2_narrow = _tensor_kernel_dims(pres, fb)
     rows = {"pi0": (pi0_wide, pi0_narrow), "pi1": (pi1_wide, pi1_narrow),
             "pi2": (pi2_wide, pi2_narrow)}
-    ok = (all(c["status"] == "pass" for c in checks)
-          and all(wide == narrow for wide, narrow in rows.values())
+    ok = (all(wide == narrow for wide, narrow in rows.values())
           and not any(middle))
-    return {"ok": ok, "checks": checks,
-            "kernel_homology": {"middle": middle},
+    return {"ok": ok, "kernel_homology": {"middle": middle},
             **{name: {"wide": list(wide), "narrow": list(narrow),
                       "equal": wide == narrow}
                for name, (wide, narrow) in rows.items()}}

@@ -21,13 +21,13 @@ The second-order Peiffer ideal has one route: the six quadratic families
 inside level 3, instantiated on the Moore generators and pushed down along
 the last face (:func:`peiffer_P2`).  The ideals derived from a skeleton (the
 Moore kernels, the second-order Peiffer ideal, the ideal pairs of the
-homotopy rows and the tensor presentation of the two level-1 corners) and
-the Moore functor at levels 0 and 1 are computed once per skeleton and kept
-on it.  The Moore kernels keep the reduced bases their eliminations return.
-The two level-1 corners are ideals in closed form, ``Skeleton2.corners``:
-the level-1 Moore kernels are checked against them, and the bases compared
-stay cached on them for the membership tests of the square.  A lower skeleton
-is the skeleton of truncated data, ``build_skeleton(data.truncate(level))``.
+homotopy rows, the tensor presentation of the two level-1 corners and the
+Moore functor at level 0) are computed once per skeleton and kept on it.
+The Moore kernels keep the reduced bases their eliminations return.  The
+two level-1 corners are ideals in closed form, ``Skeleton2.corners``: the
+level-1 Moore kernels are checked against them, and the bases compared stay
+cached on them for the membership tests of the square.  A lower skeleton is
+the skeleton of truncated data, ``build_skeleton(data.truncate(level))``.
 """
 
 import json

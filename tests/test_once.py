@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from xsq import (build_skeleton, cli, crossed, groebner, peiffer_P2,
+from xsq import (build_skeleton, cli, groebner, peiffer_P2,
                  simplicial, tensor)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -73,20 +73,24 @@ def test_build_computes_the_p2_basis_once_per_order(monkeypatch, capsys,
     assert orders == expected
 
 
-def test_verify_builds_one_skeleton_per_distinct_truncation(monkeypatch,
-                                                            capsys):
-    # fixture b has no level-2 generators, so levels 1 and 2 share one
-    # skeleton, its Peiffer ideal and its crossed module
-    skels, p2_calls, xmods = [], [], []
-    _record_calls(monkeypatch, simplicial, "build_skeleton",
-                  lambda skel, *args: skels.append(skel))
-    _record_calls(monkeypatch, simplicial, "peiffer_P2",
-                  lambda ideal, *args: p2_calls.append(args))
-    _record_calls(monkeypatch, crossed, "free_crossed_on",
-                  lambda cm, *args: xmods.append(cm))
-    assert _run("verify", "fixture_b") == 0
-    capsys.readouterr()
-    assert len(skels) == 2 and len(p2_calls) == 2 and len(xmods) == 2
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_builds_one_skeleton(monkeypatch, capsys, command):
+    # verify too checks the skeleton of its input only: the skeletons of
+    # its truncations would repeat its reports or have no rows
+    init = simplicial.Skeleton2.__init__
+    for fixture in ("fixture_a", "fixture_b", "fixture_c"):
+        built = []
+
+        def counting(skel, data):
+            built.append(data)
+            init(skel, data)
+
+        monkeypatch.setattr(simplicial.Skeleton2, "__init__", counting)
+        assert _run(command, fixture) == 0
+        capsys.readouterr()
+        text = (FIXTURES / ("%s.json" % fixture)).read_text()
+        assert [data.to_dict() for data in built] == [
+            simplicial.ConstructionData.from_json(text).to_dict()]
 
 
 @pytest.mark.parametrize("fixture", ["fixture_a", "fixture_b", "fixture_c"])

@@ -1,14 +1,16 @@
+import copy
 import random
 
 import pytest
 
 from xsq import (GF, ConstructionData, Ideal, PolyRing, QQ, Subquotient,
-                 TensorPresentation, assemble_L, build_skeleton,
+                 TensorPresentation, assemble_L, build_skeleton, compare_XY,
                  compare_corner, coproduct, free_crossed_on, functor_M,
-                 verify_square, verify_xmod)
+                 tensor, verify_square, verify_xmod)
 from xsq.crossed import CrossedModule
 from xsq.homotopy import _tensor_kernel_dims
 from xsq.linalg import FilteredBasis
+from xsq.simplicial import MooreData
 from xsq.tensor import kernel_tensor
 
 from .oracle import ideal_equal
@@ -286,6 +288,99 @@ def test_corner_comparison_assembly(skel_c):
     variant = rep["bare_term_variant_relations"]
     assert variant
     assert not any(r["status"] == "pass" for r in variant)
+
+
+# Two counted rows of compare cannot fail, and both stay because the
+# benchmark reads them: the middle kernel row, zero because its rows are an
+# echelon basis, is the one caller of linalg.rref, and the doubled pi2 row
+# has the narrow one's rank in every degree (v -> (-v, v) is injective), yet
+# feeds split.pi2.equal, which the benchmark's oracle reads.
+CANNOT_FAIL = {"split.kernel_homology.middle", "split.pi2"}
+
+
+def _failing_compare(corner=None, split=None):
+    failed = set()
+    if corner is not None:
+        failed |= {"corner." + key for key in ("well_defined", "surjective",
+                                               "pairing_respected")
+                   if any(r["status"] == "fail" for r in corner[key])}
+        if not corner["hilbert"]["equal"]:
+            failed.add("corner.hilbert")
+    if split is not None:
+        failed |= {"split." + key for key in ("pi0", "pi1", "pi2")
+                   if not split[key]["equal"]}
+        if any(split["kernel_homology"]["middle"]):
+            failed.add("split.kernel_homology.middle")
+    return failed
+
+
+def _symbol_as_relation(assembled):
+    # its image, a value of the live pairing, is no relation of the corner
+    top = assembled.top
+    assembled.top = Subquotient(top.numer, top.rels
+                                + Ideal(top.ambient, top.gens[:1]))
+
+
+def _no_generators(assembled):
+    zero = Ideal(assembled.top.ambient, [])
+    assembled.top = Subquotient(zero, zero)
+
+
+def _pairing_squared(assembled):
+    pair = assembled.pair
+    assembled.pair = lambda m, n: pair(m, n) ** 2
+
+
+def _no_relations(assembled):
+    top = assembled.top
+    assembled.top = Subquotient(top.numer, Ideal(top.ambient, []))
+
+
+def _pi0_without_relations(skel):
+    skel.once("pi0", lambda: Ideal(skel.base, []))
+
+
+def _left_corner_as_kbar(skel):
+    left = skel.corners[0]
+    skel.once("moore", lambda: MooreData(left, left, None))
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c"])
+def test_every_counted_compare_family_can_fail(which, monkeypatch, data_a,
+                                               data_b, data_c):
+    # negative control: each family of rows that compare counts in its ok
+    # fails on at least one sabotaged assembled corner or skeleton, except
+    # the two in CANNOT_FAIL
+    data = {"a": data_a, "b": data_b, "c": data_c}[which]
+    counted = {"corner.well_defined", "corner.surjective",
+               "corner.pairing_respected", "corner.hilbert"}
+    if not data.s3:
+        counted |= {"split.pi0", "split.pi1", "split.pi2",
+                    "split.kernel_homology.middle"}
+    assert _failing_compare(compare_corner(build_skeleton(data)),
+                            None if data.s3 else
+                            compare_XY(build_skeleton(data))) == set()
+    assemble, failed = tensor.assemble_L, set()
+    for sabotage in (_symbol_as_relation, _no_generators, _pairing_squared,
+                     _no_relations):
+        def sabotaged(skel):
+            assembled = copy.copy(assemble(skel))
+            sabotage(assembled)
+            return assembled
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "assemble_L", sabotaged)
+            corner = compare_corner(build_skeleton(data))
+        corner_failed = _failing_compare(corner=corner)
+        assert corner["ok"] == (not corner_failed)  # each family counts
+        failed |= corner_failed
+    for sabotage in (() if data.s3 else (_pi0_without_relations,
+                                         _left_corner_as_kbar)):
+        skel = build_skeleton(data)
+        sabotage(skel)
+        split = compare_XY(skel)
+        assert not split["ok"]
+        failed |= _failing_compare(split=split)
+    assert counted - failed == counted & CANNOT_FAIL
 
 
 def test_corner_comparison_trivial_data():
