@@ -25,13 +25,12 @@ report = simplicial_identity_report(skel)
 print("simplicial identities checked on generators:",
       sum(1 for _ in report), "- all hold:", all(ok for _, ok in report))
 
-moore = skel.moore()
 print()
 print("kernel of the zeroth level-1 face:",
-      [str(g) for g in moore.ne1.gens])
+      [str(g) for g in skel.kernel(1, 0).groebner()])
 print("kernel of the first level-1 face: ",
-      [str(g) for g in moore.kbar.gens])
-print("level-2 Moore kernel:", [str(g) for g in moore.ne2.gens])
+      [str(g) for g in skel.kernel(1, 1).groebner()])
+print("level-2 Moore kernel:", [str(g) for g in skel.moore().gens])
 
 print()
 print("first Peiffer ideal:",

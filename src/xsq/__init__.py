@@ -15,7 +15,7 @@ _EXPORTS = {name: module for module, names in (
     ("groebner", "Ideal BudgetExceeded NotInIdeal Subquotient affine_hilbert "
                  "budget eliminate hom_kernel ideal_intersect "
                  "subquotient_dims syzygies"),
-    ("simplicial", "ConstructionData InvalidData MooreData Skeleton2 "
+    ("simplicial", "ConstructionData InvalidData Skeleton2 "
                    "build_skeleton peiffer_P1 peiffer_P2 "
                    "simplicial_identity_report"),
     ("crossed", "CrossedModule CrossedSquare VerifyReport free_crossed_on "

@@ -66,7 +66,6 @@ def cmd_build(data, args):
     from .crossed import functor_M, h_eval
     order = ORDER_TAGS[args.order]
     skel = build_skeleton(data)
-    moore = skel.moore()
     p1 = peiffer_P1(data)
     square = functor_M(skel, 2)
     pairs = []
@@ -79,9 +78,9 @@ def cmd_build(data, args):
         "input": data.to_dict(),
         "rings": {"E%d" % i: _ring_obj(r) for i, r in enumerate(skel.rings)},
         "moore": {
-            "ker_d0_level1": _basis_strs(moore.ne1, order),
-            "ker_d1_level1": _basis_strs(moore.kbar, order),
-            "ker_level2": _basis_strs(moore.ne2, order),
+            "ker_d0_level1": _basis_strs(skel.corners[0], order),
+            "ker_d1_level1": _basis_strs(skel.corners[1], order),
+            "ker_level2": _basis_strs(skel.moore(), order),
         },
         "peiffer_level1": {
             "generators": [str(g) for g in p1.gens],
@@ -183,8 +182,8 @@ options:
   --max-degree N  degree bound for filtered dimensions (0-%d, default 6)
   --budget N      reduction step budget for the whole command
                   (default %d)
-  --order ORDER   monomial order for reported bases: degrevlex (default)
-                  or lex
+  --order ORDER   monomial order for the bases build prints: degrevlex
+                  (default) or lex
   --format FMT    text (default) or json
   -h, --help      print this message and exit
 """ % (MAX_DEGREE, DEFAULT_BUDGET)

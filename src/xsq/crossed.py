@@ -20,8 +20,9 @@ level 1 is the one on the level-1 data, and the reconstruction of the top
 corner uses the one on the level-2 data.  The constructor checks no axiom:
 :func:`verify_xmod` reports both, so a failure of the second is a report
 row, not an exception.  The Moore functor reads the square off a skeleton:
-its corners are the skeleton's two closed-form corner ideals, and its
-pairing is written in :func:`functor_M`.  Subquotients are :mod:`groebner`'s.
+its corners are the skeleton's two level-1 face kernels, its top is the
+level-2 Moore kernel over the second-order Peiffer ideal, and its pairing
+is written in :func:`functor_M`.  Subquotients are :mod:`groebner`'s.
 """
 
 from .groebner import Ideal, Subquotient
@@ -249,7 +250,7 @@ def functor_M(skel, n, break_h=False):
         return free_crossed_on(data.base_ring, data.s2_names,
                                data.boundary_images)
     if n == 2:
-        top = Subquotient(skel.moore().ne2, skel.p2())
+        top = Subquotient(skel.moore(), skel.p2())
         left, right = skel.corners
         s0, s1 = skel.degen[(1, 0)], skel.degen[(1, 1)]
         # (m, nbar) -> s1(m) (s1(nbar) - s0(nbar)): with nbar = y - s0(d1(y))

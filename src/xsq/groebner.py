@@ -73,7 +73,8 @@ class _Budget:
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceeded(self.limit)
+            raise BudgetExceeded("step budget of %d reductions exceeded"
+                                 % self.limit)
 
 
 _steps = _Budget(math.inf)  # the counter in force; no limit outside a block

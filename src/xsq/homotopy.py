@@ -23,7 +23,7 @@ commands print: lists, strings, bools and None, so they survive a JSON
 round trip unchanged.
 """
 
-from .groebner import (Ideal, affine_hilbert, hom_kernel, ideal_intersect,
+from .groebner import (Ideal, affine_hilbert, ideal_intersect,
                        standard_monomials, subquotient_dims, syzygies)
 from .linalg import (Echelon, FilteredBasis, graded_span, nullity,
                      truncated_ideal_span)
@@ -41,12 +41,11 @@ def _homotopy_pair(skel, k):
     part of the level-2 Moore kernel killed by the last face over the
     second-order Peiffer ideal."""
     def make():
-        moore = skel.moore()
-        d2 = skel.face[(2, 2)]
         if k == 1:
-            return (ideal_intersect(moore.ne1, moore.kbar),
-                    Ideal(skel.E1, [d2(g) for g in moore.ne2.gens]))
-        return ideal_intersect(moore.ne2, hom_kernel(d2)), skel.p2()
+            d2 = skel.face[(2, 2)]
+            return (ideal_intersect(*skel.corners),
+                    Ideal(skel.E1, [d2(g) for g in skel.moore().gens]))
+        return ideal_intersect(skel.moore(), skel.kernel(2, 2)), skel.p2()
     return skel.once(("pi", k), make)
 
 
@@ -83,9 +82,9 @@ def pi1(skel, D):
     """
     numer, image = _homotopy_pair(skel, 1)
     ideal_route = subquotient_dims(numer, image, D)
-    moore, fb = skel.moore(), FilteredBasis(skel.E1, D)
-    kbar = moore.kbar.groebner()
-    return ideal_route, _pair_dims(moore.ne1.groebner(), kbar,
+    left, right = skel.corners
+    fb, kbar = FilteredBasis(skel.E1, D), right.groebner()
+    return ideal_route, _pair_dims(left.groebner(), kbar,
                                    truncated_ideal_span(kbar, fb).ranks,
                                    image.groebner(), fb)
 
@@ -150,13 +149,11 @@ def aq_h2_witness(data, D=8):
     R = data.base_ring
     t = list(data.boundary_images)
     koszul = _koszul_vectors(t, R)
-    syz = sorted(syzygies(tuple(t), ring=R),
-                 key=lambda v: max((p.wdeg() for p in v if not p.is_zero()),
-                                   default=0))
-    for v in syz:
-        d = max((p.wdeg() for p in v if not p.is_zero()), default=0)
+    syz = [(max((p.wdeg() for p in v if not p.is_zero()), default=0), v)
+           for v in syzygies(tuple(t), ring=R)]
+    for d, v in sorted(syz, key=lambda dv: dv[0]):
         if d > D:
-            continue
+            break
         fb = FilteredBasis(R, d)
         if not graded_span(koszul, fb).contains(fb.coords(v)):
             return v
@@ -209,13 +206,14 @@ def compare_XY(skel, D=6):
 
     The chain maps have no rows.  The section lands in the pair term and
     splits the projection because d_1 s_0 is the identity of R: both are
-    ring maps that fix R's variables.  The right corner, which the
-    skeleton checks against Ker d_1 (``skel.moore()``), dies under the
-    last face, and so does the boundary m n of every tensor symbol.  For
-    the same reason the kernel complex's homology in the bottom spot has
-    no row.  The middle row is zero by construction too, since its rows
-    are the echelon basis of that span; one span serves it and the wide
-    pi1 row.
+    ring maps that fix R's variables.  The right corner, Ker d_1
+    (``skel.kernel(1, 1)``), dies under the last face, and so does the
+    boundary m n of every tensor symbol.  For the same reason the kernel
+    complex's homology in the bottom spot has no row.  The middle row is
+    zero by construction too, since its rows are the echelon basis of
+    that span; one span serves it and the wide pi1 row.  The narrow pi1
+    row divides the numerator of :func:`pi1`, the intersection of the two
+    corners, by the boundaries of the tensor symbols.
 
     Returns what the ``compare`` command prints under "split": ok, the
     middle kernel row and the wide and narrow homotopy rows, as a dict of
@@ -230,7 +228,7 @@ def compare_XY(skel, D=6):
 
     # kernel complex: pairs with zero left slot map isomorphically onto
     # the kernel of the bottom projection; its homology must vanish
-    kbar = skel.moore().kbar.groebner()  # the right corner's basis
+    kbar = pres.right.groebner()
     fb = FilteredBasis(E1, D)  # for every filtered row of E1 below
     span = truncated_ideal_span(kbar, fb)
     # middle: kernel of the boundary restricted to the kernel pairs, which
@@ -242,8 +240,7 @@ def compare_XY(skel, D=6):
     lam_ideal = Ideal(E1, [pres.bnd(g) for g in pres.symbols])
     pi0_wide = affine_hilbert(M_ideal + N_ideal, D)
     pi0_narrow = affine_hilbert(skel.pi0(), D)
-    pi1_narrow = subquotient_dims(ideal_intersect(M_ideal, N_ideal),
-                                  lam_ideal, D)
+    pi1_narrow = subquotient_dims(_homotopy_pair(skel, 1)[0], lam_ideal, D)
     # wide route by linear algebra on the pair term
     pi1_wide = _pair_dims(M_ideal.groebner(), kbar, span.ranks,
                           lam_ideal.groebner(), fb)

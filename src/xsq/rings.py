@@ -60,9 +60,8 @@ class ParseError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, steps):
-        super().__init__("step budget of %d reductions exceeded" % steps)
-        self.steps = steps
+    """A step budget, an exponent or a coefficient past its limit; the
+    message says which."""
 
 
 # Every exponent of a packed monomial has a field of 32 bits: 31 value bits
@@ -80,9 +79,7 @@ class ExponentOverflow(BudgetExceeded):
     or in a product."""
 
     def __init__(self):
-        super(BudgetExceeded, self).__init__(
-            "exponent above the limit of %d" % MAX_EXPONENT)
-        self.steps = None
+        super().__init__("exponent above the limit of %d" % MAX_EXPONENT)
 
 
 class CoefficientOverflow(BudgetExceeded):
@@ -90,10 +87,8 @@ class CoefficientOverflow(BudgetExceeded):
     (``sys.get_int_max_str_digits()``), in a polynomial being printed."""
 
     def __init__(self):
-        super(BudgetExceeded, self).__init__(
-            "coefficient above the limit of %d digits"
-            % sys.get_int_max_str_digits())
-        self.steps = None
+        super().__init__("coefficient above the limit of %d digits"
+                         % sys.get_int_max_str_digits())
 
 
 class Packing:

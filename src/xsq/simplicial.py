@@ -20,14 +20,14 @@ s_j d_(i-1) (i > j + 1) down to the free-construction rule.
 The second-order Peiffer ideal has one route: the six quadratic families
 inside level 3, instantiated on the Moore generators and pushed down along
 the last face (:func:`peiffer_P2`).  The ideals derived from a skeleton (the
-Moore kernels, the second-order Peiffer ideal, the ideal pairs of the
-homotopy rows, the tensor presentation of the two level-1 corners and the
-Moore functor at level 0) are computed once per skeleton and kept on it.
-The Moore kernels keep the reduced bases their eliminations return.  The
-two level-1 corners are ideals in closed form, ``Skeleton2.corners``: the
-level-1 Moore kernels are checked against them, and the bases compared stay
-cached on them for the membership tests of the square.  A lower skeleton is
-the skeleton of truncated data, ``build_skeleton(data.truncate(level))``.
+face kernels, the level-2 Moore kernel, the second-order Peiffer ideal, the
+ideal pairs of the homotopy rows, the tensor presentation of the two
+level-1 corners and the Moore functor at level 0) are computed once per
+skeleton and kept on it.  Every face kernel has one rule,
+:meth:`Skeleton2.kernel`, checked once against elimination; the level-1
+corners are Ker d_0 and Ker d_1, and the level-2 Moore kernel is their
+intersection at level 2.  A lower skeleton is the skeleton of truncated
+data, ``build_skeleton(data.truncate(level))``.
 """
 
 import json
@@ -213,15 +213,6 @@ class ConstructionData:
         }
 
 
-class MooreData:
-    """Moore kernels at levels 1 and 2."""
-
-    def __init__(self, ne1, kbar, ne2):
-        self.ne1 = ne1                  # Ker d_0^1
-        self.kbar = kbar                # Ker d_1^1
-        self.ne2 = ne2                  # Ker d_0^2 cap Ker d_1^2
-
-
 class Skeleton2:
     """Levels 0..3 of the free simplicial algebra with all face and
     degeneracy homomorphisms; immutable after construction except for
@@ -252,12 +243,6 @@ class Skeleton2:
                 self.face[(n, i)] = RingHom.from_map(E[n], E[n - 1], {
                     _copy_name(w, x): self._face_image(n, i, w, x, img)
                     for w, x, img in copies[n]})
-        # the two level-1 corner ideals in closed form: the m_i = S_i
-        # generate Ker d_0 and the n_i = S_i - t_i generate Ker d_1
-        E1 = E[1]
-        self.corners = (Ideal(E1, [E1.var(n) for n in data.s2_names]),
-                        Ideal(E1, [E1.var(n) - reringed(t, E1)
-                                   for n, t in data.s2]))
         self._memo = {}
 
     def _face_image(self, n, i, word, name, image):
@@ -296,28 +281,29 @@ class Skeleton2:
             self._memo[key] = make()
         return self._memo[key]
 
-    def moore(self):
-        """Moore kernels via hom kernels and an ideal intersection,
-        cross-checked against their closed forms; those of level 1 are the
-        corner ideals, which keep the bases compared."""
-        return self.once("moore", self._make_moore)
+    @property
+    def corners(self):
+        """The two level-1 corner ideals, Ker d_0 and Ker d_1."""
+        return self.kernel(1, 0), self.kernel(1, 1)
 
-    def _make_moore(self):
-        E2 = self.E2
-        s2n = self.data.s2_names
-        s3 = [E2.var(n) for n in self.data.s3_names]
-        closed = {(1, 0): self.corners[0], (1, 1): self.corners[1],
-                  (2, 0): Ideal(E2, [E2.var("s1_" + n) for n in s2n] + s3),
-                  (2, 1): Ideal(E2, [E2.var("s0_" + n) - E2.var("s1_" + n)
-                                     for n in s2n] + s3)}
-        ker = {}
-        for key, ideal in closed.items():  # key = (level, face index)
-            K = ker[key] = hom_kernel(self.face[key])
-            if K.groebner() != ideal.groebner():
-                raise AssertionError("Ker d_%d^%d disagrees with its closed "
-                                     "form" % key[::-1])
-        return MooreData(ne1=ker[(1, 0)], kbar=ker[(1, 1)],
-                         ne2=ideal_intersect(ker[(2, 0)], ker[(2, 1)]))
+    def kernel(self, n, i):
+        """Ker d_i at level n, made once per skeleton: d_i s = id for the
+        degeneracy s = s_min(i, n-1), so the v - s(d_i(v)) over the
+        variables v of E_n generate it.  Checked once against the kernel
+        that elimination gives."""
+        def make():
+            d, s = self.face[(n, i)], self.degen[(n - 1, min(i, n - 1))]
+            K = Ideal(d.domain, [v - s(d(v)) for v in d.domain.gens()])
+            if K.groebner() != hom_kernel(d).groebner():
+                raise AssertionError("Ker d_%d^%d disagrees with its "
+                                     "elimination" % (i, n))
+            return K
+        return self.once(("kernel", n, i), make)
+
+    def moore(self):
+        """The level-2 Moore kernel Ker d_0 cap Ker d_1."""
+        return self.once("moore", lambda: ideal_intersect(
+            self.kernel(2, 0), self.kernel(2, 1)))
 
     def p2(self):
         """The second-order Peiffer ideal, made once per skeleton."""
@@ -414,7 +400,6 @@ def _c_instances(skel):
     generators of the level-1 and level-2 Moore kernels: C_(1,0)(2),
     C_(2,0)(1) and C_(2,1)(0) on pairs (x, y), then C_(1)(0), C_(2)(0)
     and C_(2)(1) on pairs (y, y')."""
-    moore = skel.moore()
     s0 = skel.degen[(2, 0)]
     s1 = skel.degen[(2, 1)]
     s2 = skel.degen[(2, 2)]
@@ -424,8 +409,9 @@ def _c_instances(skel):
 
     # each Moore generator goes through each degeneracy once, not once
     # per pair it takes part in
-    xs = [(s10(x) - s20(x), s20(x) - s21(x), s21(x)) for x in moore.ne1.gens]
-    ys = [(s0(y), s1(y), s2(y)) for y in moore.ne2.gens]
+    xs = [(s10(x) - s20(x), s20(x) - s21(x), s21(x))
+          for x in skel.corners[0].groebner()]
+    ys = [(s0(y), s1(y), s2(y)) for y in skel.moore().gens]
     for x10, x20, x21 in xs:
         for y0, y1, y2 in ys:
             yield x10 * y2

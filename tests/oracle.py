@@ -304,13 +304,36 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _remainder(p, basis, ring):
-    """The remainder of the dict p on division by basis, monic term lists
+def _support(m):
+    """The variables of an exponent tuple as a bit mask."""
+    return sum(1 << k for k, e in enumerate(m) if e)
+
+
+def _first_divisor(basis):
+    """The function that gives the first element of basis, monic term
+    lists with the leading term first, whose leading monomial divides a
+    monomial, or None.  It remembers each answer, and it tests only the
+    elements whose leading monomial's support lies in the monomial's."""
+    supports = [_support(b[0][0]) for b in basis]
+    first = {}
+
+    def divisor(m):
+        if m not in first:
+            s = _support(m)
+            first[m] = next((b for b, u in zip(basis, supports)
+                             if not u & ~s and _divides(b[0][0], m)), None)
+        return first[m]
+    return divisor
+
+
+def _remainder(p, divisor, ring):
+    """The remainder of the dict p on division by a basis, monic term lists
     with the leading term first: the largest term of p is taken off by the
-    first element whose leading monomial divides it, or moved to the
-    remainder.  The monomials of p wait in a heap by order key; one whose
-    term has cancelled, or that surfaces twice, is skipped.  Every monomial
-    added is below the one taken off, so none comes back once taken."""
+    first element whose leading monomial divides it, ``divisor(m)`` of
+    :func:`_first_divisor`, or moved to the remainder.  The monomials of p
+    wait in a heap by order key; one whose term has cancelled, or that
+    surfaces twice, is skipped.  Every monomial added is below the one
+    taken off, so none comes back once taken."""
     char, p, rem = ring.field.char, dict(p), {}
     heap = [(-mono_key(ring, m), m) for m in p]
     heapify(heap)
@@ -319,15 +342,14 @@ def _remainder(p, basis, ring):
         c = p.pop(m, None)
         if c is None:
             continue
-        for b in basis:
-            if _divides(b[0][0], m):
-                t = tuple(x - y for x, y in zip(m, b[0][0]))
-                for n in _add_multiple(p, t, -c, b[1:], char):
-                    if n in p:
-                        heappush(heap, (-mono_key(ring, n), n))
-                break
-        else:
+        b = divisor(m)
+        if b is None:
             rem[m] = c
+            continue
+        t = tuple(x - y for x, y in zip(m, b[0][0]))
+        for n in _add_multiple(p, t, -c, b[1:], char):
+            if n in p:
+                heappush(heap, (-mono_key(ring, n), n))
     return rem
 
 
@@ -364,10 +386,11 @@ def certify(gens, basis, rows=None):
     keys = [mono_key(ring, m) for m in lms]
     if keys != sorted(keys):
         problems.append("leading monomials are not ascending")
+    divisor = _first_divisor(terms)
     for g in gens:
         if g.ring != ring:
             raise ValueError("generator %s not in the basis's ring" % g)
-        if _remainder(g.exponent_terms(), terms, ring):
+        if _remainder(g.exponent_terms(), divisor, ring):
             problems.append("generator %s does not reduce to zero" % g)
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
@@ -380,7 +403,7 @@ def certify(gens, basis, rows=None):
                           terms[i], char)
             _add_multiple(s, tuple(x - y for x, y in zip(lcm, b)), -1,
                           terms[j], char)
-            if _remainder(s, terms, ring):
+            if _remainder(s, divisor, ring):
                 problems.append("S-pair (%d, %d) does not reduce to zero"
                                 % (i, j))
     return problems

@@ -43,10 +43,9 @@ def test_criterion_1_gb_soundness(data_a, data_b, data_c,
                                   skel_a, skel_b, skel_c):
     ok = True
     for data, skel in ((data_a, skel_a), (data_b, skel_b), (data_c, skel_c)):
-        moore = skel.moore()
         ideals = [
             (peiffer_P1(data), data.ring1),
-            (moore.ne2, skel.E2),
+            (skel.moore(), skel.E2),
             (peiffer_P2(skel), skel.E2),
         ]
         for ideal, ring in ideals:

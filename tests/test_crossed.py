@@ -183,10 +183,10 @@ def test_square_corners_are_the_skeleton_corner_ideals(which, skel_a, skel_b,
     # and so are those of the skeleton's tensor presentation
     pres = kernel_tensor(skel)
     assert pres.left is skel.corners[0] and pres.right is skel.corners[1]
-    # the level-1 Moore kernels have the reduced bases of the corners
-    moore = skel.moore()
-    assert sq.left.groebner() == moore.ne1.groebner()
-    assert sq.right.groebner() == moore.kbar.groebner()
+    # the corners are the level-1 face kernels, and the top's numerator
+    # is the level-2 Moore kernel
+    assert sq.left is skel.kernel(1, 0) and sq.right is skel.kernel(1, 1)
+    assert sq.top.numer is skel.moore()
 
 
 def test_square_refuses_corners_in_two_rings(skel_a, skel_b):

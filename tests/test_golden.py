@@ -14,13 +14,14 @@ fp-3var workload, and on fixture c over GF(2^61 - 1), whose residues and
 their products pass 64 bits; every command on fixture c with its level-2
 generator named g0_0, the tensor's first symbol, so that the coproduct
 renames a symbol of each summand; every command on fixture c with --order
-lex, the one order that is not degree-compatible; every command on d3
-(fixtures/d3.json), the smallest input with three variables, block-order
-eliminations and larger bases; build on d4f (fixtures/d4f.json), the one
-checked-in input with two level-2 generators; and the --format json stdout
-of every command on fixture c, on the GF(7) input and on its analogue over
-Q.  A change that alters any of them changes what the command reports;
-regenerate a file only when that change is intended, with
+lex, the one order that is not degree-compatible (only build prints other
+bases under it: the others print what they print without it); every
+command on d3 (fixtures/d3.json), the smallest input with three variables,
+block-order eliminations and larger bases; build on d4f (fixtures/d4f.json),
+the one checked-in input with two level-2 generators; and the --format json
+stdout of every command on fixture c, on the GF(7) input and on its
+analogue over Q.  A change that alters any of them changes what the
+command reports; regenerate a file only when that change is intended, with
 
     python -m xsq.cli <command> <input> [flags] > tests/golden/<command>_<case>.txt
 
@@ -106,6 +107,13 @@ def test_stdout_matches_golden(command, name):
 def test_lex_stdout_matches_golden(command):
     expected = (GOLDEN / ("%s_fixture_c_lex.txt" % command)).read_bytes()
     assert run_cli(command, fixture("fixture_c"), "--order", "lex") == expected
+
+
+@pytest.mark.parametrize("command", ["verify", "homotopy", "compare"])
+def test_order_changes_only_what_build_prints(command):
+    # --order orders the bases that build prints; no other command reads it
+    path = fixture("fixture_c")
+    assert run_cli(command, path, "--order", "lex") == run_cli(command, path)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

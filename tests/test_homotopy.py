@@ -19,8 +19,8 @@ def test_pi0_rows(skel_a, skel_b, skel_c):
     qb = pi0(skel_b)
     assert set(str(b) for b in qb.groebner()) == {"x^2", "x*y"}
     # the level-1 ring modulo both corner ideals presents pi0 as well
-    m = skel_c.moore()
-    corners = Ideal(skel_c.E1, list(m.ne1.gens) + list(m.kbar.gens))
+    left, right = skel_c.corners
+    corners = Ideal(skel_c.E1, list(left.gens) + list(right.gens))
     assert affine_hilbert(corners, 4) == affine_hilbert(pi0(skel_c), 4)
     empty = build_skeleton(ConstructionData(QQ, ["x"], [], []))
     assert pi0(empty).is_zero()

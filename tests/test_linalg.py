@@ -213,9 +213,8 @@ def sweep_cases(skel, D):
     """Every family of vectors a filtered row of homotopy or compare sweeps,
     as (name, vectors, ring, degree bound, common top degree)."""
     data, E1, R = skel.data, skel.E1, skel.base
-    moore = skel.moore()
-    image = Ideal(E1, [skel.face[(2, 2)](g) for g in moore.ne2.gens])
-    left, right = moore.ne1.groebner(), moore.kbar.groebner()
+    image = Ideal(E1, [skel.face[(2, 2)](g) for g in skel.moore().gens])
+    left, right = (K.groebner() for K in skel.corners)
     t = dict(skel.data.s2)
     m_gens = [E1.var(v) for v in data.s2_names]
     n_gens = [E1.var(v) - reringed(t[v], E1) for v in data.s2_names]

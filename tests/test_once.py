@@ -49,6 +49,20 @@ def test_homotopy_builds_p2_and_the_last_face_kernel_once(monkeypatch,
     assert sum(h is skels[0].face[(2, 2)] for h in kernels) == 1
 
 
+@pytest.mark.parametrize("command, expected", [
+    ("build", 4), ("verify", 4), ("homotopy", 5), ("compare", 4)])
+def test_each_face_kernel_is_checked_once(monkeypatch, capsys, command,
+                                          expected):
+    # Ker d_0 and Ker d_1 at levels 1 and 2, each checked once against its
+    # elimination; homotopy also reads Ker d_2 at level 2
+    faces = []
+    _record_calls(monkeypatch, groebner, "hom_kernel",
+                  lambda ideal, h: faces.append(h))
+    assert _run(command, "fixture_c") == 0
+    capsys.readouterr()
+    assert len(faces) == len(set(map(id, faces))) == expected
+
+
 @pytest.mark.parametrize("flags, expected", [
     ((), {"wdegrevlex": 1}),
     (("--order", "lex"), {"wdegrevlex": 1, "lex": 1}),

@@ -2,9 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from xsq import (GF, ConstructionData, Ideal, InvalidData, QQ, build_skeleton,
-                 hom_kernel, ideal_intersect, peiffer_P1, peiffer_P2,
-                 simplicial_identity_report)
+from xsq import (GF, ConstructionData, Ideal, InvalidData, QQ, RingHom,
+                 build_skeleton, hom_kernel, ideal_intersect, peiffer_P1,
+                 peiffer_P2, simplicial_identity_report)
+from xsq.rings import reringed
 from xsq.simplicial import _c_instances
 
 from .oracle import explicit_p2, ideal_equal, s3_free_instances
@@ -58,18 +59,62 @@ def test_level1_faces(skel_a):
 
 
 def test_moore_closed_forms(skel_a, skel_c):
-    m = skel_a.moore()
-    assert [str(g) for g in m.ne1.groebner()] == ["S"]
-    assert ideal_equal(m.kbar, Ideal(skel_a.E1, ["S - x^2"]))
-    mc = skel_c.moore()
-    assert mc.ne2.member(skel_c.E2.var("T"))
+    assert [str(g) for g in skel_a.kernel(1, 0).groebner()] == ["S"]
+    assert ideal_equal(skel_a.kernel(1, 1), Ideal(skel_a.E1, ["S - x^2"]))
+    assert skel_c.moore().member(skel_c.E2.var("T"))
 
 
 def test_moore_ne2_is_the_kernel_intersection(skel_b):
-    m = skel_b.moore()
     k0 = hom_kernel(skel_b.face[(2, 0)])
     k1 = hom_kernel(skel_b.face[(2, 1)])
-    assert ideal_equal(m.ne2, ideal_intersect(k0, k1))
+    assert ideal_equal(skel_b.moore(), ideal_intersect(k0, k1))
+
+
+FACES = [(n, i) for n in (1, 2, 3) for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c", "d3", "d4f"])
+def test_every_face_kernel_matches_its_elimination(which, skeleton):
+    skel = skeleton(which)
+    assert len(FACES) == 9
+    for n, i in FACES:
+        K, face = skel.kernel(n, i), skel.face[(n, i)]
+        assert K is skel.kernel(n, i)  # made once
+        assert all(face(g).is_zero() for g in K.gens)
+        assert ideal_equal(K, hom_kernel(face))
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c", "d3", "d4f"])
+def test_face_kernels_in_closed_form(which, skeleton):
+    # the m_i = S_i generate Ker d_0 and the n_i = S_i - t_i Ker d_1 at
+    # level 1; at level 2 the s1 copies and Ker d_1 the differences of the
+    # two copies, each with the level-2 generators
+    skel = skeleton(which)
+    E1, E2 = skel.E1, skel.E2
+    s2n = skel.data.s2_names
+    s3 = [E2.var(n) for n in skel.data.s3_names]
+    closed = {
+        (1, 0): [E1.var(n) for n in s2n],
+        (1, 1): [E1.var(n) - reringed(t, E1) for n, t in skel.data.s2],
+        (2, 0): [E2.var("s1_" + n) for n in s2n] + s3,
+        (2, 1): [E2.var("s0_" + n) - E2.var("s1_" + n) for n in s2n] + s3}
+    for key, gens in closed.items():
+        assert skel.kernel(*key).gens == tuple(gens), key
+    for i in (0, 1):
+        assert skel.corners[i] is skel.kernel(1, i)
+
+
+@pytest.mark.parametrize("n, i", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+def test_a_degeneracy_that_is_no_section_is_refused(n, i, data_a):
+    # negative control: with s followed by x -> 2x, d_i s is not the
+    # identity, v - s(d_i(v)) leaves Ker d_i, and the check must say so
+    skel = build_skeleton(data_a)
+    key = (n - 1, min(i, n - 1))
+    E = skel.rings[n]
+    skel.degen[key] = skel.degen[key].then(
+        RingHom.from_map(E, E, {"x": 2 * E.var("x")}))
+    with pytest.raises(AssertionError, match="elimination"):
+        skel.kernel(n, i)
 
 
 def test_peiffer_level1(data_a, data_b):
@@ -141,18 +186,16 @@ def test_peiffer_level2_matches_level3_kernel(which, skel_a, skel_b, skel_c):
 
 
 def test_p1_and_p2_sit_inside_the_moore_kernels(skel_b):
-    m = skel_b.moore()
     for g in peiffer_P1(skel_b.data).gens:
-        assert m.ne1.member(g)
+        assert skel_b.corners[0].member(g)
     for g in peiffer_P2(skel_b).gens:
-        assert m.ne2.member(g)
+        assert skel_b.moore().member(g)
 
 
 def test_boundary_of_level2_kernel_descends(skel_b):
-    m = skel_b.moore()
     d2 = skel_b.face[(2, 2)]
-    for g in m.ne2.gens:
-        assert m.ne1.member(d2(g))
+    for g in skel_b.moore().gens:
+        assert skel_b.corners[0].member(d2(g))
 
 
 def test_level3_families_live_in_the_moore_kernel(skel_c):
@@ -211,11 +254,9 @@ def test_truncation_levels(data_b, data_c):
 def test_every_produced_polynomial_reparses(which, skel_a, skel_b, skel_c):
     # the text grammar round-trips every polynomial a fixture run produces
     skel = {"a": skel_a, "b": skel_b, "c": skel_c}[which]
-    m = skel.moore()
     produced = []
-    produced += [(g, skel.E1) for g in m.ne1.groebner()]
-    produced += [(g, skel.E1) for g in m.kbar.groebner()]
-    produced += [(g, skel.E2) for g in m.ne2.groebner()]
+    produced += [(g, skel.E1) for K in skel.corners for g in K.groebner()]
+    produced += [(g, skel.E2) for g in skel.moore().groebner()]
     produced += [(g, skel.E1) for g in peiffer_P1(skel.data).gens]
     produced += [(g, skel.E2) for g in peiffer_P2(skel).groebner()]
     for (n, i), h in skel.face.items():

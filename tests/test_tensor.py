@@ -10,7 +10,6 @@ from xsq import (GF, ConstructionData, Ideal, PolyRing, QQ, Subquotient,
 from xsq.crossed import CrossedModule
 from xsq.homotopy import _tensor_kernel_dims
 from xsq.linalg import FilteredBasis
-from xsq.simplicial import MooreData
 from xsq.tensor import kernel_tensor
 
 from .oracle import ideal_equal
@@ -340,9 +339,9 @@ def _pi0_without_relations(skel):
     skel.once("pi0", lambda: Ideal(skel.base, []))
 
 
-def _left_corner_as_kbar(skel):
-    left = skel.corners[0]
-    skel.once("moore", lambda: MooreData(left, left, None))
+def _left_corner_as_pi1_numerator(skel):
+    # the left corner holds the intersection of both corners, and more
+    skel.once(("pi", 1), lambda: (skel.corners[0], Ideal(skel.E1, [])))
 
 
 @pytest.mark.parametrize("which", ["a", "b", "c"])
@@ -374,7 +373,7 @@ def test_every_counted_compare_family_can_fail(which, monkeypatch, data_a,
         assert corner["ok"] == (not corner_failed)  # each family counts
         failed |= corner_failed
     for sabotage in (() if data.s3 else (_pi0_without_relations,
-                                         _left_corner_as_kbar)):
+                                         _left_corner_as_pi1_numerator)):
         skel = build_skeleton(data)
         sabotage(skel)
         split = compare_XY(skel)
