@@ -14,15 +14,14 @@ counts the S-pairs reduced plus the reduction steps, and the step past the
 limit raises :class:`BudgetExceeded` instead of silently truncating.
 Outside any block no limit applies.
 
-The input generators are inserted lazily: each waits in the pair queue
-under its leading monomial and, when popped, is reduced against the basis
-so far like an S-polynomial, so a redundant generator never becomes a basis
-element or forms pairs.  The reduced basis is the same for any insertion
-order.  The cofactor rows that :meth:`Ideal.lift` and :func:`syzygies` read
-are not unique, and printed relations depend on them, so the tracked path
-keeps every generator as a basis element from the start (a zero one keeps
-an empty column).  One routine, ``_combine``, writes every cofactor row:
-of a basis element, of a syzygy and of a lift.
+Every input generator waits in the pair queue under its leading monomial
+and, when popped, is reduced against the basis so far like an S-polynomial,
+so a redundant generator never becomes a basis element or forms pairs.  The
+reduced basis is the same for any insertion order.  A run that keeps the
+cofactor rows :meth:`Ideal.lift` and :func:`syzygies` read adds those rows
+and nothing else, so it spends the steps of a run without them.  One
+routine, ``_combine``, writes every cofactor row: of a basis element, of a
+syzygy and of a lift.
 
 The engine works on the packed monomials that polynomials store
 (:class:`rings.Packing`): a product is one int sum, a quotient one
@@ -243,12 +242,12 @@ def _buchberger(gens, ring, track=False):
     dicts.
 
     Critical pairs are kept by the Gebauer-Moller update (``_update``) and
-    reduced in the normal strategy, smallest lcm first.  Untracked, each
-    generator is queued under its leading monomial (before the pairs with
-    that lcm) and joins the basis only if its remainder on popping is
-    nonzero.  Tracked, every generator joins up front.  Every element stays
-    in the reducer list, so the cofactor rows index all of them.  A zero
-    generator is an empty term tuple and never joins.
+    reduced in the normal strategy, smallest lcm first.  Each nonzero
+    generator waits in the same queue under its leading monomial (before
+    the pairs with that lcm) and joins the basis only if its remainder on
+    popping is nonzero.  Tracking adds the rows and nothing else: a tracked
+    run makes the pops, divisions, pairs and budget steps of an untracked
+    one.  A zero generator is an empty term tuple and never joins.
     """
     k = len(gens)
     one, inv, char = ring.field.one, ring.field.inv, ring.field.char
@@ -256,18 +255,9 @@ def _buchberger(gens, ring, track=False):
     guards = packing.guards
 
     G, lms, rows = [], [], ([] if track else None)
-    pairs, active, heap = {}, [], []
-    for i, g in enumerate(gens):
-        if not g:
-            continue
-        if not track:  # queued by leading monomial, reduced when popped
-            heapq.heappush(heap, (g[0][1], -1, i))
-            continue
-        u = inv(g[0][2])
-        rows.append(_unit_row(k, i, u))
-        G.append(g if u == one else _scaled(g, u, char))
-        lms.append(g[0][0])
-        _update(len(G) - 1, lms, active, pairs, heap, packing)
+    pairs, active = {}, []
+    heap = [(g[0][1], -1, i) for i, g in enumerate(gens) if g]
+    heapq.heapify(heap)
     while heap:
         _, i, j = heapq.heappop(heap)  # normal strategy: smallest lcm first
         if i < 0:
@@ -284,10 +274,11 @@ def _buchberger(gens, ring, track=False):
         if not rem:
             continue
         u = inv(rem[0][2])
-        if track:
-            rows.append(_scaled_row(_combine(
-                k, [({a: one}, rows[i]), ({b: -one}, rows[j])], quots, rows,
-                guards), u, char))
+        if track:  # u * (e_j or x^a row_i - x^b row_j, minus sum q * rows)
+            parts = ([({0: one}, _unit_row(k, j, one))] if i < 0 else
+                     [({a: one}, rows[i]), ({b: -one}, rows[j])])
+            rows.append(_scaled_row(_combine(k, parts, quots, rows, guards),
+                                    u, char))
         G.append(_scaled(rem, u, char))
         lms.append(rem[0][0])
         _update(len(G) - 1, lms, active, pairs, heap, packing)

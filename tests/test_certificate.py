@@ -2,10 +2,10 @@
 reach: every reduced basis that ``Ideal._computed`` returns and every basis
 that ``eliminate`` seeds, while build, verify, homotopy and compare run in
 process on fixtures a-c and d3, and, marked slow (``pytest -m slow``), on
-d4f.  Each basis is certified with the cofactor rows of a fresh tracked
-computation, which must reach the same basis.  The certificate must refuse
-a basis with one element dropped and one with a tail coefficient doubled
-(the inputs are over Q), on every basis of at most 30 elements."""
+d4f and d5.  Each basis is certified with the cofactor rows of a fresh
+tracked computation, which must reach the same basis.  The certificate must
+refuse a basis with one element dropped and one with a tail coefficient
+doubled (the inputs are over Q), on every basis of at most 30 elements."""
 
 import contextlib
 import io
@@ -100,7 +100,7 @@ def test_a_dropped_element_or_a_changed_tail_is_refused(reached):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", ["d4f"])
+@pytest.mark.parametrize("name", ["d4f", "d5"])
 def test_every_basis_a_scale_input_reaches_is_certified(name):
     bases, seeded = reach((name,))
     assert bases and seeded

@@ -1,7 +1,7 @@
 """Differential tests of the Groebner engine against the linear-algebra
 oracle, on small weight-homogeneous ideals over Q and GF(32003); of the
 bases that elimination results carry against bases computed afresh; of the
-lazily inserted generators against the eager tracked path; and of division
+tracked and untracked runs on one generator list; and of division
 against a plain reference division.  Products past the exponent limit must
 raise, and the tracked path is asked for by keyword only."""
 
@@ -186,30 +186,41 @@ def redundant_generators(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(redundant_generators())
-def test_lazy_insertion_gives_the_eager_basis(case):
-    # the untracked path queues the generators and keeps only nonzero
-    # remainders; its basis must equal the tracked (eager) one and that of
-    # the reversed list, and every element must join the basis reduced
-    # against the elements before it
+def test_tracked_and_untracked_runs_take_the_same_steps(case):
+    # every generator waits in the queue and joins only as a nonzero
+    # remainder, so a run that keeps cofactor rows hands _reduce_basis the
+    # elements of a run that does not, after the same steps; the basis must
+    # equal that of the reversed list, every element must join reduced
+    # against the elements before it, and each row times the generators
+    # must give its basis element
     ring, gens = case
     joined = []
     reduce_basis = groebner._reduce_basis
 
     def recording(G, rows, ring):
-        if rows is None:  # the engine's packed terms
-            joined.append([groebner._polynomial(ring, g) for g in G])
+        joined.append([groebner._polynomial(ring, g) for g in G])
         return reduce_basis(G, rows, ring)
 
+    bases, steps = [], []
     with mock.patch.object(groebner, "_reduce_basis", recording):
-        lazy = Ideal(ring, gens)._computed()[1]
-    eager = Ideal(ring, gens)._computed(track=True)[1]
+        for track in (False, True):
+            ideal = Ideal(ring, gens)
+            with budget(10**9) as counter:
+                _, basis, rows = ideal._computed(track=track)[:3]
+            bases.append(basis)
+            steps.append(counter.limit - counter.left)
     backwards = Ideal(ring, gens[::-1])._computed()[1]
-    assert lazy == eager == backwards
-    assert _is_reduced(lazy)
-    (G,) = joined
-    for n, g in enumerate(G):
+    assert joined[0] == joined[1] and steps[0] == steps[1]
+    assert bases[0] == bases[1] == backwards
+    assert _is_reduced(basis)
+    for n, g in enumerate(joined[0]):
         assert not any(mono_divides(lm(b), t)
-                       for b in G[:n] for t in g.exponent_terms())
+                       for b in joined[0][:n] for t in g.exponent_terms())
+    for b, row in zip(basis, rows):  # the tracked run's
+        total = ring.zero
+        for c, g in zip(row, ideal.gens):
+            total = total + Polynomial(ring, c) * g
+        assert total == b
 
 
 def _reference_divide(p, basis):

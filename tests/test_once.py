@@ -142,8 +142,8 @@ def test_compare_builds_the_kernel_tensor_once(monkeypatch, capsys):
 def test_redundant_generators_do_not_join_the_basis(monkeypatch, capsys):
     # a generator joins a basis (and its pairs are updated) only when it
     # does not reduce to zero against the basis so far: the four commands
-    # on fixture c make 431 Gebauer-Moller updates, 899 when every
-    # generator joined up front
+    # on fixture c make 366 Gebauer-Moller updates, runs that keep cofactor
+    # rows included
     update = groebner._update
     calls = []
 
