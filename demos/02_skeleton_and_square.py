@@ -6,8 +6,7 @@ Run:  python3 demos/02_skeleton_and_square.py
 """
 
 from xsq import (ConstructionData, QQ, build_skeleton, functor_M, h_eval,
-                 peiffer_P1, peiffer_P2, simplicial_identity_report,
-                 verify_square)
+                 peiffer_P1, peiffer_P2, verify_square)
 from xsq.cli import _render_text
 
 data = ConstructionData(
@@ -20,10 +19,6 @@ print("level rings of the skeleton:")
 for i, ring in enumerate(skel.rings):
     print("  E%d = Q[%s], weights %s" % (i, ", ".join(ring.vars),
                                          list(ring.weights)))
-
-report = simplicial_identity_report(skel)
-print("simplicial identities checked on generators:",
-      sum(1 for _ in report), "- all hold:", all(ok for _, ok in report))
 
 print()
 print("kernel of the zeroth level-1 face:",

@@ -36,9 +36,8 @@ The grid (507 runs a side):
   the steps a command spends in all would move an exit code between 0 and
   3;
 - verify --break-h on fixtures a-c, which must fail (exit 1) on both sides;
-- the four demos, the only callers of public names that no command reaches
-  (``assemble_L(...).extra_relations``, ``simplicial_identity_report``
-  and more).
+- the four demos, which also read what no command prints, such as
+  ``assemble_L(...).extra_relations``.
 
 The inputs and the demo names come from this script's own checkout:
 xsqbench/workloads.py, the golden cases of tests/test_golden.py and

@@ -16,8 +16,7 @@ _EXPORTS = {name: module for module, names in (
                  "budget eliminate hom_kernel ideal_intersect "
                  "subquotient_dims syzygies"),
     ("simplicial", "ConstructionData InvalidData Skeleton2 "
-                   "build_skeleton peiffer_P1 peiffer_P2 "
-                   "simplicial_identity_report"),
+                   "build_skeleton peiffer_P1 peiffer_P2"),
     ("crossed", "CrossedModule CrossedSquare VerifyReport free_crossed_on "
                 "functor_M h_eval verify_square verify_xmod"),
     ("tensor", "AssembledCorner CoproductResult TensorPresentation "

@@ -156,8 +156,6 @@ def _render_text(obj, indent=0):
                 lines.extend(_render_text(val, indent + 1))
             else:
                 lines.append("%s- %s" % (pad, val))
-    else:
-        lines.append("%s%s" % (pad, obj))
     return lines
 
 

@@ -122,7 +122,7 @@ class Packing:
         elif order == "wdegrevlex":
             blocks, graded = [range(n)], True
         else:
-            k = min(order[1], n)
+            k = order[1]
             blocks, graded = [range(k, n), range(k)], True
         layout = []   # per 32-bit field, low to high: a variable or None
         degrees = []  # per degree field: its block, first field and width
@@ -216,8 +216,9 @@ class Packing:
 class PolyRing:
     """Polynomial ring k[x_1, ..., x_n] with a fixed monomial order.
 
-    order is "wdegrevlex" (default), "lex", or ("block", k): the first k
-    variables form an elimination block, wdegrevlex inside each block.
+    order is "wdegrevlex" (default), "lex", or ("block", k) for an int k
+    in 0..n: the first k variables form an elimination block, wdegrevlex
+    inside each block.  Weights are positive ints, one per variable.
     """
 
     __slots__ = ("vars", "field", "weights", "order", "packing", "_index",
@@ -235,11 +236,13 @@ class PolyRing:
         self.weights = tuple(weights) if weights is not None else (1,) * len(vars)
         if len(self.weights) != len(vars):
             raise ValueError("weight count does not match variable count")
-        if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive")
+        if not all(type(w) is int and w >= 1 for w in self.weights):
+            raise ValueError("weights must be positive ints")
         if not (order in ("wdegrevlex", "lex")
-                or (isinstance(order, tuple) and order[0] == "block")):
-            raise ValueError("unknown monomial order %r" % (order,))
+                or (type(order) is tuple and len(order) == 2
+                    and order[0] == "block" and type(order[1]) is int
+                    and 0 <= order[1] <= len(vars))):
+            raise ValueError("invalid monomial order %r" % (order,))
         self.order = order
         self.packing = Packing(self.weights, order)
         self._index = {v: i for i, v in enumerate(vars)}
@@ -672,10 +675,6 @@ class RingHom:
         return cls(domain, codomain,
                    [mapping[v] if v in mapping else codomain.var(v)
                     for v in domain.vars])
-
-    @classmethod
-    def identity(cls, ring):
-        return cls(ring, ring, ring.gens())
 
     def __call__(self, p):
         """Image of p by the substitution of the module docstring; the

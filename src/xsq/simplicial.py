@@ -26,8 +26,8 @@ level-1 corners and the Moore functor at level 0) are computed once per
 skeleton and kept on it.  Every face kernel has one rule,
 :meth:`Skeleton2.kernel`, checked once against elimination; the level-1
 corners are Ker d_0 and Ker d_1, and the level-2 Moore kernel is their
-intersection at level 2.  A lower skeleton is the skeleton of truncated
-data, ``build_skeleton(data.truncate(level))``.
+intersection at level 2.  A lower skeleton is the skeleton of the data
+with its level-2 generators, or with all its adjoined generators, left out.
 """
 
 import json
@@ -143,15 +143,6 @@ class ConstructionData:
     @property
     def boundary_images(self):
         return tuple(img for _, img in self.s2)
-
-    def truncate(self, level):
-        """Sub-data for the level-skeleton: drop S3 below 2, S2 below 1.
-        The data itself when nothing is dropped."""
-        s2 = self.s2 if level >= 1 else ()
-        s3 = self.s3 if level >= 2 else ()
-        if s2 == self.s2 and s3 == self.s3:
-            return self
-        return ConstructionData(self.field, self.s1_names, s2, s3)
 
     # -- serialization -----------------------------------------------------
 
@@ -271,10 +262,6 @@ class Skeleton2:
     def E2(self):
         return self.rings[2]
 
-    @property
-    def E3(self):
-        return self.rings[3]
-
     def once(self, key, make):
         """The value stored under key, made by make() on the first call."""
         if key not in self._memo:
@@ -330,52 +317,8 @@ def _degenerate(j, word):
 
 
 def build_skeleton(data):
-    """Skeleton of the construction data; a lower skeleton is the one of
-    ``data.truncate(level)``."""
+    """Skeleton of the construction data."""
     return Skeleton2(data)
-
-
-def simplicial_identity_report(skel):
-    """Exhaustive check of the simplicial identities on generators at all
-    levels <= 3; returns (name, ok) pairs."""
-    face, degen = skel.face, skel.degen
-    out = []
-
-    def eq(name, h1, h2):
-        ok = all(h1(h1.domain.var(v)) == h2(h2.domain.var(v))
-                 for v in h1.domain.vars)
-        out.append((name, ok))
-
-    # d_i d_j = d_{j-1} d_i for i < j
-    for n in (2, 3):
-        for j in range(n + 1):
-            for i in range(j):
-                eq("d%d d%d = d%d d%d (level %d)" % (i, j, j - 1, i, n),
-                   face[(n, j)].then(face[(n - 1, i)]),
-                   face[(n, i)].then(face[(n - 1, j - 1)]))
-    # s_i s_j = s_{j+1} s_i for i <= j
-    for n in (0, 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                eq("s%d s%d = s%d s%d (level %d)" % (i, j, j + 1, i, n),
-                   degen[(n, j)].then(degen[(n + 1, i)]),
-                   degen[(n, i)].then(degen[(n + 1, j + 1)]))
-    # d_i s_j relations
-    for n in (0, 1, 2):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = degen[(n, j)].then(face[(n + 1, i)])
-                if i == j or i == j + 1:
-                    rhs = RingHom.identity(skel.rings[n])
-                    name = "d%d s%d = id (level %d)" % (i, j, n)
-                elif i < j:
-                    rhs = face[(n, i)].then(degen[(n - 1, j - 1)])
-                    name = "d%d s%d = s%d d%d (level %d)" % (i, j, j - 1, i, n)
-                else:
-                    rhs = face[(n, i - 1)].then(degen[(n - 1, j)])
-                    name = "d%d s%d = s%d d%d (level %d)" % (i, j, j, i - 1, n)
-                eq(name, lhs, rhs)
-    return out
 
 
 def peiffer_defects(gens, images):

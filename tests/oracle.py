@@ -16,9 +16,17 @@ family instances that ``peiffer_P2`` pushes down from level 3, of which
 :func:`s3_free_instances` keeps those whose support (:func:`support_vars`)
 avoids the level-2 generators.
 
-:func:`ideal_equal`, :func:`mono_key` and :func:`wdeg` are helpers that
-only the tests read: equality of ideals by their reduced bases, and the
-order key and the weighted degree of an exponent tuple.
+The module is the one home of every reference the tests share.  The dense
+elimination (:func:`gauss_jordan`, :func:`rank`, :func:`reduce`) is the
+reference of the sparse echelon forms of ``xsq.linalg``; :func:`ref_key`,
+the tuple order key on exponent tuples, that of the packed order key; and
+:func:`divides`, divisibility of exponent tuples, that of the engine's
+packed divisibility test.  :func:`truncated` gives the data of a lower
+skeleton, and :func:`simplicial_identities` checks the simplicial
+identities of a skeleton map by map.  :func:`ideal_equal`,
+:func:`mono_key` and :func:`wdeg` are helpers that only the tests read:
+equality of ideals by their reduced bases, and the order key and the
+weighted degree of an exponent tuple.
 
 :func:`certify` checks a reduced Groebner basis by Buchberger's criterion
 with its own division on exponent tuples, and checks cofactor rows by
@@ -27,8 +35,8 @@ plain multiplication; it shares no code with the engine's division.
 
 from heapq import heapify, heappop, heappush
 
-from xsq.rings import reringed
-from xsq.simplicial import _c_instances
+from xsq.rings import RingHom, reringed
+from xsq.simplicial import ConstructionData, _c_instances
 
 
 def wdeg(ring, exps):
@@ -112,6 +120,25 @@ def mono_key(ring, exps):
     the ring's order."""
     packing = ring.packing
     return packing.key(packing.pack(exps))
+
+
+def ref_key(exps, weights, order):
+    """The tuple order key that the packed key replaced, on exponent tuples
+    alone: wdegrevlex compares the weighted degree, then the negated
+    exponents from the last variable on; lex compares the exponents;
+    ("block", k) compares the wdegrevlex keys of the first k variables and
+    then of the rest."""
+    def wdegrevlex(e, w):
+        return (sum(a * b for a, b in zip(e, w)),
+                tuple(-a for a in reversed(e)))
+
+    if order == "wdegrevlex":
+        return wdegrevlex(exps, weights)
+    if order == "lex":
+        return tuple(exps)
+    k = order[1]
+    return (wdegrevlex(exps[:k], weights[:k]),
+            wdegrevlex(exps[k:], weights[k:]))
 
 
 def monomials_upto(ring, D):
@@ -270,6 +297,62 @@ def s3_free_instances(skel):
     return [z for z in _c_instances(skel) if not s3 & support_vars(z)]
 
 
+# -- skeletons ----------------------------------------------------------------
+
+
+def truncated(data, level):
+    """The construction data of the level-skeleton: data without its S3
+    below level 2 and without its S2 below level 1."""
+    return ConstructionData(data.field, data.s1_names,
+                            data.s2 if level >= 1 else (),
+                            data.s3 if level >= 2 else ())
+
+
+def simplicial_identities(skel):
+    """The simplicial identities on the generators at all levels <= 3, as
+    (name, ok) pairs, each map composed from the skeleton's faces and
+    degeneracies."""
+    face, degen = skel.face, skel.degen
+    out = []
+
+    def eq(name, h1, h2):
+        ok = all(h1(h1.domain.var(v)) == h2(h2.domain.var(v))
+                 for v in h1.domain.vars)
+        out.append((name, ok))
+
+    # d_i d_j = d_{j-1} d_i for i < j
+    for n in (2, 3):
+        for j in range(n + 1):
+            for i in range(j):
+                eq("d%d d%d = d%d d%d (level %d)" % (i, j, j - 1, i, n),
+                   face[(n, j)].then(face[(n - 1, i)]),
+                   face[(n, i)].then(face[(n - 1, j - 1)]))
+    # s_i s_j = s_{j+1} s_i for i <= j
+    for n in (0, 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                eq("s%d s%d = s%d s%d (level %d)" % (i, j, j + 1, i, n),
+                   degen[(n, j)].then(degen[(n + 1, i)]),
+                   degen[(n, i)].then(degen[(n + 1, j + 1)]))
+    # d_i s_j relations
+    for n in (0, 1, 2):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                lhs = degen[(n, j)].then(face[(n + 1, i)])
+                if i == j or i == j + 1:
+                    E = skel.rings[n]
+                    rhs = RingHom.from_map(E, E, {})
+                    name = "d%d s%d = id (level %d)" % (i, j, n)
+                elif i < j:
+                    rhs = face[(n, i)].then(degen[(n - 1, j - 1)])
+                    name = "d%d s%d = s%d d%d (level %d)" % (i, j, j - 1, i, n)
+                else:
+                    rhs = face[(n, i - 1)].then(degen[(n - 1, j)])
+                    name = "d%d s%d = s%d d%d (level %d)" % (i, j, j, i - 1, n)
+                eq(name, lhs, rhs)
+    return out
+
+
 # -- comparison of engine results ---------------------------------------------
 
 
@@ -300,7 +383,8 @@ def _add_multiple(p, t, c, terms, char):
     return touched
 
 
-def _divides(a, b):
+def divides(a, b):
+    """Whether the exponent tuple a divides the exponent tuple b."""
     return all(x <= y for x, y in zip(a, b))
 
 
@@ -321,7 +405,7 @@ def _first_divisor(basis):
         if m not in first:
             s = _support(m)
             first[m] = next((b for b, u in zip(basis, supports)
-                             if not u & ~s and _divides(b[0][0], m)), None)
+                             if not u & ~s and divides(b[0][0], m)), None)
         return first[m]
     return divisor
 
@@ -380,7 +464,7 @@ def certify(gens, basis, rows=None):
     for i, t in enumerate(terms):
         if t[0][1] != one:
             problems.append("element %d is not monic" % i)
-        if any(j != i and _divides(lm, m)
+        if any(j != i and divides(lm, m)
                for m, _ in t for j, lm in enumerate(lms)):
             problems.append("element %d is not reduced" % i)
     keys = [mono_key(ring, m) for m in lms]

@@ -19,7 +19,7 @@ from xsq import (Ideal, aq_h2, build_skeleton, compare_XY, compare_corner,
                  verify_xmod)
 
 from .oracle import (MacaulayNF, explicit_p2, face_kernel_dims, ideal_equal,
-                     monomials_upto, s3_free_instances)
+                     monomials_upto, s3_free_instances, truncated)
 from .test_crossed import PAIRING_FAMILIES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -60,7 +60,7 @@ def test_criterion_2_axiom_suites(data_a, data_b, data_c):
     ok = True
     for data in (data_a, data_b, data_c):
         for level in (0, 1, 2):
-            skel = build_skeleton(data.truncate(level))
+            skel = build_skeleton(truncated(data, level))
             rep1 = verify_xmod(functor_M(skel, 1))
             rep2 = verify_square(functor_M(skel, 2))
             ok = ok and rep1.ok and rep2.ok
@@ -143,7 +143,7 @@ def test_criterion_9_stability(data_c):
     added generators, so independently built skeletons must yield equal
     presentations; the pair (0,1) also crosses the level where the
     level-2 generators enter."""
-    sk1 = build_skeleton(data_c.truncate(1))
+    sk1 = build_skeleton(truncated(data_c, 1))
     sk2 = build_skeleton(data_c)
     sk2_again = build_skeleton(data_c)  # stands in for level 3
     ok = ideal_equal(sk1.pi0(), sk2.pi0())

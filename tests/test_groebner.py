@@ -130,7 +130,7 @@ def test_hom_kernel_examples(skel_a):
     kbar = hom_kernel(skel_a.face[(1, 1)])
     E1 = skel_a.E1
     assert ideal_equal(kbar, Ideal(E1, ["S - x^2"]))
-    ident = RingHom.identity(E1)
+    ident = RingHom.from_map(E1, E1, {})
     assert hom_kernel(ident).is_zero()
 
 

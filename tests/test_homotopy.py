@@ -10,7 +10,7 @@ from xsq import (GF, ConstructionData, Ideal, QQ, affine_hilbert, aq_h2,
 from xsq import cli, linalg
 
 from .conftest import input_data
-from .oracle import face_kernel_dims
+from .oracle import face_kernel_dims, truncated
 
 
 def test_pi0_rows(skel_a, skel_b, skel_c):
@@ -55,7 +55,7 @@ def test_pi1_fixture_c_dominated_by_b(skel_b, skel_c):
 
 
 def test_pi2_zero_skeleton(data_c):
-    skel = build_skeleton(data_c.truncate(0))
+    skel = build_skeleton(truncated(data_c, 0))
     assert list(pi2(skel, 4)) == [0] * 5
 
 

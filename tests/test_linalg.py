@@ -1,5 +1,6 @@
-"""Sparse semi-echelon linear algebra against a naive dense Gauss-Jordan
-elimination, on derandomized sparse matrices over Q and GF(32003), and the
+"""Sparse semi-echelon linear algebra against the dense Gauss-Jordan
+elimination of tests/oracle.py (``gauss_jordan``, ``rank`` and ``reduce``),
+on derandomized sparse matrices over Q and GF(32003), and the
 graded sweeps against a per-degree rebuild of every filtered row.  The
 engine takes rows as dicts; a row here keeps its zero entries, which the
 engine must drop."""
@@ -19,7 +20,7 @@ from xsq.linalg import (Echelon, FilteredBasis, graded_span, nullity, rref,
 from xsq.rings import reringed
 from xsq.tensor import TensorPresentation
 
-from .oracle import monomials_upto
+from .oracle import gauss_jordan, monomials_upto, rank, reduce
 
 FIELDS = (QQ, GF(32003))
 
@@ -35,48 +36,6 @@ def nonzero(vec):
 
 def dense(rows, width, field):
     return [[r.get(c, field.zero) for c in range(width)] for r in rows]
-
-
-def naive_rref(rows, field):
-    """Dense Gauss-Jordan: (pivot columns, fully reduced nonzero rows),
-    every entry reduced mod p over GF(p)."""
-    p = field.char
-    rows = [list(r) for r in rows]
-    width = len(rows[0]) if rows else 0
-    pivots = []
-    for col in range(width):
-        top = len(pivots)
-        for i in range(top, len(rows)):
-            if rows[i][col]:
-                rows[top], rows[i] = rows[i], rows[top]
-                break
-        else:
-            continue
-        inv = field.inv(rows[top][col])
-        rows[top] = [x * inv % p if p else x * inv for x in rows[top]]
-        for i in range(len(rows)):
-            if i != top and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p if p else a - f * b
-                           for a, b in zip(rows[i], rows[top])]
-        pivots.append(col)
-    return pivots, rows[:len(pivots)]
-
-
-def naive_rank(rows, field):
-    return len(naive_rref(rows, field)[0])
-
-
-def naive_nf(vec, rows, field):
-    """vec reduced by the dense reduced echelon form of rows, as a dict of
-    its nonzero entries."""
-    p = field.char
-    v = list(vec)
-    for col, r in zip(*naive_rref(rows, field)):
-        if v[col]:
-            f = v[col]
-            v = [(a - f * b) % p if p else a - f * b for a, b in zip(v, r)]
-    return {c: x for c, x in enumerate(v) if x}
 
 
 ENTRIES = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
@@ -107,7 +66,7 @@ SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 @given(matrices())
 def test_rref_equals_dense_gauss_jordan(case):
     field, _, rows, _ = case
-    pivots, reduced = naive_rref(rows, field)
+    pivots, reduced = gauss_jordan(rows, field)
     assert rref(list(map(row, rows)), field) == (pivots,
                                                  list(map(nonzero, reduced)))
 
@@ -118,11 +77,11 @@ def test_echelon_rank_and_contains(case):
     field, width, rows, probe = case
     ech = Echelon(field)
     grew = [ech.add(row(r)) for r in rows]
-    rank = naive_rank(rows, field)
-    assert ech.rank == sum(grew) == rank
+    expected = rank(rows, field)
+    assert ech.rank == sum(grew) == expected
     assert all(ech.contains(row(r)) for r in rows)
     assert ech.contains(row(probe)) == (
-        naive_rank(rows + [probe], field) == rank)
+        rank(rows + [probe], field) == expected)
 
 
 @SETTINGS
@@ -138,7 +97,8 @@ def test_reduce_is_the_normal_form_for_any_insertion_order(case, rnd):
             ech.add(row(r))
         forms.append(ech.reduce(row(probe)))
         assert ech.reduce(nonzero(probe)) == forms[-1]
-    assert forms[0] == forms[1] == naive_nf(probe, rows, field)
+    assert forms[0] == forms[1] == nonzero(
+        reduce(probe, *gauss_jordan(rows, field), field))
 
 
 @st.composite
@@ -171,7 +131,7 @@ def test_sweep_equals_per_degree_rebuild(case):
 def test_nullity_is_rows_minus_rank(case):
     field, _, rows, _ = case
     assert nullity(list(map(row, rows)), field) == (
-        len(rows) - naive_rank(rows, field))
+        len(rows) - rank(rows, field))
 
 
 def test_empty_and_zero_width():
@@ -205,7 +165,7 @@ def rebuild_ranks(vecs, ring, D, top=None):
             for m in (monomials_upto(ring, d - t) if t <= d else []):
                 shifted = [p * ring.monomial(m) for p in v]
                 rows.append(fb.coords(shifted))
-        ranks.append(naive_rank(dense(rows, width, ring.field), ring.field))
+        ranks.append(rank(dense(rows, width, ring.field), ring.field))
     return ranks
 
 

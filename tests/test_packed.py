@@ -1,12 +1,14 @@
 """Differential tests of the packed polynomial representation against a
-small reference on exponent tuples written here: sums, products, powers,
-ring maps, repacking into rings with another order, with more or fewer
-variables or with the variables permuted, its refusal over another field,
-and the printed form, over Q and GF(32003) in wdegrevlex, lex and
-("block", k) rings.  The reference shares no code with xsq beyond the
-coefficient fields, and reduces its GF(p) coefficients mod p itself (char
-is the characteristic, 0 over Q).  A negative control perturbs one image of a
-ring map and requires the comparison to report it."""
+small reference on exponent tuples: sums, products, powers, ring maps,
+repacking into rings with another order, with more or fewer variables or
+with the variables permuted, its refusal over another field, and the
+printed form, over Q and GF(32003) in wdegrevlex, lex and ("block", k)
+rings.  The arithmetic of the reference is written here, its order key
+(``ref_key``) in tests/oracle.py.  The reference shares no code with xsq
+beyond the coefficient fields, and reduces its GF(p) coefficients mod p
+itself (char is the characteristic, 0 over Q).  A negative control
+perturbs one image of a ring map and requires the comparison to report
+it."""
 
 from fractions import Fraction
 
@@ -16,29 +18,13 @@ from hypothesis import given, settings, strategies as st
 from xsq import GF, QQ, PolyRing, RingHom
 from xsq.rings import reringed
 
+from .oracle import ref_key
+
 FIELDS = (QQ, GF(32003))
 NAMES = ("x", "y", "z", "w")
 
 
 # -- the reference: {exponent tuple: coefficient} dicts ----------------------
-
-
-def ref_key(exps, weights, order):
-    """wdegrevlex compares the weighted degree, then the negated exponents
-    from the last variable on; lex compares the exponents; ("block", k)
-    compares the wdegrevlex keys of the first k variables, then of the
-    rest."""
-    def wdegrevlex(e, w):
-        return (sum(a * b for a, b in zip(e, w)),
-                tuple(-a for a in reversed(e)))
-
-    if order == "wdegrevlex":
-        return wdegrevlex(exps, weights)
-    if order == "lex":
-        return tuple(exps)
-    k = order[1]
-    return (wdegrevlex(exps[:k], weights[:k]),
-            wdegrevlex(exps[k:], weights[k:]))
 
 
 def ref_add(p, q, char):

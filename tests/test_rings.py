@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from xsq import GF, QQ, BudgetExceeded, ParseError, PolyRing, RingHom
 from xsq.rings import MAX_EXPONENT, ExponentOverflow
 
+from .oracle import ref_key
+
 
 @pytest.fixture(scope="module")
 def R():
@@ -136,6 +138,30 @@ def test_weighted_degree():
     assert RS.zero.wdeg() == -1
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"order": ("block", -1)}, {"order": ("block",)},
+    {"order": ("block", 5, "junk")}, {"order": ("block", 3)},
+    {"order": ("block", 1.0)}, {"order": ["block", 1]},
+    {"order": "degrevlex"}, {"weights": [1.5, 1]}, {"weights": [0, 1]},
+])
+def test_malformed_orders_and_weights_are_refused(kwargs):
+    with pytest.raises(ValueError):
+        PolyRing(["x", "y"], **kwargs)
+
+
+def test_every_order_eliminate_and_the_tests_build_constructs():
+    # eliminate builds ("block", len(drop)) for 1 <= len(drop) <= n, and the
+    # tests build wdegrevlex, lex and ("block", k) for k = 0..n
+    for n in range(5):
+        names = ["x%d" % i for i in range(n)]
+        for order in ["wdegrevlex", "lex"] + [("block", k)
+                                              for k in range(n + 1)]:
+            assert PolyRing(names, weights=range(1, n + 1),
+                            order=order).order == order
+    R = PolyRing(["x", "y"], order=("block", 1))
+    assert R.parse("x*y + x^2").wdeg() == 2
+
+
 poly_strategy = st.builds(
     lambda coeffs: coeffs,
     st.dictionaries(
@@ -194,7 +220,7 @@ def test_hom_composition_on_low_degree():
 
 
 def test_identity_hom(R):
-    ident = RingHom.identity(R)
+    ident = RingHom.from_map(R, R, {})
     for text in ("x^3 - 2*y", "0", "x*y + 5"):
         p = R.parse(text)
         assert ident(p) == p
@@ -265,24 +291,6 @@ def test_hom_matches_term_by_term_substitution(field, f_imgs, g_imgs, coeffs):
 # -- packed monomials ----------------------------------------------------
 
 
-def _reference_key(exps, weights, order):
-    """The tuple order key that the packed key replaced: wdegrevlex compares
-    the weighted degree, then the negated exponents from the last variable
-    on; lex compares the exponents; ("block", k) compares the wdegrevlex
-    keys of the first k variables and then of the rest."""
-    def wdegrevlex(e, w):
-        return (sum(a * b for a, b in zip(e, w)),
-                tuple(-a for a in reversed(e)))
-
-    if order == "wdegrevlex":
-        return wdegrevlex(exps, weights)
-    if order == "lex":
-        return tuple(exps)
-    k = order[1]
-    return (wdegrevlex(exps[:k], weights[:k]),
-            wdegrevlex(exps[k:], weights[k:]))
-
-
 _EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT),
                        st.integers(MAX_EXPONENT - 3, MAX_EXPONENT))
 
@@ -321,7 +329,7 @@ def test_packed_monomials_match_the_exponent_tuples(case):
     A, B = pack(a), pack(b)
     assert packing.unpack(A) == a and packing.unpack(B) == b
     # the int key orders every pair as the reference key does
-    ref_a, ref_b = (_reference_key(e, ring.weights, ring.order)
+    ref_a, ref_b = (ref_key(e, ring.weights, ring.order)
                     for e in (a, b))
     assert (key(A) < key(B)) == (ref_a < ref_b)
     assert (key(A) == key(B)) == (a == b)

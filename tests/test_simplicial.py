@@ -4,11 +4,12 @@ import pytest
 
 from xsq import (GF, ConstructionData, Ideal, InvalidData, QQ, RingHom,
                  build_skeleton, hom_kernel, ideal_intersect, peiffer_P1,
-                 peiffer_P2, simplicial_identity_report)
+                 peiffer_P2)
 from xsq.rings import reringed
 from xsq.simplicial import _c_instances
 
-from .oracle import explicit_p2, ideal_equal, s3_free_instances
+from .oracle import (explicit_p2, ideal_equal, s3_free_instances,
+                     simplicial_identities)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -16,7 +17,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def test_ring_towers(skel_a, skel_c):
     assert skel_a.E1.vars == ("x", "S")
     assert skel_a.E2.vars == ("x", "s0_S", "s1_S")
-    assert skel_a.E3.vars == ("x", "s1s0_S", "s2s0_S", "s2s1_S")
+    assert skel_a.rings[3].vars == ("x", "s1s0_S", "s2s0_S", "s2s1_S")
     assert skel_c.E2.vars == ("x", "y", "s0_S1", "s0_S2",
                               "s1_S1", "s1_S2", "T")
 
@@ -34,8 +35,20 @@ def test_zero_skeleton_collapses():
 def test_simplicial_identities_exhaustive(which, skel_a, skel_b, skel_c,
                                           skel_d4f):
     skel = {"a": skel_a, "b": skel_b, "c": skel_c, "d4f": skel_d4f}[which]
-    report = simplicial_identity_report(skel)
+    report = simplicial_identities(skel)
     assert report and all(ok for _, ok in report)
+
+
+def test_a_degeneracy_that_breaks_an_identity_is_reported(data_a):
+    # negative control: with s_0 at level 1 followed by x -> 2x, d_0 s_0
+    # and d_1 s_0 are no longer the identity, and s_0 s_0 = s_1 s_0 fails
+    skel = build_skeleton(data_a)
+    E = skel.rings[2]
+    skel.degen[(1, 0)] = skel.degen[(1, 0)].then(
+        RingHom.from_map(E, E, {"x": 2 * E.var("x")}))
+    failed = {name for name, ok in simplicial_identities(skel) if not ok}
+    assert {"d0 s0 = id (level 1)", "d1 s0 = id (level 1)",
+            "s0 s0 = s1 s0 (level 0)"} <= failed
 
 
 @pytest.mark.parametrize("which", ["a", "b", "c", "d4f"])
@@ -176,7 +189,7 @@ def test_peiffer_level2_matches_level3_kernel(which, skel_a, skel_b, skel_c):
     skel = {"a": skel_a, "b": skel_b, "c": skel_c}[which]
     kers = [hom_kernel(skel.face[(3, i)]) for i in range(3)]
     ne3 = ideal_intersect(ideal_intersect(kers[0], kers[1]), kers[2])
-    E3 = skel.E3
+    E3 = skel.rings[3]
     deg3 = Ideal(E3, [E3.var(v) for v in E3.vars
                       if v not in skel.data.s1_names])
     for g in ne3.gens:
@@ -237,17 +250,6 @@ def test_from_dict_rejects_malformed():
         ConstructionData.from_dict({"S1": "x"})
     with pytest.raises(InvalidData):
         ConstructionData.from_dict({"S1": ["x"], "S2": [{"name": "S"}]})
-
-
-def test_truncation_levels(data_b, data_c):
-    assert data_c.truncate(1).s3 == ()
-    assert data_c.truncate(0).s2 == ()
-    assert data_c.truncate(2) is data_c
-    # a truncation that drops nothing is the data itself
-    assert data_b.truncate(1) is data_b
-    assert data_b.truncate(0).s2 == ()
-    empty = data_b.truncate(0)
-    assert empty.truncate(0) is empty and empty.truncate(1) is empty
 
 
 @pytest.mark.parametrize("which", ["a", "b", "c"])

@@ -1,9 +1,11 @@
-"""What a command imports, what its process entry adds to main, the
-lazily resolved package surface, and the plain classes that hold reports
-and presentations."""
+"""What a command imports, which functions of the package the commands
+never enter, what its process entry adds to main, the lazily resolved
+package surface, and the plain classes that hold reports and
+presentations."""
 
 import gc
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -118,6 +120,94 @@ def test_no_command_loads_argparse_gettext_or_locale(command, fixture):
     modules = _process_imports(command, FIXTURES[fixture])
     assert "xsq.groebner" in modules
     assert not {"argparse", "gettext", "locale"} & modules
+
+
+# the functions of src/xsq that no command enters: reprs, the process
+# entry, the lazy package surface, the element constructors that only the
+# tests call, and the error constructors that no cheap input reaches (no
+# input within the parser's bounds passes the exponent limit)
+NEVER_ENTERED = {
+    "xsq.__getattr__",
+    "xsq.cli.entry",
+    "xsq.groebner.Ideal.__repr__",
+    "xsq.groebner.Subquotient.__repr__",
+    "xsq.rings.CoefficientOverflow.__init__",
+    "xsq.rings.ExponentOverflow.__init__",
+    "xsq.rings.Packing.pack",
+    "xsq.rings.PolyRing.__repr__",
+    "xsq.rings.PolyRing.monomial",
+    "xsq.rings.Polynomial.__repr__",
+    "xsq.rings.Polynomial.__rmul__",
+    "xsq.rings.RingHom.__repr__",
+    "xsq.scalars.PrimeField.__repr__",
+    "xsq.scalars.RationalField.__repr__",
+}
+
+
+def _package_functions():
+    """(file, first line, name) -> qualified name of every function that
+    the sources of src/xsq define, nested ones included; lambdas,
+    comprehensions and class bodies are left out."""
+    out = {}
+
+    def walk(code, module, prefix):
+        for const in code.co_consts:
+            if not inspect.iscode(const):
+                continue
+            if const.co_name.startswith("<"):
+                walk(const, module, prefix)
+                continue
+            name = prefix + const.co_name
+            if const.co_flags & inspect.CO_OPTIMIZED:
+                out[(const.co_filename, const.co_firstlineno,
+                     const.co_name)] = module + "." + name
+                walk(const, module, name + ".<locals>.")
+            else:
+                walk(const, module, name + ".")
+
+    for path in sorted((ROOT / "src" / "xsq").glob("*.py")):
+        module = importlib.import_module(
+            "xsq" if path.stem == "__init__" else "xsq." + path.stem)
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        walk(compile(source, module.__file__, "exec"), module.__name__, "")
+    return out
+
+
+def test_the_commands_enter_every_function_but_a_named_few(tmp_path,
+                                                           capsys):
+    from xsq import cli
+    inputs = list(FIXTURES.values())
+    for name, obj in sorted(EDGE_INPUTS.items()):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(obj))
+        inputs.append(str(path))
+    bad = tmp_path / "bad_image.json"
+    bad.write_text(json.dumps({"S1": ["x"],
+                               "S2": [{"name": "S", "image": "x^"}]}))
+    runs = [([command, name, "--max-degree", "3"], 0)
+            for command in COMMANDS for name in inputs]
+    runs += [(["build", FIXTURES["c"], "--order", "lex"], 0),
+             (["verify", FIXTURE_A, "--format", "json"], 0),
+             (["build"], 2), (["build", str(bad)], 2),
+             (["compare", FIXTURES["b"], "--budget", "5"], 3)]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno,
+                         code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv, _ in runs]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [code for _, code in runs]
+    functions = _package_functions()
+    assert {functions[k] for k in functions.keys() - entered} == NEVER_ENTERED
 
 
 def test_only_the_process_entry_freezes_the_heap(capsys):
