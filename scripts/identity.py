@@ -16,7 +16,7 @@ when any run differs, and also when any run of the flags part fails on the
 parent side: each of them exits 0 on working code, so a side that cannot
 run at all does not read as identity.
 
-The grid (507 runs a side):
+The grid (523 runs a side):
 
 - the four commands on the benchmark's workload inputs (fixtures a-c, f1
   and f2) at seeds 0 and 7, on fixtures/d3.json and fixtures/d4f.json
@@ -25,9 +25,10 @@ The grid (507 runs a side):
   (GF(2^61 - 1)), zero_image (a zero boundary image), repeated_image
   (two generators with one boundary image), mixed_degrees (boundary
   images of degrees 2 and 3), empty_s2 (no level-1 generators),
-  empty_s1 (no variables) and clashing_names (fixture c with its level-2
-  generator named g0_0, which the coproduct renames), each with the default
-  flags, --format json, --order lex and --max-degree 9 (336 runs);
+  empty_s1 (no variables), clashing_names (fixture c with its level-2
+  generator named g0_0, which the coproduct renames) and non_homogeneous
+  (the boundary images x^2 - y and x*y), each with the default flags,
+  --format json, --order lex and --max-degree 9 (352 runs);
 - the scale part: the four commands on fixtures/d5.json with the default
   flags, the one checked-in input whose filtered rows sweep thousands of
   vectors and whose eliminations every command runs;
@@ -69,7 +70,8 @@ FLAGS = ((), ("--format", "json"), ("--order", "lex"), ("--max-degree", "9"))
 BUDGETS = (20, 50, 100, 200, 500, 1000, 2000, 5000)
 GOLDEN_INPUTS = ("q_fractions", "fp7_nonunit_image", "fixture_c_gf_m61",
                  "zero_image", "repeated_image", "mixed_degrees",
-                 "empty_s2", "empty_s1", "clashing_names")
+                 "empty_s2", "empty_s1", "clashing_names",
+                 "non_homogeneous")
 SCALE_INPUTS = ("d5",)
 DEMOS = sorted("demos/" + p.name for p in (ROOT / "demos").glob("*.py"))
 

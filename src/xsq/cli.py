@@ -28,14 +28,14 @@ one skeleton of its input, no truncation of it, and the report it prints
 as a dict; ``--format json`` dumps it and :func:`_render_text`, the one
 text renderer, writes it out as text.
 
-:func:`main` is the in-process call.  :func:`entry`, the process entry,
-runs it and then freezes the heap with ``gc.freeze()``: the collections
-the interpreter runs at exit then skip every object of the run, whose
-memory the OS reclaims anyway.  At desk scale those collections took
-about a tenth of a command's wall time.
+:func:`main` is the in-process call: it returns the exit code and never
+exits.  :func:`entry`, the process entry, runs it, flushes stdout and then
+stderr, and ends the process with ``os._exit``, which skips module
+teardown, atexit handlers, the exit-time collections and any warning they
+would raise; the OS reclaims the memory.  Code that goes on after a
+command (a test, a tracer) calls main.
 """
 
-import gc
 import json
 import os
 import sys
@@ -307,19 +307,17 @@ def main(argv=None):
 
 def entry():
     """The process entry of ``python -m xsq.cli`` and the ``xsq`` script:
-    :func:`main` on ``sys.argv``, its output flushed, then the heap frozen
-    so that the collections at interpreter exit skip it."""
+    :func:`main` on ``sys.argv``, stdout and stderr flushed, then a hard
+    exit with its code.  A reader that closed stdout makes it exit 1; the
+    unwritten tail goes with the process, as nothing flushes it again."""
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout: point it at devnull so that the flush
-        # at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    gc.freeze()
-    return code
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(entry())
+    entry()

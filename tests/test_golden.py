@@ -4,9 +4,10 @@ files under tests/golden/.
 Recorded cases: every command on fixtures a-c with the default flags;
 homotopy and compare on fixtures a and b at --max-degree 9 and on fixture b
 over GF(32003) at --max-degree 9, where truncated linear algebra dominates;
-every command on five edge inputs (no level-1 generators, no variables, a
+every command on six edge inputs (no level-1 generators, no variables, a
 zero boundary image, two generators with the same boundary image, boundary
-images of degrees 2 and 3), on an input over GF(7) whose boundary images are
+images of degrees 2 and 3, the non-homogeneous image x^2 - y beside
+x*y), on an input over GF(7) whose boundary images are
 monomials with coefficients other than one, on its analogue over Q
 with the non-integral coefficient 3/2, whose output prints 2/3 and 3/2,
 on f1, the three-variable input over GF(32003) of the benchmark's
@@ -82,6 +83,12 @@ EDGE_INPUTS = {
                        "S2": [{"name": "S1", "image": "x^2"},
                               {"name": "S2", "image": "x*y"}],
                        "S3": [{"name": "g0_0", "image": "y*S1 - x*S2"}]},
+    # the one input whose ideals are not weight-homogeneous: x^2 - y mixes
+    # degrees 2 and 1, and y*A - x*B = -y^2 leads with no generator's lead
+    "non_homogeneous": {"field": "Q", "S1": ["x", "y"],
+                        "S2": [{"name": "A", "image": "x^2 - y"},
+                               {"name": "B", "image": "x*y"}],
+                        "S3": []},
 }
 
 

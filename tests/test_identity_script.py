@@ -27,8 +27,8 @@ def test_identity_grid_builds_and_its_inputs_parse(monkeypatch, tmp_path):
     identity = load(monkeypatch)
     paths = identity.write_inputs(tmp_path)
     runs = identity.grid(paths)
-    assert len(runs) == 507
-    assert Counter(part for part, _ in runs) == {"flags": 336, "scale": 4,
+    assert len(runs) == 523
+    assert Counter(part for part, _ in runs) == {"flags": 352, "scale": 4,
                                                  "budget": 160, "break-h": 3,
                                                  "demos": 4}
     assert {args[1] for part, args in runs
@@ -66,5 +66,5 @@ def test_no_sources_or_a_failing_parent_is_not_identity(monkeypatch,
     monkeypatch.setattr(identity, "run", lambda checkout, args: (1, b"", b""))
     assert identity.main([str(ROOT), str(ROOT)]) == 1
     out = capsys.readouterr().out
-    assert "0 of 507 runs differ" in out
-    assert "336 flags runs fail on the parent side" in out
+    assert "0 of 523 runs differ" in out
+    assert "352 flags runs fail on the parent side" in out

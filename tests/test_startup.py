@@ -1,9 +1,8 @@
 """What a command imports, which functions of the package the commands
-never enter, what its process entry adds to main, the lazily resolved
-package surface, and the plain classes that hold reports and
+never enter, how its process entry ends the process after main, the lazily
+resolved package surface, and the plain classes that hold reports and
 presentations."""
 
-import gc
 import importlib
 import inspect
 import json
@@ -23,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = {name: str(ROOT / "fixtures" / ("fixture_%s.json" % name))
             for name in "abc"}
 FIXTURE_A = FIXTURES["a"]
+D4F = str(ROOT / "fixtures" / "d4f.json")  # its verify report is 429 KB
 COMMANDS = ("build", "verify", "homotopy", "compare")
 
 # pytest itself loads dataclasses and inspect, so each footprint is read in
@@ -210,28 +210,85 @@ def test_the_commands_enter_every_function_but_a_named_few(tmp_path,
     assert {functions[k] for k in functions.keys() - entered} == NEVER_ENTERED
 
 
-def test_only_the_process_entry_freezes_the_heap(capsys):
-    from xsq import cli
-    assert cli.main(["build", FIXTURE_A]) == 0
-    assert capsys.readouterr().err == ""
-    assert gc.get_freeze_count() == 0
+def _buffered_env():
+    # stdout buffered, as by default, so that output the entry fails to
+    # flush is lost
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _cli_process(*argv):
+    return subprocess.run([sys.executable, "-m", "xsq.cli", *argv],
+                          capture_output=True, env=_buffered_env(), cwd=ROOT)
+
+
+def test_the_process_entry_ends_the_process():
+    # entry flushes the report and exits hard, so neither a line after it
+    # nor an atexit handler runs.  The homotopy report fits stdout's
+    # buffer, so only the flush writes it out
     out = subprocess.run(
         [sys.executable, "-c",
-         "import gc, sys\n"
+         "import atexit, sys\n"
          "import xsq.cli\n"
-         "sys.argv = ['xsq', 'build', sys.argv[1]]\n"
-         "code = xsq.cli.entry()\n"
-         "sys.stderr.write('%d %d' % (code, gc.get_freeze_count() > 0))\n",
-         FIXTURE_A], capture_output=True, text=True, env=env, cwd=ROOT)
-    assert out.stderr == "0 1"
-    assert out.stdout.startswith("command: build\n")
+         "atexit.register(print, 'at exit', file=sys.stderr)\n"
+         "sys.argv = ['xsq', 'homotopy', sys.argv[1]]\n"
+         "xsq.cli.entry()\n"
+         "print('after entry')\n",
+         FIXTURE_A], capture_output=True, env=_buffered_env(), cwd=ROOT)
+    assert out.returncode == 0 and out.stderr == b""
+    assert out.stdout == (GOLDEN / "homotopy_fixture_a.txt").read_bytes()
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["build", FIXTURE_A], 0, b""),
+    (["verify", FIXTURE_A, "--break-h"], 1, b""),
+    (["build", str(ROOT / "fixtures" / "no_such_input.json")], 2,
+     b"error: cannot read input: "),
+    (["compare", FIXTURES["b"], "--budget", "5"], 3,
+     b"error: step budget of 5 reductions exceeded\n"),
+])
+def test_the_process_entry_keeps_the_exit_codes(argv, code, err):
+    out = _cli_process(*argv)
+    assert out.returncode == code
+    assert out.stderr.startswith(err)
+    assert out.stderr.count(b"\n") == (1 if err else 0)
+    assert out.stdout[:9] == (b"command: " if code < 2 else b"")
+
+
+def test_a_report_longer_than_a_pipe_buffer_reaches_its_reader_whole(
+        capsys):
+    # the hard exit drops whatever is still buffered, so a lost tail of
+    # the 429 KB report would show here
+    from xsq import cli
+    assert cli.main(["verify", D4F]) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    assert len(expected) > 1 << 16
+    out = _cli_process("verify", D4F)
+    assert out.returncode == 0 and out.stderr == b""
+    assert out.stdout == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["homotopy", FIXTURE_A],  # fits the buffer: fails in entry's flush
+    ["verify", D4F],  # longer than the pipe: fails within main
+])
+def test_a_reader_that_closes_stdout_gets_exit_1_and_no_traceback(argv):
+    proc = subprocess.Popen([sys.executable, "-m", "xsq.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_buffered_env(), cwd=ROOT)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_successful_run_writes_nothing_to_stderr_in_dev_mode(command):
     # dev mode shows the warnings that are hidden by default, so one raised
-    # on the way out (an unclosed file, a failed flush) would reach stderr
+    # while the command runs (an unclosed file, a deprecated call) reaches
+    # stderr; the hard exit skips finalization, where none can be raised
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-X", "dev", "-m", "xsq.cli", command, FIXTURE_A],
