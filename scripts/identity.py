@@ -16,7 +16,7 @@ when any run differs, and also when any run of the flags part fails on the
 parent side: each of them exits 0 on working code, so a side that cannot
 run at all does not read as identity.
 
-The grid (523 runs a side):
+The grid (539 runs a side):
 
 - the four commands on the benchmark's workload inputs (fixtures a-c, f1
   and f2) at seeds 0 and 7, on fixtures/d3.json and fixtures/d4f.json
@@ -37,6 +37,11 @@ The grid (523 runs a side):
   the steps a command spends in all would move an exit code between 0 and
   3;
 - verify --break-h on fixtures a-c, which must fail (exit 1) on both sides;
+- the refusals part: build and compare with no INPUT, with -h, misspelled
+  as an unknown command, with an unknown option, with --max-degree 99, on
+  a missing file, on invalid JSON and on an image with an unknown variable
+  (16 runs), each refused before any engine work (or, for -h, printing the
+  usage), so their exit codes and error lines are compared;
 - the four demos, which also read what no command prints, such as
   ``assemble_L(...).extra_relations``.
 
@@ -73,6 +78,13 @@ GOLDEN_INPUTS = ("q_fractions", "fp7_nonunit_image", "fixture_c_gf_m61",
                  "empty_s2", "empty_s1", "clashing_names",
                  "non_homogeneous")
 SCALE_INPUTS = ("d5",)
+# input text that the CLI refuses, and a path written by no one
+REFUSED_INPUTS = {
+    "invalid_json": '{"S1": ',
+    "unknown_variable": json.dumps({"S1": ["x"], "S2": [
+        {"name": "A", "image": "x*y"}]}),
+    "missing": None,
+}
 DEMOS = sorted("demos/" + p.name for p in (ROOT / "demos").glob("*.py"))
 
 
@@ -84,10 +96,13 @@ def write_inputs(folder):
         objs[name] = json.loads((ROOT / "fixtures" / ("%s.json" % name))
                                 .read_text())
     objs.update((name, EDGE_INPUTS[name]) for name in GOLDEN_INPUTS)
+    texts = {name: json.dumps(obj) for name, obj in objs.items()}
+    texts.update(REFUSED_INPUTS)
     paths = {}
-    for name, obj in objs.items():
+    for name, text in texts.items():
         path = Path(folder) / ("%s.json" % name)
-        path.write_text(json.dumps(obj))
+        if text is not None:
+            path.write_text(text)
         paths[name] = str(path)
     return paths
 
@@ -95,7 +110,8 @@ def write_inputs(folder):
 def grid(paths):
     """(part, argument list) for every run."""
     runs = [("flags", [c, path, *flags]) for name, path in paths.items()
-            if name not in SCALE_INPUTS for c in COMMANDS for flags in FLAGS]
+            if name not in SCALE_INPUTS and name not in REFUSED_INPUTS
+            for c in COMMANDS for flags in FLAGS]
     runs += [("scale", [c, paths[name]]) for name in SCALE_INPUTS
              for c in COMMANDS]
     fixtures = [paths["%s_seed0" % b] for b in ("a", "b", "c")]
@@ -103,6 +119,11 @@ def grid(paths):
     runs += [("budget", [c, path, "--budget", str(n)]) for path in budgeted
              for c in COMMANDS for n in BUDGETS]
     runs += [("break-h", ["verify", path, "--break-h"]) for path in fixtures]
+    runs += [("refusals", argv) for c in ("build", "compare") for argv in (
+        [c], [c, "-h"], [c + "s", fixtures[0]],
+        [c, fixtures[0], "--no-such-option"],
+        [c, fixtures[0], "--max-degree", "99"],
+        *([c, paths[name]] for name in REFUSED_INPUTS))]
     runs += [("demos", [demo]) for demo in DEMOS]
     return runs
 

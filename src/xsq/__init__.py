@@ -2,19 +2,19 @@
 commutative algebras from 2-dimensional construction data.
 
 The public names below resolve on first use (PEP 562): ``xsq.Ideal`` or
-``from xsq import Ideal`` imports ``xsq.groebner`` then, and importing the
-package or one of its submodules loads nothing else.  So each CLI command
-loads only the modules it runs."""
+``from xsq import Ideal`` imports ``xsq.groebner`` then.  Importing the
+package loads nothing else, and a submodule loads only its own imports.
+So each CLI command loads only the modules it runs."""
 
 from importlib import import_module
 
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
     ("scalars", "QQ GF field_from_label"),
-    ("rings", "PolyRing Polynomial RingHom ParseError"),
-    ("groebner", "Ideal BudgetExceeded NotInIdeal Subquotient affine_hilbert "
-                 "budget eliminate hom_kernel ideal_intersect "
-                 "subquotient_dims syzygies"),
+    ("rings", "PolyRing Polynomial RingHom ParseError BudgetExceeded"),
+    ("groebner", "Ideal NotInIdeal Subquotient affine_hilbert budget "
+                 "eliminate hom_kernel ideal_intersect subquotient_dims "
+                 "syzygies"),
     ("simplicial", "ConstructionData InvalidData Skeleton2 "
                    "build_skeleton peiffer_P1 peiffer_P2"),
     ("crossed", "CrossedModule CrossedSquare VerifyReport free_crossed_on "

@@ -41,14 +41,17 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .groebner import DEFAULT_BUDGET, BudgetExceeded, budget
+from .rings import BudgetExceeded
 from .simplicial import (ConstructionData, InvalidData, build_skeleton,
                          peiffer_P1)
 
-# each command imports the layers it runs (crossed, homotopy, tensor), so
-# no command compiles a module it does not call
+# main imports the Groebner engine once the input has parsed, and each
+# command the layers it runs (crossed, homotopy, tensor), so no run
+# compiles a module it does not call: reading or refusing input loads only
+# scalars, rings and simplicial
 
 ORDER_TAGS = {"degrevlex": "wdegrevlex", "lex": "lex"}
+DEFAULT_BUDGET = 10**6  # reduction steps, for the whole command
 # The filtered rows enumerate every monomial up to the bound, so their cost
 # grows as a power of it: compare on fixture b takes minutes at 24.
 MAX_DEGREE = 32
@@ -288,9 +291,10 @@ def main(argv=None):
         print("error: cannot read input: %s" % e, file=sys.stderr)
         return 2
     try:
+        data = ConstructionData.from_json(text)
+        from .groebner import budget
         with budget(args.budget):
-            obj, code = COMMANDS[args.command](
-                ConstructionData.from_json(text), args)
+            obj, code = COMMANDS[args.command](data, args)
     except InvalidData as e:
         for problem in e.problems:
             print("error: %s" % problem, file=sys.stderr)

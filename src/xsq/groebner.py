@@ -55,8 +55,6 @@ from .rings import (BudgetExceeded, ExponentOverflow, Polynomial, PolyRing,
                     RingHom, fresh_names, reringed)
 from .scalars import reduced
 
-DEFAULT_BUDGET = 10**6
-
 
 class NotInIdeal(ValueError):
     pass

@@ -28,6 +28,11 @@ skeleton and kept on it.  Every face kernel has one rule,
 corners are Ker d_0 and Ker d_1, and the level-2 Moore kernel is their
 intersection at level 2.  A lower skeleton is the skeleton of the data
 with its level-2 generators, or with all its adjoined generators, left out.
+
+Reading and checking construction data takes only ``scalars`` and
+``rings``: the Groebner engine is imported where an ideal is first derived
+(a face kernel, the Moore kernel, pi0 or a Peiffer ideal), so parsing or
+refusing input compiles none of it.
 """
 
 import json
@@ -35,7 +40,6 @@ from itertools import combinations
 
 from .scalars import field_from_label
 from .rings import NAME, PolyRing, Polynomial, RingHom, reringed
-from .groebner import Ideal, hom_kernel, ideal_intersect
 
 RESERVED_PREFIXES = ("s0_", "s1_", "s2_", "s1s0_", "s2s0_", "s2s1_")
 
@@ -279,6 +283,7 @@ class Skeleton2:
         variables v of E_n generate it.  Checked once against the kernel
         that elimination gives."""
         def make():
+            from .groebner import Ideal, hom_kernel
             d, s = self.face[(n, i)], self.degen[(n - 1, min(i, n - 1))]
             K = Ideal(d.domain, [v - s(d(v)) for v in d.domain.gens()])
             if K.groebner() != hom_kernel(d).groebner():
@@ -289,6 +294,7 @@ class Skeleton2:
 
     def moore(self):
         """The level-2 Moore kernel Ker d_0 cap Ker d_1."""
+        from .groebner import ideal_intersect
         return self.once("moore", lambda: ideal_intersect(
             self.kernel(2, 0), self.kernel(2, 1)))
 
@@ -299,6 +305,7 @@ class Skeleton2:
     def pi0(self):
         """The ideal of the boundary images in R, which presents the
         zeroth homotopy ring R/I, made once per skeleton."""
+        from .groebner import Ideal
         return self.once("pi0", lambda: Ideal(
             self.base, self.data.boundary_images))
 
@@ -332,6 +339,7 @@ def peiffer_P1(data):
     """Ideal of E1 generated by X_i X_j - t_i X_j over all ordered pairs:
     the defects of the second crossed-module axiom for the free pre-crossed
     module."""
+    from .groebner import Ideal
     E1 = data.ring1
     return Ideal(E1, peiffer_defects(
         [E1.var(n) for n in data.s2_names],
@@ -376,6 +384,7 @@ def peiffer_P2(skel):
     or without level-2 construction generators.  Every family element must
     have its faces d_0, d_1 and d_2 zero.
     """
+    from .groebner import Ideal
     d = {i: skel.face[(3, i)] for i in range(4)}
     gens = []
     for z in _c_instances(skel):

@@ -100,18 +100,28 @@ def test_compare_with_level2_generators_loads_no_split_layer():
     assert "xsq.homotopy" not in modules and "xsq.linalg" not in modules
 
 
-def _process_imports(*argv):
-    """The modules a ``python -m xsq.cli`` process imports, from its
-    ``-X importtime`` lines (interpreter start-up included)."""
+def _process(*argv):
+    """The exit code of a ``python -m xsq.cli`` process, the modules it
+    imports, from its ``-X importtime`` lines (interpreter start-up
+    included), and the rest of its stderr."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "xsq.cli", *argv],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         env=env, cwd=ROOT)
-    assert out.returncode == 0, out.stderr
-    return {line.rpartition("|")[2].strip()
-            for line in out.stderr.splitlines()
-            if line.startswith("import time:")}
+    modules, rest = set(), []
+    for line in out.stderr.splitlines(keepends=True):
+        if line.startswith("import time:"):
+            modules.add(line.rpartition("|")[2].strip())
+        else:
+            rest.append(line)
+    return out.returncode, modules, "".join(rest)
+
+
+def _process_imports(*argv):
+    code, modules, err = _process(*argv)
+    assert code == 0, err
+    return modules
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
@@ -298,7 +308,11 @@ def test_a_successful_run_writes_nothing_to_stderr_in_dev_mode(command):
     assert out.stderr == ""
 
 
-def test_parsing_input_loads_no_crossed_module():
+def test_parsing_input_loads_no_crossed_module(tmp_path):
+    # fixtures a-c over Q and f1 over GF(32003): reading and checking
+    # construction data compiles no engine
+    f1 = tmp_path / "f1.json"
+    f1.write_text(json.dumps(EDGE_INPUTS["f1"]))
     modules = _loaded("import sys\n"
                       "started = set(sys.modules)\n"
                       "from xsq.simplicial import ConstructionData\n"
@@ -306,9 +320,60 @@ def test_parsing_input_loads_no_crossed_module():
                       "    with open(name) as fh:\n"
                       "        ConstructionData.from_json(fh.read())\n"
                       "print(*sorted(set(sys.modules) - started))\n",
-                      *FIXTURES.values())
+                      *FIXTURES.values(), str(f1))
     assert "xsq.simplicial" in modules
-    assert "xsq.crossed" not in modules and "fractions" not in modules
+    for name in ("xsq.groebner", "xsq.linalg", "xsq.crossed", "fractions"):
+        assert name not in modules
+
+
+@pytest.mark.parametrize("derive", ["skel.kernel(1, 0)", "skel.moore()",
+                                    "skel.pi0()", "peiffer_P1(data)",
+                                    "peiffer_P2(skel)"])
+def test_a_skeleton_loads_the_engine_when_it_first_derives_an_ideal(derive):
+    loaded = _loaded("import sys\n"
+                     "from xsq.simplicial import (ConstructionData,\n"
+                     "    build_skeleton, peiffer_P1, peiffer_P2)\n"
+                     "with open(sys.argv[1]) as fh:\n"
+                     "    data = ConstructionData.from_json(fh.read())\n"
+                     "skel = build_skeleton(data)\n"
+                     "print('xsq.groebner' in sys.modules, end=' ')\n"
+                     "%s\n"
+                     "print('xsq.groebner' in sys.modules)\n" % derive,
+                     FIXTURES["c"])
+    assert loaded == ["False", "True"]
+
+
+def test_a_refused_run_loads_no_engine(tmp_path):
+    # each run is refused on its command line or its input, or asks for
+    # help, before any engine work
+    missing = str(tmp_path / "no_such_input.json")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text('{"S1": ')
+    unknown = tmp_path / "unknown_variable.json"
+    unknown.write_text(json.dumps({"S1": ["x"], "S2": [
+        {"name": "A", "image": "x*y"}]}))
+    names = "(the commands are build, verify, homotopy, compare)"
+    refusals = [
+        ([], 2, "error: no command %s\n" % names),
+        (["-h"], 0, ""),
+        (["bild", FIXTURE_A], 2, "error: 'bild' is not a command %s\n"
+         % names),
+        (["build", FIXTURE_A, "--no-such-option"], 2,
+         "error: unknown option '--no-such-option'\n"),
+        (["build", FIXTURE_A, "--max-degree", "99"], 2,
+         "error: --max-degree must be between 0 and 32\n"),
+        (["build", missing], 2, "error: cannot read input: [Errno 2] No "
+         "such file or directory: %r\n" % missing),
+        (["build", str(invalid)], 2, "error: invalid JSON: Expecting value: "
+         "line 1 column 8 (char 7)\n"),
+        (["compare", str(unknown)], 2, "error: S2 image for 'A': unknown "
+         "variable 'y' (at position 2)\n"),
+    ]
+    for argv, code, err in refusals:
+        got, modules, got_err = _process(*argv)
+        assert (got, got_err) == (code, err), argv
+        assert "xsq.simplicial" in modules, argv
+        assert "xsq.groebner" not in modules, argv
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -325,6 +390,7 @@ def test_every_export_is_the_submodule_object():
     for name in xsq.__all__:
         module = importlib.import_module("xsq." + xsq._EXPORTS[name])
         assert getattr(xsq, name) is getattr(module, name)
+        assert getattr(xsq, name).__module__ == module.__name__
     assert xsq.Ideal is importlib.import_module("xsq.groebner").Ideal
 
 
